@@ -15,6 +15,7 @@ from .algebra import (
     AlgebraMap,
     adjoint_matrix,
     generated_subalgebra,
+    induce_on_quotient,
     is_homomorphism,
     multiply,
 )
@@ -190,7 +191,7 @@ def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
 class DihedralData:
     """Axis window, shift automorphism, and base flip for a dihedral algebra."""
 
-    __slots__ = ("algebra", "eta", "lo", "hi", "axes", "shift", "flip", "_inv_cache")
+    __slots__ = ("algebra", "eta", "lo", "hi", "axes", "shift", "flip", "_inv_cache", "_base_split")
 
     def __init__(self, algebra, eta, lo, hi, axes, shift, flip):
         object.__setattr__(self, "algebra", algebra)
@@ -201,6 +202,7 @@ class DihedralData:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "flip", flip)
         object.__setattr__(self, "_inv_cache", {})
+        object.__setattr__(self, "_base_split", None)
 
     def __setattr__(self, *_):
         raise AttributeError("DihedralData is immutable")
@@ -237,6 +239,25 @@ class DihedralData:
     def window_indices(self):
         return range(self.lo, self.hi + 1)
 
+    def base_split(self) -> AxisDecomposition:
+        """The decomposition at a_0 along the flip, kept because the fusion
+        pass, check_dihedral and the identity suite all need it."""
+        if self._base_split is None:
+            dec = split_eigenspace(self.algebra, self.axes[0], self.eta, self.flip)
+            object.__setattr__(self, "_base_split", dec)
+        return self._base_split
+
+    def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":
+        """The shift, flip and axes induced on qalg = algebra / ideal; None
+        if the shift or the flip does not preserve the ideal."""
+        qshift = induce_on_quotient(self.shift, ideal, qalg, projection)
+        qflip = induce_on_quotient(self.flip, ideal, qalg, projection)
+        if qshift is None or qflip is None:
+            return None
+        lo, hi = max(self.lo, -1), min(self.hi, self.algebra.dim)
+        seed = {i: projection.apply(self.axes[i]) for i in range(lo, hi + 1)}
+        return DihedralData.build(qalg, seed, qshift, qflip, self.eta)
+
     def involution_at(self, j) -> AlgebraMap:
         """Conjugated flip f1^j o tau0 o f1^(-j)."""
         if j not in self._inv_cache:
@@ -260,7 +281,7 @@ class DihedralViolation:
     detail: str
 
 
-def check_dihedral(alg, dd: DihedralData, axis_indices=None, involution_indices=None):
+def check_dihedral(alg, dd: DihedralData):
     """Mechanical check of the dihedral axioms; returns violations (empty = pass)."""
     violations = []
     ident = Matrix.identity(alg.field, alg.dim)
@@ -287,16 +308,13 @@ def check_dihedral(alg, dd: DihedralData, axis_indices=None, involution_indices=
             DihedralViolation("D1", None, f"axes generate only dimension {span.dim}")
         )
 
-    if axis_indices is None:
-        axis_indices = range(-1, alg.dim + 2)
-    if involution_indices is None:
-        involution_indices = range(-1, 4)
-
     decompositions = {}
-    for i in axis_indices:
-        tau_i = dd.involution_at(i)
+    for i in range(-1, alg.dim + 2):
         try:
-            dec = split_eigenspace(alg, dd.axis(i), dd.eta, tau_i)
+            if i == 0:
+                dec = dd.base_split()
+            else:
+                dec = split_eigenspace(alg, dd.axis(i), dd.eta, dd.involution_at(i))
         except (NotIdempotent, NotSemisimple, InvolutionMismatch) as exc:
             violations.append(DihedralViolation("axis", i, str(exc)))
             continue
@@ -309,7 +327,7 @@ def check_dihedral(alg, dd: DihedralData, axis_indices=None, involution_indices=
                 )
             )
 
-    for j in involution_indices:
+    for j in range(-1, 4):
         tau_j = dd.involution_at(j)
         for i in dd.window_indices():
             if dd.lo <= 2 * j - i <= dd.hi:
@@ -511,7 +529,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     eta = dd.eta
     field = alg.field
     a0 = dd.axis(0)
-    dec = split_eigenspace(alg, a0, eta, dd.flip)
+    dec = dd.base_split()
 
     lambdas = {}
     for i in (1, 2, 3):

@@ -18,14 +18,8 @@ import time
 
 from . import algfile, catalog
 from .algebra import AlgebraMap, extend_from_generators, is_ideal, quotient
-from .axial import axial_dimension, identity_suite
-from .errors import AxialError
-from .fields import parse_scalar, render
+from .errors import AxialError, ConstraintViolation, UnknownEntry
 from .linalg import Subspace
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _emit_report(canonical, duration, as_json, out=None):
@@ -72,96 +66,52 @@ def _resolve_checks(text):
     return names
 
 
-def _load_source(source, field_spec, eta_literal, window):
-    """Resolve a catalog name or file path to (name, alg, dd)."""
+def _catalog_entry(source):
     try:
-        entry = catalog.get_entry(source)
-    except AxialError:
-        entry = None
-    if entry is not None:
-        alg, dd = catalog.instantiate(source, field_spec, eta_literal, window)
-        return entry.name, alg, dd
-    if not os.path.exists(source):
-        raise AxialError(f"{source!r} is neither a catalog entry nor a file")
-    alg, dd, _constraints = algfile.load_path(source)
-    if eta_literal is not None and dd is not None:
-        eta = parse_scalar(eta_literal, alg.field)
-        dd = type(dd).build(
-            alg,
-            {i: dd.axis(i) for i in range(max(dd.lo, -1), min(dd.hi, alg.dim) + 1)},
-            dd.shift,
-            dd.flip,
-            eta,
-            window=window,
+        return catalog.get_entry(source)
+    except UnknownEntry:
+        return None
+
+
+def _load_file(path, field_spec, eta_literal, window=None):
+    """(name, alg, dd) of an algebra file, which fixes its own field, eta and window."""
+    if not os.path.exists(path):
+        raise AxialError(f"{path!r} is neither a catalog entry nor a file")
+    given = [
+        flag
+        for flag, value in (("--field", field_spec), ("--eta", eta_literal), ("--window", window))
+        if value is not None
+    ]
+    if given:
+        raise ConstraintViolation(
+            f"an algebra file fixes its own field, eta and window; drop {', '.join(given)}"
         )
-    return os.path.basename(source), alg, dd
+    alg, dd, _constraints = algfile.load_path(path)
+    return os.path.basename(path), alg, dd
 
 
-def _verify_file_source(name, alg, dd, checks):
-    """File verification report, mirroring the catalog report layout."""
-    from .axial import check_dihedral, check_fusion, split_eigenspace
-    from .catalog import CheckResult, EntryReport
-
-    report = EntryReport(entry=name, field_repr=repr(alg.field), eta_repr=render(dd.eta))
-    report.dimensions["ambient"] = alg.dim
-    if "fusion" in checks:
-        try:
-            dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
-            report.dimensions["parts"] = list(dec.dims())
-            violations = check_fusion(alg, dec)
-            report.checks.append(
-                CheckResult("fusion", "pass" if not violations else "fail")
-            )
-        except AxialError as exc:
-            report.checks.append(CheckResult("fusion", "fail", str(exc)))
-    if "dihedral" in checks:
-        violations = check_dihedral(alg, dd)
-        report.checks.append(
-            CheckResult(
-                "dihedral",
-                "pass" if not violations else "fail",
-                "; ".join(f"{v.condition}@{v.index}: {v.detail}" for v in violations[:6]),
-            )
-        )
-    if "relations" in checks:
-        try:
-            witness = axial_dimension(alg, dd)
-        except AxialError as exc:
-            report.checks.append(CheckResult("relation", "fail", str(exc)))
-        else:
-            report.relation = {
-                "adim": witness.adim,
-                "case": witness.case,
-                "parity": witness.parity,
-                "coefficients": [render(c) for c in witness.coefficients],
-            }
-            report.checks.append(CheckResult("relation", "pass", witness.describe()))
-    if "identities" in checks:
-        try:
-            ident = identity_suite(alg, dd)
-        except AxialError as exc:
-            report.checks.append(CheckResult("identities", "fail", str(exc)))
-        else:
-            for c in ident.checks:
-                report.checks.append(CheckResult(f"identity:{c.name}", c.status, c.detail))
-            for key, value in ident.scalars.items():
-                report.scalars[key] = render(value)
-    return report
+def _load_source(source, field_spec, eta_literal):
+    """Resolve a catalog name or file path to (name, alg, dd)."""
+    entry = _catalog_entry(source)
+    if entry is None:
+        return _load_file(source, field_spec, eta_literal)
+    alg, dd = catalog.instantiate(source, field_spec, eta_literal)
+    return entry.name, alg, dd
 
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
     try:
         checks = _resolve_checks(args.check)
-        if catalog._entries().get(args.source.lower()) is not None:
+        if _catalog_entry(args.source) is not None:
             report = catalog.verify_entry(
                 args.source, args.field, args.eta, args.window, checks
             )
         else:
-            name, alg, dd = _load_source(args.source, args.field, args.eta, args.window)
+            name, alg, dd = _load_file(args.source, args.field, args.eta, args.window)
             if dd is None:
                 raise AxialError("source has no dihedral block; nothing to verify")
-            report = _verify_file_source(name, alg, dd, checks)
+            report = catalog.verify(name, alg, dd, checks)
     except AxialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -218,8 +168,8 @@ def cmd_catalog(args) -> int:
         except AxialError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        canonical = {
-            "claims": [
+        if args.json:
+            claims = [
                 {
                     "name": r.name,
                     "kind": r.kind,
@@ -229,16 +179,7 @@ def cmd_catalog(args) -> int:
                 }
                 for r in reports
             ]
-        }
-        duration = time.monotonic() - start
-        if args.json:
-            print(
-                json.dumps(
-                    {"canonical": canonical, "meta": {"duration_seconds": duration}},
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
+            _emit_report({"claims": claims}, time.monotonic() - start, True)
         else:
             for r in reports:
                 print(f"[{r.status.upper():>5}] {r.name}  ({r.detail})")
@@ -269,8 +210,8 @@ def _parse_correspondence(text, source_alg, target_alg, eta):
 
 def cmd_isom(args) -> int:
     try:
-        _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta, None)
-        _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta, None)
+        _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
+        _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta)
         if alg_a.field != alg_b.field:
             raise AxialError(
                 f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"
@@ -293,7 +234,7 @@ def cmd_isom(args) -> int:
 
 def cmd_quotient(args) -> int:
     try:
-        _, alg, dd = _load_source(args.source, args.field, args.eta, None)
+        _, alg, dd = _load_source(args.source, args.field, args.eta)
         eta = dd.eta if dd is not None else None
         vectors = [
             algfile.parse_vector(chunk.strip(), alg, eta)
@@ -310,17 +251,7 @@ def cmd_quotient(args) -> int:
         print("not an ideal", file=sys.stderr)
         return 1
     qalg, proj = quotient(alg, span)
-    qdd = None
-    if dd is not None:
-        from .algebra import induce_on_quotient
-        from .axial import DihedralData
-
-        qshift = induce_on_quotient(dd.shift, span, qalg, proj)
-        qflip = induce_on_quotient(dd.flip, span, qalg, proj)
-        if qshift is not None and qflip is not None:
-            lo, hi = max(dd.lo, -1), min(dd.hi, alg.dim)
-            seed = {i: proj.apply(dd.axis(i)) for i in range(lo, hi + 1)}
-            qdd = DihedralData.build(qalg, seed, qshift, qflip, dd.eta)
+    qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
     text = algfile.dumps(qalg, qdd)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -328,6 +259,13 @@ def cmd_quotient(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
 
 
 def build_parser():
@@ -344,7 +282,7 @@ def build_parser():
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--check", default="all",
                           help="comma list of fusion,dihedral,relations,identities (default all)")
-    p_verify.add_argument("--window", type=int, default=None)
+    p_verify.add_argument("--window", type=_positive_int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")

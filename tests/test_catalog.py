@@ -1,7 +1,8 @@
 import pytest
 
-from axialcheck import catalog
+from axialcheck import algfile, axial, catalog
 from axialcheck.algebra import multiply
+from axialcheck.axial import split_eigenspace
 from axialcheck.errors import ConstraintViolation, UnknownEntry
 from axialcheck.fields import FieldDescriptor, parse_scalar, render
 
@@ -76,6 +77,22 @@ def test_verify_entry_seven():
     p1 = alg.basis_vector(alg.label_index("p1"))
     prod = multiply(alg, dd.axis(0), p1)
     assert prod == dd.axis(0).scale(parse_scalar("-5/3", alg.field))
+
+
+def test_verify_splits_the_base_axis_once(monkeypatch):
+    # fresh dihedral data, so no earlier pass has split its base axis yet
+    alg, dd, _ = algfile.loads(algfile.dumps(*catalog.instantiate("FiveThree")))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return split_eigenspace(*args)
+
+    monkeypatch.setattr(axial, "split_eigenspace", counted)
+    report = catalog.verify("FiveThree.json", alg, dd)
+    assert report.passed and "relation_documented" not in {c.name for c in report.checks}
+    # check_dihedral splits a_-1 .. a_(dim+1); fusion and identities reuse a_0
+    assert len(calls) == alg.dim + 3
 
 
 def test_verify_entry_three_ev_symbolic():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from axialcheck import cli
 
 
@@ -45,24 +47,58 @@ def test_catalog_list(capsys):
 
 
 def test_catalog_emit_round_trip(tmp_path, capsys):
-    code, out, _ = run(capsys, "catalog", "emit", "ThreeEv")
+    # a file and its catalog entry get the same report, witnesses included;
+    # only the catalog report carries the relation_documented row
+    for source, exit_code in ((("ThreeEv",), 0), (("SixThree", "--field", "q", "--eta", "3"), 1)):
+        code, out, _ = run(capsys, "catalog", "emit", *source)
+        assert code == 0
+        path = tmp_path / f"{source[0]}.json"
+        path.write_text(out, encoding="utf-8")
+        file_code, file_out, _ = run(capsys, "verify", str(path), "--json")
+        direct_code, direct_out, _ = run(capsys, "verify", *source, "--json")
+        assert file_code == direct_code == exit_code
+        emitted = json.loads(file_out)["canonical"]
+        direct = json.loads(direct_out)["canonical"]
+        for key in ("field", "eta", "relation", "scalars", "dimensions"):
+            assert emitted[key] == direct[key]
+        direct_rows = [c for c in direct["checks"] if c["name"] != "relation_documented"]
+        assert emitted["checks"] == direct_rows
+    fusion = [c for c in emitted["checks"] if c["name"] == "fusion"]
+    assert fusion == [{"name": "fusion", "status": "fail", "detail": "parts (2,2) escape (0, 1)"}]
+
+
+def test_file_source_fixes_field_eta_and_window(tmp_path, capsys):
+    code, out, _ = run(capsys, "catalog", "emit", "FiveThree")
     assert code == 0
-    path = tmp_path / "threeev.json"
+    path = tmp_path / "fivethree.json"
     path.write_text(out, encoding="utf-8")
-    code, out2, _ = run(capsys, "verify", str(path), "--json")
-    assert code == 0
-    direct_code, direct_out, _ = run(capsys, "verify", "ThreeEv", "--json")
-    assert direct_code == 0
-    emitted = json.loads(out2)["canonical"]
-    direct = json.loads(direct_out)["canonical"]
-    # same scalars and relation data; same statuses on the shared checks
-    # (the direct report carries one extra catalog-only documentation row)
-    assert emitted["relation"] == direct["relation"]
-    assert emitted["scalars"] == direct["scalars"]
-    emitted_rows = {c["name"]: c["status"] for c in emitted["checks"]}
-    direct_rows = {c["name"]: c["status"] for c in direct["checks"]}
-    for name, status in emitted_rows.items():
-        assert direct_rows[name] == status
+    for flags in (("--eta", "3"), ("--field", "gf:7"), ("--window", "4")):
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: an algebra file fixes its own field") and flags[0] in err
+    code, _, err = run(capsys, "quotient", str(path), "--field", "q", "--ideal", "a0")
+    assert code == 2 and "--field" in err
+
+
+def test_malformed_field_specs_exit_two(capsys):
+    for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1"):
+        code, out, err = run(capsys, "verify", "Seven", "--field", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed number in field spec {spec!r}\n"
+
+
+def test_window_must_be_positive(capsys):
+    for window in ("--window=-3", "--window=0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "Seven", window])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+    # a positive window is accepted; one too small for the checks fails them
+    code, out, _ = run(capsys, "verify", "FiveThree", "--window", "1", "--json")
+    assert code == 1
+    rows = {c["name"]: c for c in json.loads(out)["canonical"]["checks"]}
+    assert rows["dihedral"]["status"] == "fail"
+    assert "outside window" in rows["dihedral"]["detail"]
 
 
 def test_catalog_emit_unknown(capsys):
