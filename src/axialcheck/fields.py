@@ -59,12 +59,6 @@ def _psub(a, b):
     return _padd(a, _pneg(b))
 
 
-def _pscale(a, s):
-    if s == 0:
-        return _PZERO
-    return tuple(c * s for c in a)
-
-
 def _pmul(a, b):
     if not a or not b:
         return _PZERO
@@ -148,14 +142,27 @@ def _peval(a, point, *, mul, add, from_fraction):
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; exact for n below MAX_CHARACTERISTIC."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -210,6 +217,8 @@ class FieldDescriptor:
 
     def __init__(self, kind, p=None, minpoly=None, variable=None):
         if kind == self.PRIME:
+            if p is not None and p >= MAX_CHARACTERISTIC:
+                raise InvalidDescriptor(f"{p} is not below the limit {MAX_CHARACTERISTIC}")
             if p is None or not _is_prime(p):
                 raise InvalidDescriptor(f"{p} is not prime")
             if p == 2:

@@ -318,10 +318,6 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains(v) for v in other.basis)
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_vectors(

@@ -96,6 +96,39 @@ def test_check_dihedral_pass_and_fail():
     )
     violations = check_dihedral(alg, broken)
     assert any(v.condition == "D3" for v in violations)
+    # an identity flip breaks the group relation flip o shift o flip = shift^-1
+    assert ("D3", None, "flip o shift o flip is not shift^-1") in {
+        (v.condition, v.index, v.detail) for v in violations
+    }
+
+
+TRANSPORT_CASES = [
+    (name,) for name in (
+        "ThreeEv", "ThreeEvX", "FourEv", "FourEvX", "BarFourTwo",
+        "FiveThree", "SixThree", "Seven", "SevenX",
+    )
+] + [("SixThree", "q", "3"), ("Seven", "gf:7")]
+
+
+@pytest.mark.parametrize("case", TRANSPORT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
+def test_axes_follow_the_base_axis_through_the_shift(case):
+    # check_dihedral decomposes only a_0; splitting every other axis directly
+    # must give the a_0 parts moved by shift^i, the same fusion verdict, and
+    # (where fusion holds) the conjugated flip as the Miyamoto involution
+    alg, dd = instantiate(*case)
+    base = dd.base_split()
+    base_violations = len(check_fusion(alg, base))
+    for i in range(-1, alg.dim + 2):
+        shift_i = dd.shift.power(i)
+        dec = split_eigenspace(alg, dd.axis(i), dd.eta, dd.involution_at(i))
+        moved = tuple(
+            Subspace.from_vectors(alg.field, alg.dim, [shift_i.apply(v) for v in part.basis])
+            for part in base.parts
+        )
+        assert dec.parts == moved, (case, i)
+        assert len(check_fusion(alg, dec)) == base_violations, (case, i)
+        if not base_violations:
+            assert miyamoto(alg, dec) == dd.involution_at(i), (case, i)
 
 
 def test_six_three_fusion_negative_control():

@@ -91,8 +91,8 @@ def test_verify_splits_the_base_axis_once(monkeypatch):
     monkeypatch.setattr(axial, "split_eigenspace", counted)
     report = catalog.verify("FiveThree.json", alg, dd)
     assert report.passed and "relation_documented" not in {c.name for c in report.checks}
-    # check_dihedral splits a_-1 .. a_(dim+1); fusion and identities reuse a_0
-    assert len(calls) == alg.dim + 3
+    # check_dihedral, fusion and identities all share the one a_0 split
+    assert len(calls) == 1
 
 
 def test_verify_entry_three_ev_symbolic():

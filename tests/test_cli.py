@@ -87,18 +87,27 @@ def test_malformed_field_specs_exit_two(capsys):
         assert err == f"error: malformed number in field spec {spec!r}\n"
 
 
+def test_prime_field_beyond_the_primality_limit_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "Seven", "--field", f"gf:{2**89 - 1}")
+    assert code == 2 and out == ""
+    assert "is not below the limit" in err
+
+
 def test_window_must_be_positive(capsys):
     for window in ("--window=-3", "--window=0"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "Seven", window])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
-    # a positive window is accepted; one too small for the checks fails them
+    # a positive window is accepted; one too small fails the relation search
     code, out, _ = run(capsys, "verify", "FiveThree", "--window", "1", "--json")
     assert code == 1
     rows = {c["name"]: c for c in json.loads(out)["canonical"]["checks"]}
-    assert rows["dihedral"]["status"] == "fail"
-    assert "outside window" in rows["dihedral"]["detail"]
+    assert rows["relation"]["status"] == "fail"
+    assert "axis span still growing at window" in rows["relation"]["detail"]
+    # the dihedral checks need no axis beyond the window
+    code, out, _ = run(capsys, "verify", "Seven", "--window", "4")
+    assert code == 0
 
 
 def test_catalog_emit_unknown(capsys):

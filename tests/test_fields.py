@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from axialcheck import fields
 from axialcheck.errors import (
     DenominatorVanishes,
     DescriptorMismatch,
@@ -174,6 +175,18 @@ def test_invalid_descriptors():
         FieldDescriptor.number_field((-1, 0, 1))  # eta^2 - 1 is reducible
     with pytest.raises(InvalidDescriptor):
         FieldDescriptor.number_field((1, 0, 0, 0, 1))  # degree 4 unsupported
+
+
+def test_primality_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # two Carmichael numbers, then strong pseudoprimes to the first 4 and 11 prime bases
+    for n in [*range(10**4), 561, 41041, 3215031751, 3825123056546413051, 2**61 - 1]:
+        assert fields._is_prime(n) == sympy.isprime(n), n
+    assert FieldDescriptor.prime(2**61 - 1).p == 2**61 - 1
+    # a Mersenne prime past the range where the Miller-Rabin bases are exact
+    assert sympy.isprime(2**89 - 1) and 2**89 - 1 >= fields.MAX_CHARACTERISTIC
+    with pytest.raises(InvalidDescriptor):
+        FieldDescriptor.prime(2**89 - 1)
 
 
 def test_int_coercion(QETA):
