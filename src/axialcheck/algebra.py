@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
-from .linalg import Matrix, Subspace, Vector, invert, rref, solve_in_span
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, rref
 
 
 class AlgebraDef:
@@ -99,22 +99,34 @@ def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
     return Matrix.from_columns(alg.field, cols, nrows=alg.dim)
 
 
+def _span_closure(echelon: EchelonBasis, gens, product):
+    """Close span(gens) under product, multiplying each pair of kept words once:
+    generators first, then products breadth first, later word on the left.
+    Each word goes into echelon and is kept if its remainder is nonzero;
+    (label, remainder) is yielded after each, so a caller can stop early."""
+    words = []
+    for g in gens:
+        remainder = echelon.add(g)
+        yield "generator", remainder
+        if not remainder.is_zero():
+            words.append(g)
+    i = 0
+    while i < len(words):
+        for j in range(i + 1):
+            word = product(words[i], words[j])
+            remainder = echelon.add(word)
+            yield f"word {i}*{j}", remainder
+            if not remainder.is_zero():
+                words.append(word)
+        i += 1
+
+
 def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
     """Smallest multiplication-closed subspace containing the generators."""
-    gens = list(gens)
-    span = Subspace.from_vectors(alg.field, alg.dim, gens)
-    while True:
-        basis = span.basis
-        products = []
-        for i in range(len(basis)):
-            for j in range(i + 1):
-                products.append(multiply(alg, basis[i], basis[j]))
-        grown = Subspace.from_vectors(
-            alg.field, alg.dim, list(basis) + products
-        )
-        if grown.dim == span.dim:
-            return grown
-        span = grown
+    echelon = EchelonBasis(alg.field, alg.dim)
+    for _ in _span_closure(echelon, gens, lambda x, y: multiply(alg, x, y)):
+        pass
+    return echelon.subspace()
 
 
 def is_ideal(alg: AlgebraDef, s: Subspace) -> bool:
@@ -253,59 +265,34 @@ class NotGenerating:
 def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
     """Extend generator images to a linear map respecting all products.
 
-    Closes the generators under multiplication breadth-first (left operand
-    earlier in the spanning sequence), assigning the image of each product
-    word to be the product of images.  Every pair of spanning words is
-    checked, so a returned map is automatically a homomorphism.
+    Closes the graph {(w | image of w)} of the generators under products, the
+    image of a product word being the product of images.  A remainder that
+    vanishes on the source side only means the images disagree on a dependent
+    word.  Every pair of spanning words is checked, so a returned map is a
+    homomorphism; the graph's echelon rows are then (e_k | image of e_k).
     """
     pairs = list(pairs)
     if not pairs:
         raise DimensionMismatch("at least one generator pair is required")
-    span_src: list[Vector] = []
-    span_img: list[Vector] = []
-
-    def feed(src, img, what):
-        coeffs = solve_in_span(src, span_src)
-        if coeffs is None:
-            span_src.append(src)
-            span_img.append(img)
-            return None
-        expected = Vector.zero(target.field, target.dim)
-        for c, iv in zip(coeffs, span_img):
-            if not c.is_zero():
-                expected = expected + iv.scale(c)
-        if expected != img:
-            return Inconsistent(f"images disagree on dependent word ({what})")
-        return None
-
+    n, field = alg.dim, target.field
+    graph = []
     for src, img in pairs:
-        if len(src) != alg.dim:
+        if len(src) != n:
             raise DimensionMismatch("generator not in the source algebra")
         if len(img) != target.dim:
             raise DimensionMismatch("image not in the target algebra")
-        bad = feed(src, img, "generator")
-        if bad is not None:
-            return bad
+        graph.append(Vector(field, src.entries + img.entries))
 
-    i = 0
-    while i < len(span_src):
-        for j in range(i + 1):
-            src = multiply(alg, span_src[i], span_src[j])
-            img = multiply(target, span_img[i], span_img[j])
-            bad = feed(src, img, f"word {i}*{j}")
-            if bad is not None:
-                return bad
-        i += 1
+    def product(x, y):
+        src = multiply(alg, Vector(field, x[:n]), Vector(field, y[:n]))
+        img = multiply(target, Vector(field, x[n:]), Vector(field, y[n:]))
+        return Vector(field, src.entries + img.entries)
 
-    if len(span_src) < alg.dim:
-        return NotGenerating(len(span_src))
-
-    cols = []
-    for k in range(alg.dim):
-        coeffs = solve_in_span(alg.basis_vector(k), span_src)
-        img = Vector.zero(target.field, target.dim)
-        for c, iv in zip(coeffs, span_img):
-            if not c.is_zero():
-                img = img + iv.scale(c)
-        cols.append(img)
-    return AlgebraMap(alg, target, Matrix.from_columns(target.field, cols, nrows=target.dim))
+    echelon = EchelonBasis(field, n + target.dim)
+    for what, remainder in _span_closure(echelon, graph, product):
+        if not remainder.is_zero() and all(e.is_zero() for e in remainder[:n]):
+            return Inconsistent(f"images disagree on dependent word ({what})")
+    if len(echelon.rows) < n:
+        return NotGenerating(len(echelon.rows))
+    cols = [Vector(field, echelon.rows[k][n:]) for k in range(n)]
+    return AlgebraMap(alg, target, Matrix.from_columns(field, cols, nrows=target.dim))

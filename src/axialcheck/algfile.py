@@ -23,11 +23,10 @@ verifiable; symbolic files default to the field variable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .axial import DihedralData
 from .algebra import AlgebraDef, AlgebraMap, extend_from_generators
-from .errors import AlgebraFileError, DataInconsistency, ScalarSyntaxError, UnknownSymbol
+from .errors import AlgebraFileError, AxialError, DataInconsistency, ScalarSyntaxError, UnknownSymbol
 from .fields import (
     ExpressionEnv,
     FieldDescriptor,
@@ -112,21 +111,28 @@ def field_from_dict(block) -> FieldDescriptor:
     kind = block["kind"]
     if kind == "rationals":
         return FieldDescriptor.rationals()
+    variable = block.get("variable", "eta")
+    if not (isinstance(variable, str) and variable.isidentifier()):
+        raise AlgebraFileError(f"field variable {variable!r:.40} is not a name")
     if kind == "prime":
-        if "p" not in block:
-            raise AlgebraFileError("prime field needs 'p'")
-        return FieldDescriptor.prime(int(block["p"]))
+        p = block.get("p")
+        if isinstance(p, str) and p.isascii() and p.isdigit() and len(p) <= 40:
+            p = int(p)  # a longer string is far past fields.MAX_CHARACTERISTIC
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise AlgebraFileError(f"prime field needs an integer 'p', not {p!r:.40}")
+        return FieldDescriptor.prime(p)
     if kind == "number_field":
         coeffs = block.get("minpoly")
-        if not coeffs:
-            raise AlgebraFileError("number field needs 'minpoly'")
-        return FieldDescriptor.number_field(
-            tuple(Fraction(str(c)) for c in coeffs),
-            variable=block.get("variable", "eta"),
-        )
+        if not (isinstance(coeffs, list) and coeffs and all(isinstance(c, str) for c in coeffs)):
+            raise AlgebraFileError("number field needs a 'minpoly' array of literal strings")
+        try:
+            minpoly = tuple(parse_scalar(c, FieldDescriptor.rationals()).payload for c in coeffs)
+        except AxialError as exc:
+            raise AlgebraFileError(f"minpoly coefficient is not rational: {exc}") from None
+        return FieldDescriptor.number_field(minpoly, variable=variable)
     if kind == "rational_functions":
-        return FieldDescriptor.rational_functions(variable=block.get("variable", "eta"))
-    raise AlgebraFileError(f"unknown field kind {kind!r}")
+        return FieldDescriptor.rational_functions(variable=variable)
+    raise AlgebraFileError(f"unknown field kind {kind!r:.40}")
 
 
 def field_to_dict(field: FieldDescriptor) -> dict:
@@ -198,8 +204,10 @@ def load_document(doc: dict):
         dd = _load_dihedral(doc["dihedral"], alg)
 
     constraints = doc.get("constraints") or {}
+    if not isinstance(constraints, dict):
+        raise AlgebraFileError("constraints must be an object")
     required_char = constraints.get("characteristic")
-    if required_char is not None and field.characteristic() != int(required_char):
+    if required_char is not None and field.characteristic() != required_char:
         raise AlgebraFileError(
             f"file requires characteristic {required_char}, "
             f"field has {field.characteristic()}"
@@ -252,7 +260,7 @@ def _map_from_images(alg, images, eta, what) -> AlgebraMap:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise AlgebraFileError(f"invalid JSON: {exc}") from None
     return load_document(doc)
 

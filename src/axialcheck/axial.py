@@ -9,6 +9,7 @@ never guessed from eigenvalues alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .algebra import (
     AlgebraDef,
@@ -30,7 +31,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .fields import render
-from .linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
 # is the intersection of the two overlapping rules and is empty: those
@@ -100,6 +101,36 @@ class AxisDecomposition:
     def dims(self):
         return tuple(p.dim for p in self.parts)
 
+    def eigenbasis(self):
+        """The part bases in part order, as (part index, vector) pairs."""
+        return [(i, v) for i, p in enumerate(self.parts) for v in p.basis]
+
+    @cached_property
+    def coordinates(self) -> Matrix:
+        """B^-1, where the columns of B are the eigenbasis: it takes a vector
+        to its eigen-coordinates."""
+        columns = [v for _, v in self.eigenbasis()]
+        return invert(Matrix.from_columns(self.algebra.field, columns, nrows=self.algebra.dim))
+
+    @cached_property
+    def product_pattern(self):
+        """(escapes, graded) from one pass over the eigenbasis products b_p*b_q,
+        p <= q, read in eigen-coordinates: escapes maps (p, q) to b_p*b_q if it
+        leaves the parts the fusion rule allows; graded is whether every
+        component has the sign s_p*s_q (part 3 odd, the others even)."""
+        basis = self.eigenbasis()
+        escapes, graded = {}, True
+        for q, (j, y) in enumerate(basis):
+            for p, (i, x) in enumerate(basis[: q + 1]):
+                prod = multiply(self.algebra, x, y)
+                coords = self.coordinates.apply(prod)
+                support = {basis[k][0] for k, c in enumerate(coords) if not c.is_zero()}
+                if not support <= set(self.table.allowed(i, j)):
+                    escapes[(p, q)] = prod
+                odd = (i == 3) != (j == 3)
+                graded = graded and all((k == 3) == odd for k in support)
+        return escapes, graded
+
 
 def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDecomposition:
     """Split M along ad(a) eigenvalues 0, 1, eta, with the eta part divided
@@ -119,11 +150,9 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     one = alg.field.one()
     m0 = kernel(ad)
     m1 = Subspace.from_vectors(alg.field, alg.dim, [a])
-    e_eta = kernel(ad.sub_scalar_diag(eta))
-    fix = kernel(tau.matrix.sub_scalar_diag(one))
-    neg = kernel(tau.matrix.sub_scalar_diag(-one))
-    m2 = e_eta.intersection(fix)
-    m3 = e_eta.intersection(neg)
+    eta_rows = ad.sub_scalar_diag(eta).rows
+    m2, m3 = (kernel(Matrix(alg.field, eta_rows + tau.matrix.sub_scalar_diag(s).rows))
+              for s in (one, -one))
     total = m0.dim + m1.dim + m2.dim + m3.dim
     if total != alg.dim or m0.sum(m1).sum(m2).sum(m3).dim != alg.dim:
         raise NotSemisimple(
@@ -146,46 +175,34 @@ class FusionViolation:
 def check_fusion(alg: AlgebraDef, dec: AxisDecomposition):
     """All products of part basis vectors must land in the allowed parts.
 
-    Returns the list of violations; empty means the fusion rule holds.
+    Read off the decomposition's product pass.  Returns one violation per
+    ordered pair (x in part i, y in part j), i <= j, whose product escapes,
+    ordered by (i, j, x, y); empty means the fusion rule holds.
     """
-    violations = []
-    for i in range(4):
-        for j in range(i, 4):
-            allowed = dec.table.allowed(i, j)
-            space = Subspace.zero_space(alg.field, alg.dim)
-            for k in allowed:
-                space = space.sum(dec.part(k))
-            for x in dec.part(i).basis:
-                for y in dec.part(j).basis:
-                    prod = multiply(alg, x, y)
-                    if not space.contains(prod):
-                        violations.append(
-                            FusionViolation(i, j, x, y, prod, allowed)
-                        )
-    return violations
+    basis = dec.eigenbasis()
+    escapes = dec.product_pattern[0]
+    ordered = sorted(
+        (i, j, p, q, escapes[min(p, q), max(p, q)])
+        for p, (i, _) in enumerate(basis) for q, (j, _) in enumerate(basis)
+        if i <= j and (min(p, q), max(p, q)) in escapes
+    )
+    return [
+        FusionViolation(i, j, basis[p][1], basis[q][1], prod, dec.table.allowed(i, j))
+        for i, j, p, q, prod in ordered
+    ]
 
 
 def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
-    """The map fixing M0+M1+M2 and negating M3; must be an automorphism."""
-    columns = []
-    signs = []
-    for i in range(4):
-        for v in dec.part(i).basis:
-            columns.append(v)
-            signs.append(-1 if i == 3 else 1)
-    basis_matrix = Matrix.from_columns(alg.field, columns, nrows=alg.dim)
-    one = alg.field.one()
-    signed_cols = [
-        col.scale(one if s > 0 else -one)
-        for col, s in zip(columns, signs)
-    ]
-    signed = Matrix.from_columns(alg.field, signed_cols, nrows=alg.dim)
-    tau = AlgebraMap(alg, alg, signed.matmul(invert(basis_matrix)))
-    if not is_homomorphism(tau):
+    """The map fixing M0+M1+M2 and negating M3; must be an automorphism.
+    It scales b_p*b_q by s_p*s_q and each component by its own sign, so it is
+    multiplicative exactly when the product pass found every product graded."""
+    if not dec.product_pattern[1]:
         raise MiyamotoNotAutomorphism(
             "sign map of the decomposition is not multiplicative"
         )
-    return tau
+    signed = [-v if i == 3 else v for i, v in dec.eigenbasis()]
+    signed = Matrix.from_columns(alg.field, signed, nrows=alg.dim)
+    return AlgebraMap(alg, alg, signed.matmul(dec.coordinates))
 
 
 class DihedralData:
@@ -357,20 +374,13 @@ class RelationWitness:
         return f"adim {self.adim}, case {self.case} ({self.parity}), coefficients ({coeffs})"
 
 
-def _relation_kernel(field, vectors):
-    """Kernel of the matrix whose columns are the given vectors."""
-    n = len(vectors[0])
-    rows = [[v[i] for v in vectors] for i in range(n)]
-    return kernel(Matrix(field, rows))
-
-
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
     """Grow the axis window until the span stabilizes; classify the minimal
     vanishing combination by its flip symmetry and the parity of the span."""
     field = alg.field
     lo = hi = 0
-    vectors = {0: dd.axis(0)}
-    rank = 0 if dd.axis(0).is_zero() else 1
+    span = EchelonBasis(field, alg.dim)
+    span.add(dd.axis(0))
     first_relation = None
     quiet = 0
 
@@ -385,13 +395,11 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
             raise NoStabilization(
                 f"axis span still growing at window [{lo}, {hi}]"
             )
-        vectors[new_index] = dd.axis(new_index)
-        ordered = [vectors[i] for i in range(lo, hi + 1)]
-        span = Subspace.from_vectors(field, alg.dim, ordered)
-        if span.dim == rank:
+        if span.add(dd.axis(new_index)).is_zero():
             quiet += 1
             if first_relation is None:
-                ker = _relation_kernel(field, ordered)
+                window = [dd.axis(i) for i in range(lo, hi + 1)]
+                ker = kernel(Matrix.from_columns(field, window, nrows=alg.dim))
                 if ker.dim != 1:
                     raise DataInconsistency(
                         f"minimal relation window carries {ker.dim} independent relations"
@@ -399,12 +407,11 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
                 first_relation = (lo, hi, ker.basis[0])
         else:
             quiet = 0
-            rank = span.dim
 
     if first_relation is None:
         raise NoStabilization("span stabilized without ever exposing a relation")
     rel_lo, rel_hi, coeffs = first_relation
-    adim = rank
+    adim = len(span.rows)
 
     by_index = {rel_lo + pos: coeffs[pos] for pos in range(len(coeffs))}
     if rel_hi == -rel_lo:
@@ -468,14 +475,10 @@ def p_vector(alg, dd: DihedralData, i: int, j: int) -> Vector:
 
 
 def lambda_coefficient(alg, dec: AxisDecomposition, target: Vector):
-    """Coefficient of the axis in the M1 component of target."""
-    basis = list(dec.part(0).basis) + [dec.axis] + list(dec.part(2).basis) + list(
-        dec.part(3).basis
-    )
-    coeffs = solve_in_span(target, basis)
-    if coeffs is None:
-        raise NotSemisimple("decomposition does not span the ambient space")
-    return coeffs[dec.part(0).dim]
+    """Coefficient of the axis in the M1 component of target (M1's basis row
+    is the axis divided by its entry at the pivot)."""
+    coords = dec.coordinates.apply(target)
+    return coords[dec.part(0).dim] / dec.axis[dec.part(1).pivots[0]]
 
 
 @dataclass(frozen=True)
@@ -503,6 +506,16 @@ class IdentityReport:
 
 def _residual_detail(v: Vector) -> str:
     return "residual (" + ", ".join(render(e) for e in v.entries) + ")"
+
+
+def _multiple_row(report, name, v, base, key):
+    """Row name passes when v is a multiple of base; the factor is recorded
+    as scalar key and returned (None on failure)."""
+    sol = solve_in_span(v, [base])
+    report.add(name, sol is not None, "" if sol is not None else _residual_detail(v))
+    if sol is not None:
+        report.scalars[key] = sol[0]
+        return sol[0]
 
 
 def identity_suite(alg, dd: DihedralData) -> IdentityReport:
@@ -542,16 +555,9 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     sym1 = p1.scale(field.from_int(2)) + (dd.axis(1) + dd.axis(-1)).scale(eta)
     sym2 = p20.scale(field.from_int(2)) + (dd.axis(2) + dd.axis(-2)).scale(eta)
 
-    mu = None
     coef1 = (eta * 2 - 1) * (lam1 * 4 - eta * 3) / (eta * 2)
     residual = multiply(alg, a0, p21) - sym1.scale(coef1)
-    sol = solve_in_span(residual, [a0])
-    if sol is None:
-        report.add("mu_expansion", False, _residual_detail(residual))
-    else:
-        mu = sol[0]
-        report.add("mu_expansion", True)
-        report.scalars["mu"] = mu
+    mu = _multiple_row(report, "mu_expansion", residual, a0, "mu")
 
     if mu is None:
         report.skip("nu_expansion", "mu unavailable")
@@ -565,12 +571,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
             + sym2.scale(coef2)
             + sym1.scale(coef3)
         )
-        sol = solve_in_span(residual, [a0])
-        if sol is None:
-            report.add("nu_expansion", False, _residual_detail(residual))
-        else:
-            report.add("nu_expansion", True)
-            report.scalars["nu"] = sol[0] * 2
+        _multiple_row(report, "nu_expansion", residual, a0.scale(one / 2), "nu")
 
         p30 = p_vector(alg, dd, 3, 0)
         base = (eta * 2 - 1) * (lam1 * 4 - eta * 3)
@@ -581,13 +582,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
             + (dd.axis(2) + dd.axis(-2)).scale(base * (eta * 2 - 1) * (lam1 * 3 - eta * 2) / (eta * 2))
             + (dd.axis(1) + dd.axis(-1)).scale(base * (mu * 2 - eta * lam2 + eta * eta * 2) / (eta * 2))
         )
-        residual = multiply(alg, p20, p21) - rhs
-        sol = solve_in_span(residual, [a0])
-        if sol is None:
-            report.add("rho_expansion", False, _residual_detail(residual))
-        else:
-            report.add("rho_expansion", True)
-            report.scalars["rho"] = sol[0]
+        _multiple_row(report, "rho_expansion", multiply(alg, p20, p21) - rhs, a0, "rho")
 
     # two-generated subalgebra: p*p = pi*p, and dimension 3 away from the
     # degenerate case p = 0 (there the two axes span a Jordan-type plane)
@@ -599,12 +594,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         report.scalars["pi"] = field.zero()
         report.skip("two_generated_dim", f"p vanishes; dimension {sub.dim}")
     else:
-        sol = solve_in_span(pp, [p1])
-        if sol is None:
-            report.add("p1_square", False, _residual_detail(pp))
-        else:
-            report.add("p1_square", True)
-            report.scalars["pi"] = sol[0]
+        _multiple_row(report, "p1_square", pp, p1, "pi")
         report.add(
             "two_generated_dim",
             alg.dim <= 3 or sub.dim == 3,
@@ -612,9 +602,8 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         )
 
     # invariant elements acting as scalars on a0 act the same on every p_{i,j}
-    fixed = kernel(dd.shift.matrix.sub_scalar_diag(one)).intersection(
-        kernel(dd.flip.matrix.sub_scalar_diag(one))
-    )
+    fixed = kernel(Matrix(field, dd.shift.matrix.sub_scalar_diag(one).rows
+                          + dd.flip.matrix.sub_scalar_diag(one).rows))
     applicable = False
     ok = True
     for x in fixed.basis:

@@ -13,6 +13,7 @@ is equality of payloads.  Payloads are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -25,6 +26,10 @@ from .errors import (
 )
 
 MAX_EXPONENT = 64
+# Nested powers multiply their exponents, so a power is refused before it is
+# computed when its estimated result passes this degree or coefficient size.
+MAX_POWER_DEGREE = 64
+MAX_POWER_BITS = 1 << 14
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Q: tuples of Fraction, ascending degree,
@@ -101,7 +106,7 @@ def _pmonic(a):
 
 def _pgcd(a, b):
     while b:
-        a, b = b, _pdivmod(a, b)[1]
+        a, b = b, _pmonic(_pdivmod(a, b)[1])
     return _pmonic(a)
 
 
@@ -128,12 +133,13 @@ def _pconst(value):
     return _PZERO if value == 0 else (value,)
 
 
-def _peval(a, point, *, mul, add, from_fraction):
-    """Horner evaluation of a Q-polynomial at a point of an arbitrary field."""
+def _peval(a, point, target):
+    """Horner evaluation of a Q-polynomial at a point of the target field;
+    None for the zero polynomial."""
     acc = None
     for c in reversed(a):
-        fc = from_fraction(c)
-        acc = fc if acc is None else add(mul(acc, point), fc)
+        fc = target.from_fraction(c)
+        acc = fc if acc is None else acc * point + fc
     return acc
 
 
@@ -146,6 +152,9 @@ def _peval(a, point, *, mul, add, from_fraction):
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases").
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_CHARACTERISTIC = 3317044064679887385961981
+# The rational-root test tries every divisor of the cleared modulus's constant
+# over every divisor of its leading coefficient.
+MAX_ROOT_SEARCH = 10**12
 
 
 def _is_prime(n):
@@ -168,13 +177,13 @@ def _is_prime(n):
 
 def _has_rational_root(poly):
     """Rational-root test for a monic polynomial with rational coefficients."""
-    denom = 1
-    for c in poly:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * denom) for c in poly]
     lead, const = ints[-1], ints[0]
     if const == 0:
         return True
+    if abs(lead * const) > MAX_ROOT_SEARCH:
+        raise InvalidDescriptor(f"modulus coefficients pass the root-search limit {MAX_ROOT_SEARCH}")
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
             for sign in (1, -1):
@@ -185,12 +194,6 @@ def _has_rational_root(poly):
                 if value == 0:
                     return True
     return False
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -515,6 +518,18 @@ class FieldElement:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ScalarSyntaxError("exponent must be a nonnegative integer")
+        # the polynomials whose sizes bound the result's: GF(p) elements do
+        # not grow, and number-field elements keep a degree below the modulus
+        f = self.field
+        polys = {f.RATIONALS: ((self.payload,),), f.PRIME: (),
+                 f.NUMBER_FIELD: (self.payload, f.minpoly)}.get(f.kind, self.payload)
+        degree = max(len(p) - 1 for p in polys) if f.kind == f.RATIONAL_FUNCTIONS else 0
+        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for p in polys for c in p), default=0)
+        if degree * n > MAX_POWER_DEGREE or (bits + degree) * n > MAX_POWER_BITS:
+            raise ScalarSyntaxError(
+                f"power ^{n} would pass {MAX_POWER_DEGREE} degrees or {MAX_POWER_BITS} bits"
+            )
         out = self.field.one()
         base = self
         while n:
@@ -625,7 +640,10 @@ class _Scanner:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            self.token = ("int", int(text[i:j]))
+            try:
+                self.token = ("int", int(text[i:j]))
+            except ValueError:  # more digits than int() converts
+                raise ScalarSyntaxError(f"integer literal at position {i} is too long") from None
             self.pos = j
             return
         if ch.isalpha() or ch == "_":
@@ -777,20 +795,8 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
         raise DescriptorMismatch("specialize expects a rational-function element")
     if value.field != target:
         raise DescriptorMismatch("value does not lie in the target field")
-    num, den = x.payload
-
-    def from_fraction(fr):
-        return target.from_fraction(fr)
-
-    def mul(a, b):
-        return a * b
-
-    def add(a, b):
-        return a + b
-
     try:
-        num_val = _peval(num, value, mul=mul, add=add, from_fraction=from_fraction)
-        den_val = _peval(den, value, mul=mul, add=add, from_fraction=from_fraction)
+        num_val, den_val = (_peval(p, value, target) for p in x.payload)
     except DenominatorVanishes as exc:
         raise DenominatorVanishes(str(exc)) from None
     if num_val is None:

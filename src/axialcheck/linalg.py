@@ -190,34 +190,13 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        if not inv.is_one():
-            rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor.is_zero():
-                continue
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(m.field, rows), r, tuple(pivots)
+    echelon = EchelonBasis(m.field, m.ncols)
+    for r in m.rows:
+        echelon.add(Vector(m.field, r))
+    pivots = sorted(echelon.rows)
+    zero_row = (m.field.zero(),) * m.ncols
+    rows = [echelon.rows[pc] for pc in pivots] + [zero_row] * (m.nrows - len(pivots))
+    return Matrix(m.field, rows), len(pivots), tuple(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -273,17 +252,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors) -> "Subspace":
-        vectors = [v for v in vectors if not v.is_zero()]
-        if not vectors:
-            return cls(field, ambient, (), ())
+        echelon = EchelonBasis(field, ambient)
         for v in vectors:
-            if len(v) != ambient:
-                raise AmbientMismatch("vector length differs from ambient dimension")
-            if v.field != field:
-                raise DescriptorMismatch("vectors over different fields")
-        reduced, rank, pivots = rref(Matrix(field, [v.entries for v in vectors]))
-        basis = tuple(Vector(field, reduced.rows[i]) for i in range(rank))
-        return cls(field, ambient, basis, pivots)
+            echelon.add(v)
+        return echelon.subspace()
 
     @classmethod
     def zero_space(cls, field, ambient):
@@ -325,22 +297,16 @@ class Subspace:
         )
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
+        vanish on the first half exactly in (0 | U and W)."""
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero_space(self.field, self.ambient)
-        cols = [list(v.entries) for v in self.basis] + [
-            [-e for e in v.entries] for v in other.basis
-        ]
-        rows = [[col[i] for col in cols] for i in range(self.ambient)]
-        ker = kernel(Matrix(self.field, rows))
-        vectors = []
-        for kv in ker.basis:
-            acc = Vector.zero(self.field, self.ambient)
-            for c, b in zip(kv.entries[: self.dim], self.basis):
-                if not c.is_zero():
-                    acc = acc + b.scale(c)
-            vectors.append(acc)
-        return Subspace.from_vectors(self.field, self.ambient, vectors)
+        zero = (self.field.zero(),) * self.ambient
+        sums = EchelonBasis(self.field, 2 * self.ambient)
+        for u in self.basis:
+            sums.add(Vector(self.field, u.entries + u.entries))
+        for w in other.basis:
+            sums.add(Vector(self.field, w.entries + zero))
+        return sums.subspace(self.ambient)
 
     def is_direct_sum_with(self, other: "Subspace") -> bool:
         self._check(other)
@@ -360,6 +326,48 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
+
+
+class EchelonBasis:
+    """A subspace grown one vector at a time, kept in reduced row echelon
+    form: each row (an entry tuple) has a 1 at its pivot column, where every
+    other row is zero, so reducing a vector is one pass over the rows."""
+
+    __slots__ = ("field", "ambient", "rows")
+
+    def __init__(self, field, ambient):
+        self.field, self.ambient = field, ambient
+        self.rows = {}  # pivot column -> row
+
+    def add(self, v: Vector) -> Vector:
+        """Reduce v against the rows and keep its remainder, if nonzero, as a
+        new row.  Returns the remainder: zero exactly when v was in the span."""
+        if len(v) != self.ambient:
+            raise AmbientMismatch("vector length differs from ambient dimension")
+        if v.field != self.field:
+            raise DescriptorMismatch("vectors over different fields")
+        out = v.entries
+        for pc, row in self.rows.items():
+            c = v[pc]
+            if not c.is_zero():
+                out = tuple(a if b.is_zero() else a - c * b for a, b in zip(out, row))
+        pivot = next((i for i, e in enumerate(out) if not e.is_zero()), None)
+        if pivot is not None:
+            inv = out[pivot].inverse()
+            new = out if inv.is_one() else tuple(inv * e for e in out)
+            for pc, r in self.rows.items():
+                c = r[pivot]
+                if not c.is_zero():
+                    self.rows[pc] = tuple(a if b.is_zero() else a - c * b for a, b in zip(r, new))
+            self.rows[pivot] = new
+        return Vector(self.field, out)
+
+    def subspace(self, n=0) -> "Subspace":
+        """The span's vectors that vanish on the first n coordinates, as a
+        subspace of the others: in echelon form, the rows with pivots >= n."""
+        pivots = [pc for pc in sorted(self.rows) if pc >= n]
+        basis = [Vector(self.field, self.rows[pc][n:]) for pc in pivots]
+        return Subspace(self.field, self.ambient - n, basis, [pc - n for pc in pivots])
 
 
 def invert(m: Matrix) -> Matrix:

@@ -179,7 +179,7 @@ def test_extend_failures():
     result = extend_from_generators(
         alg, [(dd.axis(0), dd.axis(0)), (dd.axis(1), dd.axis(-1))], alg
     )
-    assert isinstance(result, NotGenerating)
+    assert result == NotGenerating(spanned_dimension=2)
     # full basis with a non-multiplicative assignment is inconsistent
     bad = extend_from_generators(
         alg,
@@ -190,4 +190,36 @@ def test_extend_failures():
         ],
         alg,
     )
-    assert isinstance(bad, Inconsistent)
+    assert bad == Inconsistent("images disagree on dependent word (word 2*1)")
+    # a generator dependent on earlier ones must keep their images' relation
+    bad = extend_from_generators(alg, [(dd.axis(0), dd.axis(0)), (dd.axis(0), dd.axis(1))], alg)
+    assert bad == Inconsistent("images disagree on dependent word (generator)")
+
+
+def _closure_by_rounds(alg, gens):
+    # the closure generated_subalgebra replaced: multiply all pairs of the
+    # current basis until a round adds nothing
+    span = Subspace.from_vectors(alg.field, alg.dim, gens)
+    while True:
+        products = [multiply(alg, x, y) for i, x in enumerate(span.basis) for y in span.basis[: i + 1]]
+        grown = Subspace.from_vectors(alg.field, alg.dim, list(span.basis) + products)
+        if grown.dim == span.dim:
+            return grown
+        span = grown
+
+
+@pytest.mark.parametrize("name", [
+    "ThreeEv", "ThreeEvX", "FourEv", "FourEvX", "BarFourTwo", "FiveThree", "SixThree", "Seven", "SevenX",
+])
+def test_generated_subalgebra_matches_closure_by_rounds(name):
+    alg, dd = instantiate(name)
+    rng = random.Random(name)
+    for gens in (
+        [dd.axis(0)],
+        [dd.axis(0), dd.axis(1)],
+        [dd.axis(-1), dd.axis(2)],
+        [dd.axis(i) for i in dd.window_indices()],
+        [alg.zero_vector(), dd.axis(0) + dd.axis(1)],
+        [_rand_vec(alg, rng)],
+    ):
+        assert generated_subalgebra(alg, gens) == _closure_by_rounds(alg, gens)

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from axialcheck.algebra import AlgebraMap, multiply
+from axialcheck.algebra import AlgebraDef, AlgebraMap, is_homomorphism, multiply
 from axialcheck.axial import (
     FusionTable,
+    FusionViolation,
     axial_dimension,
     check_dihedral,
     check_fusion,
@@ -18,11 +21,12 @@ from axialcheck.catalog import instantiate
 from axialcheck.errors import (
     DataInconsistency,
     InvolutionMismatch,
+    MiyamotoNotAutomorphism,
     NotIdempotent,
     WindowTooSmall,
 )
 from axialcheck.fields import parse_scalar, render
-from axialcheck.linalg import Subspace
+from axialcheck.linalg import Matrix, Subspace, Vector, invert
 
 
 def _axis_diff(alg, dd, i):
@@ -129,6 +133,71 @@ def test_axes_follow_the_base_axis_through_the_shift(case):
         assert len(check_fusion(alg, dec)) == base_violations, (case, i)
         if not base_violations:
             assert miyamoto(alg, dec) == dd.involution_at(i), (case, i)
+
+
+def _fusion_by_membership(alg, dec):
+    # the direct check the product pass replaced: every product of part basis
+    # vectors must lie in the sum of the allowed parts
+    violations = []
+    for i in range(4):
+        for j in range(i, 4):
+            allowed = dec.table.allowed(i, j)
+            space = Subspace.from_vectors(
+                alg.field, alg.dim, [v for k in allowed for v in dec.part(k).basis]
+            )
+            for x in dec.part(i).basis:
+                for y in dec.part(j).basis:
+                    prod = multiply(alg, x, y)
+                    if not space.contains(prod):
+                        violations.append(FusionViolation(i, j, x, y, prod, allowed))
+    return violations
+
+
+def _sign_map(alg, dec):
+    # fixes M0 + M1 + M2 and negates M3
+    columns = [v for part in dec.parts for v in part.basis]
+    signed = [-v if i == 3 else v for i, part in enumerate(dec.parts) for v in part.basis]
+    basis = Matrix.from_columns(alg.field, columns, nrows=alg.dim)
+    signs = Matrix.from_columns(alg.field, signed, nrows=alg.dim)
+    return AlgebraMap(alg, alg, signs.matmul(invert(basis)))
+
+
+def _assert_product_pass_matches_direct_checks(alg, dec):
+    assert check_fusion(alg, dec) == _fusion_by_membership(alg, dec)
+    sign_map = _sign_map(alg, dec)
+    if is_homomorphism(sign_map):
+        assert miyamoto(alg, dec) == sign_map
+    else:
+        with pytest.raises(MiyamotoNotAutomorphism):
+            miyamoto(alg, dec)
+    return sign_map
+
+
+@pytest.mark.parametrize("case", TRANSPORT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
+def test_product_pass_matches_direct_checks(case):
+    alg, dd = instantiate(*case)
+    _assert_product_pass_matches_direct_checks(alg, dd.base_split())
+    # the identity involution leaves the eta part unsplit, which fusion
+    # rejects on most entries
+    unsplit = split_eigenspace(alg, dd.axis(0), dd.eta, AlgebraMap.identity(alg))
+    _assert_product_pass_matches_direct_checks(alg, unsplit)
+
+
+def test_sign_map_that_is_not_an_automorphism(Q):
+    # a*a = a, a*b = eta*b, b*b = b, and the flip negates b: then M3 = <b> and
+    # b*b = b lands in the odd part, so fusion fails and the sign map (the
+    # flip itself) does not respect the product
+    eta = Q.from_fraction(Fraction(1, 2))
+    a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
+    alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (0, 1): b.scale(eta), (1, 1): b})
+    flip = AlgebraMap(alg, alg, Matrix.from_columns(Q, [a, -b], nrows=2))
+    dec = split_eigenspace(alg, a, eta, flip)
+    assert dec.dims() == (0, 1, 0, 1)
+    assert _assert_product_pass_matches_direct_checks(alg, dec) == flip
+    assert [(v.part_i, v.part_j, v.product) for v in check_fusion(alg, dec)] == [(3, 3, b)]
+    assert not is_homomorphism(flip)
+    with pytest.raises(MiyamotoNotAutomorphism, match="not multiplicative"):
+        miyamoto(alg, dec)
 
 
 def test_six_three_fusion_negative_control():

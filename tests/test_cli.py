@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -167,3 +168,58 @@ def test_quotient_of_three_ev_at_third(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["basis"] == ["am1", "a0", "a1"]
+
+
+def _emitted(capsys, entry):
+    code, out, _ = run(capsys, "catalog", "emit", entry)
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_document(capsys, tmp_path, doc, raw=None):
+    path = tmp_path / "mutated.json"
+    path.write_text(raw if raw is not None else json.dumps(doc), encoding="utf-8")
+    return run(capsys, "verify", str(path))
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "prime", "p": "abc"},
+    {"kind": "prime", "p": 7.5},
+    {"kind": "prime", "p": "9" * 5000},
+    {"kind": "number_field", "minpoly": ["x", "0", "1"]},
+    {"kind": "number_field", "minpoly": ["1/0", "0", "1"]},
+    {"kind": "number_field", "minpoly": [-1, 2, 1]},
+    {"kind": "number_field", "minpoly": "-1,2,1"},
+    {"kind": "rational_functions", "variable": ["eta"]},
+], ids=lambda f: json.dumps(f)[:40])
+def test_malformed_field_block_exits_two(tmp_path, capsys, field):
+    doc = _emitted(capsys, "ThreeEvX")
+    doc["field"] = field
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_numbers_elsewhere_in_a_file_exit_two(tmp_path, capsys):
+    doc = _emitted(capsys, "ThreeEvX")
+    # a JSON integer too long for int(), and a non-integer characteristic
+    raw = json.dumps(doc).replace('"kind": "rationals"', '"kind": "prime", "p": ' + "9" * 5000)
+    code, out, err = _verify_document(capsys, tmp_path, doc, raw=raw)
+    assert code == 2 and err.startswith("error: invalid JSON")
+    doc["constraints"] = {"characteristic": "abc"}
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == 2 and "requires characteristic" in err
+
+
+@pytest.mark.parametrize("entry, literal", [
+    ("ThreeEvX", "(((2^64)^64)^64)^64"),
+    ("ThreeEv", "((eta+1)^64)^64"),
+])
+def test_nested_power_in_a_product_literal_exits_two(tmp_path, capsys, entry, literal):
+    doc = _emitted(capsys, entry)
+    value = doc["products"][0]["value"]
+    value[next(iter(value))] = literal
+    start = time.monotonic()
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == "" and "would pass" in err

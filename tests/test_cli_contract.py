@@ -1,0 +1,108 @@
+"""The CLI contract under generated input: every run of ``cli.main`` exits
+0, 1 or 2 and never ends in a traceback.
+
+Three kinds of input are generated: ``--field`` specs, ``--eta`` literals,
+and ``catalog emit ThreeEvX`` files with a mutated field block or a mutated
+product literal.  The examples are derandomized, so the suite stays
+deterministic; the explicit examples are inputs that once crashed.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from axialcheck import cli
+
+CONTRACT = settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["catalog", "emit", "ThreeEvX"]) == 0
+    return json.loads(out.getvalue())
+
+
+numbers = st.one_of(
+    st.integers(-10**6, 10**30).map(str),
+    st.sampled_from(["1/2", "-1/3", "1/0", "x", "", "0.5", "2^64", "9" * 5000]),
+)
+literals = st.recursive(
+    st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["eta", "x", ""])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(inner, st.integers(0, 70)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(allow_nan=False),
+    numbers, st.lists(numbers, max_size=4),
+)
+field_blocks = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("prime"), "p": json_values}),
+    st.fixed_dictionaries({"kind": st.just("number_field"), "minpoly": json_values}),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["rationals", "rational_functions", "number_field", "nope"]),
+        "variable": json_values, "minpoly": st.lists(numbers, min_size=2, max_size=4),
+    }),
+    json_values,
+)
+
+
+@CONTRACT
+@given(spec=st.one_of(
+    st.builds("gf:{}".format, numbers),
+    st.builds(lambda cs: "nf:" + ",".join(cs), st.lists(numbers, max_size=4)),
+    st.text(alphabet="qgfnetaxi:0123456789,/-", max_size=12),
+))
+@example(spec="gf:abc")
+@example(spec="nf:1,x,1")
+def test_field_specs(spec):
+    _run("verify", "ThreeEv", "--field", spec, "--eta", "3")
+
+
+@CONTRACT
+@given(eta=literals)
+@example(eta="(((2^64)^64)^64)^64")
+def test_eta_literals(eta):
+    _run("verify", "ThreeEv", "--field", "q", "--eta", eta)
+
+
+@CONTRACT
+@given(field=field_blocks)
+@example(field={"kind": "prime", "p": "abc"})
+@example(field={"kind": "number_field", "minpoly": ["x", "0", "1"]})
+def test_mutated_field_block(tmp_path_factory, emitted, field):
+    doc = dict(emitted, field=field)
+    path = tmp_path_factory.mktemp("field") / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _run("verify", str(path))
+
+
+@CONTRACT
+@given(index=st.integers(0, 5), literal=literals)
+@example(index=0, literal="(((2^64)^64)^64)^64")
+def test_mutated_product_literal(tmp_path_factory, emitted, index, literal):
+    products = [dict(p, value=dict(p["value"])) for p in emitted["products"]]
+    value = products[index % len(products)]["value"]
+    value[next(iter(value))] = literal
+    path = tmp_path_factory.mktemp("literal") / "algebra.json"
+    path.write_text(json.dumps(dict(emitted, products=products)), encoding="utf-8")
+    _run("verify", str(path))

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,3 +196,31 @@ def test_int_coercion(QETA):
     assert 2 * eta - 1 == parse_scalar("2*eta - 1", QETA)
     assert (1 - eta) + eta == QETA.one()
     assert eta / 2 == parse_scalar("eta/2", QETA)
+
+
+def test_nested_powers_are_refused_before_they_are_computed(Q, QETA, NF):
+    # each exponent is within MAX_EXPONENT, but nesting multiplies them
+    for text, field in (
+        ("((eta+1)^64)^64", QETA),
+        ("(((2^64)^64)^64)^64", Q),
+        ("(((eta+3)^64)^64)^64", NF),
+    ):
+        start = time.monotonic()
+        with pytest.raises(ScalarSyntaxError, match="would pass"):
+            parse_scalar(text, field)
+        assert time.monotonic() - start < 1.0, text
+    # the largest single powers stay allowed
+    assert parse_scalar("(eta+1)^64", QETA).payload[0][32] == math.comb(64, 32)
+    assert parse_scalar("(2^64)^64", Q) == 2**4096
+
+
+def test_overlong_integer_literal_is_a_syntax_error(Q):
+    with pytest.raises(ScalarSyntaxError, match="too long"):
+        parse_scalar("9" * 5000, Q)
+
+
+def test_number_field_modulus_size_is_bounded():
+    # the rational-root test tries divisors of the cleared modulus's ends
+    with pytest.raises(InvalidDescriptor, match="root-search limit"):
+        FieldDescriptor.number_field((10**30 + 1, 0, 1))
+    assert FieldDescriptor.number_field((999999999989, 0, 1)).minpoly[0] == 999999999989

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from axialcheck.catalog import instantiate
 from axialcheck.fields import parse_scalar
-from axialcheck.linalg import Matrix, Subspace, Vector, kernel, rref, solve_in_span
+from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, kernel, rref, solve_in_span
 
 
 def _random_matrix(field, rng, rows, cols, span=5):
@@ -141,3 +143,71 @@ def test_direct_sum_of_parts(QETA):
         assert total.is_direct_sum_with(dec.part(i))
         total = total.sum(dec.part(i))
     assert total.dim == alg.dim
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent, test-only oracle for elimination
+# ---------------------------------------------------------------------------
+
+
+def _sympy_domain(field):
+    """The sympy domain matching field and a converter for its elements."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import GF, QQ
+
+    if field.kind == field.RATIONALS:
+        return QQ, lambda e: QQ(e.payload.numerator, e.payload.denominator)
+    if field.kind == field.PRIME:
+        gf = GF(field.p)
+        return gf, lambda e: gf(e.payload)
+    assert field.minpoly == (-1, 2, 1)  # eta = sqrt(2) - 1
+    nf = QQ.algebraic_field(sympy.sqrt(2))
+    eta = nf.from_sympy(sympy.sqrt(2) - 1)
+    return nf, lambda e: sum(
+        (nf.convert(QQ(c.numerator, c.denominator)) * eta**i for i, c in enumerate(e.payload)),
+        nf.zero,
+    )
+
+
+def _domain_matrix(rows, ncols, field):
+    from sympy.polys.matrices import DomainMatrix
+
+    domain, convert = _sympy_domain(field)
+    return DomainMatrix([[convert(e) for e in r] for r in rows], (len(rows), ncols), domain)
+
+
+def _random_low_rank(field, rng, rows, cols, rank):
+    def entry():
+        if field.kind == field.NUMBER_FIELD:
+            return field.element((Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
+        return field.from_int(rng.randint(-4, 4))
+
+    if not rank:
+        return Matrix.zero(field, rows, cols)
+    left = Matrix(field, [[entry() for _ in range(rank)] for _ in range(rows)])
+    return left.matmul(Matrix(field, [[entry() for _ in range(cols)] for _ in range(rank)]))
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF"])
+def test_elimination_matches_sympy(fixture, request):
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _random_low_rank(field, rng, nrows, ncols, rng.randint(0, 4))
+        theirs = _domain_matrix(m.rows, ncols, field)
+        reduced, rank, pivots = rref(m)
+        expected, expected_pivots = theirs.rref()
+        assert _domain_matrix(reduced.rows, ncols, field) == expected
+        assert (rank, pivots) == (theirs.rank(), tuple(expected_pivots))
+        ker = kernel(m)
+        null = theirs.nullspace()
+        assert ker.dim == null.shape[0] == ncols - rank
+        if ker.dim:
+            assert _domain_matrix([v.entries for v in ker.basis], ncols, field) == null.rref()[0]
+        # the incremental echelon basis grows the same span, in any order
+        echelon = EchelonBasis(field, ncols)
+        for row in rng.sample(m.rows, len(m.rows)):
+            echelon.add(Vector(field, row))
+        assert len(echelon.rows) == rank
+        assert echelon.subspace().basis == tuple(Vector(field, r) for r in reduced.rows[:rank])
