@@ -187,9 +187,6 @@ class AlgebraMap:
             return False
         return rref(self.matrix)[1] == self.matrix.ncols
 
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.source.field, self.source.dim)
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraMap):
             return NotImplemented

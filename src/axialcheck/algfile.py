@@ -1,6 +1,7 @@
-"""Human-writable algebra files and vector-literal expressions.
+"""Algebra documents, the one loader of files and catalog entries, and
+vector-literal expressions.
 
-A file is a JSON document:
+A document is a JSON object:
 
     field:    {"kind": "rationals" | "prime" | "number_field" | "rational_functions", ...}
     basis:    ["p1", "a0", ...]
@@ -13,11 +14,13 @@ A file is a JSON document:
 Omitted product pairs default to the zero product; duplicate unordered pairs
 are rejected.  Scalars are always literal strings, never raw numbers.
 Vector literals are linear expressions in basis labels and the field
-variable, e.g. "2*eta*(a0+a1) - am1".
+variable, e.g. "2*eta*(a0+a1) - am1".  In every literal but the eta literal
+itself, ``eta`` names the document's eta.
 
 The "eta" key in the dihedral block is an extension of the published layout:
 concrete-field files need the middle eigenvalue recorded somewhere to be
-verifiable; symbolic files default to the field variable.
+verifiable; symbolic files default to the field variable.  Catalog entries
+are documents too (catalog.instantiate).
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ import json
 
 from .axial import DihedralData
 from .algebra import AlgebraDef, AlgebraMap, extend_from_generators
-from .errors import AlgebraFileError, AxialError, DataInconsistency, ScalarSyntaxError, UnknownSymbol
+from .errors import (
+    AlgebraFileError,
+    AxialError,
+    ConstraintViolation,
+    DataInconsistency,
+    DivisionByZero,
+    ScalarSyntaxError,
+    UnknownSymbol,
+)
 from .fields import (
     ExpressionEnv,
     FieldDescriptor,
@@ -38,23 +49,25 @@ from .fields import (
 from .linalg import Vector
 
 
-class _VectorEnv(ExpressionEnv):
-    """Expression hooks where names are basis labels or the field variable."""
+class _LiteralEnv(ExpressionEnv):
+    """Expression hooks where names are basis labels, then ``eta`` (the
+    document's eta, where there is one), then the field variable."""
 
-    def __init__(self, alg: AlgebraDef, eta: FieldElement | None):
-        self.alg = alg
+    def __init__(self, field: FieldDescriptor, labels=(), eta: FieldElement | None = None):
+        self.field = field
+        self.labels = labels
         self.eta = eta
 
     def from_int(self, n):
-        return self.alg.field.from_int(n)
+        return self.field.from_int(n)
 
     def atom(self, name):
-        if name in self.alg.labels:
-            return self.alg.basis_vector(self.alg.label_index(name))
-        if name == self.alg.field.variable:
-            return self.alg.field.generator()
+        if name in self.labels:
+            return Vector.unit(self.field, len(self.labels), self.labels.index(name))
         if self.eta is not None and name == "eta":
             return self.eta
+        if name == self.field.variable:
+            return self.field.generator()
         raise UnknownSymbol(f"unknown label or variable {name!r}")
 
     def add(self, a, b):
@@ -66,9 +79,6 @@ class _VectorEnv(ExpressionEnv):
         if isinstance(a, Vector) != isinstance(b, Vector):
             raise ScalarSyntaxError("cannot subtract a scalar from a vector")
         return a - b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         if isinstance(a, Vector) and isinstance(b, Vector):
@@ -92,9 +102,14 @@ class _VectorEnv(ExpressionEnv):
         return a ** n
 
 
+def parse_literal(text: str, field: FieldDescriptor, eta: FieldElement | None = None) -> FieldElement:
+    """Evaluate a document's scalar literal over the field, ``eta`` bound to eta."""
+    return parse_expression(text, _LiteralEnv(field, (), eta))
+
+
 def parse_vector(text: str, alg: AlgebraDef, eta: FieldElement | None = None) -> Vector:
     """Evaluate a vector literal in the algebra's ambient space."""
-    value = parse_expression(text, _VectorEnv(alg, eta))
+    value = parse_expression(text, _LiteralEnv(alg.field, alg.labels, eta))
     if not isinstance(value, Vector):
         raise ScalarSyntaxError(f"expression {text!r} does not denote a vector")
     return value
@@ -141,10 +156,7 @@ def field_to_dict(field: FieldDescriptor) -> dict:
     if field.kind == FieldDescriptor.PRIME:
         return {"kind": "prime", "p": field.p}
     if field.kind == FieldDescriptor.NUMBER_FIELD:
-        coeffs = [
-            str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in field.minpoly
-        ]
+        coeffs = [render(FieldDescriptor.rationals().from_fraction(c)) for c in field.minpoly]
         return {"kind": "number_field", "minpoly": coeffs, "variable": field.variable}
     return {"kind": "rational_functions", "variable": field.variable}
 
@@ -154,103 +166,139 @@ def field_to_dict(field: FieldDescriptor) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def load_document(doc: dict):
-    """Build (AlgebraDef, DihedralData | None, constraints) from a file dict."""
-    if not isinstance(doc, dict):
-        raise AlgebraFileError("algebra file must be a JSON object")
-    for key in ("field", "basis", "products"):
-        if key not in doc:
-            raise AlgebraFileError(f"missing required block {key!r}")
-    field = field_from_dict(doc["field"])
+def _require(ok, message):
+    if not ok:
+        raise AlgebraFileError(message)
+
+
+def _all_str(value, container):
+    """True if value is a list (container=list) or object (dict) of strings."""
+    return isinstance(value, container) and all(
+        isinstance(v, str) for v in (value.values() if container is dict else value)
+    )
+
+
+def _check_shape(doc):
+    """Reject a document that is not of the layout above, before any parsing."""
+    _require(
+        isinstance(doc, dict) and {"field", "basis", "products"} <= doc.keys(),
+        "an algebra file is a JSON object with field, basis and products blocks",
+    )
     basis = doc["basis"]
-    if (
-        not isinstance(basis, list)
-        or not basis
-        or any(not isinstance(b, str) for b in basis)
-    ):
-        raise AlgebraFileError("basis must be a nonempty array of label strings")
-    if len(set(basis)) != len(basis):
-        raise AlgebraFileError("basis labels must be distinct")
-    index = {label: i for i, label in enumerate(basis)}
-
-    table = {}
-    seen = set()
+    _require(_all_str(basis, list) and basis, "basis must be a nonempty array of label strings")
+    labels = set(basis)
+    _require(len(labels) == len(basis), "basis labels must be distinct")
+    _require(isinstance(doc["products"], list), "products must be an array")
+    pairs = set()
     for item in doc["products"]:
-        if not isinstance(item, dict) or not {"left", "right", "value"} <= set(item):
-            raise AlgebraFileError("each product needs left, right and value")
-        left, right = item["left"], item["right"]
-        for label in (left, right):
-            if label not in index:
-                raise AlgebraFileError(f"undeclared basis label {label!r}")
-        key = tuple(sorted((index[left], index[right])))
-        if key in seen:
-            raise AlgebraFileError(f"duplicate product pair ({left}, {right})")
-        seen.add(key)
-        value = item["value"]
-        if not isinstance(value, dict):
-            raise AlgebraFileError("product value must map labels to scalar literals")
-        entries = [field.zero()] * len(basis)
-        for label, literal in value.items():
-            if label not in index:
-                raise AlgebraFileError(f"undeclared basis label {label!r} in a value")
-            if not isinstance(literal, str):
-                raise AlgebraFileError("scalars in files must be literal strings")
-            entries[index[label]] = parse_scalar(literal, field)
-        table[key] = Vector(field, entries)
-    alg = AlgebraDef(field, tuple(basis), table)
+        _require(
+            isinstance(item, dict) and {"left", "right", "value"} <= item.keys(),
+            "each product needs left, right and value",
+        )
+        pair = [item["left"], item["right"]]
+        _require(_all_str(item["value"], dict), "product value must map labels to scalar literal strings")
+        _require(
+            _all_str(pair, list) and {*pair, *item["value"]} <= labels,
+            f"undeclared basis label in the product {pair!r:.60}",
+        )
+        _require(frozenset(pair) not in pairs, f"duplicate product pair {pair}")
+        pairs.add(frozenset(pair))
 
-    dd = None
-    if "dihedral" in doc and doc["dihedral"] is not None:
-        dd = _load_dihedral(doc["dihedral"], alg)
+    dihedral = doc.get("dihedral")
+    if dihedral is not None:
+        _require(
+            isinstance(dihedral, dict)
+            and {"window", "axes", "shift_images", "flip_images"} <= dihedral.keys(),
+            "a dihedral block is an object with window, axes, shift_images and flip_images",
+        )
+        window = dihedral["window"]
+        _require(
+            isinstance(window, list) and len(window) == 2
+            and all(type(i) is int for i in window) and window[0] <= 0 <= window[1],
+            "window must be an array [lo, hi] of integers with lo <= 0 <= hi",
+        )
+        _require(
+            _all_str(dihedral["axes"], list) and len(dihedral["axes"]) == window[1] - window[0] + 1,
+            "axes must be an array of vector literals, one for each window index",
+        )
+        for what in ("shift", "flip"):
+            images = dihedral[f"{what}_images"]
+            _require(
+                _all_str(images, dict) and images and images.keys() <= labels,
+                f"{what}_images must map basis labels to vector literals",
+            )
+        _require(dihedral.get("eta") is None or isinstance(dihedral["eta"], str), "eta must be a literal string")
+
+    constraints = doc.get("constraints")
+    if constraints is not None:
+        _require(isinstance(constraints, dict), "constraints must be an object")
+        for key in ("exclude_eta", "nonzero"):
+            _require(_all_str(constraints.get(key, []), list), f"{key} must be an array of literal strings")
+
+
+def load_document(doc, window=None, subject="file"):
+    """Build (AlgebraDef, DihedralData | None, constraints) from a document.
+
+    The one loader of algebra files and catalog entries.  It checks the
+    document's shape, then its whole constraints block, before it parses any
+    table entry or extends any map.  ``window`` is DihedralData.build's
+    window; ``subject`` names the source in constraint messages.
+    """
+    _check_shape(doc)
+    field = field_from_dict(doc["field"])
+    dihedral = doc.get("dihedral")
+    eta = None
+    if dihedral is not None and dihedral.get("eta") is not None:
+        eta = parse_scalar(dihedral["eta"], field)
+    elif dihedral is not None:
+        if field.variable is None:
+            raise AlgebraFileError("dihedral block needs an 'eta' literal over this field")
+        eta = field.generator()
 
     constraints = doc.get("constraints") or {}
-    if not isinstance(constraints, dict):
-        raise AlgebraFileError("constraints must be an object")
-    required_char = constraints.get("characteristic")
-    if required_char is not None and field.characteristic() != required_char:
-        raise AlgebraFileError(
-            f"file requires characteristic {required_char}, "
+    required = constraints.get("characteristic")
+    if required is not None and field.characteristic() != required:
+        raise ConstraintViolation(
+            f"{subject} requires characteristic {required!r:.40}, "
             f"field has {field.characteristic()}"
         )
+    if eta is not None:
+        for literal in constraints.get("exclude_eta", ()):
+            try:
+                excluded = parse_literal(literal, field, eta)
+            except DivisionByZero:  # the excluded value does not exist in this field
+                continue
+            if eta == excluded:
+                raise ConstraintViolation(f"eta = {literal} is excluded for {subject}")
+    for literal in constraints.get("nonzero", ()):
+        if parse_literal(literal, field, eta).is_zero():
+            raise ConstraintViolation(f"constraint {literal} != 0 fails for {subject}")
+
+    index = {label: i for i, label in enumerate(doc["basis"])}
+    table = {}
+    for item in doc["products"]:
+        entries = [field.zero()] * len(index)
+        for label, literal in item["value"].items():
+            entries[index[label]] = parse_literal(literal, field, eta)
+        table[index[item["left"]], index[item["right"]]] = Vector(field, entries)
+    alg = AlgebraDef(field, doc["basis"], table)
+    dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta, window)
     return alg, dd, constraints
 
 
-def _load_dihedral(block, alg):
-    for key in ("window", "axes", "shift_images", "flip_images"):
-        if key not in block:
-            raise AlgebraFileError(f"dihedral block missing {key!r}")
-    lo, hi = block["window"]
-    axes_spec = block["axes"]
-    if len(axes_spec) != hi - lo + 1:
-        raise AlgebraFileError("axes array does not match the window bounds")
-    field = alg.field
-    if "eta" in block and block["eta"] is not None:
-        eta = parse_scalar(block["eta"], field)
-    elif field.variable is not None:
-        eta = field.generator()
-    else:
-        raise AlgebraFileError("dihedral block needs an 'eta' literal over this field")
-
-    def to_vector(spec):
-        if spec in alg.labels:
-            return alg.basis_vector(alg.label_index(spec))
-        return parse_vector(spec, alg, eta)
-
-    seed_axes = {lo + pos: to_vector(spec) for pos, spec in enumerate(axes_spec)}
+def _load_dihedral(block, alg, eta, window):
+    lo = block["window"][0]
+    seed_axes = {lo + pos: parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
     shift = _map_from_images(alg, block["shift_images"], eta, "shift")
     flip = _map_from_images(alg, block["flip_images"], eta, "flip")
-    return DihedralData.build(alg, seed_axes, shift, flip, eta)
+    return DihedralData.build(alg, seed_axes, shift, flip, eta, window=window)
 
 
 def _map_from_images(alg, images, eta, what) -> AlgebraMap:
-    if not isinstance(images, dict) or not images:
-        raise AlgebraFileError(f"{what}_images must be a nonempty object")
-    pairs = []
-    for label, literal in images.items():
-        if label not in alg.labels:
-            raise AlgebraFileError(f"undeclared basis label {label!r} in {what}_images")
-        src = alg.basis_vector(alg.label_index(label))
-        pairs.append((src, parse_vector(literal, alg, eta)))
+    pairs = [
+        (alg.basis_vector(alg.label_index(label)), parse_vector(literal, alg, eta))
+        for label, literal in images.items()
+    ]
     result = extend_from_generators(alg, pairs, alg)
     if isinstance(result, AlgebraMap):
         return result
@@ -260,14 +308,18 @@ def _map_from_images(alg, images, eta, what) -> AlgebraMap:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
         raise AlgebraFileError(f"invalid JSON: {exc}") from None
     return load_document(doc)
 
 
 def load_path(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AlgebraFileError(f"cannot read {path!r}: {exc}") from None
+    return loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +327,12 @@ def load_path(path):
 # ---------------------------------------------------------------------------
 
 
-def _render_vector_literal(v: Vector, labels) -> str:
+def _render_vector_literal(v: Vector, labels, literal=render) -> str:
     terms = []
     for label, c in zip(labels, v.entries):
         if c.is_zero():
             continue
-        lit = render(c)
+        lit = literal(c)
         if lit == "1":
             term = label
         elif lit == "-1":
@@ -297,12 +349,23 @@ def _render_vector_literal(v: Vector, labels) -> str:
 
 
 def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=None) -> dict:
-    """Serializable file dict for an algebra (products sorted, values rendered)."""
+    """Serializable file dict for an algebra (products sorted, values rendered).
+
+    ``eta`` in a document's literals is its eta, so where the field's variable
+    is named eta but eta is another element, the variable is written as t.
+    """
+    field = alg.field
+    if dd is not None and field.variable == "eta" and dd.eta != field.generator():
+        field = FieldDescriptor(field.kind, minpoly=field.minpoly, variable="t")
+
+    def literal(c):
+        return render(FieldElement(field, c.payload))
+
     products = []
     for (i, j) in sorted(alg.table):
         vec = alg.table[(i, j)]
         value = {
-            alg.labels[k]: render(c)
+            alg.labels[k]: literal(c)
             for k, c in enumerate(vec.entries)
             if not c.is_zero()
         }
@@ -310,7 +373,7 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
             {"left": alg.labels[i], "right": alg.labels[j], "value": value}
         )
     doc = {
-        "field": field_to_dict(alg.field),
+        "field": field_to_dict(field),
         "basis": list(alg.labels),
         "products": products,
     }
@@ -324,23 +387,23 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
         seed_range = list(range(lo, hi + 1))
         for i in seed_range:
             v = dd.axis(i)
-            axes.append(basis_vectors.get(v) or _render_vector_literal(v, alg.labels))
+            axes.append(basis_vectors.get(v) or _render_vector_literal(v, alg.labels, literal))
         shift_images = {}
         flip_images = {}
         for k in range(alg.dim):
             label = alg.labels[k]
             shift_images[label] = _render_vector_literal(
-                dd.shift.apply(alg.basis_vector(k)), alg.labels
+                dd.shift.apply(alg.basis_vector(k)), alg.labels, literal
             )
             flip_images[label] = _render_vector_literal(
-                dd.flip.apply(alg.basis_vector(k)), alg.labels
+                dd.flip.apply(alg.basis_vector(k)), alg.labels, literal
             )
         doc["dihedral"] = {
             "window": [seed_range[0], seed_range[-1]],
             "axes": axes,
             "shift_images": shift_images,
             "flip_images": flip_images,
-            "eta": render(dd.eta),
+            "eta": literal(dd.eta),
         }
     if constraints:
         doc["constraints"] = constraints

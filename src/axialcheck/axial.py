@@ -73,13 +73,6 @@ class FusionTable:
         """The collapsed table with both middle eigenvalues equal to eta."""
         return cls(eta, eta)
 
-    def phi(self, i):
-        if i == 0:
-            return self.field.zero()
-        if i == 1:
-            return self.field.one()
-        return self.xi if i == 2 else self.eta
-
     @staticmethod
     def allowed(i, j):
         key = (i, j) if i <= j else (j, i)
@@ -447,25 +440,6 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
             f"axial dimension {adim} contradicts relation case {case} (expects {expected_adim})"
         )
     return RelationWitness(parity, case, alphas, adim, (rel_lo, rel_hi))
-
-
-def relation_vector(dd: DihedralData, witness: RelationWitness) -> Vector:
-    """Evaluate the witnessed combination on the window (must be zero)."""
-    out = dd.algebra.zero_vector()
-    if witness.case == 1:
-        out = out + dd.axis(0).scale(witness.coefficients[0])
-        for i, c in enumerate(witness.coefficients[1:], start=1):
-            out = out + (dd.axis(i) + dd.axis(-i)).scale(c)
-    elif witness.case == 2:
-        for i, c in enumerate(witness.coefficients, start=1):
-            out = out + (dd.axis(i) - dd.axis(-i)).scale(c)
-    elif witness.case == 3:
-        for i, c in enumerate(witness.coefficients):
-            out = out + (dd.axis(i + 1) + dd.axis(-i)).scale(c)
-    else:
-        for i, c in enumerate(witness.coefficients):
-            out = out + (dd.axis(i + 1) - dd.axis(-i)).scale(c)
-    return out
 
 
 def p_vector(alg, dd: DihedralData, i: int, j: int) -> Vector:

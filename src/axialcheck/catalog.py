@@ -1,36 +1,27 @@
 """Catalog of the dihedral Majorana-type algebras the verifier knows about,
 plus instantiation, per-entry verification, and the claim suite.
 
-Structure constants are stored as scalar-literal text in the parameter
-``eta`` and evaluated through the Q(eta) -> field specialization, so one
-table serves the symbolic, rational, prime-field and number-field
-instantiations alike.  Shift images for out-of-window axes are frozen
-linear combinations derived from each entry's documented relation.
+Each entry is a symbolic algebra document over Q(eta), in the layout that
+``catalog emit`` writes, plus its documented relation.  ``instantiate``
+substitutes a field and an eta and hands the document to the one loader,
+``algfile.load_document``, so one table serves the symbolic, rational,
+prime-field and number-field instantiations alike.  Shift images for
+out-of-window axes are frozen linear combinations derived from each entry's
+documented relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType, SimpleNamespace
 
 from . import algfile
-from .algebra import (
-    AlgebraDef,
-    AlgebraMap,
-    extend_from_generators,
-    is_ideal,
-    quotient,
-)
-from .axial import (
-    DihedralData,
-    axial_dimension,
-    check_dihedral,
-    check_fusion,
-    identity_suite,
-)
-from .errors import AxialError, ConstraintViolation, DataInconsistency, UnknownEntry
-from .fields import FieldDescriptor, FieldElement, parse_scalar, render, specialize
-from .linalg import Subspace, Vector
+from .algebra import AlgebraMap, extend_from_generators, is_ideal, quotient
+from .axial import axial_dimension, check_dihedral, check_fusion, identity_suite
+from .errors import AxialError, ConstraintViolation, UnknownEntry
+from .fields import FieldDescriptor, parse_scalar, render
+from .linalg import Subspace
 
 QETA = FieldDescriptor.rational_functions("eta")
 
@@ -41,25 +32,54 @@ def _axis_label(i: int) -> str:
     return f"a{i}" if i >= 0 else f"am{-i}"
 
 
+def _document(basis, products, lo, hi, wrap, beyond=None, **constraints):
+    """The symbolic algebra document over Q(eta) of one entry.
+
+    ``products`` maps (label, label) to {label: literal}.  The axes a_lo ..
+    a_hi are basis vectors; the shift moves each to the next and a_hi to
+    ``wrap``, and the flip sends a_i to a_-i, or to ``beyond`` where -i is
+    outside [lo, hi].  Keyword arguments make the constraints block.
+    """
+    axes = [_axis_label(i) for i in range(lo, hi + 1)]
+    doc = {
+        "field": {"kind": "rational_functions", "variable": "eta"},
+        "basis": list(basis),
+        "products": [{"left": a, "right": b, "value": v} for (a, b), v in products.items()],
+        "dihedral": {
+            "window": [lo, hi],
+            "axes": axes,
+            "shift_images": dict(zip(axes, axes[1:] + [wrap])),
+            "flip_images": {
+                _axis_label(i): _axis_label(-i) if lo <= -i <= hi else beyond
+                for i in range(lo, hi + 1)
+            },
+            "eta": "eta",
+        },
+    }
+    if constraints:
+        doc["constraints"] = constraints
+    return doc
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
     doc: str
-    basis: tuple
-    products: dict          # (label, label) -> {label: literal}
-    axes: dict              # window index -> basis label
-    shift_images: dict      # axis label -> vector literal
-    flip_images: dict       # axis label -> vector literal
-    dim: int
+    document: dict            # symbolic algebra document, `catalog emit` layout
     expected_adim: int
     expected_case: int
     expected_relation: tuple  # literal coefficients, leading one last
     default_field: str
     fixed_eta: str | None = None
-    required_char: int | None = None
     requires_eta_minpoly: tuple | None = None
-    forbidden_eta: tuple = ()
-    nonzero: tuple = ()
+
+    @property
+    def dim(self):
+        return len(self.document["basis"])
+
+    @property
+    def required_char(self):
+        return self.document.get("constraints", {}).get("characteristic")
 
 
 @dataclass(frozen=True)
@@ -82,25 +102,26 @@ def _scalar_row(labels, literal):
     return out
 
 
-def _three_even():
+def _three_even_document(with_p1: bool, **constraints):
     # every distinct axis pair shares the central element and the axis cycle
     # closes with period three; fusion forces the central action -eta(3eta+1)/4
-    labels = ("p1", "am1", "a0", "a1")
-    cp = "-eta*(3*eta+1)/4"
-    products = _scalar_row(labels, cp)
-    for a in ("am1", "a0", "a1"):
+    axes = ("am1", "a0", "a1")
+    labels = ("p1",) + axes if with_p1 else axes
+    products = _scalar_row(labels, "-eta*(3*eta+1)/4") if with_p1 else {}
+    for a in axes:
         products[(a, a)] = {a: "1"}
     for left, right in (("am1", "a0"), ("a0", "a1"), ("am1", "a1")):
-        products[(left, right)] = {"p1": "1", left: "eta", right: "eta"}
+        products[(left, right)] = {left: "eta", right: "eta"}
+        if with_p1:
+            products[(left, right)]["p1"] = "1"
+    return _document(labels, products, -1, 1, "am1", **constraints)
+
+
+def _three_even():
     return CatalogEntry(
         name="ThreeEv",
         doc="three axes in a period-three cycle plus one central scalar element",
-        basis=labels,
-        products=products,
-        axes={-1: "am1", 0: "a0", 1: "a1"},
-        shift_images={"am1": "a0", "a0": "a1", "a1": "am1"},
-        flip_images={"am1": "a1", "a0": "a0", "a1": "am1"},
-        dim=4,
+        document=_three_even_document(True, exclude_eta=list(GLOBAL_EXCLUDED_ETA)),
         expected_adim=3,
         expected_case=4,
         expected_relation=("0", "1"),
@@ -109,21 +130,10 @@ def _three_even():
 
 
 def _three_even_x():
-    labels = ("am1", "a0", "a1")
-    products = {}
-    for a in labels:
-        products[(a, a)] = {a: "1"}
-    for left, right in (("am1", "a0"), ("a0", "a1"), ("am1", "a1")):
-        products[(left, right)] = {left: "eta", right: "eta"}
     return CatalogEntry(
         name="ThreeEvX",
         doc="three-axis quotient with the central element collapsed",
-        basis=labels,
-        products=products,
-        axes={-1: "am1", 0: "a0", 1: "a1"},
-        shift_images={"am1": "a0", "a0": "a1", "a1": "am1"},
-        flip_images={"am1": "a1", "a0": "a0", "a1": "am1"},
-        dim=3,
+        document=_three_even_document(False),
         expected_adim=3,
         expected_case=4,
         expected_relation=("0", "1"),
@@ -132,13 +142,15 @@ def _three_even_x():
     )
 
 
+_FOUR_WRAP = "-(am1+a0+a1+a2)"  # the five window axes sum to zero
+
+
 def _four_even():
     # the unique algebra whose five window axes satisfy a symmetric vanishing
     # combination; its adjoint spectrum contains -(2*eta+1), so it is axial
     # only at eta = -1/3, where the (3*eta+1)-corrections below vanish
     labels = ("p1", "am1", "a0", "a1", "a2")
-    cp = "-eta*(3*eta+1)/4"
-    products = _scalar_row(labels, cp)
+    products = _scalar_row(labels, "-eta*(3*eta+1)/4")
     for a in labels[1:]:
         products[(a, a)] = {a: "1"}
     for left, right in (("am1", "a0"), ("a0", "a1"), ("a1", "a2")):
@@ -152,16 +164,10 @@ def _four_even():
     products[("am1", "a2")] = {
         "p1": "-1", "am1": "eta", "a2": "eta", "a0": "3*eta+1", "a1": "3*eta+1"
     }
-    wrap = "-(am1+a0+a1+a2)"
     return CatalogEntry(
         name="FourEv",
         doc="four axes plus one central scalar element; the five window axes sum to zero",
-        basis=labels,
-        products=products,
-        axes={-1: "am1", 0: "a0", 1: "a1", 2: "a2"},
-        shift_images={"am1": "a0", "a0": "a1", "a1": "a2", "a2": wrap},
-        flip_images={"am1": "a1", "a0": "a0", "a1": "am1", "a2": wrap},
-        dim=5,
+        document=_document(labels, products, -1, 2, _FOUR_WRAP, _FOUR_WRAP),
         expected_adim=4,
         expected_case=1,
         expected_relation=("1", "1", "1"),
@@ -181,16 +187,7 @@ def _four_even_x():
     return CatalogEntry(
         name="FourEvX",
         doc="four-axis quotient where every distinct product is symmetric",
-        basis=labels,
-        products=products,
-        axes={-1: "am1", 0: "a0", 1: "a1", 2: "a2"},
-        shift_images={
-            "am1": "a0", "a0": "a1", "a1": "a2", "a2": "-(am1+a0+a1+a2)",
-        },
-        flip_images={
-            "am1": "a1", "a0": "a0", "a1": "am1", "a2": "-(am1+a0+a1+a2)",
-        },
-        dim=4,
+        document=_document(labels, products, -1, 2, _FOUR_WRAP, _FOUR_WRAP),
         expected_adim=4,
         expected_case=1,
         expected_relation=("1", "1", "1"),
@@ -226,12 +223,7 @@ def _bar_four_two():
     return CatalogEntry(
         name="BarFourTwo",
         doc="period-four axis cycle with three scalar-like elements",
-        basis=labels,
-        products=products,
-        axes={-1: "am1", 0: "a0", 1: "a1", 2: "a2"},
-        shift_images={"am1": "a0", "a0": "a1", "a1": "a2", "a2": "am1"},
-        flip_images={"am1": "a1", "a0": "a0", "a1": "am1", "a2": "a2"},
-        dim=7,
+        document=_document(labels, products, -1, 2, "am1", "a2"),
         expected_adim=4,
         expected_case=2,
         expected_relation=("0", "1"),
@@ -254,16 +246,7 @@ def _five_three():
     return CatalogEntry(
         name="FiveThree",
         doc="five axes whose distinct products share one symmetric combination",
-        basis=labels,
-        products=products,
-        axes={i: _axis_label(i) for i in range(-2, 3)},
-        shift_images={
-            "am2": "am1", "am1": "a0", "a0": "a1", "a1": "a2", "a2": "am2"
-        },
-        flip_images={
-            "am2": "a2", "am1": "a1", "a0": "a0", "a1": "am1", "a2": "am2"
-        },
-        dim=5,
+        document=_document(labels, products, -2, 2, "am2", exclude_eta=list(GLOBAL_EXCLUDED_ETA)),
         expected_adim=5,
         expected_case=4,
         expected_relation=("0", "0", "1"),
@@ -300,18 +283,7 @@ def _six_three():
     return CatalogEntry(
         name="SixThree",
         doc="period-six axis cycle with opposite axes multiplying to zero",
-        basis=labels,
-        products=products,
-        axes={i: _axis_label(i) for i in idx},
-        shift_images={
-            "am2": "am1", "am1": "a0", "a0": "a1", "a1": "a2", "a2": "a3",
-            "a3": "am2",
-        },
-        flip_images={
-            "am2": "a2", "am1": "a1", "a0": "a0", "a1": "am1", "a2": "am2",
-            "a3": "a3",
-        },
-        dim=7,
+        document=_document(labels, products, -2, 3, "am2", "a3", exclude_eta=list(GLOBAL_EXCLUDED_ETA)),
         expected_adim=6,
         expected_case=2,
         expected_relation=("0", "0", "1"),
@@ -320,7 +292,7 @@ def _six_three():
     )
 
 
-def _seven_tables(with_p1: bool):
+def _seven_document(with_p1: bool, **constraints):
     # the distance-3/5/6 products are the unique assignment compatible with
     # the shift/flip equivariance, semisimple adjoints and fusion; the
     # central action -5/3 vanishes modulo five, which is exactly why the
@@ -354,26 +326,15 @@ def _seven_tables(with_p1: bool):
         if with_p1 and (left, right) in (("am2", "a3"), ("am3", "a2")):
             value["p1"] = "1"
         products[(left, right)] = value
-    return labels, products
+    wrap = "am3 - a3 + am2 - a2 + am1"
+    return _document(labels, products, -3, 3, wrap, **constraints)
 
 
 def _seven():
-    labels, products = _seven_tables(with_p1=True)
     return CatalogEntry(
         name="Seven",
         doc="seven axes plus one central scalar element",
-        basis=labels,
-        products=products,
-        axes={i: _axis_label(i) for i in range(-3, 4)},
-        shift_images={
-            "am3": "am2", "am2": "am1", "am1": "a0", "a0": "a1", "a1": "a2",
-            "a2": "a3", "a3": "am3 - a3 + am2 - a2 + am1",
-        },
-        flip_images={
-            "am3": "a3", "am2": "a2", "am1": "a1", "a0": "a0", "a1": "am1",
-            "a2": "am2", "a3": "am3",
-        },
-        dim=8,
+        document=_seven_document(True),
         expected_adim=7,
         expected_case=4,
         expected_relation=("0", "1", "1", "1"),
@@ -383,28 +344,15 @@ def _seven():
 
 
 def _seven_x():
-    labels, products = _seven_tables(with_p1=False)
     return CatalogEntry(
         name="SevenX",
         doc="seven-axis quotient with the central element collapsed; needs characteristic five",
-        basis=labels,
-        products=products,
-        axes={i: _axis_label(i) for i in range(-3, 4)},
-        shift_images={
-            "am3": "am2", "am2": "am1", "am1": "a0", "a0": "a1", "a1": "a2",
-            "a2": "a3", "a3": "am3 - a3 + am2 - a2 + am1",
-        },
-        flip_images={
-            "am3": "a3", "am2": "a2", "am1": "a1", "a0": "a0", "a1": "am1",
-            "a2": "am2", "a3": "am3",
-        },
-        dim=7,
+        document=_seven_document(False, characteristic=5),
         expected_adim=7,
         expected_case=4,
         expected_relation=("0", "1", "1", "1"),
         default_field="gf:5",
         fixed_eta="4/3",
-        required_char=5,
     )
 
 
@@ -473,13 +421,6 @@ def field_from_spec(spec: str) -> FieldDescriptor:
     raise ConstraintViolation(f"unknown field spec {spec!r}")
 
 
-def _eval_scalar(literal: str, field: FieldDescriptor, eta: FieldElement) -> FieldElement:
-    if field.kind == FieldDescriptor.RATIONAL_FUNCTIONS and eta == field.generator():
-        return parse_scalar(literal, field)
-    x = parse_scalar(literal, QETA)
-    return specialize(x, field, eta)
-
-
 _instantiate_cache: dict = {}
 _verify_cache: dict = {}
 
@@ -493,13 +434,14 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
     """Build (AlgebraDef, DihedralData) for a catalog entry.
 
     ``field`` is a FieldDescriptor or a spec string; ``eta`` a FieldElement
-    or scalar literal.  Defaults come from the entry.
+    or scalar literal.  Defaults come from the entry.  Only the entry's own
+    rules are checked here (its fixed eta unless ``enforce`` is false; no
+    symbolic eta where a minimal polynomial binds it); the document, at this
+    field and eta, then goes through algfile.load_document.
     """
     entry = get_entry(name)
-    if field is None:
-        field = field_from_spec(entry.default_field)
-    elif isinstance(field, str):
-        field = field_from_spec(field)
+    if not isinstance(field, FieldDescriptor):
+        field = field_from_spec(entry.default_field if field is None else field)
     if eta is None:
         if entry.fixed_eta is not None:
             eta = parse_scalar(entry.fixed_eta, field)
@@ -517,66 +459,21 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
     if cached is not None:
         return cached
 
-    if enforce:
-        if entry.fixed_eta is not None:
-            if eta != parse_scalar(entry.fixed_eta, field):
-                raise ConstraintViolation(
-                    f"{entry.name} is defined at eta = {entry.fixed_eta} only"
-                )
-        if entry.required_char is not None and field.characteristic() != entry.required_char:
-            raise ConstraintViolation(
-                f"{entry.name} requires characteristic {entry.required_char}"
-            )
-        if entry.requires_eta_minpoly is not None and field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
-            raise ConstraintViolation(
-                f"{entry.name} needs eta bound by its minimal polynomial; "
-                "a symbolic eta is not admissible"
-            )
-        if entry.fixed_eta is None:
-            for literal in GLOBAL_EXCLUDED_ETA + entry.forbidden_eta:
-                try:
-                    excluded = parse_scalar(literal, field)
-                except AxialError:
-                    continue
-                if eta == excluded:
-                    raise ConstraintViolation(
-                        f"eta = {literal} is excluded for {entry.name}"
-                    )
-        for literal in entry.nonzero:
-            if _eval_scalar(literal, field, eta).is_zero():
-                raise ConstraintViolation(
-                    f"constraint {literal} != 0 fails for {entry.name}"
-                )
-
-    index = {label: k for k, label in enumerate(entry.basis)}
-    table = {}
-    for (left, right), value in entry.products.items():
-        entries = [field.zero()] * entry.dim
-        for label, literal in value.items():
-            entries[index[label]] = _eval_scalar(literal, field, eta)
-        table[(index[left], index[right])] = Vector(field, entries)
-    alg = AlgebraDef(field, entry.basis, table)
-
-    def image(label, literal):
-        return algfile.parse_vector(literal, alg, eta)
-
-    shift_pairs = [
-        (alg.basis_vector(index[label]), image(label, literal))
-        for label, literal in entry.shift_images.items()
-    ]
-    flip_pairs = [
-        (alg.basis_vector(index[label]), image(label, literal))
-        for label, literal in entry.flip_images.items()
-    ]
-    shift = extend_from_generators(alg, shift_pairs, alg)
-    flip = extend_from_generators(alg, flip_pairs, alg)
-    if not isinstance(shift, AlgebraMap) or not isinstance(flip, AlgebraMap):
-        raise DataInconsistency(f"dihedral seed of {entry.name} does not extend")
-    seed_axes = {i: alg.basis_vector(index[label]) for i, label in entry.axes.items()}
-    dd = DihedralData.build(alg, seed_axes, shift, flip, eta, window=window)
-    result = (alg, dd)
-    _instantiate_cache[key] = result
-    return result
+    if enforce and entry.fixed_eta is not None and eta != parse_scalar(entry.fixed_eta, field):
+        raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
+    if entry.requires_eta_minpoly is not None and field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
+        raise ConstraintViolation(
+            f"{entry.name} needs eta bound by its minimal polynomial; "
+            "a symbolic eta is not admissible"
+        )
+    document = dict(
+        entry.document,
+        field=algfile.field_to_dict(field),
+        dihedral=dict(entry.document["dihedral"], eta=render(eta)),
+    )
+    alg, dd, _ = algfile.load_document(document, window, entry.name)
+    _instantiate_cache[key] = alg, dd
+    return alg, dd
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +488,18 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntryReport:
+    """A verification report.  Frozen, with read-only mappings and tuples,
+    since verify_entry hands one cached report to every caller."""
+
     entry: str
     field_repr: str
     eta_repr: str
-    checks: list = dc_field(default_factory=list)
-    scalars: dict = dc_field(default_factory=dict)
-    relation: dict = dc_field(default_factory=dict)
-    dimensions: dict = dc_field(default_factory=dict)
+    checks: tuple
+    scalars: MappingProxyType
+    relation: MappingProxyType
+    dimensions: MappingProxyType
 
     @property
     def passed(self):
@@ -615,6 +515,9 @@ class EntryReport:
         )
 
     def canonical(self):
+        def thawed(mapping):
+            return {k: list(v) if isinstance(v, tuple) else v for k, v in mapping.items()}
+
         return {
             "entry": self.entry,
             "field": self.field_repr,
@@ -624,8 +527,8 @@ class EntryReport:
                 for c in self.checks
             ],
             "scalars": dict(sorted(self.scalars.items())),
-            "relation": self.relation,
-            "dimensions": self.dimensions,
+            "relation": thawed(self.relation),
+            "dimensions": thawed(self.dimensions),
         }
 
 
@@ -634,7 +537,7 @@ ALL_CHECKS = ("fusion", "dihedral", "relations", "identities")
 
 def _fusion_pass(report, alg, dd, documented):
     dec = dd.base_split()
-    report.dimensions["parts"] = list(dec.dims())
+    report.dimensions["parts"] = tuple(dec.dims())
     violations = check_fusion(alg, dec)
     detail = "; ".join(
         f"parts ({v.part_i},{v.part_j}) escape {v.allowed}" for v in violations[:4]
@@ -654,13 +557,13 @@ def _relation_pass(report, alg, dd, documented):
         "adim": witness.adim,
         "case": witness.case,
         "parity": witness.parity,
-        "coefficients": [render(c) for c in witness.coefficients],
+        "coefficients": tuple(render(c) for c in witness.coefficients),
     }
     report.checks.append(CheckResult("relation", "pass", witness.describe()))
     if documented is None:
         return
     expected = tuple(
-        _eval_scalar(lit, alg.field, dd.eta) for lit in documented.expected_relation
+        algfile.parse_literal(lit, alg.field, dd.eta) for lit in documented.expected_relation
     )
     ok = (
         witness.adim == documented.expected_adim
@@ -704,8 +607,7 @@ def verify(name, alg, dd, checks=ALL_CHECKS, documented=None):
     with the error as its detail: the input was accepted, so a failure here
     is a failed check, not a rejected input.
     """
-    report = EntryReport(entry=name, field_repr=repr(alg.field), eta_repr=render(dd.eta))
-    report.dimensions["ambient"] = alg.dim
+    report = SimpleNamespace(checks=[], scalars={}, relation={}, dimensions={"ambient": alg.dim})
     for check, (row, run) in _PASSES.items():
         if check not in checks:
             continue
@@ -713,7 +615,11 @@ def verify(name, alg, dd, checks=ALL_CHECKS, documented=None):
             run(report, alg, dd, documented)
         except AxialError as exc:
             report.checks.append(CheckResult(row, "fail", str(exc)))
-    return report
+    return EntryReport(
+        name, repr(alg.field), render(dd.eta), tuple(report.checks),
+        MappingProxyType(report.scalars), MappingProxyType(report.relation),
+        MappingProxyType(report.dimensions),
+    )
 
 
 def verify_entry(name, field=None, eta=None, window=None, checks=ALL_CHECKS):

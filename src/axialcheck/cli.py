@@ -132,8 +132,6 @@ def cmd_catalog(args) -> int:
                 constraints.append(
                     "minpoly=" + ",".join(str(c) for c in entry.requires_eta_minpoly)
                 )
-            if entry.forbidden_eta:
-                constraints.append("eta not in {" + ",".join(entry.forbidden_eta) + "}")
             suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
             print(
                 f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "
@@ -149,18 +147,11 @@ def cmd_catalog(args) -> int:
         try:
             entry = catalog.get_entry(args.name)
             alg, dd = catalog.instantiate(args.name, args.field, args.eta)
+            text = algfile.dumps(alg, dd, entry.document.get("constraints"))
         except AxialError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        constraints = {}
-        if entry.nonzero:
-            constraints["nonzero"] = list(entry.nonzero)
-        if entry.required_char is not None:
-            constraints["characteristic"] = entry.required_char
-        exclude = () if entry.fixed_eta else catalog.GLOBAL_EXCLUDED_ETA + entry.forbidden_eta
-        if exclude:
-            constraints["exclude_eta"] = list(exclude)
-        print(algfile.dumps(alg, dd, constraints or None))
+        print(text)
         return 0
     if args.action == "claims":
         try:
@@ -250,13 +241,17 @@ def cmd_quotient(args) -> int:
     if not is_ideal(alg, span):
         print("not an ideal", file=sys.stderr)
         return 1
-    qalg, proj = quotient(alg, span)
-    qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
-    text = algfile.dumps(qalg, qdd)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
+    try:
+        qalg, proj = quotient(alg, span)
+        qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
+        text = algfile.dumps(qalg, qdd)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    except (AxialError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not args.output:
         print(text)
     return 0
 

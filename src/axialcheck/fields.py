@@ -13,6 +13,7 @@ is equality of payloads.  Payloads are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -104,10 +105,77 @@ def _pmonic(a):
     return tuple(c / lead for c in a)
 
 
-def _pgcd(a, b):
+def _primitive(a):
+    """The integer polynomial with coprime coefficients that is proportional to a."""
+    denom = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (denom // c.denominator) for c in a]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _pgcd_mod(a, b, p):
+    """Monic gcd modulo p of two integer polynomials whose leads p does not divide."""
+    a, b = [c % p for c in a], [c % p for c in b]
     while b:
-        a, b = b, _pmonic(_pdivmod(a, b)[1])
-    return _pmonic(a)
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            factor = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+_GCD_PRIMES = [(1 << 61) - 1]
+
+
+def _gcd_prime(k):
+    """The k-th prime below 2^61, counting down."""
+    while len(_GCD_PRIMES) <= k:
+        p = _GCD_PRIMES[-1] - 2
+        while not _is_prime(p):
+            p -= 2
+        _GCD_PRIMES.append(p)
+    return _GCD_PRIMES[k]
+
+
+def _pgcd(a, b):
+    """Monic gcd over Q by Brown's (1971) modular algorithm: gcds modulo primes
+    below 2^61, scaled to the gcd of the leading coefficients, are lifted by
+    Chinese remaindering until the primitive part stops changing and divides
+    both inputs, so no coefficient grows past the gcd's own."""
+    if not a or not b:
+        return _pmonic(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return _PONE
+    ia, ib = _primitive(a), _primitive(b)
+    scale = math.gcd(ia[-1], ib[-1])
+    image = candidate = None
+    for k in itertools.count():
+        p = _gcd_prime(k)
+        if ia[-1] % p == 0 or ib[-1] % p == 0:
+            continue
+        g = _pgcd_mod(ia, ib, p)
+        if len(g) == 1:
+            return _PONE
+        g = [scale * c % p for c in g]
+        if image is None or len(g) < len(image):  # the earlier primes were unlucky
+            image, modulus = g, p
+        elif len(g) == len(image):
+            m_inv = pow(modulus, -1, p)
+            image = [h + modulus * ((c - h) * m_inv % p) for h, c in zip(image, g)]
+            modulus *= p
+        else:
+            continue
+        previous, candidate = candidate, _primitive([h - modulus if 2 * h > modulus else h for h in image])
+        if candidate == previous:
+            monic = _pmonic(tuple(Fraction(c) for c in candidate))
+            if not _pdivmod(a, monic)[1] and not _pdivmod(b, monic)[1]:
+                return monic
 
 
 def _pxgcd(a, b):
@@ -564,9 +632,11 @@ class FieldElement:
 
 
 def _render_fraction(fr):
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    try:
+        return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+    except ValueError:  # more digits than int() converts, so no literal could hold it
+        bits = fr.numerator.bit_length() + fr.denominator.bit_length()
+        raise ScalarSyntaxError(f"a number of {bits} bits is too long to write as a literal") from None
 
 
 def _render_poly(poly, variable):

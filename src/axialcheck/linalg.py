@@ -258,10 +258,6 @@ class Subspace:
         return echelon.subspace()
 
     @classmethod
-    def zero_space(cls, field, ambient):
-        return cls(field, ambient, (), ())
-
-    @classmethod
     def full_space(cls, field, ambient):
         basis = tuple(Vector.unit(field, ambient, i) for i in range(ambient))
         return cls(field, ambient, basis, tuple(range(ambient)))
@@ -307,10 +303,6 @@ class Subspace:
         for w in other.basis:
             sums.add(Vector(self.field, w.entries + zero))
         return sums.subspace(self.ambient)
-
-    def is_direct_sum_with(self, other: "Subspace") -> bool:
-        self._check(other)
-        return self.sum(other).dim == self.dim + other.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -1,10 +1,12 @@
+import json
+
 import pytest
 
 from axialcheck import algfile, axial, catalog
 from axialcheck.algebra import multiply
 from axialcheck.axial import split_eigenspace
 from axialcheck.errors import ConstraintViolation, UnknownEntry
-from axialcheck.fields import FieldDescriptor, parse_scalar, render
+from axialcheck.fields import FieldDescriptor, parse_scalar, render, specialize
 
 
 def test_list_entries():
@@ -16,7 +18,7 @@ def test_list_entries():
         "FiveThree", "SixThree", "Seven", "SevenX",
     ]
     three = catalog.get_entry("ThreeEv")
-    assert three.basis == ("p1", "am1", "a0", "a1") and three.dim == 4
+    assert three.document["basis"] == ["p1", "am1", "a0", "a1"] and three.dim == 4
     assert catalog.get_entry("SevenX").required_char == 5
     assert len(catalog.list_stubs()) == 7
 
@@ -60,6 +62,18 @@ def test_constraint_rejections():
             catalog.instantiate("ThreeEv", "q", bad_eta)
     with pytest.raises(ConstraintViolation):
         catalog.instantiate("FiveThree", "q")  # concrete field needs an eta
+
+
+def test_rejections_come_before_any_table_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(algfile, "AlgebraDef", build)
+    for args in (("FourEv", "q", "-1"), ("SevenX", "gf:7"), ("ThreeEv", "q", "1/2")):
+        with pytest.raises(ConstraintViolation):
+            catalog.instantiate(*args)
+    with pytest.raises(AssertionError, match="table was built"):
+        catalog.instantiate("ThreeEv", "q", "7/11")
 
 
 def test_seven_x_allows_half_residue():
@@ -119,3 +133,53 @@ def test_check_claims_all_pass():
     assert "quotient_FiveThree_is_FourEvX" in names
     assert "ideal_p1_Seven" in names
     assert "quotient_BarFourTwo_two_dim" in names
+
+
+def test_cached_reports_are_frozen():
+    first = catalog.verify_entry("Seven")
+    snapshot = json.dumps(first.canonical(), sort_keys=True)
+    mutations = (
+        lambda r: r.checks.append(catalog.CheckResult("extra", "fail")),
+        lambda r: r.scalars.__setitem__("mu", "0"),
+        lambda r: r.relation.__setitem__("adim", 0),
+        lambda r: r.relation["coefficients"].append("1"),
+        lambda r: r.dimensions["parts"].append(1),
+        lambda r: setattr(r, "entry", "Eight"),
+    )
+    for mutate in mutations:
+        with pytest.raises((AttributeError, TypeError)):
+            mutate(first)
+    canonical = first.canonical()
+    canonical["checks"].clear()
+    canonical["relation"]["coefficients"].append("1")
+    canonical["dimensions"]["parts"].append(1)
+    assert json.dumps(catalog.verify_entry("Seven").canonical(), sort_keys=True) == snapshot
+
+
+# (entry, field, eta): the default fields, plus the other instantiations the
+# golden corpus and the claims use
+_INSTANTIATIONS = [(entry.name, None, None) for entry in catalog.list_entries()] + [
+    ("SixThree", "q", "3"),
+    ("Seven", "gf:7", None),
+    ("ThreeEv", "q", "2"),
+]
+
+
+@pytest.mark.parametrize("name, field, eta", _INSTANTIATIONS, ids=lambda v: str(v))
+def test_loader_binds_eta_as_specialization_does(name, field, eta):
+    # each literal of the symbolic document, evaluated by the loader with eta
+    # bound, is the Q(eta) value specialized at eta
+    entry = catalog.get_entry(name)
+    alg, dd = catalog.instantiate(name, field, eta)
+    qeta = FieldDescriptor.rational_functions("eta")
+    expected = {}
+    for item in entry.document["products"]:
+        key = tuple(sorted((alg.label_index(item["left"]), alg.label_index(item["right"]))))
+        for label, literal in item["value"].items():
+            value = specialize(parse_scalar(literal, qeta), alg.field, dd.eta)
+            expected[key + (alg.label_index(label),)] = value
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            product = alg.product_of_basis(i, j)
+            for k in range(alg.dim):
+                assert product[k] == expected.get((i, j, k), alg.field.zero()), (i, j, k)

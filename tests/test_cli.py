@@ -223,3 +223,72 @@ def test_nested_power_in_a_product_literal_exits_two(tmp_path, capsys, entry, li
     code, out, err = _verify_document(capsys, tmp_path, doc)
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == "" and "would pass" in err
+
+
+@pytest.mark.parametrize("constraints", [
+    {"exclude_eta": ["0", "-1/3"]},
+    {"nonzero": ["1", "3*eta+1"]},
+    {"characteristic": 5},
+], ids=lambda c: next(iter(c)))
+def test_a_file_is_held_to_its_own_constraints(tmp_path, capsys, constraints):
+    # ThreeEvX sits at eta = -1/3, where 3*eta+1 vanishes
+    doc = _emitted(capsys, "ThreeEvX")
+    doc["constraints"] = constraints
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# structural mistakes that once ended in a traceback
+MALFORMED = [
+    (("dihedral", "window"), "ab"),
+    (("dihedral", "window"), [0, -1]),
+    (("dihedral", "axes"), 5),
+    (("products", 0, "left"), ["am1"]),
+    (("products",), 5),
+    (("dihedral",), 5),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=lambda v: json.dumps(v))
+def test_malformed_structure_exits_two(tmp_path, capsys, path, value):
+    doc = _emitted(capsys, "ThreeEvX")
+    _set(doc, path, value)
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_sources_exit_two(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff{"field": 1}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for source in (tmp_path, binary, deep):
+        code, out, err = run(capsys, "verify", str(source))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
+    # at the other root of eta^2 + 2*eta - 1, "eta" in the file is that root,
+    # so the emitted field names its generator t
+    source = ("SixThree", "--eta=-eta-2")
+    code, out, _ = run(capsys, "catalog", "emit", *source)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["field"]["variable"] == "t" and doc["dihedral"]["eta"] == "-t - 2"
+    path = tmp_path / "conjugate.json"
+    path.write_text(out, encoding="utf-8")
+    file_code, file_out, _ = run(capsys, "verify", str(path), "--json")
+    direct_code, direct_out, _ = run(capsys, "verify", *source, "--json")
+    assert file_code == direct_code == 1
+    rows = [(c["name"], c["status"]) for c in json.loads(file_out)["canonical"]["checks"]]
+    direct = json.loads(direct_out)["canonical"]["checks"]
+    assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]

@@ -1,12 +1,15 @@
 """The CLI contract under generated input: every run of ``cli.main`` exits
 0, 1 or 2 and never ends in a traceback.
 
-Three kinds of input are generated: ``--field`` specs, ``--eta`` literals,
-and ``catalog emit ThreeEvX`` files with a mutated field block or a mutated
-product literal.  The examples are derandomized, so the suite stays
-deterministic; the explicit examples are inputs that once crashed.
+Four kinds of input are generated: ``--field`` specs, ``--eta`` literals,
+``catalog emit ThreeEvX`` files with a mutated field block, product literal
+or any other part of the document, and ``catalog emit ThreeEv`` files (over
+Q(eta)) with a mutated product literal.  The examples are derandomized, so
+the suite stays deterministic; the explicit examples are inputs that once
+crashed.
 """
 
+import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,12 +34,27 @@ def _run(*argv):
     return code
 
 
-@pytest.fixture(scope="module")
-def emitted():
+def _emit(entry):
     out = io.StringIO()
     with redirect_stdout(out):
-        assert cli.main(["catalog", "emit", "ThreeEvX"]) == 0
+        assert cli.main(["catalog", "emit", entry]) == 0
     return json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    return _emit("ThreeEvX")
+
+
+@pytest.fixture(scope="module")
+def emitted_symbolic():
+    return _emit("ThreeEv")
+
+
+def _verify_file(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return _run("verify", str(path))
 
 
 numbers = st.one_of(
@@ -81,6 +99,7 @@ def test_field_specs(spec):
 @CONTRACT
 @given(eta=literals)
 @example(eta="(((2^64)^64)^64)^64")
+@example(eta="((518)^43)^37")
 def test_eta_literals(eta):
     _run("verify", "ThreeEv", "--field", "q", "--eta", eta)
 
@@ -106,3 +125,50 @@ def test_mutated_product_literal(tmp_path_factory, emitted, index, literal):
     path = tmp_path_factory.mktemp("literal") / "algebra.json"
     path.write_text(json.dumps(dict(emitted, products=products)), encoding="utf-8")
     _run("verify", str(path))
+
+
+# every place in a ThreeEvX document; a mutation replaces the value there
+PATHS = (
+    ("basis",), ("basis", 0), ("products",), ("products", 0), ("products", 0, "left"),
+    ("products", 0, "value"), ("products", 0, "value", "am1"), ("dihedral",),
+    ("dihedral", "window"), ("dihedral", "window", 0), ("dihedral", "axes"),
+    ("dihedral", "axes", 0), ("dihedral", "shift_images"), ("dihedral", "shift_images", "a0"),
+    ("dihedral", "eta"), ("constraints",), ("constraints", "characteristic"),
+    ("constraints", "exclude_eta"), ("constraints", "nonzero"),
+)
+labels = st.sampled_from(["am1", "a0", "a1", "x", "eta", ""])
+structures = st.one_of(
+    json_values,
+    literals,
+    st.lists(st.one_of(labels, st.integers(-3, 3)), max_size=4),
+    st.dictionaries(labels, st.one_of(literals, json_values), max_size=3),
+)
+
+
+@CONTRACT
+@given(path=st.sampled_from(PATHS), value=structures)
+@example(path=("dihedral", "window"), value="ab")
+@example(path=("dihedral", "axes"), value=5)
+@example(path=("products", 0, "left"), value=["am1"])
+@example(path=("products",), value=5)
+@example(path=("dihedral",), value=5)
+@example(path=("constraints", "exclude_eta"), value=["-1/3"])
+@example(path=("constraints", "nonzero"), value=["3*eta+1"])
+def test_mutated_structure(tmp_path_factory, emitted, path, value):
+    doc = copy.deepcopy(emitted)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    _verify_file(tmp_path_factory, doc)
+
+
+@CONTRACT
+@given(index=st.integers(0, 9), literal=literals)
+@example(index=0, literal="((eta+1)^64)^64")
+@example(index=5, literal="(2^40*eta+1)^48/(eta^2+5)^24")
+def test_mutated_symbolic_product_literal(tmp_path_factory, emitted_symbolic, index, literal):
+    products = [dict(p, value=dict(p["value"])) for p in emitted_symbolic["products"]]
+    value = products[index % len(products)]["value"]
+    value[next(iter(value))] = literal
+    _verify_file(tmp_path_factory, dict(emitted_symbolic, products=products))

@@ -224,3 +224,50 @@ def test_number_field_modulus_size_is_bounded():
     with pytest.raises(InvalidDescriptor, match="root-search limit"):
         FieldDescriptor.number_field((10**30 + 1, 0, 1))
     assert FieldDescriptor.number_field((999999999989, 0, 1)).minpoly[0] == 999999999989
+
+
+def _random_poly(rng, degree):
+    coeffs = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(degree)]
+    return fields._ptrim(tuple(coeffs) + (Fraction(rng.choice([-7, -1, 1, 2, 9]), rng.randint(1, 5)),))
+
+
+def test_polynomial_gcd_matches_sympy():
+    # random pairs with a random common factor, some of them with a repeated one
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(poly):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)], x, domain=sympy.QQ)
+
+    rng = random.Random(20260)
+    for _ in range(150):
+        common = _random_poly(rng, rng.randint(0, 4))
+        a = fields._pmul(common, _random_poly(rng, rng.randint(0, 6)))
+        b = fields._pmul(common, _random_poly(rng, rng.randint(0, 6)))
+        if rng.random() < 0.25:
+            b = fields._pmul(b, common)
+        expected = to_sympy(a).gcd(to_sympy(b)).monic()
+        got = fields._pgcd(a, b)
+        assert to_sympy(got) == expected, (a, b)
+        assert fields._pgcd(a, ()) == fields._pmonic(a)
+
+
+def test_rational_functions_with_large_coefficients_reduce_quickly(QETA):
+    # Euclid over Fraction coefficients took about 12 s on the first one
+    for text, common in (
+        ("(2^40*eta+1)^48/(eta^2+5)^24", 0),
+        ("(2^40*eta+3)^32/((2^40*eta+3)^16*(eta+1))", 16),
+    ):
+        start = time.monotonic()
+        x = parse_scalar(text, QETA)
+        assert time.monotonic() - start < 1.0, text
+        num, den = x.payload
+        assert (len(num) - 1, len(den) - 1) == ((48, 48) if common == 0 else (16, 1))
+
+
+def test_numbers_too_long_for_a_literal_are_not_rendered(Q):
+    # (518^43)^37 passes the power limits but has more digits than int() parses
+    x = parse_scalar("((518)^43)^37", Q)
+    with pytest.raises(ScalarSyntaxError, match="too long to write"):
+        render(x)
+    assert render(parse_scalar("((518)^42)^37", Q)) == str(518**1554)
