@@ -36,7 +36,7 @@ class AlgebraDef:
                 raise DimensionMismatch(f"duplicate structure-constant key {key}")
             if len(vec) != dim:
                 raise DimensionMismatch("structure-constant vector has wrong length")
-            if vec.field != field:
+            if vec.field is not field:
                 raise DescriptorMismatch("structure constants over the wrong field")
             if not vec.is_zero():
                 norm[key] = vec
@@ -57,19 +57,10 @@ class AlgebraDef:
     def zero_vector(self) -> Vector:
         return Vector.zero(self.field, self.dim)
 
-    def vector(self, coeffs_by_label) -> Vector:
-        entries = [self.field.zero()] * self.dim
-        for label, c in coeffs_by_label.items():
-            entries[self.label_index(label)] = c
-        return Vector(self.field, entries)
-
     def product_of_basis(self, i, j) -> Vector:
         key = (i, j) if i <= j else (j, i)
         vec = self.table.get(key)
         return vec if vec is not None else self.zero_vector()
-
-    def full_space(self) -> Subspace:
-        return Subspace.full_space(self.field, self.dim)
 
     def __repr__(self):
         return f"AlgebraDef({', '.join(self.labels)})"

@@ -36,7 +36,6 @@ from .errors import (
     DataInconsistency,
     DivisionByZero,
     ScalarSyntaxError,
-    UnknownSymbol,
 )
 from .fields import (
     ExpressionEnv,
@@ -50,25 +49,17 @@ from .linalg import Vector
 
 
 class _LiteralEnv(ExpressionEnv):
-    """Expression hooks where names are basis labels, then ``eta`` (the
-    document's eta, where there is one), then the field variable."""
+    """Expression hooks for vector literals: a name is a basis label before it
+    is a scalar's name, and labels combine only linearly."""
 
-    def __init__(self, field: FieldDescriptor, labels=(), eta: FieldElement | None = None):
-        self.field = field
-        self.labels = labels
-        self.eta = eta
-
-    def from_int(self, n):
-        return self.field.from_int(n)
+    def __init__(self, alg: AlgebraDef, eta: FieldElement | None = None):
+        super().__init__(alg.field, eta)
+        self.labels = alg.labels
 
     def atom(self, name):
         if name in self.labels:
             return Vector.unit(self.field, len(self.labels), self.labels.index(name))
-        if self.eta is not None and name == "eta":
-            return self.eta
-        if name == self.field.variable:
-            return self.field.generator()
-        raise UnknownSymbol(f"unknown label or variable {name!r}")
+        return super().atom(name)
 
     def add(self, a, b):
         if isinstance(a, Vector) != isinstance(b, Vector):
@@ -102,14 +93,9 @@ class _LiteralEnv(ExpressionEnv):
         return a ** n
 
 
-def parse_literal(text: str, field: FieldDescriptor, eta: FieldElement | None = None) -> FieldElement:
-    """Evaluate a document's scalar literal over the field, ``eta`` bound to eta."""
-    return parse_expression(text, _LiteralEnv(field, (), eta))
-
-
 def parse_vector(text: str, alg: AlgebraDef, eta: FieldElement | None = None) -> Vector:
     """Evaluate a vector literal in the algebra's ambient space."""
-    value = parse_expression(text, _LiteralEnv(alg.field, alg.labels, eta))
+    value = parse_expression(text, _LiteralEnv(alg, eta))
     if not isinstance(value, Vector):
         raise ScalarSyntaxError(f"expression {text!r} does not denote a vector")
     return value
@@ -151,14 +137,14 @@ def field_from_dict(block) -> FieldDescriptor:
 
 
 def field_to_dict(field: FieldDescriptor) -> dict:
-    if field.kind == FieldDescriptor.RATIONALS:
-        return {"kind": "rationals"}
-    if field.kind == FieldDescriptor.PRIME:
-        return {"kind": "prime", "p": field.p}
-    if field.kind == FieldDescriptor.NUMBER_FIELD:
-        coeffs = [render(FieldDescriptor.rationals().from_fraction(c)) for c in field.minpoly]
-        return {"kind": "number_field", "minpoly": coeffs, "variable": field.variable}
-    return {"kind": "rational_functions", "variable": field.variable}
+    block = {"kind": field.kind}
+    if field.p is not None:
+        block["p"] = field.p
+    if field.minpoly is not None:
+        block["minpoly"] = [render(FieldDescriptor.rationals().from_fraction(c)) for c in field.minpoly]
+    if field.variable is not None:
+        block["variable"] = field.variable
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +251,13 @@ def load_document(doc, window=None, subject="file"):
     if eta is not None:
         for literal in constraints.get("exclude_eta", ()):
             try:
-                excluded = parse_literal(literal, field, eta)
+                excluded = parse_scalar(literal, field, eta)
             except DivisionByZero:  # the excluded value does not exist in this field
                 continue
             if eta == excluded:
                 raise ConstraintViolation(f"eta = {literal} is excluded for {subject}")
     for literal in constraints.get("nonzero", ()):
-        if parse_literal(literal, field, eta).is_zero():
+        if parse_scalar(literal, field, eta).is_zero():
             raise ConstraintViolation(f"constraint {literal} != 0 fails for {subject}")
 
     index = {label: i for i, label in enumerate(doc["basis"])}
@@ -279,7 +265,7 @@ def load_document(doc, window=None, subject="file"):
     for item in doc["products"]:
         entries = [field.zero()] * len(index)
         for label, literal in item["value"].items():
-            entries[index[label]] = parse_literal(literal, field, eta)
+            entries[index[label]] = parse_scalar(literal, field, eta)
         table[index[item["left"]], index[item["right"]]] = Vector(field, entries)
     alg = AlgebraDef(field, doc["basis"], table)
     dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta, window)
@@ -356,7 +342,7 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
     """
     field = alg.field
     if dd is not None and field.variable == "eta" and dd.eta != field.generator():
-        field = FieldDescriptor(field.kind, minpoly=field.minpoly, variable="t")
+        field = field_from_dict(dict(field_to_dict(field), variable="t"))
 
     def literal(c):
         return render(FieldElement(field, c.payload))

@@ -56,7 +56,7 @@ class FusionTable:
     __slots__ = ("xi", "eta", "field")
 
     def __init__(self, xi, eta):
-        if xi.field != eta.field:
+        if xi.field is not eta.field:
             raise DimensionMismatch("xi and eta over different fields")
         for value, name in ((xi, "xi"), (eta, "eta")):
             if value.is_zero() or value.is_one():

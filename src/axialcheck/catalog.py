@@ -451,7 +451,7 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
             raise ConstraintViolation(f"{entry.name} needs an explicit eta over {field!r}")
     elif isinstance(eta, str):
         eta = parse_scalar(eta, field)
-    if eta.field != field:
+    if eta.field is not field:
         raise ConstraintViolation("eta does not lie in the requested field")
 
     key = (entry.name, field, render(eta), window, enforce)
@@ -461,7 +461,7 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
 
     if enforce and entry.fixed_eta is not None and eta != parse_scalar(entry.fixed_eta, field):
         raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
-    if entry.requires_eta_minpoly is not None and field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
+    if entry.requires_eta_minpoly is not None and field is FieldDescriptor.rational_functions(field.variable):
         raise ConstraintViolation(
             f"{entry.name} needs eta bound by its minimal polynomial; "
             "a symbolic eta is not admissible"
@@ -563,7 +563,7 @@ def _relation_pass(report, alg, dd, documented):
     if documented is None:
         return
     expected = tuple(
-        algfile.parse_literal(lit, alg.field, dd.eta) for lit in documented.expected_relation
+        parse_scalar(lit, alg.field, dd.eta) for lit in documented.expected_relation
     )
     ok = (
         witness.adim == documented.expected_adim

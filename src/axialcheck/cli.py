@@ -57,13 +57,16 @@ def _emit_report(canonical, duration, as_json, out=None):
 
 
 def _resolve_checks(text):
-    if not text or text == "all":
+    """The named checks, each once, in ALL_CHECKS order."""
+    if text == "all":
         return catalog.ALL_CHECKS
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    names = [part.strip() for part in text.split(",") if part.strip()]
     for name in names:
         if name not in catalog.ALL_CHECKS:
             raise AxialError(f"unknown check {name!r}")
-    return names
+    if not names:
+        raise AxialError(f"--check {text!r} names no check")
+    return tuple(check for check in catalog.ALL_CHECKS if check in names)
 
 
 def _catalog_entry(source):
@@ -203,7 +206,7 @@ def cmd_isom(args) -> int:
     try:
         _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
         _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta)
-        if alg_a.field != alg_b.field:
+        if alg_a.field is not alg_b.field:
             raise AxialError(
                 f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"
             )
@@ -256,10 +259,17 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def _positive_int(text):
+# --window N materializes 2N + 2 axes; the default, the algebra's dimension
+# plus 2, is at most 10 for every catalog entry
+MAX_WINDOW = 1000
+
+
+def _window(text):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    if not 1 <= value <= MAX_WINDOW:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer of at most {MAX_WINDOW}, not {value}"
+        )
     return value
 
 
@@ -277,7 +287,7 @@ def build_parser():
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--check", default="all",
                           help="comma list of fusion,dihedral,relations,identities (default all)")
-    p_verify.add_argument("--window", type=_positive_int, default=None)
+    p_verify.add_argument("--window", type=_window, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")

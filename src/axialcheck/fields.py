@@ -1,6 +1,6 @@
 """Exact scalar arithmetic for the four coefficient fields of the verifier.
 
-Supported field kinds:
+Supported field kinds, one FieldDescriptor subclass each:
 
 * ``rationals``            -- arbitrary-precision fractions,
 * ``prime``                -- GF(p) for an odd prime p,
@@ -9,12 +9,14 @@ Supported field kinds:
 
 Every element is kept in a unique canonical form so that equality of values
 is equality of payloads.  Payloads are immutable; all operations are pure.
+Fields are interned: equal fields are one object and compare by identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -212,7 +214,7 @@ def _peval(a, point, target):
 
 
 # ---------------------------------------------------------------------------
-# field descriptors
+# validation of field parameters
 # ---------------------------------------------------------------------------
 
 
@@ -265,365 +267,13 @@ def _has_rational_root(poly):
 
 
 def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
-class FieldDescriptor:
-    """Identifies one of the four exact fields; hashable and immutable."""
-
-    RATIONALS = "rationals"
-    PRIME = "prime"
-    NUMBER_FIELD = "number_field"
-    RATIONAL_FUNCTIONS = "rational_functions"
-
-    __slots__ = ("kind", "p", "minpoly", "variable")
-
-    def __init__(self, kind, p=None, minpoly=None, variable=None):
-        if kind == self.PRIME:
-            if p is not None and p >= MAX_CHARACTERISTIC:
-                raise InvalidDescriptor(f"{p} is not below the limit {MAX_CHARACTERISTIC}")
-            if p is None or not _is_prime(p):
-                raise InvalidDescriptor(f"{p} is not prime")
-            if p == 2:
-                raise InvalidDescriptor("characteristic 2 is not supported")
-        elif kind == self.NUMBER_FIELD:
-            minpoly = _ptrim(tuple(Fraction(c) for c in minpoly))
-            deg = len(minpoly) - 1
-            if deg < 2:
-                raise InvalidDescriptor("modulus must have degree >= 2")
-            if deg > 3:
-                raise InvalidDescriptor("moduli of degree > 3 are not supported")
-            if minpoly[-1] != 1:
-                raise InvalidDescriptor("modulus must be monic")
-            if _has_rational_root(minpoly):
-                raise InvalidDescriptor("modulus is reducible over Q")
-            variable = variable or "eta"
-        elif kind == self.RATIONAL_FUNCTIONS:
-            variable = variable or "eta"
-        elif kind != self.RATIONALS:
-            raise InvalidDescriptor(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "variable", variable)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldDescriptor is immutable")
-
-    # constructors ---------------------------------------------------------
-
-    @classmethod
-    def rationals(cls):
-        return cls(cls.RATIONALS)
-
-    @classmethod
-    def prime(cls, p):
-        return cls(cls.PRIME, p=p)
-
-    @classmethod
-    def number_field(cls, minpoly, variable="eta"):
-        return cls(cls.NUMBER_FIELD, minpoly=tuple(minpoly), variable=variable)
-
-    @classmethod
-    def rational_functions(cls, variable="eta"):
-        return cls(cls.RATIONAL_FUNCTIONS, variable=variable)
-
-    # basics ---------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldDescriptor)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.minpoly == other.minpoly
-            and self.variable == other.variable
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.minpoly, self.variable))
-
-    def __repr__(self):
-        if self.kind == self.RATIONALS:
-            return "Q"
-        if self.kind == self.PRIME:
-            return f"GF({self.p})"
-        if self.kind == self.NUMBER_FIELD:
-            poly = _render_poly(self.minpoly, self.variable)
-            return f"Q[{self.variable}]/({poly})"
-        return f"Q({self.variable})"
-
-    def characteristic(self):
-        return self.p if self.kind == self.PRIME else 0
-
-    # element construction -------------------------------------------------
-
-    def canonical(self, payload):
-        """Re-canonicalize a raw payload of this field's shape."""
-        if self.kind == self.RATIONALS:
-            return Fraction(payload)
-        if self.kind == self.PRIME:
-            return int(payload) % self.p
-        if self.kind == self.NUMBER_FIELD:
-            poly = _ptrim(tuple(Fraction(c) for c in payload))
-            return _pdivmod(poly, self.minpoly)[1]
-        num, den = payload
-        num = _ptrim(tuple(Fraction(c) for c in num))
-        den = _ptrim(tuple(Fraction(c) for c in den))
-        if not den:
-            raise DivisionByZero("zero denominator")
-        if not num:
-            return (_PZERO, _PONE)
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        return (num, den)
-
-    def element(self, payload):
-        return FieldElement(self, self.canonical(payload))
-
-    def zero(self):
-        if self.kind == self.RATIONALS:
-            return FieldElement(self, Fraction(0))
-        if self.kind == self.PRIME:
-            return FieldElement(self, 0)
-        if self.kind == self.NUMBER_FIELD:
-            return FieldElement(self, _PZERO)
-        return FieldElement(self, (_PZERO, _PONE))
-
-    def one(self):
-        return self.from_fraction(Fraction(1))
-
-    def from_int(self, n):
-        return self.from_fraction(Fraction(n))
-
-    def from_fraction(self, fr):
-        fr = Fraction(fr)
-        if self.kind == self.RATIONALS:
-            return FieldElement(self, fr)
-        if self.kind == self.PRIME:
-            if fr.denominator % self.p == 0:
-                raise DenominatorVanishes(
-                    f"{fr} has no image in GF({self.p})"
-                )
-            value = fr.numerator * pow(fr.denominator, -1, self.p) % self.p
-            return FieldElement(self, value)
-        if self.kind == self.NUMBER_FIELD:
-            return FieldElement(self, _pconst(fr))
-        return FieldElement(self, (_pconst(fr), _PONE))
-
-    def generator(self):
-        """The element represented by the field's variable."""
-        if self.kind == self.NUMBER_FIELD:
-            return FieldElement(self, self.canonical((Fraction(0), Fraction(1))))
-        if self.kind == self.RATIONAL_FUNCTIONS:
-            return FieldElement(self, ((Fraction(0), Fraction(1)), _PONE))
-        raise UnknownSymbol(f"field {self!r} has no variable")
-
-
-class FieldElement:
-    """A scalar in canonical form; supports +, -, *, /, ** and exact equality."""
-
-    __slots__ = ("field", "payload")
-
-    def __init__(self, field, payload):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
-
-    # predicates -----------------------------------------------------------
-
-    def is_zero(self):
-        k = self.field.kind
-        if k == FieldDescriptor.RATIONALS:
-            return self.payload == 0
-        if k == FieldDescriptor.PRIME:
-            return self.payload == 0
-        if k == FieldDescriptor.NUMBER_FIELD:
-            return not self.payload
-        return not self.payload[0]
-
-    def is_one(self):
-        k = self.field.kind
-        if k == FieldDescriptor.RATIONALS:
-            return self.payload == 1
-        if k == FieldDescriptor.PRIME:
-            return self.payload == 1
-        if k == FieldDescriptor.NUMBER_FIELD:
-            return self.payload == _PONE
-        return self.payload == (_PONE, _PONE)
-
-    # helpers --------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise DescriptorMismatch(
-                    f"cannot mix {self.field!r} and {other.field!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(Fraction(other))
-        return NotImplemented
-
-    # arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.field
-        k = f.kind
-        if k == FieldDescriptor.RATIONALS:
-            return FieldElement(f, self.payload + other.payload)
-        if k == FieldDescriptor.PRIME:
-            return FieldElement(f, (self.payload + other.payload) % f.p)
-        if k == FieldDescriptor.NUMBER_FIELD:
-            return FieldElement(f, _padd(self.payload, other.payload))
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        if d1 == _PONE and d2 == _PONE:
-            return FieldElement(f, (_padd(n1, n2), _PONE))
-        num = _padd(_pmul(n1, d2), _pmul(n2, d1))
-        return FieldElement(f, f.canonical((num, _pmul(d1, d2))))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        f = self.field
-        k = f.kind
-        if k == FieldDescriptor.RATIONALS:
-            return FieldElement(f, -self.payload)
-        if k == FieldDescriptor.PRIME:
-            return FieldElement(f, (-self.payload) % f.p)
-        if k == FieldDescriptor.NUMBER_FIELD:
-            return FieldElement(f, _pneg(self.payload))
-        num, den = self.payload
-        return FieldElement(f, (_pneg(num), den))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.field
-        k = f.kind
-        if k == FieldDescriptor.RATIONALS:
-            return FieldElement(f, self.payload * other.payload)
-        if k == FieldDescriptor.PRIME:
-            return FieldElement(f, (self.payload * other.payload) % f.p)
-        if k == FieldDescriptor.NUMBER_FIELD:
-            prod = _pmul(self.payload, other.payload)
-            if len(prod) >= len(f.minpoly):
-                prod = _pdivmod(prod, f.minpoly)[1]
-            return FieldElement(f, prod)
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        if not n1 or not n2:
-            return f.zero()
-        if d1 == _PONE and d2 == _PONE:
-            return FieldElement(f, (_pmul(n1, n2), _PONE))
-        return FieldElement(f, f.canonical((_pmul(n1, n2), _pmul(d1, d2))))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        f = self.field
-        k = f.kind
-        if k == FieldDescriptor.RATIONALS:
-            return FieldElement(f, 1 / self.payload)
-        if k == FieldDescriptor.PRIME:
-            return FieldElement(f, pow(self.payload, -1, f.p))
-        if k == FieldDescriptor.NUMBER_FIELD:
-            g, s, _ = _pxgcd(self.payload, f.minpoly)
-            if len(g) != 1:
-                raise InvalidDescriptor("modulus is not irreducible")
-            return FieldElement(f, _pdivmod(s, f.minpoly)[1])
-        num, den = self.payload
-        return FieldElement(f, f.canonical((den, num)))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ScalarSyntaxError("exponent must be a nonnegative integer")
-        # the polynomials whose sizes bound the result's: GF(p) elements do
-        # not grow, and number-field elements keep a degree below the modulus
-        f = self.field
-        polys = {f.RATIONALS: ((self.payload,),), f.PRIME: (),
-                 f.NUMBER_FIELD: (self.payload, f.minpoly)}.get(f.kind, self.payload)
-        degree = max(len(p) - 1 for p in polys) if f.kind == f.RATIONAL_FUNCTIONS else 0
-        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                    for p in polys for c in p), default=0)
-        if degree * n > MAX_POWER_DEGREE or (bits + degree) * n > MAX_POWER_BITS:
-            raise ScalarSyntaxError(
-                f"power ^{n} would pass {MAX_POWER_DEGREE} degrees or {MAX_POWER_BITS} bits"
-            )
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # equality -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self.field.from_fraction(Fraction(other))
-            except DenominatorVanishes:
-                return False
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.field, self.payload))
-
-    def __repr__(self):
-        return f"<{render(self)} in {self.field!r}>"
+def _bits(*polys):
+    """The largest numerator plus denominator bit length among the coefficients."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length() for p in polys for c in p), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +314,384 @@ def _render_poly(poly, variable):
 
 def render(x: FieldElement) -> str:
     """Canonical literal for x, parseable back by parse_scalar."""
-    f = x.field
-    if f.kind == FieldDescriptor.RATIONALS:
-        return _render_fraction(x.payload)
-    if f.kind == FieldDescriptor.PRIME:
-        return str(x.payload)
-    if f.kind == FieldDescriptor.NUMBER_FIELD:
-        return _render_poly(x.payload, f.variable)
-    num, den = x.payload
-    if den == _PONE:
-        return _render_poly(num, f.variable)
-    return f"({_render_poly(num, f.variable)})/({_render_poly(den, f.variable)})"
+    return x.field.render(x.payload)
+
+
+# ---------------------------------------------------------------------------
+# field descriptors: one subclass per kind owns the arithmetic on payloads
+# ---------------------------------------------------------------------------
+
+_FIELDS: dict = {}  # (class, p, minpoly, variable) -> the one such field
+
+
+class FieldDescriptor:
+    """Identifies one of the four exact fields and does the arithmetic on its
+    elements' payloads.  Each kind is a subclass, so a field's arithmetic is
+    chosen when the field is made.  Fields are made by the constructors
+    below, which validate and then intern: equal fields are one object."""
+
+    # each kind's tag in the field block of an algebra file
+    RATIONALS, PRIME, NUMBER_FIELD, RATIONAL_FUNCTIONS = (
+        "rationals", "prime", "number_field", "rational_functions")
+
+    __slots__ = ("p", "minpoly", "variable")
+
+    def __new__(cls, p=None, minpoly=None, variable=None):
+        """The one field of this kind with these (already validated) parameters."""
+        key = (cls, p, minpoly, variable)
+        if key not in _FIELDS:
+            field = _FIELDS[key] = object.__new__(cls)
+            for name, value in zip(FieldDescriptor.__slots__, key[1:]):
+                object.__setattr__(field, name, value)
+        return _FIELDS[key]
+
+    def __setattr__(self, *_):
+        raise AttributeError("FieldDescriptor is immutable")
+
+    # constructors ---------------------------------------------------------
+
+    @classmethod
+    def rationals(cls):
+        return _Rationals()
+
+    @classmethod
+    def prime(cls, p):
+        if p is not None and p >= MAX_CHARACTERISTIC:
+            raise InvalidDescriptor(f"{p} is not below the limit {MAX_CHARACTERISTIC}")
+        if p is None or not _is_prime(p):
+            raise InvalidDescriptor(f"{p} is not prime")
+        if p == 2:
+            raise InvalidDescriptor("characteristic 2 is not supported")
+        return _PrimeField(p)
+
+    @classmethod
+    def number_field(cls, minpoly, variable="eta"):
+        minpoly = _ptrim(tuple(Fraction(c) for c in minpoly))
+        deg = len(minpoly) - 1
+        if deg < 2:
+            raise InvalidDescriptor("modulus must have degree >= 2")
+        if deg > 3:
+            raise InvalidDescriptor("moduli of degree > 3 are not supported")
+        if minpoly[-1] != 1:
+            raise InvalidDescriptor("modulus must be monic")
+        if _has_rational_root(minpoly):
+            raise InvalidDescriptor("modulus is reducible over Q")
+        return _NumberField(minpoly=minpoly, variable=variable or "eta")
+
+    @classmethod
+    def rational_functions(cls, variable="eta"):
+        return _RationalFunctions(variable=variable or "eta")
+
+    # basics ---------------------------------------------------------------
+
+    def __eq__(self, other):
+        return self is other  # interned, so equal fields are identical
+
+    __hash__ = object.__hash__
+
+    def characteristic(self):
+        return self.p or 0
+
+    # elements -------------------------------------------------------------
+
+    def element(self, payload):
+        return FieldElement(self, self.canonical(payload))
+
+    def zero(self):
+        return FieldElement(self, self.ZERO)
+
+    def one(self):
+        return FieldElement(self, self.ONE)
+
+    def from_int(self, n):
+        return self.from_fraction(n)
+
+    def from_fraction(self, fr):
+        return FieldElement(self, self.embed(Fraction(fr)))
+
+    def generator(self):
+        """The element represented by the field's variable."""
+        raise UnknownSymbol(f"field {self!r} has no variable")
+
+    # Each kind defines ZERO and ONE (payloads); canonical(raw payload) and
+    # embed(Fraction); add, neg, mul and inv on canonical payloads; render;
+    # and size(payload) -> (degree, bits), which bounds the growth of powers.
+    is_zero = staticmethod(operator.not_)
+
+
+class _Rationals(FieldDescriptor):
+    __slots__ = ()
+    kind = FieldDescriptor.RATIONALS
+    ZERO, ONE = Fraction(0), Fraction(1)
+    canonical = embed = staticmethod(Fraction)
+    add, neg, mul = staticmethod(operator.add), staticmethod(operator.neg), staticmethod(operator.mul)
+    render = staticmethod(_render_fraction)
+
+    def inv(self, a):
+        return 1 / a
+
+    def size(self, a):
+        return 0, _bits((a,))
+
+    def __repr__(self):
+        return "Q"
+
+
+class _PrimeField(FieldDescriptor):
+    __slots__ = ()
+    kind = FieldDescriptor.PRIME
+    ZERO, ONE = 0, 1
+    render = staticmethod(str)
+
+    def canonical(self, a):
+        return int(a) % self.p
+
+    def embed(self, fr):
+        if fr.denominator % self.p == 0:
+            raise DenominatorVanishes(f"{fr} has no image in GF({self.p})")
+        return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def size(self, a):  # elements do not grow
+        return 0, 0
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+class _NumberField(FieldDescriptor):
+    __slots__ = ()
+    kind = FieldDescriptor.NUMBER_FIELD
+    ZERO, ONE = _PZERO, _PONE
+    embed = staticmethod(_pconst)
+    add, neg = staticmethod(_padd), staticmethod(_pneg)
+
+    def canonical(self, a):
+        return _pdivmod(_ptrim(tuple(Fraction(c) for c in a)), self.minpoly)[1]
+
+    def mul(self, a, b):
+        prod = _pmul(a, b)
+        return _pdivmod(prod, self.minpoly)[1] if len(prod) >= len(self.minpoly) else prod
+
+    def inv(self, a):
+        g, s, _ = _pxgcd(a, self.minpoly)
+        if len(g) != 1:
+            raise InvalidDescriptor("modulus is not irreducible")
+        return _pdivmod(s, self.minpoly)[1]
+
+    def generator(self):
+        return self.element((0, 1))
+
+    def render(self, a):
+        return _render_poly(a, self.variable)
+
+    def size(self, a):  # the degree stays below the modulus's
+        return 0, _bits(a, self.minpoly)
+
+    def __repr__(self):
+        return f"Q[{self.variable}]/({_render_poly(self.minpoly, self.variable)})"
+
+
+class _RationalFunctions(FieldDescriptor):
+    """Payloads are (numerator, denominator): coprime, the denominator monic."""
+
+    __slots__ = ()
+    kind = FieldDescriptor.RATIONAL_FUNCTIONS
+    ZERO, ONE = (_PZERO, _PONE), (_PONE, _PONE)
+
+    def canonical(self, payload):
+        num, den = (_ptrim(tuple(Fraction(c) for c in p)) for p in payload)
+        if not den:
+            raise DivisionByZero("zero denominator")
+        if not num:
+            return self.ZERO
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num = _pdivmod(num, g)[0]
+            den = _pdivmod(den, g)[0]
+        lead = den[-1]
+        if lead != 1:
+            num = tuple(c / lead for c in num)
+            den = tuple(c / lead for c in den)
+        return (num, den)
+
+    def embed(self, fr):
+        return _pconst(fr), _PONE
+
+    def is_zero(self, a):
+        return not a[0]
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if d1 == _PONE and d2 == _PONE:
+            return _padd(n1, n2), _PONE
+        return self.canonical((_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
+
+    def neg(self, a):
+        return _pneg(a[0]), a[1]
+
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not n1 or not n2:
+            return self.ZERO
+        if d1 == _PONE and d2 == _PONE:
+            return _pmul(n1, n2), _PONE
+        return self.canonical((_pmul(n1, n2), _pmul(d1, d2)))
+
+    def inv(self, a):
+        return self.canonical((a[1], a[0]))
+
+    def generator(self):
+        return FieldElement(self, ((Fraction(0), Fraction(1)), _PONE))
+
+    def render(self, a):
+        num, den = a
+        if den == _PONE:
+            return _render_poly(num, self.variable)
+        return f"({_render_poly(num, self.variable)})/({_render_poly(den, self.variable)})"
+
+    def size(self, a):
+        return max(map(len, a)) - 1, _bits(*a)
+
+    def __repr__(self):
+        return f"Q({self.variable})"
+
+
+class FieldElement:
+    """A scalar in canonical form; supports +, -, *, /, ** and exact equality.
+    Its field does the arithmetic on the payloads."""
+
+    __slots__ = ("field", "payload")
+
+    def __init__(self, field, payload):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "payload", payload)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FieldElement is immutable")
+
+    # predicates -----------------------------------------------------------
+
+    def is_zero(self):
+        return self.field.is_zero(self.payload)
+
+    def is_one(self):
+        return self.payload == self.field.ONE
+
+    # helpers --------------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, FieldElement):
+            if other.field is not self.field:
+                raise DescriptorMismatch(
+                    f"cannot mix {self.field!r} and {other.field!r}"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_fraction(other)
+        return NotImplemented
+
+    # arithmetic -----------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        f = self.field
+        return FieldElement(f, f.add(self.payload, other.payload))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        f = self.field
+        return FieldElement(f, f.neg(self.payload))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        f = self.field
+        return FieldElement(f, f.mul(self.payload, other.payload))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        f = self.field
+        return FieldElement(f, f.inv(self.payload))
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise DivisionByZero("division by zero")
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ScalarSyntaxError("exponent must be a nonnegative integer")
+        degree, bits = self.field.size(self.payload)
+        if degree * n > MAX_POWER_DEGREE or (bits + degree) * n > MAX_POWER_BITS:
+            raise ScalarSyntaxError(
+                f"power ^{n} would pass {MAX_POWER_DEGREE} degrees or {MAX_POWER_BITS} bits"
+            )
+        out = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # equality -------------------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            try:
+                other = self.field.from_fraction(other)
+            except DenominatorVanishes:
+                return False
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.field is other.field and self.payload == other.payload
+
+    def __hash__(self):
+        return hash((self.field, self.payload))
+
+    def __repr__(self):
+        return f"<{render(self)} in {self.field!r}>"
 
 
 # ---------------------------------------------------------------------------
@@ -701,74 +718,49 @@ class _Scanner:
         i = self.pos
         while i < n and text[i].isspace():
             i += 1
+        j = i + 1
         if i >= n:
-            self.token = ("end", None)
-            self.pos = i
-            return
-        ch = text[i]
-        if ch.isdigit():
-            j = i
+            self.token, j = ("end", None), i
+        elif text[i].isdigit():
             while j < n and text[j].isdigit():
                 j += 1
             try:
                 self.token = ("int", int(text[i:j]))
             except ValueError:  # more digits than int() converts
                 raise ScalarSyntaxError(f"integer literal at position {i} is too long") from None
-            self.pos = j
-            return
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif text[i].isalpha() or text[i] == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             self.token = ("name", text[i:j])
-            self.pos = j
-            return
-        if ch in "+-*/^()":
-            self.token = ("op", ch)
-            self.pos = i + 1
-            return
-        raise ScalarSyntaxError(f"unexpected character {ch!r} at position {i}")
+        elif text[i] in "+-*/^()":
+            self.token = ("op", text[i])
+        else:
+            raise ScalarSyntaxError(f"unexpected character {text[i]!r} at position {i}")
+        self.pos = j
 
 
 class ExpressionEnv:
-    """Value hooks for the expression parser; subclassed for vector literals."""
+    """Value hooks for the expression parser: integers and names denote
+    scalars of the field, where ``eta``, if given, names eta before the
+    field's variable does.  Subclassed for vector literals."""
 
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def atom(self, name):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def pow(self, a, n):
-        return a ** n
-
-
-class _ScalarEnv(ExpressionEnv):
-    def __init__(self, field):
+    def __init__(self, field, eta=None):
         self.field = field
+        self.eta = eta
 
     def from_int(self, n):
         return self.field.from_int(n)
 
     def atom(self, name):
+        if self.eta is not None and name == "eta":
+            return self.eta
         if name == self.field.variable:
             return self.field.generator()
         raise UnknownSymbol(f"unknown symbol {name!r} in {self.field!r}")
+
+    # operations on values; vector literals override them
+    add, sub, neg = staticmethod(operator.add), staticmethod(operator.sub), staticmethod(operator.neg)
+    mul, div, pow = staticmethod(operator.mul), staticmethod(operator.truediv), staticmethod(operator.pow)
 
 
 class _Parser:
@@ -785,20 +777,18 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while self.scanner.token == ("op", "+") or self.scanner.token == ("op", "-"):
-            op = self.scanner.token[1]
+        while self.scanner.token in (("op", "+"), ("op", "-")):
+            op = self.env.add if self.scanner.token[1] == "+" else self.env.sub
             self.scanner.advance()
-            rhs = self.term()
-            value = self.env.add(value, rhs) if op == "+" else self.env.sub(value, rhs)
+            value = op(value, self.term())
         return value
 
     def term(self):
         value = self.factor()
-        while self.scanner.token == ("op", "*") or self.scanner.token == ("op", "/"):
-            op = self.scanner.token[1]
+        while self.scanner.token in (("op", "*"), ("op", "/")):
+            op = self.env.mul if self.scanner.token[1] == "*" else self.env.div
             self.scanner.advance()
-            rhs = self.factor()
-            value = self.env.mul(value, rhs) if op == "*" else self.env.div(value, rhs)
+            value = op(value, self.factor())
         return value
 
     def factor(self):
@@ -845,9 +835,10 @@ def parse_expression(text, env):
         raise ScalarSyntaxError("expression is nested too deeply") from None
 
 
-def parse_scalar(text: str, field: FieldDescriptor) -> FieldElement:
-    """Parse a scalar literal into a canonical element of the field."""
-    return parse_expression(text, _ScalarEnv(field))
+def parse_scalar(text: str, field: FieldDescriptor, eta: FieldElement | None = None) -> FieldElement:
+    """Parse a scalar literal into a canonical element of the field; where
+    ``eta`` is given, the name eta denotes it rather than the field's variable."""
+    return parse_expression(text, ExpressionEnv(field, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +852,9 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
     A ring homomorphism wherever the denominator (and every coefficient's
     image) survives; raises DenominatorVanishes otherwise.
     """
-    if x.field.kind != FieldDescriptor.RATIONAL_FUNCTIONS:
+    if x.field is not FieldDescriptor.rational_functions(x.field.variable):
         raise DescriptorMismatch("specialize expects a rational-function element")
-    if value.field != target:
+    if value.field is not target:
         raise DescriptorMismatch("value does not lie in the target field")
     try:
         num_val, den_val = (_peval(p, value, target) for p in x.payload)

@@ -17,7 +17,7 @@ class Vector:
     def __init__(self, field, entries):
         entries = tuple(entries)
         for e in entries:
-            if e.field != field:
+            if e.field is not field:
                 raise DescriptorMismatch("vector entries in mixed fields")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", entries)
@@ -66,7 +66,7 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.field is other.field and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.field, self.entries))
@@ -74,7 +74,7 @@ class Vector:
     def _check(self, other):
         if not isinstance(other, Vector):
             raise DimensionMismatch("expected a Vector")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise DescriptorMismatch("vectors over different fields")
         if len(other.entries) != len(self.entries):
             raise DimensionMismatch(
@@ -97,7 +97,7 @@ class Matrix:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged matrix")
             for e in r:
-                if e.field != field:
+                if e.field is not field:
                     raise DescriptorMismatch("matrix entries in mixed fields")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
@@ -127,9 +127,6 @@ class Matrix:
 
     def column(self, j):
         return Vector(self.field, tuple(r[j] for r in self.rows))
-
-    def row(self, i):
-        return Vector(self.field, self.rows[i])
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
@@ -179,7 +176,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -257,11 +254,6 @@ class Subspace:
             echelon.add(v)
         return echelon.subspace()
 
-    @classmethod
-    def full_space(cls, field, ambient):
-        basis = tuple(Vector.unit(field, ambient, i) for i in range(ambient))
-        return cls(field, ambient, basis, tuple(range(ambient)))
-
     @property
     def dim(self):
         return len(self.basis)
@@ -269,7 +261,7 @@ class Subspace:
     def _check(self, other):
         if not isinstance(other, Subspace):
             raise AmbientMismatch("expected a Subspace")
-        if other.ambient != self.ambient or other.field != self.field:
+        if other.ambient != self.ambient or other.field is not self.field:
             raise AmbientMismatch("subspaces in different ambient spaces")
 
     def reduce(self, v: Vector) -> Vector:
@@ -308,7 +300,7 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (
-            self.field == other.field
+            self.field is other.field
             and self.ambient == other.ambient
             and self.basis == other.basis
         )
@@ -336,7 +328,7 @@ class EchelonBasis:
         new row.  Returns the remainder: zero exactly when v was in the span."""
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length differs from ambient dimension")
-        if v.field != self.field:
+        if v.field is not self.field:
             raise DescriptorMismatch("vectors over different fields")
         out = v.entries
         for pc, row in self.rows.items():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from axialcheck import cli
+from axialcheck import catalog, cli
 
 
 def run(capsys, *argv):
@@ -109,6 +109,37 @@ def test_window_must_be_positive(capsys):
     # the dihedral checks need no axis beyond the window
     code, out, _ = run(capsys, "verify", "Seven", "--window", "4")
     assert code == 0
+
+
+def test_window_is_bounded(capsys):
+    # parsed, not run: a window this large would materialize 2 * 10^9 axes
+    parser = cli.build_parser()
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "Seven", "--window", "1000000000"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert f"at most {cli.MAX_WINDOW}" in capsys.readouterr().err
+    assert parser.parse_args(["verify", "Seven", "--window", str(cli.MAX_WINDOW)]).window == cli.MAX_WINDOW
+
+
+def test_check_selection_names_a_check(capsys):
+    for selection in (",", " , ,", ""):
+        code, out, err = run(capsys, "verify", "Seven", "--check", selection)
+        assert code == 2 and out == ""
+        assert err == f"error: --check {selection!r} names no check\n"
+
+
+def test_check_selection_is_taken_in_report_order(capsys):
+    catalog.clear_caches()
+    outputs = set()
+    for selection in ("fusion,,fusion", "fusion", "relations, fusion", "fusion,relations,fusion"):
+        code, out, _ = run(capsys, "verify", "ThreeEv", "--check", selection, "--json")
+        assert code == 0
+        outputs.add(json.dumps(json.loads(out)["canonical"]))
+    assert sorted(key[-1] for key in catalog._verify_cache) == [
+        ("fusion",), ("fusion", "relations"),
+    ]
+    assert len(outputs) == 2
 
 
 def test_catalog_emit_unknown(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from axialcheck import fields
+from axialcheck import algfile, catalog, fields
 from axialcheck.errors import (
     DenominatorVanishes,
     DescriptorMismatch,
@@ -21,6 +21,7 @@ from axialcheck.fields import (
     render,
     specialize,
 )
+from axialcheck.linalg import Vector
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +272,70 @@ def test_numbers_too_long_for_a_literal_are_not_rendered(Q):
     with pytest.raises(ScalarSyntaxError, match="too long to write"):
         render(x)
     assert render(parse_scalar("((518)^42)^37", Q)) == str(518**1554)
+
+
+# ---------------------------------------------------------------------------
+# interning: equal fields are one object
+# ---------------------------------------------------------------------------
+
+# each kind: its constructor and its catalog field spec
+KINDS = {
+    "Q": (FieldDescriptor.rationals, "q"),
+    "GF5": (lambda: FieldDescriptor.prime(5), "gf:5"),
+    "NF": (lambda: FieldDescriptor.number_field((-1, 2, 1)), "nf:-1,2,1"),
+    "QETA": (lambda: FieldDescriptor.rational_functions("eta"), "qeta"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equal_fields_are_one_object(kind):
+    make, spec = KINDS[kind]
+    field = make()
+    assert make() is field
+    assert catalog.field_from_spec(spec) is field
+    assert algfile.field_from_dict(algfile.field_to_dict(field)) is field
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_elements_of_fields_made_apart_mix(kind):
+    make, spec = KINDS[kind]
+    two = make().from_int(2)
+    three = parse_scalar("3", catalog.field_from_spec(spec))
+    block = algfile.field_to_dict(make())
+    five = parse_scalar("5", algfile.field_from_dict(block))
+    assert two + three == five and three - two == 1 and two * three == 6
+    assert Vector(make(), [two, three, five]) + Vector(five.field, [two] * 3) == Vector(
+        two.field, [2 * two, two + three, two + five]
+    )
+
+
+def test_rejected_fields_are_not_interned():
+    interned = dict(fields._FIELDS)
+    for make in (lambda: FieldDescriptor.prime(9),
+                 lambda: FieldDescriptor.number_field((-1, 0, 1)),  # eta^2 - 1
+                 lambda: catalog.field_from_spec("gf:1"),
+                 lambda: algfile.field_from_dict({"kind": "prime", "p": 9})):
+        with pytest.raises(InvalidDescriptor):
+            make()
+    assert fields._FIELDS == interned
+
+
+def test_different_fields_do_not_mix(QETA, GF5, GF7):
+    qt = FieldDescriptor.rational_functions("t")
+    for a, b in ((GF5.one(), GF7.one()), (QETA.generator(), qt.generator())):
+        assert a.field is not b.field and a != b
+        with pytest.raises(DescriptorMismatch):
+            a + b
+        with pytest.raises(DescriptorMismatch):
+            a * b
+        with pytest.raises(DescriptorMismatch):
+            Vector(a.field, [a, b])
+
+
+def test_parse_scalar_binds_eta(Q, QETA, NF):
+    assert parse_scalar("eta^2 + 1", Q, eta=Q.from_int(3)) == 10
+    # eta names the given element, not the field's variable of that name
+    assert parse_scalar("eta", QETA, eta=QETA.from_int(2)) == 2
+    eta = NF.generator()
+    assert parse_scalar("eta*eta", NF, eta=eta + 1) == (eta + 1) * (eta + 1)
+    assert parse_scalar("eta", QETA) == QETA.generator()
