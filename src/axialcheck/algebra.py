@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from .fields import FieldElement
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, rref
 
 
@@ -17,10 +18,14 @@ class AlgebraDef:
     """Algebra given by basis labels and symmetric structure constants.
 
     ``table`` maps an index pair (i, j) with i <= j to the product vector;
-    missing pairs multiply to zero.
+    missing pairs multiply to zero.  ``rows`` holds the same constants
+    sparsely: ``rows[i]`` is a tuple of (j, terms) over the nonzero e_i*e_j,
+    where ``terms`` is a tuple of (k, payload) over the product's nonzero
+    coefficients.  An entry with i != j is listed under both i and j, and
+    both share one ``terms`` tuple.
     """
 
-    __slots__ = ("field", "labels", "table", "dim")
+    __slots__ = ("field", "labels", "table", "rows", "dim")
 
     def __init__(self, field, labels, table):
         labels = tuple(labels)
@@ -40,9 +45,16 @@ class AlgebraDef:
                 raise DescriptorMismatch("structure constants over the wrong field")
             if not vec.is_zero():
                 norm[key] = vec
+        rows = [[] for _ in range(dim)]
+        for (i, j), vec in norm.items():
+            terms = tuple((k, e.payload) for k, e in enumerate(vec.entries) if not e.is_zero())
+            rows[i].append((j, terms))
+            if i != j:
+                rows[j].append((i, terms))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", norm)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, *_):
@@ -67,21 +79,31 @@ class AlgebraDef:
 
 
 def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants."""
-    if len(x) != alg.dim or len(y) != alg.dim:
+    """Bilinear extension of the structure constants: a sum over the nonzero
+    x[i], the entries (j, terms) of row i and the nonzero y[j], done on
+    payloads by the field's own operations."""
+    field, dim = alg.field, alg.dim
+    if len(x) != dim or len(y) != dim:
         raise DimensionMismatch("vector length differs from algebra dimension")
-    out = [alg.field.zero()] * alg.dim
-    for (i, j), c in alg.table.items():
-        if i == j:
-            s = x[i] * y[i]
-        else:
-            s = x[i] * y[j] + x[j] * y[i]
-        if s.is_zero():
+    if x.field is not field or y.field is not field:
+        raise DescriptorMismatch(f"vector over another field than {field!r}")
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    ys = {j: e.payload for j, e in enumerate(y.entries) if not is_zero(e.payload)}
+    out = {}
+    for i, e in enumerate(x.entries):
+        a = e.payload
+        if is_zero(a):
             continue
-        for k, ck in enumerate(c.entries):
-            if not ck.is_zero():
-                out[k] = out[k] + s * ck
-    return Vector(alg.field, out)
+        for j, terms in alg.rows[i]:
+            b = ys.get(j)
+            if b is None:
+                continue
+            s = mul(a, b)
+            for k, c in terms:
+                t = mul(s, c)
+                out[k] = add(out[k], t) if k in out else t
+    zero = field.zero()
+    return Vector(field, [FieldElement(field, out[k]) if k in out else zero for k in range(dim)])
 
 
 def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:

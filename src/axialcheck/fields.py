@@ -721,8 +721,8 @@ class _Scanner:
         j = i + 1
         if i >= n:
             self.token, j = ("end", None), i
-        elif text[i].isdigit():
-            while j < n and text[j].isdigit():
+        elif "0" <= text[i] <= "9":  # ASCII only: str.isdigit also takes other scripts' digits
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             try:
                 self.token = ("int", int(text[i:j]))

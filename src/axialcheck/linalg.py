@@ -9,6 +9,7 @@ magnitude -- arithmetic is exact, and determinism matters more.
 from __future__ import annotations
 
 from .errors import AmbientMismatch, DescriptorMismatch, DimensionMismatch
+from .fields import FieldElement, render
 
 
 class Vector:
@@ -82,8 +83,6 @@ class Vector:
             )
 
     def __repr__(self):
-        from .fields import render
-
         return "(" + ", ".join(render(e) for e in self.entries) + ")"
 
 
@@ -129,35 +128,50 @@ class Matrix:
         return Vector(self.field, tuple(r[j] for r in self.rows))
 
     def apply(self, v: Vector) -> Vector:
+        """self * v, summed over the nonzero entries of v on payloads."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector size mismatch")
-        z = self.field.zero()
+        field = self.field
+        if v.field is not field:
+            raise DescriptorMismatch(f"vector over another field than {field!r}")
+        add, mul, is_zero = field.add, field.mul, field.is_zero
+        support = [(j, e.payload) for j, e in enumerate(v.entries) if not is_zero(e.payload)]
+        zero = field.zero()
         out = []
         for r in self.rows:
-            acc = z
-            for a, b in zip(r, v.entries):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return Vector(self.field, out)
+            acc = None
+            for j, b in support:
+                a = r[j].payload
+                if not is_zero(a):
+                    t = mul(a, b)
+                    acc = t if acc is None else add(acc, t)
+            out.append(zero if acc is None else FieldElement(field, acc))
+        return Vector(field, out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """self * other, summed over the nonzero entries of both on payloads."""
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product size mismatch")
-        z = self.field.zero()
+        field = self.field
+        if other.field is not field:
+            raise DescriptorMismatch(f"matrix over another field than {field!r}")
+        add, mul, is_zero = field.add, field.mul, field.is_zero
+        sparse = [[(j, e.payload) for j, e in enumerate(r) if not is_zero(e.payload)]
+                  for r in other.rows]
+        zero = field.zero()
         rows = []
         for r in self.rows:
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k, a in enumerate(r):
-                    if not a.is_zero():
-                        b = other.rows[k][j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix(self.field, rows)
+            acc = {}
+            for k, e in enumerate(r):
+                a = e.payload
+                if is_zero(a):
+                    continue
+                for j, b in sparse[k]:
+                    t = mul(a, b)
+                    acc[j] = add(acc[j], t) if j in acc else t
+            rows.append(tuple(FieldElement(field, acc[j]) if j in acc else zero
+                              for j in range(other.ncols)))
+        return Matrix(field, rows)
 
     def sub_scalar_diag(self, s) -> "Matrix":
         """self - s*I, used to form eigenoperator matrices."""

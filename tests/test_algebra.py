@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from axialcheck.algebra import (
+    AlgebraDef,
     AlgebraMap,
     Inconsistent,
     NotGenerating,
@@ -15,8 +18,8 @@ from axialcheck.algebra import (
     quotient,
 )
 from axialcheck.catalog import instantiate
-from axialcheck.errors import NotAnIdeal
-from axialcheck.fields import parse_scalar
+from axialcheck.errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from axialcheck.fields import FieldDescriptor, parse_scalar
 from axialcheck.linalg import Matrix, Subspace, Vector
 
 
@@ -223,3 +226,110 @@ def test_generated_subalgebra_matches_closure_by_rounds(name):
         [_rand_vec(alg, rng)],
     ):
         assert generated_subalgebra(alg, gens) == _closure_by_rounds(alg, gens)
+
+
+ENTRIES = ("ThreeEv", "ThreeEvX", "FourEv", "FourEvX", "BarFourTwo", "FiveThree", "SixThree", "Seven", "SevenX")
+
+
+def _dense_multiply(alg, x, y):
+    # the dense loop the sparse rows replaced: every table entry, and every
+    # coefficient of each product vector
+    out = [alg.field.zero()] * alg.dim
+    for (i, j), c in alg.table.items():
+        if i == j:
+            s = x[i] * y[i]
+        else:
+            s = x[i] * y[j] + x[j] * y[i]
+        if s.is_zero():
+            continue
+        for k, ck in enumerate(c.entries):
+            if not ck.is_zero():
+                out[k] = out[k] + s * ck
+    return Vector(alg.field, out)
+
+
+# every entry at its default field (ThreeEv's is Q(eta)), and two other fields
+@pytest.mark.parametrize("name,field,eta", [
+    *((name, None, None) for name in ENTRIES),
+    ("SixThree", "q", "3"),
+    ("Seven", "gf:7", None),
+])
+def test_multiply_matches_dense_loop(name, field, eta):
+    alg, dd = instantiate(name, field, eta)
+    rng = random.Random(name)
+    vectors = [alg.basis_vector(i) for i in range(alg.dim)]
+    vectors += [_rand_vec(alg, rng) for _ in range(4)]
+    vectors += [v for _, v in dd.base_split().eigenbasis()]
+    vectors.append(alg.zero_vector())
+    for x in vectors:
+        for y in vectors:
+            assert multiply(alg, x, y) == _dense_multiply(alg, x, y)
+
+
+def test_sparse_rows_share_the_table():
+    alg, _ = instantiate("ThreeEv")
+    listed = {}
+    for i, row in enumerate(alg.rows):
+        for j, terms in row:
+            listed[i, j] = terms
+    assert {key for key in listed if key[0] <= key[1]} == set(alg.table)
+    for (i, j), vec in alg.table.items():
+        assert listed[j, i] is listed[i, j]
+        assert listed[i, j] == tuple((k, e.payload) for k, e in enumerate(vec) if not e.is_zero())
+        for k, payload in listed[i, j]:
+            assert payload is vec[k].payload
+
+
+def test_multiply_refuses_other_fields_and_lengths(GF7):
+    for alg, other in ((instantiate("SevenX")[0], GF7),
+                       (instantiate("ThreeEv")[0], FieldDescriptor.rational_functions("t"))):
+        a = alg.basis_vector(0)
+        foreign = Vector.unit(other, alg.dim, 0)
+        for x, y in ((a, foreign), (foreign, a), (foreign, foreign)):
+            with pytest.raises(DescriptorMismatch):
+                multiply(alg, x, y)
+        with pytest.raises(DimensionMismatch):
+            multiply(alg, a, Vector.unit(alg.field, alg.dim + 1, 0))
+
+
+def _matsuo_s5(field, eta):
+    # M_eta(S_5), by the rule of the perfbench/matsuo.py docstring: t*t = t,
+    # s*t = 0 if s and t commute, s*t = (eta/2)(s + t - tst) if st has order 3
+    trans = list(combinations(range(1, 6), 2))
+    index = {t: k for k, t in enumerate(trans)}
+    half = field.from_fraction(Fraction(eta) / 2)
+
+    def vec(coeffs):
+        return Vector(field, [coeffs.get(k, field.zero()) for k in range(len(trans))])
+
+    table = {(k, k): vec({k: field.one()}) for k in range(len(trans))}
+    for s, t in combinations(trans, 2):
+        if len(set(s) | set(t)) != 3:
+            continue
+        u = tuple(sorted(set(s) ^ set(t)))  # tst, the third transposition
+        table[index[s], index[t]] = vec({index[s]: half, index[t]: half, index[u]: -half})
+    return AlgebraDef(field, [f"{a}{b}" for a, b in trans], table)
+
+
+def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch):
+    alg = _matsuo_s5(Q, "1/4")
+    assert alg.dim == 10 and len(alg.table) == 40
+    ad = adjoint_matrix(alg, _rand_vec(alg, random.Random(5)))
+    calls = [0]
+    mul = type(Q).mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(type(Q), "mul", staticmethod(counted))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            calls[0] = 0
+            product = multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
+            nnz = sum(not e.is_zero() for e in product)
+            assert calls[0] <= 1 + nnz, (i, j)
+    for k in range(alg.dim):
+        calls[0] = 0
+        ad.apply(alg.basis_vector(k))
+        assert calls[0] <= ad.nrows

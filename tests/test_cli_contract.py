@@ -100,6 +100,7 @@ def test_field_specs(spec):
 @given(eta=literals)
 @example(eta="(((2^64)^64)^64)^64")
 @example(eta="((518)^43)^37")
+@example(eta="\u0663")
 def test_eta_literals(eta):
     _run("verify", "ThreeEv", "--field", "q", "--eta", eta)
 

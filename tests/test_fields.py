@@ -220,6 +220,13 @@ def test_overlong_integer_literal_is_a_syntax_error(Q):
         parse_scalar("9" * 5000, Q)
 
 
+def test_only_ascii_digits_make_integer_literals(Q):
+    # str.isdigit is true of these too; the grammar's uint is ASCII digits
+    for text, char in (("\u0663+1", "\u0663"), ("\u00b2", "\u00b2")):
+        with pytest.raises(ScalarSyntaxError, match=f"unexpected character {char!r}"):
+            parse_scalar(text, Q)
+
+
 def test_number_field_modulus_size_is_bounded():
     # the rational-root test tries divisors of the cleared modulus's ends
     with pytest.raises(InvalidDescriptor, match="root-search limit"):

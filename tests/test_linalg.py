@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from axialcheck.catalog import instantiate
-from axialcheck.fields import parse_scalar
+from axialcheck.errors import DescriptorMismatch, DimensionMismatch
+from axialcheck.fields import FieldDescriptor, parse_scalar
 from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, kernel, rref, solve_in_span
 
 
@@ -211,3 +212,55 @@ def test_elimination_matches_sympy(fixture, request):
             echelon.add(Vector(field, row))
         assert len(echelon.rows) == rank
         assert echelon.subspace().basis == tuple(Vector(field, r) for r in reduced.rows[:rank])
+
+
+def _dense_apply(m, v):
+    return Vector(m.field, [sum((a * b for a, b in zip(r, v)), m.field.zero()) for r in m.rows])
+
+
+def _dense_matmul(m, n):
+    return Matrix(m.field, [
+        [sum((r[k] * n.rows[k][j] for k in range(m.ncols)), m.field.zero()) for j in range(n.ncols)]
+        for r in m.rows
+    ])
+
+
+def _sparse_matrix(field, rng, rows, cols):
+    # about half the entries zero, and one row all zero
+    m = [[field.from_int(rng.choice((0, 0, 0, 1, -2, 3))) for _ in range(cols)] for _ in range(rows)]
+    m[rng.randrange(rows)] = [field.zero()] * cols
+    if field.variable is not None:
+        eta = field.generator()
+        m = [[e * (eta - 2) / (eta + 1) if rng.random() < 0.5 else e for e in r] for r in m]
+    return Matrix(field, m)
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "QETA"])
+def test_apply_and_matmul_match_dense_loops(fixture, request):
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for rows, inner, cols in ((3, 4, 2), (5, 5, 5), (1, 6, 3), (4, 1, 4), (6, 6, 6)):
+        a = _sparse_matrix(field, rng, rows, inner)
+        b = _sparse_matrix(field, rng, inner, cols)
+        assert a.matmul(b) == _dense_matmul(a, b)
+        assert a.matmul(Matrix.zero(field, inner, cols)) == Matrix.zero(field, rows, cols)
+        for v in (Vector.zero(field, inner), *(b.column(j) for j in range(cols))):
+            assert a.apply(v) == _dense_apply(a, v)
+        for i in range(inner):
+            assert a.apply(Vector.unit(field, inner, i)) == a.column(i)
+
+
+def test_apply_and_matmul_refuse_other_fields(GF5, GF7, QETA):
+    for field, other in ((GF5, GF7), (QETA, FieldDescriptor.rational_functions("t"))):
+        m = Matrix.identity(field, 3)
+        foreign = Matrix.identity(other, 3)
+        with pytest.raises(DescriptorMismatch):
+            m.apply(Vector.unit(other, 3, 0))
+        with pytest.raises(DescriptorMismatch):
+            m.matmul(foreign)
+        with pytest.raises(DescriptorMismatch):
+            foreign.matmul(m)
+        with pytest.raises(DimensionMismatch):
+            m.apply(Vector.unit(field, 4, 0))
+        with pytest.raises(DimensionMismatch):
+            m.matmul(Matrix.identity(field, 4))
