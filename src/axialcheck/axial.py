@@ -9,7 +9,7 @@ never guessed from eigenvalues alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import (
     AlgebraDef,
@@ -58,7 +58,7 @@ class FusionTable:
     def __init__(self, xi, eta):
         if xi.field is not eta.field:
             raise DimensionMismatch("xi and eta over different fields")
-        for value, name in ((xi, "xi"), (eta, "eta")):
+        for value, name in ((eta, "eta"), (xi, "xi")):
             if value.is_zero() or value.is_one():
                 raise DataInconsistency(f"{name} must avoid 0 and 1")
         object.__setattr__(self, "xi", xi)
@@ -130,7 +130,10 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     by the supplied involution into its fixed (M2) and negated (M3) pieces.
 
     The caller vouches that tau is an automorphism; tau^2 = id and
-    tau(a) = a are checked here.
+    tau(a) = a are checked here.  The parts are independent, so they
+    decompose M exactly when their dimensions add up to dim M: FusionTable
+    refuses eta in {0, 1}, a*a = a puts a in the 1-eigenspace, and in
+    characteristic not 2 the +1 and -1 eigenspaces of tau meet in 0.
     """
     table = FusionTable.majorana(eta)
     if multiply(alg, a, a) != a:
@@ -146,8 +149,7 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     eta_rows = ad.sub_scalar_diag(eta).rows
     m2, m3 = (kernel(Matrix(alg.field, eta_rows + tau.matrix.sub_scalar_diag(s).rows))
               for s in (one, -one))
-    total = m0.dim + m1.dim + m2.dim + m3.dim
-    if total != alg.dim or m0.sum(m1).sum(m2).sum(m3).dim != alg.dim:
+    if m0.dim + m1.dim + m2.dim + m3.dim != alg.dim:
         raise NotSemisimple(
             f"parts of dimensions {(m0.dim, m1.dim, m2.dim, m3.dim)} "
             f"do not decompose the {alg.dim}-dimensional algebra"
@@ -366,6 +368,29 @@ class RelationWitness:
         coeffs = ", ".join(render(c) for c in self.coefficients)
         return f"adim {self.adim}, case {self.case} ({self.parity}), coefficients ({coeffs})"
 
+    @classmethod
+    def classify(cls, lo, hi, coeffs, adim):
+        """Classify the relation sum coeffs[i - lo] a_i = 0 over [lo, hi], with
+        c = lo + hi in {0, 1}: the flip mirrors i to c - i, the case is 1 + 2c
+        (plus 1 if antisymmetric), and the alphas are the coefficients over
+        c..hi divided by the lead one at a_hi, less the first in case 2."""
+        c = lo + hi
+        if c not in (0, 1):
+            raise DataInconsistency("minimal relation window has unexpected shape")
+        by_index = dict(zip(range(lo, hi + 1), coeffs))
+        symmetric = all(by_index[c - i] == x for i, x in by_index.items())
+        antisymmetric = all(by_index[c - i] == -x for i, x in by_index.items())
+        if symmetric == antisymmetric:
+            raise DataInconsistency("minimal relation has mixed flip symmetry")
+        case = 1 + 2 * c + antisymmetric
+        seq = tuple(by_index[i] / by_index[hi] for i in range(c, hi + 1))
+        if adim != hi - lo:
+            raise DataInconsistency(
+                f"axial dimension {adim} contradicts relation case {case} (expects {hi - lo})"
+            )
+        alphas = seq[1:] if case == 2 else seq
+        return cls("odd" if antisymmetric else "even", case, alphas, adim, (lo, hi))
+
 
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
     """Grow the axis window until the span stabilizes; classify the minimal
@@ -403,43 +428,7 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
 
     if first_relation is None:
         raise NoStabilization("span stabilized without ever exposing a relation")
-    rel_lo, rel_hi, coeffs = first_relation
-    adim = len(span.rows)
-
-    by_index = {rel_lo + pos: coeffs[pos] for pos in range(len(coeffs))}
-    if rel_hi == -rel_lo:
-        k = rel_hi
-        flipped = {i: by_index[-i] for i in by_index}
-        symmetric = all(flipped[i] == by_index[i] for i in by_index)
-        antisymmetric = all(flipped[i] == -by_index[i] for i in by_index)
-        if symmetric == antisymmetric:
-            raise DataInconsistency("minimal relation has mixed flip symmetry")
-        lead = by_index[k]
-        seq = tuple(by_index[i] / lead for i in range(0, k + 1))
-        if symmetric:
-            case, parity, alphas = 1, "even", seq
-        else:
-            case, parity, alphas = 2, "odd", seq[1:]
-        expected_adim = 2 * k
-    elif rel_hi == -rel_lo + 1:
-        k = -rel_lo
-        flipped = {i: by_index[1 - i] for i in by_index}
-        symmetric = all(flipped[i] == by_index[i] for i in by_index)
-        antisymmetric = all(flipped[i] == -by_index[i] for i in by_index)
-        if symmetric == antisymmetric:
-            raise DataInconsistency("minimal relation has mixed flip symmetry")
-        lead = by_index[k + 1]
-        alphas = tuple(by_index[i + 1] / lead for i in range(0, k + 1))
-        case, parity = (3, "even") if symmetric else (4, "odd")
-        expected_adim = 2 * k + 1
-    else:
-        raise DataInconsistency("minimal relation window has unexpected shape")
-
-    if adim != expected_adim:
-        raise DataInconsistency(
-            f"axial dimension {adim} contradicts relation case {case} (expects {expected_adim})"
-        )
-    return RelationWitness(parity, case, alphas, adim, (rel_lo, rel_hi))
+    return RelationWitness.classify(*first_relation, len(span.rows))
 
 
 def p_vector(alg, dd: DihedralData, i: int, j: int) -> Vector:
@@ -511,8 +500,10 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         report.scalars[f"lambda{i}"] = lambdas[i]
 
     one = field.one()
+    # each p_{i,j} once, on first use: a missing axis is reported where first needed
+    p = cache(lambda i, j: p_vector(alg, dd, i, j))
     for i in (1, 2, 3):
-        p_i0 = p_vector(alg, dd, i, 0)
+        p_i0 = p(i, 0)
         lhs = multiply(alg, a0, p_i0)
         rhs = a0.scale((one - eta) * lambdas[i] - eta)
         report.add(f"p{i}0_scalar", lhs == rhs, "" if lhs == rhs else _residual_detail(lhs - rhs))
@@ -521,11 +512,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         report.add(f"p{i}0_m2_part", ok, "" if ok else _residual_detail(dec.part(2).reduce(mid)))
 
     lam1, lam2 = lambdas[1], lambdas[2]
-    p1 = p_vector(alg, dd, 1, 0)
-    p20 = p_vector(alg, dd, 2, 0)
-    p21 = p_vector(alg, dd, 2, 1)
-    p31 = p_vector(alg, dd, 3, 1)
-    p3m1 = p_vector(alg, dd, 3, -1)
+    p1, p20, p21, p31, p3m1 = p(1, 0), p(2, 0), p(2, 1), p(3, 1), p(3, -1)
     sym1 = p1.scale(field.from_int(2)) + (dd.axis(1) + dd.axis(-1)).scale(eta)
     sym2 = p20.scale(field.from_int(2)) + (dd.axis(2) + dd.axis(-2)).scale(eta)
 
@@ -547,10 +534,9 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         )
         _multiple_row(report, "nu_expansion", residual, a0.scale(one / 2), "nu")
 
-        p30 = p_vector(alg, dd, 3, 0)
         base = (eta * 2 - 1) * (lam1 * 4 - eta * 3)
         rhs = (
-            (p30.scale(field.from_int(2)) + p31 + p3m1).scale(base / 4)
+            (p(3, 0).scale(field.from_int(2)) + p31 + p3m1).scale(base / 4)
             + p20.scale(mu + base * ((eta * 2 - 1) * lam1 * 2 - eta * eta * 4 + eta) / (eta * eta * 2))
             + p1.scale(base * ((eta * 2 - 1) * lam1 * 4 - eta * lam2 - eta * eta * 5 + eta * 3) / (eta * eta))
             + (dd.axis(2) + dd.axis(-2)).scale(base * (eta * 2 - 1) * (lam1 * 3 - eta * 2) / (eta * 2))
@@ -585,11 +571,9 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         if sol is None:
             continue
         applicable = True
-        scale = sol[0]
         for i in (1, 2, 3):
             for j in (-1, 0, 1):
-                pij = p_vector(alg, dd, i, j)
-                if multiply(alg, x, pij) != pij.scale(scale):
+                if multiply(alg, x, p(i, j)) != p(i, j).scale(sol[0]):
                     ok = False
     if applicable:
         report.add("invariant_scalar_action", ok)

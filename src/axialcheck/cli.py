@@ -104,20 +104,14 @@ def _load_source(source, field_spec, eta_literal):
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
-    try:
-        checks = _resolve_checks(args.check)
-        if _catalog_entry(args.source) is not None:
-            report = catalog.verify_entry(
-                args.source, args.field, args.eta, args.window, checks
-            )
-        else:
-            name, alg, dd = _load_file(args.source, args.field, args.eta, args.window)
-            if dd is None:
-                raise AxialError("source has no dihedral block; nothing to verify")
-            report = catalog.verify(name, alg, dd, checks)
-    except AxialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    checks = _resolve_checks(args.check)
+    if _catalog_entry(args.source) is not None:
+        report = catalog.verify_entry(args.source, args.field, args.eta, args.window, checks)
+    else:
+        name, alg, dd = _load_file(args.source, args.field, args.eta, args.window)
+        if dd is None:
+            raise AxialError("source has no dihedral block; nothing to verify")
+        report = catalog.verify(name, alg, dd, checks)
     _emit_report(report.canonical(), time.monotonic() - start, args.json)
     return 0 if report.passed else 1
 
@@ -145,41 +139,28 @@ def cmd_catalog(args) -> int:
         return 0
     if args.action == "emit":
         if not args.name:
-            print("error: emit needs an entry name", file=sys.stderr)
-            return 2
-        try:
-            entry = catalog.get_entry(args.name)
-            alg, dd = catalog.instantiate(args.name, args.field, args.eta)
-            text = algfile.dumps(alg, dd, entry.document.get("constraints"))
-        except AxialError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
+            raise AxialError("emit needs an entry name")
+        entry = catalog.get_entry(args.name)
+        alg, dd = catalog.instantiate(args.name, args.field, args.eta)
+        print(algfile.dumps(alg, dd, entry.document.get("constraints")))
         return 0
-    if args.action == "claims":
-        try:
-            reports = catalog.check_claims()
-        except AxialError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            claims = [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "subject": r.subject,
-                    "status": r.status,
-                    "detail": r.detail,
-                }
-                for r in reports
-            ]
-            _emit_report({"claims": claims}, time.monotonic() - start, True)
-        else:
-            for r in reports:
-                print(f"[{r.status.upper():>5}] {r.name}  ({r.detail})")
-        return 0 if all(r.status == "pass" for r in reports) else 1
-    print(f"error: unknown catalog action {args.action!r}", file=sys.stderr)
-    return 2
+    reports = catalog.check_claims()
+    if args.json:
+        claims = [
+            {
+                "name": r.name,
+                "kind": r.kind,
+                "subject": r.subject,
+                "status": r.status,
+                "detail": r.detail,
+            }
+            for r in reports
+        ]
+        _emit_report({"claims": claims}, time.monotonic() - start, True)
+    else:
+        for r in reports:
+            print(f"[{r.status.upper():>5}] {r.name}  ({r.detail})")
+    return 0 if all(r.status == "pass" for r in reports) else 1
 
 
 def _parse_correspondence(text, source_alg, target_alg, eta):
@@ -203,18 +184,14 @@ def _parse_correspondence(text, source_alg, target_alg, eta):
 
 
 def cmd_isom(args) -> int:
-    try:
-        _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
-        _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta)
-        if alg_a.field is not alg_b.field:
-            raise AxialError(
-                f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"
-            )
-        eta_b = dd_b.eta if dd_b is not None else None
-        pairs = _parse_correspondence(args.map, alg_a, alg_b, eta_b)
-    except AxialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
+    _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta)
+    if alg_a.field is not alg_b.field:
+        raise AxialError(
+            f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"
+        )
+    eta_b = dd_b.eta if dd_b is not None else None
+    pairs = _parse_correspondence(args.map, alg_a, alg_b, eta_b)
     if alg_a.dim != alg_b.dim:
         print("no isomorphism: dimensions differ")
         return 1
@@ -227,34 +204,26 @@ def cmd_isom(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    try:
-        _, alg, dd = _load_source(args.source, args.field, args.eta)
-        eta = dd.eta if dd is not None else None
-        vectors = [
-            algfile.parse_vector(chunk.strip(), alg, eta)
-            for chunk in args.ideal.split(";")
-            if chunk.strip()
-        ]
-        if not vectors:
-            raise AxialError("empty ideal specification")
-        span = Subspace.from_vectors(alg.field, alg.dim, vectors)
-    except AxialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, alg, dd = _load_source(args.source, args.field, args.eta)
+    eta = dd.eta if dd is not None else None
+    vectors = [
+        algfile.parse_vector(chunk.strip(), alg, eta)
+        for chunk in args.ideal.split(";")
+        if chunk.strip()
+    ]
+    if not vectors:
+        raise AxialError("empty ideal specification")
+    span = Subspace.from_vectors(alg.field, alg.dim, vectors)
     if not is_ideal(alg, span):
         print("not an ideal", file=sys.stderr)
         return 1
-    try:
-        qalg, proj = quotient(alg, span)
-        qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
-        text = algfile.dumps(qalg, qdd)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-    except (AxialError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.output:
+    qalg, proj = quotient(alg, span)
+    qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
+    text = algfile.dumps(qalg, qdd)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    else:
         print(text)
     return 0
 
@@ -321,8 +290,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; any rejected input ends here as one error line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AxialError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

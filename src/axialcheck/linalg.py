@@ -282,12 +282,7 @@ class Subspace:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length differs from ambient dimension")
-        out = v
-        for row, pc in zip(self.basis, self.pivots):
-            c = out[pc]
-            if not c.is_zero():
-                out = out - row.scale(c)
-        return out
+        return Vector(v.field, _reduce(v.entries, zip(self.pivots, (r.entries for r in self.basis))))
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
@@ -326,6 +321,16 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
+def _reduce(entries, rows):
+    """entries less c * row for each (pivot, row) of echelon rows, c being the
+    entry at the pivot; the rows are zero at each other's pivots."""
+    for pc, row in rows:
+        c = entries[pc]
+        if not c.is_zero():
+            entries = tuple(a if b.is_zero() else a - c * b for a, b in zip(entries, row))
+    return entries
+
+
 class EchelonBasis:
     """A subspace grown one vector at a time, kept in reduced row echelon
     form: each row (an entry tuple) has a 1 at its pivot column, where every
@@ -344,19 +349,13 @@ class EchelonBasis:
             raise AmbientMismatch("vector length differs from ambient dimension")
         if v.field is not self.field:
             raise DescriptorMismatch("vectors over different fields")
-        out = v.entries
-        for pc, row in self.rows.items():
-            c = v[pc]
-            if not c.is_zero():
-                out = tuple(a if b.is_zero() else a - c * b for a, b in zip(out, row))
+        out = _reduce(v.entries, self.rows.items())
         pivot = next((i for i, e in enumerate(out) if not e.is_zero()), None)
         if pivot is not None:
             inv = out[pivot].inverse()
             new = out if inv.is_one() else tuple(inv * e for e in out)
             for pc, r in self.rows.items():
-                c = r[pivot]
-                if not c.is_zero():
-                    self.rows[pc] = tuple(a if b.is_zero() else a - c * b for a, b in zip(r, new))
+                self.rows[pc] = _reduce(r, ((pivot, new),))
             self.rows[pivot] = new
         return Vector(self.field, out)
 

@@ -3,7 +3,7 @@
 Exact arithmetic everywhere, so every comparison is equality (zero
 tolerance).  Three criteria contain sub-checks that are mathematically
 unattainable and are asserted as stated anyway, so they fail honestly
-(the blocking analysis is recorded in the project decision notes):
+(tests/test_certificates.py checks the facts behind criterion 4):
 
 * criterion 1: a symbolic-parameter FourEv family does not exist (the even
   four-axis algebra is axial only at eta = -1/3);

@@ -4,8 +4,10 @@ import pytest
 
 from axialcheck.algebra import AlgebraDef, AlgebraMap, is_homomorphism, multiply
 from axialcheck.axial import (
+    DihedralData,
     FusionTable,
     FusionViolation,
+    RelationWitness,
     axial_dimension,
     check_dihedral,
     check_fusion,
@@ -25,7 +27,7 @@ from axialcheck.errors import (
     WindowTooSmall,
 )
 from axialcheck.fields import parse_scalar, render
-from axialcheck.linalg import Matrix, Subspace, Vector, invert
+from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel
 
 
 def _axis_diff(alg, dd, i):
@@ -251,6 +253,94 @@ def test_axial_dimension_shift_invariance():
         w = axial_dimension(alg, dd)
         w_shifted = axial_dimension(alg, dd.shifted())
         assert (w.adim, w.case, w.parity) == (w_shifted.adim, w_shifted.case, w_shifted.parity)
+
+
+def _two_branch_classification(rel_lo, rel_hi, coeffs, adim):
+    """The relation classifier written as one branch per window shape, kept
+    as the reference for RelationWitness.classify."""
+    by_index = {rel_lo + pos: coeffs[pos] for pos in range(len(coeffs))}
+    if rel_hi == -rel_lo:
+        k = rel_hi
+        flipped = {i: by_index[-i] for i in by_index}
+        symmetric = all(flipped[i] == by_index[i] for i in by_index)
+        antisymmetric = all(flipped[i] == -by_index[i] for i in by_index)
+        if symmetric == antisymmetric:
+            raise DataInconsistency("minimal relation has mixed flip symmetry")
+        lead = by_index[k]
+        seq = tuple(by_index[i] / lead for i in range(0, k + 1))
+        if symmetric:
+            case, parity, alphas = 1, "even", seq
+        else:
+            case, parity, alphas = 2, "odd", seq[1:]
+        expected_adim = 2 * k
+    elif rel_hi == -rel_lo + 1:
+        k = -rel_lo
+        flipped = {i: by_index[1 - i] for i in by_index}
+        symmetric = all(flipped[i] == by_index[i] for i in by_index)
+        antisymmetric = all(flipped[i] == -by_index[i] for i in by_index)
+        if symmetric == antisymmetric:
+            raise DataInconsistency("minimal relation has mixed flip symmetry")
+        lead = by_index[k + 1]
+        alphas = tuple(by_index[i + 1] / lead for i in range(0, k + 1))
+        case, parity = (3, "even") if symmetric else (4, "odd")
+        expected_adim = 2 * k + 1
+    else:
+        raise DataInconsistency("minimal relation window has unexpected shape")
+
+    if adim != expected_adim:
+        raise DataInconsistency(
+            f"axial dimension {adim} contradicts relation case {case} (expects {expected_adim})"
+        )
+    return RelationWitness(parity, case, alphas, adim, (rel_lo, rel_hi))
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except DataInconsistency as exc:
+        return str(exc)
+
+
+# axis coordinates on the window [-3, 4]: {index: coordinates}, the rest
+# taking the `other` coordinates; then the first relation window, the final
+# span dimension and the expected case, or the expected error
+RELATION_CASES = {
+    "case 1": ({-1: (2, -1), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2, 1),
+    "case 2": ({-1: (0, 1), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2, 2),
+    "case 3": ({i: (1 - 2 * (i % 2),) for i in range(-3, 5)}, None, (0, 1), 1, 3),
+    "case 4": ({}, (1,), (0, 1), 1, 4),
+    "mixed symmetry": ({-1: (1, 2), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2,
+                       "minimal relation has mixed flip symmetry"),
+    "adim mismatch": ({i: (1, 0) if i >= 0 else (0, 1) for i in range(-3, 5)}, None, (0, 1), 2,
+                      "axial dimension 2 contradicts relation case 4 (expects 1)"),
+}
+
+
+@pytest.mark.parametrize("name", RELATION_CASES)
+def test_relation_cases_match_the_two_branch_classifier(Q, name):
+    # axial_dimension never multiplies, so an algebra without products will do
+    axes, other, window, adim, expected = RELATION_CASES[name]
+    coords = {i: axes.get(i, other) for i in range(-3, 5)}
+    dim = len(coords[0])
+    alg = AlgebraDef(Q, [f"e{k}" for k in range(dim)], {})
+    vectors = {i: Vector(Q, [Q.from_int(c) for c in v]) for i, v in coords.items()}
+    dd = DihedralData(alg, Q.from_int(2), -3, 4, vectors, None, None)
+    lo, hi = window
+    columns = [vectors[i] for i in range(lo, hi + 1)]
+    coeffs = kernel(Matrix.from_columns(Q, columns, nrows=dim)).basis[0]
+    got = _outcome(axial_dimension, alg, dd)
+    assert got == _outcome(_two_branch_classification, lo, hi, coeffs, adim)
+    if isinstance(expected, int):
+        assert (got.case, got.adim, got.window) == (expected, adim, window)
+    else:
+        assert got == expected
+
+
+def test_relation_window_of_unexpected_shape(Q):
+    coeffs = tuple(Q.from_int(c) for c in (1, 1, 1, 1))
+    message = "minimal relation window has unexpected shape"
+    assert _outcome(RelationWitness.classify, -2, 1, coeffs, 3) == message
+    assert _outcome(_two_branch_classification, -2, 1, coeffs, 3) == message
 
 
 def test_theta_composition_law():

@@ -12,6 +12,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def is_error_line(err):
+    """A rejected input's stderr: exactly one line, "error: ...", no traceback."""
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_verify_five_three(capsys):
     code, out, _ = run(capsys, "verify", "FiveThree", "--field", "qeta", "--json")
     assert code == 0
@@ -144,7 +149,10 @@ def test_check_selection_is_taken_in_report_order(capsys):
 
 def test_catalog_emit_unknown(capsys):
     code, _, err = run(capsys, "catalog", "emit", "Nonesuch")
-    assert code == 2
+    assert code == 2 and is_error_line(err)
+    code, out, err = run(capsys, "catalog", "emit")
+    assert code == 2 and out == ""
+    assert err == "error: emit needs an entry name\n"
 
 
 def test_claims_json_deterministic(capsys):
@@ -173,7 +181,11 @@ def test_isom_commands(tmp_path, capsys):
                        "--map", "a0=a0,a1=a1,am1=am1")
     assert code == 1
     code, _, err = run(capsys, "isom", "ThreeEv", "ThreeEv", "--map", "a0=oops")
-    assert code == 2
+    assert code == 2 and is_error_line(err)
+    code, out, err = run(capsys, "isom", "ThreeEv", "ThreeEv", "--field", "q", "--eta", "2",
+                         "--field-b", "gf:7", "--map", "a0=a0")
+    assert code == 2 and out == "" and is_error_line(err)
+    assert "sources live over different fields" in err
 
 
 def test_isom_self_identity(capsys):
@@ -184,11 +196,19 @@ def test_isom_self_identity(capsys):
     assert code == 0
 
 
-def test_quotient_errors(capsys):
+def test_quotient_errors(tmp_path, capsys):
     code, _, err = run(capsys, "quotient", "ThreeEv", "--ideal", "p1")
     assert code == 1  # not an ideal generically
     code, _, err = run(capsys, "quotient", "ThreeEv", "--ideal", "p1 + *")
-    assert code == 2
+    assert code == 2 and is_error_line(err)
+    code, out, err = run(capsys, "quotient", "ThreeEv", "--ideal", "")
+    assert code == 2 and out == ""
+    assert err == "error: empty ideal specification\n"
+    missing = tmp_path / "missing" / "q.json"
+    code, out, err = run(capsys, "quotient", "ThreeEv", "--field", "q", "--eta=-1/3",
+                         "--ideal", "p1", "-o", str(missing))
+    assert code == 2 and out == "" and is_error_line(err)
+    assert str(missing) in err and not missing.exists()
 
 
 def test_quotient_of_three_ev_at_third(tmp_path, capsys):
@@ -254,6 +274,18 @@ def test_nested_power_in_a_product_literal_exits_two(tmp_path, capsys, entry, li
     code, out, err = _verify_document(capsys, tmp_path, doc)
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == "" and "would pass" in err
+
+
+@pytest.mark.parametrize("eta", ["1", "0"])
+def test_eta_outside_the_fusion_table_names_eta(tmp_path, capsys, eta):
+    doc = _emitted(capsys, "ThreeEvX")
+    doc["dihedral"]["eta"] = eta
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 1
+    rows = {c["name"]: c for c in json.loads(out)["canonical"]["checks"]}
+    assert rows["fusion"] == {"name": "fusion", "status": "fail", "detail": "eta must avoid 0 and 1"}
 
 
 @pytest.mark.parametrize("constraints", [
