@@ -222,13 +222,13 @@ def _check_shape(doc):
             _require(_all_str(constraints.get(key, []), list), f"{key} must be an array of literal strings")
 
 
-def load_document(doc, window=None, subject="file"):
+def load_document(doc, subject="file"):
     """Build (AlgebraDef, DihedralData | None, constraints) from a document.
 
     The one loader of algebra files and catalog entries.  It checks the
     document's shape, then its whole constraints block, before it parses any
-    table entry or extends any map.  ``window`` is DihedralData.build's
-    window; ``subject`` names the source in constraint messages.
+    table entry or extends any map.  ``subject`` names the source in
+    constraint messages.
     """
     _check_shape(doc)
     field = field_from_dict(doc["field"])
@@ -268,16 +268,16 @@ def load_document(doc, window=None, subject="file"):
             entries[index[label]] = parse_scalar(literal, field, eta)
         table[index[item["left"]], index[item["right"]]] = Vector(field, entries)
     alg = AlgebraDef(field, doc["basis"], table)
-    dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta, window)
+    dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta)
     return alg, dd, constraints
 
 
-def _load_dihedral(block, alg, eta, window):
+def _load_dihedral(block, alg, eta):
     lo = block["window"][0]
     seed_axes = {lo + pos: parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
     shift = _map_from_images(alg, block["shift_images"], eta, "shift")
     flip = _map_from_images(alg, block["flip_images"], eta, "flip")
-    return DihedralData.build(alg, seed_axes, shift, flip, eta, window=window)
+    return DihedralData.build(alg, seed_axes, shift, flip, eta)
 
 
 def _map_from_images(alg, images, eta, what) -> AlgebraMap:
@@ -368,9 +368,7 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
         basis_vectors = {
             alg.basis_vector(k): alg.labels[k] for k in range(alg.dim)
         }
-        lo = max(dd.lo, -1)
-        hi = min(dd.hi, alg.dim)
-        seed_range = list(range(lo, hi + 1))
+        seed_range = list(range(-1, alg.dim + 1))
         for i in seed_range:
             v = dd.axis(i)
             axes.append(basis_vectors.get(v) or _render_vector_literal(v, alg.labels, literal))

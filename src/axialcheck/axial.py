@@ -25,10 +25,8 @@ from .errors import (
     DimensionMismatch,
     InvolutionMismatch,
     MiyamotoNotAutomorphism,
-    NoStabilization,
     NotIdempotent,
     NotSemisimple,
-    WindowTooSmall,
 )
 from .fields import render
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
@@ -51,27 +49,17 @@ _ALLOWED = {
 
 
 class FusionTable:
-    """Eigenvalue map (0, 1, xi, eta) plus the allowed-parts table."""
+    """Eigenvalue map (0, 1, eta, eta) plus the allowed-parts table."""
 
-    __slots__ = ("xi", "eta", "field")
+    __slots__ = ("eta",)
 
-    def __init__(self, xi, eta):
-        if xi.field is not eta.field:
-            raise DimensionMismatch("xi and eta over different fields")
-        for value, name in ((eta, "eta"), (xi, "xi")):
-            if value.is_zero() or value.is_one():
-                raise DataInconsistency(f"{name} must avoid 0 and 1")
-        object.__setattr__(self, "xi", xi)
+    def __init__(self, eta):
+        if eta.is_zero() or eta.is_one():
+            raise DataInconsistency("eta must avoid 0 and 1")
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "field", xi.field)
 
     def __setattr__(self, *_):
         raise AttributeError("FusionTable is immutable")
-
-    @classmethod
-    def majorana(cls, eta):
-        """The collapsed table with both middle eigenvalues equal to eta."""
-        return cls(eta, eta)
 
     @staticmethod
     def allowed(i, j):
@@ -135,7 +123,7 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     refuses eta in {0, 1}, a*a = a puts a in the 1-eigenspace, and in
     characteristic not 2 the +1 and -1 eigenspaces of tau meet in 0.
     """
-    table = FusionTable.majorana(eta)
+    table = FusionTable(eta)
     if multiply(alg, a, a) != a:
         raise NotIdempotent("axis candidate fails a*a = a")
     if tau.apply(a) != a:
@@ -201,18 +189,18 @@ def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
 
 
 class DihedralData:
-    """Axis window, shift automorphism, and base flip for a dihedral algebra."""
+    """The base axis a_0, the shift automorphism and the base flip of a
+    dihedral algebra; every other axis is a_i = shift^i(a_0)."""
 
-    __slots__ = ("algebra", "eta", "lo", "hi", "axes", "shift", "flip", "_inv_cache", "_base_split")
+    __slots__ = ("algebra", "eta", "shift", "flip", "_axes", "_unshift", "_inv_cache", "_base_split")
 
-    def __init__(self, algebra, eta, lo, hi, axes, shift, flip):
+    def __init__(self, algebra, eta, a0, shift, flip):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "axes", dict(axes))
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "flip", flip)
+        object.__setattr__(self, "_axes", {0: a0})
+        object.__setattr__(self, "_unshift", None)
         object.__setattr__(self, "_inv_cache", {})
         object.__setattr__(self, "_base_split", None)
 
@@ -220,10 +208,12 @@ class DihedralData:
         raise AttributeError("DihedralData is immutable")
 
     @classmethod
-    def build(cls, alg, seed_axes, shift, flip, eta, window=None):
-        """Fill the window [-N, N+1] from seed axes by shifting both ways."""
-        n = window if window is not None else alg.dim + 2
-        lo, hi = -n, n + 1
+    def build(cls, alg, seed_axes, shift, flip, eta):
+        """Check that eta avoids 0 and 1 (the fusion table's rule), that the
+        seed axes are consecutive shifts of a_0 and that the flip fixes a_0.
+        The shift is not inverted here: a singular shift is a failed
+        dihedral check, not a rejected input."""
+        FusionTable(eta)
         axes = dict(seed_axes)
         seed_lo, seed_hi = min(axes), max(axes)
         if set(axes) != set(range(seed_lo, seed_hi + 1)) or not seed_lo <= 0 <= seed_hi:
@@ -233,29 +223,34 @@ class DihedralData:
                 raise DataInconsistency(f"shift does not carry axis {i} to axis {i + 1}")
         if flip.apply(axes[0]) != axes[0]:
             raise DataInconsistency("flip does not fix the base axis")
-        unshift = shift.inverse()
-        for i in range(seed_hi, hi):
-            axes[i + 1] = shift.apply(axes[i])
-        for i in range(seed_lo, lo, -1):
-            axes[i - 1] = unshift.apply(axes[i])
-        return cls(alg, eta, lo, hi, axes, shift, flip)
+        return cls(alg, eta, axes[0], shift, flip)
 
     def axis(self, i) -> Vector:
-        try:
-            return self.axes[i]
-        except KeyError:
-            raise WindowTooSmall(
-                f"axis index {i} outside window [{self.lo}, {self.hi}]"
-            ) from None
+        """a_i, made from a_(i-1) by the shift for i > 0 and from a_(i+1) by
+        its inverse for i < 0, and kept."""
+        if i not in self._axes:
+            if i > 0:
+                self._axes[i] = self.shift.apply(self.axis(i - 1))
+            else:
+                if self._unshift is None:
+                    object.__setattr__(self, "_unshift", self.shift.inverse())
+                self._axes[i] = self._unshift.apply(self.axis(i + 1))
+        return self._axes[i]
 
-    def window_indices(self):
-        return range(self.lo, self.hi + 1)
+    def generators(self):
+        """The axes a_-d .. a_(d+1), d = dim, which span every axis.
+
+        The spans S_k of a_-k .. a_(k+1) grow with k, and once S_k = S_(k+1)
+        the shift and its inverse give S_(k+2) = S_k, so they stop for good;
+        as S_k can grow at most d times, S_d already holds every axis."""
+        d = self.algebra.dim
+        return [self.axis(i) for i in range(-d, d + 2)]
 
     def base_split(self) -> AxisDecomposition:
         """The decomposition at a_0 along the flip, kept because the fusion
         pass, check_dihedral and the identity suite all need it."""
         if self._base_split is None:
-            dec = split_eigenspace(self.algebra, self.axes[0], self.eta, self.flip)
+            dec = split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
             object.__setattr__(self, "_base_split", dec)
         return self._base_split
 
@@ -266,9 +261,7 @@ class DihedralData:
         qflip = induce_on_quotient(self.flip, ideal, qalg, projection)
         if qshift is None or qflip is None:
             return None
-        lo, hi = max(self.lo, -1), min(self.hi, self.algebra.dim)
-        seed = {i: projection.apply(self.axes[i]) for i in range(lo, hi + 1)}
-        return DihedralData.build(qalg, seed, qshift, qflip, self.eta)
+        return DihedralData.build(qalg, {0: projection.apply(self.axis(0))}, qshift, qflip, self.eta)
 
     def involution_at(self, j) -> AlgebraMap:
         """Conjugated flip f1^j o tau0 o f1^(-j)."""
@@ -276,14 +269,6 @@ class DihedralData:
             fj = self.shift.power(j)
             self._inv_cache[j] = fj.compose(self.flip).compose(fj.inverse())
         return self._inv_cache[j]
-
-    def shifted(self) -> "DihedralData":
-        """Relabelled data with axis'(i) = axis(i+1); flip becomes the next involution."""
-        axes = {i: self.axes[i + 1] for i in range(self.lo, self.hi)}
-        return DihedralData(
-            self.algebra, self.eta, self.lo, self.hi - 1, axes,
-            self.shift, self.involution_at(1),
-        )
 
 
 @dataclass(frozen=True)
@@ -296,8 +281,8 @@ class DihedralViolation:
 def check_dihedral(alg, dd: DihedralData):
     """Mechanical check of the dihedral axioms; returns violations (empty = pass).
 
-    Only a_0 is decomposed.  Once the shift is a verified automorphism and
-    a_i = shift^i(a_0) across the window, the split, fusion and Miyamoto
+    Only a_0 is decomposed.  Once the shift is a verified automorphism, as
+    every axis is a_i = shift^i(a_0), the split, fusion and Miyamoto
     results at a_i are those at a_0 conjugated by shift^i, and the involution
     at i is shift^i o flip o shift^-i.  The relation flip o shift o flip =
     shift^-1 with flip(a_0) = a_0 then gives tau_j(a_i) = a_{2j-i} for all
@@ -314,15 +299,10 @@ def check_dihedral(alg, dd: DihedralData):
         violations.append(DihedralViolation("D3", 0, "flip is not multiplicative"))
     if dd.flip.matrix.matmul(dd.flip.matrix) != ident:
         violations.append(DihedralViolation("D3", 0, "flip squared is not the identity"))
-    for i in range(dd.lo, dd.hi):
-        if dd.shift.apply(dd.axis(i)) != dd.axis(i + 1):
-            violations.append(
-                DihedralViolation("D2", i, f"shift(a_{i}) differs from a_{i + 1}")
-            )
     if violations:
         return violations
 
-    span = generated_subalgebra(alg, [dd.axis(i) for i in dd.window_indices()])
+    span = generated_subalgebra(alg, dd.generators())
     if span.dim != alg.dim:
         violations.append(
             DihedralViolation("D1", None, f"axes generate only dimension {span.dim}")
@@ -394,7 +374,11 @@ class RelationWitness:
 
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
     """Grow the axis window until the span stabilizes; classify the minimal
-    vanishing combination by its flip symmetry and the parity of the span."""
+    vanishing combination by its flip symmetry and the parity of the span.
+
+    At most dim steps can grow the span, so two steps in a row that add
+    nothing always come, and the first step that adds nothing exposes the
+    relation."""
     field = alg.field
     lo = hi = 0
     span = EchelonBasis(field, alg.dim)
@@ -409,10 +393,6 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
         else:
             lo -= 1
             new_index = lo
-        if new_index < dd.lo or new_index > dd.hi:
-            raise NoStabilization(
-                f"axis span still growing at window [{lo}, {hi}]"
-            )
         if span.add(dd.axis(new_index)).is_zero():
             quiet += 1
             if first_relation is None:
@@ -425,9 +405,6 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
                 first_relation = (lo, hi, ker.basis[0])
         else:
             quiet = 0
-
-    if first_relation is None:
-        raise NoStabilization("span stabilized without ever exposing a relation")
     return RelationWitness.classify(*first_relation, len(span.rows))
 
 

@@ -430,7 +430,7 @@ def clear_caches():
     _verify_cache.clear()
 
 
-def instantiate(name, field=None, eta=None, window=None, enforce=True):
+def instantiate(name, field=None, eta=None, enforce=True):
     """Build (AlgebraDef, DihedralData) for a catalog entry.
 
     ``field`` is a FieldDescriptor or a spec string; ``eta`` a FieldElement
@@ -454,7 +454,7 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
     if eta.field is not field:
         raise ConstraintViolation("eta does not lie in the requested field")
 
-    key = (entry.name, field, render(eta), window, enforce)
+    key = (entry.name, field, render(eta), enforce)
     cached = _instantiate_cache.get(key)
     if cached is not None:
         return cached
@@ -471,7 +471,7 @@ def instantiate(name, field=None, eta=None, window=None, enforce=True):
         field=algfile.field_to_dict(field),
         dihedral=dict(entry.document["dihedral"], eta=render(eta)),
     )
-    alg, dd, _ = algfile.load_document(document, window, entry.name)
+    alg, dd, _ = algfile.load_document(document, entry.name)
     _instantiate_cache[key] = alg, dd
     return alg, dd
 
@@ -622,11 +622,11 @@ def verify(name, alg, dd, checks=ALL_CHECKS, documented=None):
     )
 
 
-def verify_entry(name, field=None, eta=None, window=None, checks=ALL_CHECKS):
+def verify_entry(name, field=None, eta=None, checks=ALL_CHECKS):
     """Instantiate a catalog entry and verify it against its documentation."""
     entry = get_entry(name)
-    alg, dd = instantiate(name, field, eta, window)
-    key = (entry.name, alg.field, render(dd.eta), window, tuple(checks))
+    alg, dd = instantiate(name, field, eta)
+    key = (entry.name, alg.field, render(dd.eta), tuple(checks))
     report = _verify_cache.get(key)
     if report is None:
         report = _verify_cache[key] = verify(entry.name, alg, dd, checks, documented=entry)
@@ -733,9 +733,8 @@ def _quotient_isomorphism_claims(reports):
         if ok:
             qalg, proj = quotient(palg, span)
             calg, cdd = instantiate(child)
-            lo = max(pdd.lo, min(cdd.axes))
-            hi = min(pdd.hi, max(cdd.axes))
-            pairs = _axis_correspondence(pdd, proj, cdd, range(lo, hi + 1))
+            d = calg.dim
+            pairs = _axis_correspondence(pdd, proj, cdd, range(-(d + 2), d + 4))
             result = extend_from_generators(qalg, pairs, calg)
             ok = isinstance(result, AlgebraMap) and result.is_bijective()
             detail += f"; matches {child}: {ok}"

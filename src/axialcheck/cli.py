@@ -76,18 +76,18 @@ def _catalog_entry(source):
         return None
 
 
-def _load_file(path, field_spec, eta_literal, window=None):
-    """(name, alg, dd) of an algebra file, which fixes its own field, eta and window."""
+def _load_file(path, field_spec, eta_literal):
+    """(name, alg, dd) of an algebra file, which fixes its own field and eta."""
     if not os.path.exists(path):
         raise AxialError(f"{path!r} is neither a catalog entry nor a file")
     given = [
         flag
-        for flag, value in (("--field", field_spec), ("--eta", eta_literal), ("--window", window))
+        for flag, value in (("--field", field_spec), ("--eta", eta_literal))
         if value is not None
     ]
     if given:
         raise ConstraintViolation(
-            f"an algebra file fixes its own field, eta and window; drop {', '.join(given)}"
+            f"an algebra file fixes its own field and eta; drop {', '.join(given)}"
         )
     alg, dd, _constraints = algfile.load_path(path)
     return os.path.basename(path), alg, dd
@@ -106,9 +106,9 @@ def cmd_verify(args) -> int:
     start = time.monotonic()
     checks = _resolve_checks(args.check)
     if _catalog_entry(args.source) is not None:
-        report = catalog.verify_entry(args.source, args.field, args.eta, args.window, checks)
+        report = catalog.verify_entry(args.source, args.field, args.eta, checks)
     else:
-        name, alg, dd = _load_file(args.source, args.field, args.eta, args.window)
+        name, alg, dd = _load_file(args.source, args.field, args.eta)
         if dd is None:
             raise AxialError("source has no dihedral block; nothing to verify")
         report = catalog.verify(name, alg, dd, checks)
@@ -228,20 +228,6 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-# --window N materializes 2N + 2 axes; the default, the algebra's dimension
-# plus 2, is at most 10 for every catalog entry
-MAX_WINDOW = 1000
-
-
-def _window(text):
-    value = int(text)
-    if not 1 <= value <= MAX_WINDOW:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer of at most {MAX_WINDOW}, not {value}"
-        )
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="axialcheck",
@@ -256,7 +242,6 @@ def build_parser():
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--check", default="all",
                           help="comma list of fusion,dihedral,relations,identities (default all)")
-    p_verify.add_argument("--window", type=_window, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")

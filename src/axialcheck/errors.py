@@ -57,14 +57,6 @@ class NotAnIdeal(AxialError):
     """Quotient requested by a subspace that is not an ideal."""
 
 
-class WindowTooSmall(AxialError):
-    """Requested axis index lies outside the computed window."""
-
-
-class NoStabilization(AxialError):
-    """Axis span kept growing past the window bound."""
-
-
 class DataInconsistency(AxialError):
     """Relation classification met contradictory data (e.g. mixed-symmetry minimal relation)."""
 

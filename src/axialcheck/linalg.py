@@ -368,11 +368,12 @@ class EchelonBasis:
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix via RREF on [m | I]."""
+    """Inverse of a square matrix via RREF on [m | I]; m is singular exactly
+    when a pivot falls in the identity half ([m | I] always has rank n)."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices invert")
     n = m.nrows
-    reduced, rank, _ = rref(m.augment(Matrix.identity(m.field, n)))
-    if rank < n:
+    reduced, _, pivots = rref(m.augment(Matrix.identity(m.field, n)))
+    if pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
     return Matrix(m.field, tuple(r[n:] for r in reduced.rows))

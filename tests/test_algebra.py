@@ -221,7 +221,7 @@ def test_generated_subalgebra_matches_closure_by_rounds(name):
         [dd.axis(0)],
         [dd.axis(0), dd.axis(1)],
         [dd.axis(-1), dd.axis(2)],
-        [dd.axis(i) for i in dd.window_indices()],
+        dd.generators(),
         [alg.zero_vector(), dd.axis(0) + dd.axis(1)],
         [_rand_vec(alg, rng)],
     ):

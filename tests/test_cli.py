@@ -78,7 +78,7 @@ def test_file_source_fixes_field_eta_and_window(tmp_path, capsys):
     assert code == 0
     path = tmp_path / "fivethree.json"
     path.write_text(out, encoding="utf-8")
-    for flags in (("--eta", "3"), ("--field", "gf:7"), ("--window", "4")):
+    for flags in (("--eta", "3"), ("--field", "gf:7")):
         code, out, err = run(capsys, "verify", str(path), *flags)
         assert code == 2 and out == ""
         assert err.startswith("error: an algebra file fixes its own field") and flags[0] in err
@@ -99,32 +99,13 @@ def test_prime_field_beyond_the_primality_limit_exits_two(capsys):
     assert "is not below the limit" in err
 
 
-def test_window_must_be_positive(capsys):
-    for window in ("--window=-3", "--window=0"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "Seven", window])
-        assert exc.value.code == 2
-        assert "must be a positive integer" in capsys.readouterr().err
-    # a positive window is accepted; one too small fails the relation search
-    code, out, _ = run(capsys, "verify", "FiveThree", "--window", "1", "--json")
-    assert code == 1
-    rows = {c["name"]: c for c in json.loads(out)["canonical"]["checks"]}
-    assert rows["relation"]["status"] == "fail"
-    assert "axis span still growing at window" in rows["relation"]["detail"]
-    # the dihedral checks need no axis beyond the window
-    code, out, _ = run(capsys, "verify", "Seven", "--window", "4")
-    assert code == 0
-
-
-def test_window_is_bounded(capsys):
-    # parsed, not run: a window this large would materialize 2 * 10^9 axes
-    parser = cli.build_parser()
-    start = time.perf_counter()
+def test_there_is_no_window_option(capsys):
+    # the axes are the shift orbit of a_0, so no option sets how many to make
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["verify", "Seven", "--window", "1000000000"])
-    assert exc.value.code == 2 and time.perf_counter() - start < 1
-    assert f"at most {cli.MAX_WINDOW}" in capsys.readouterr().err
-    assert parser.parse_args(["verify", "Seven", "--window", str(cli.MAX_WINDOW)]).window == cli.MAX_WINDOW
+        cli.main(["verify", "Seven", "--window", "4"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 4" in err and "Traceback" not in err
 
 
 def test_check_selection_names_a_check(capsys):
@@ -280,12 +261,26 @@ def test_nested_power_in_a_product_literal_exits_two(tmp_path, capsys, entry, li
 def test_eta_outside_the_fusion_table_names_eta(tmp_path, capsys, eta):
     doc = _emitted(capsys, "ThreeEvX")
     doc["dihedral"]["eta"] = eta
-    path = tmp_path / "eta.json"
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == 2 and out == ""
+    assert err == "error: eta must avoid 0 and 1\n"
+
+
+def test_singular_shift_fails_the_dihedral_check(tmp_path, capsys):
+    # the zero map as the shift: D2 names it, and the axes a_i, i < 0, which
+    # need the shift's inverse, fail the relation row
+    doc = _emitted(capsys, "ThreeEvX")
+    doc["dihedral"].update(window=[0, 0], axes=["a0"])
+    doc["dihedral"]["shift_images"] = dict.fromkeys(doc["dihedral"]["shift_images"], "0*a0")
+    path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, _ = run(capsys, "verify", str(path), "--json")
-    assert code == 1
+    code, out, err = run(capsys, "verify", str(path), "--json")
+    assert code == 1 and err == ""
     rows = {c["name"]: c for c in json.loads(out)["canonical"]["checks"]}
-    assert rows["fusion"] == {"name": "fusion", "status": "fail", "detail": "eta must avoid 0 and 1"}
+    assert rows["dihedral"] == {
+        "name": "dihedral", "status": "fail", "detail": "D2@None: shift is not invertible",
+    }
+    assert rows["relation"]["status"] == "fail"
 
 
 @pytest.mark.parametrize("constraints", [

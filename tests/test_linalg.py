@@ -6,7 +6,7 @@ import pytest
 from axialcheck.catalog import instantiate
 from axialcheck.errors import DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, parse_scalar
-from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, kernel, rref, solve_in_span
+from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, rref, solve_in_span
 
 
 def _random_matrix(field, rng, rows, cols, span=5):
@@ -264,3 +264,16 @@ def test_apply_and_matmul_refuse_other_fields(GF5, GF7, QETA):
             m.apply(Vector.unit(field, 4, 0))
         with pytest.raises(DimensionMismatch):
             m.matmul(Matrix.identity(field, 4))
+
+
+def _int_matrix(field, rows):
+    return Matrix(field, [[field.from_int(c) for c in row] for row in rows])
+
+
+def test_invert_refuses_a_singular_matrix(Q, GF7):
+    # [m | I] always has rank n: a singular m shows as a pivot in the I half
+    for field, rows in ((Q, [[0, 0], [0, 0]]), (Q, [[1, 2], [2, 4]]), (GF7, [[1, 3, 0], [2, 6, 1], [0, 0, 1]])):
+        with pytest.raises(DimensionMismatch, match="matrix is singular"):
+            invert(_int_matrix(field, rows))
+    m = _int_matrix(GF7, [[1, 3, 0], [2, 5, 1], [0, 0, 1]])
+    assert m.matmul(invert(m)) == Matrix.identity(GF7, 3)

@@ -57,13 +57,6 @@ def test_dihedral_data_rejects_broken_seeds():
         )  # flip does not fix the claimed base axis
 
 
-def test_window_bounds():
-    alg, dd = catalog.instantiate("ThreeEv")
-    n = alg.dim + 2
-    assert (dd.lo, dd.hi) == (-n, n + 1)
-    assert dd.shift.apply(dd.axis(dd.hi - 1)) == dd.axis(dd.hi)
-
-
 def test_matrix_identity_shortcut(Q):
     m = Matrix.identity(Q, 4)
     reduced, rank, pivots = rref(m)
