@@ -7,7 +7,7 @@ index pairs, so x*y = y*x cannot fail by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
 from .fields import FieldElement
@@ -258,18 +258,10 @@ def induce_on_quotient(m: AlgebraMap, ideal: Subspace, qalg: AlgebraDef, project
     return AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
 
-@dataclass(frozen=True)
-class Inconsistent:
-    """Generator images contradict a linear dependency among product words."""
-
-    detail: str
-
-
-@dataclass(frozen=True)
-class NotGenerating:
-    """Closure of the generators spans a proper subspace."""
-
-    spanned_dimension: int
+# generator images contradict a linear dependency among product words
+Inconsistent = namedtuple("Inconsistent", "detail")
+# the closure of the generators spans a proper subspace
+NotGenerating = namedtuple("NotGenerating", "spanned_dimension")
 
 
 def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):

@@ -8,7 +8,7 @@ never guessed from eigenvalues alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import cache, cached_property
 
 from .algebra import (
@@ -67,14 +67,16 @@ class FusionTable:
         return _ALLOWED[key]
 
 
-@dataclass(frozen=True)
 class AxisDecomposition:
-    """A verified splitting M = M0 + M1 + M2 + M3 for one axis."""
+    """A verified splitting M = M0 + M1 + M2 + M3 for one axis; parts holds
+    the four Subspaces.  The cached properties write the instance __dict__
+    directly, past the immutability guard."""
 
-    algebra: AlgebraDef
-    axis: Vector
-    parts: tuple  # (Subspace, Subspace, Subspace, Subspace)
-    table: FusionTable
+    def __init__(self, algebra: AlgebraDef, axis: Vector, parts, table: FusionTable):
+        vars(self).update(algebra=algebra, axis=axis, parts=parts, table=table)
+
+    def __setattr__(self, *_):
+        raise AttributeError("AxisDecomposition is immutable")
 
     def part(self, i) -> Subspace:
         return self.parts[i]
@@ -145,14 +147,7 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     return AxisDecomposition(alg, a, (m0, m1, m2, m3), table)
 
 
-@dataclass(frozen=True)
-class FusionViolation:
-    part_i: int
-    part_j: int
-    left: Vector
-    right: Vector
-    product: Vector
-    allowed: tuple
+FusionViolation = namedtuple("FusionViolation", "part_i part_j left right product allowed")
 
 
 def check_fusion(alg: AlgebraDef, dec: AxisDecomposition):
@@ -233,7 +228,12 @@ class DihedralData:
                 self._axes[i] = self.shift.apply(self.axis(i - 1))
             else:
                 if self._unshift is None:
-                    object.__setattr__(self, "_unshift", self.shift.inverse())
+                    try:
+                        object.__setattr__(self, "_unshift", self.shift.inverse())
+                    except DimensionMismatch:
+                        raise DataInconsistency(
+                            f"shift is not invertible, so a_{i} is undefined"
+                        ) from None
                 self._axes[i] = self._unshift.apply(self.axis(i + 1))
         return self._axes[i]
 
@@ -271,11 +271,8 @@ class DihedralData:
         return self._inv_cache[j]
 
 
-@dataclass(frozen=True)
-class DihedralViolation:
-    condition: str  # "D1" | "D2" | "D3" | "axis" | "fusion"
-    index: int | None
-    detail: str
+# condition is "D1" | "D2" | "D3" | "axis" | "fusion"; index an int or None
+DihedralViolation = namedtuple("DihedralViolation", "condition index detail")
 
 
 def check_dihedral(alg, dd: DihedralData):
@@ -334,15 +331,12 @@ def check_dihedral(alg, dd: DihedralData):
     return violations
 
 
-@dataclass(frozen=True)
-class RelationWitness:
-    """Minimal vanishing combination of axes and the resulting classification."""
+class RelationWitness(namedtuple("RelationWitness", "parity case coefficients adim window")):
+    """Minimal vanishing combination of axes and the resulting classification:
+    parity "even" or "odd", case 1..4, and window the (lo, hi) of the minimal
+    relation window."""
 
-    parity: str       # "even" | "odd"
-    case: int         # 1..4
-    coefficients: tuple
-    adim: int
-    window: tuple     # (lo, hi) of the minimal relation window
+    __slots__ = ()
 
     def describe(self):
         coeffs = ", ".join(render(c) for c in self.coefficients)
@@ -421,27 +415,20 @@ def lambda_coefficient(alg, dec: AxisDecomposition, target: Vector):
     return coords[dec.part(0).dim] / dec.axis[dec.part(1).pivots[0]]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str = ""
+# one row of a report; status is "pass" | "fail" | "skipped"
+CheckResult = namedtuple("CheckResult", "name status detail", defaults=("",))
 
 
-@dataclass
-class IdentityReport:
-    checks: list = dc_field(default_factory=list)
-    scalars: dict = dc_field(default_factory=dict)
+class IdentityReport(namedtuple("IdentityReport", "checks scalars")):
+    """The identity rows, a list of CheckResults, and the scalars they found."""
+
+    __slots__ = ()
 
     def add(self, name, ok, detail=""):
-        self.checks.append(IdentityCheck(name, "pass" if ok else "fail", detail))
+        self.checks.append(CheckResult(name, "pass" if ok else "fail", detail))
 
     def skip(self, name, detail=""):
-        self.checks.append(IdentityCheck(name, "skipped", detail))
-
-    @property
-    def passed(self):
-        return all(c.status != "fail" for c in self.checks)
+        self.checks.append(CheckResult(name, "skipped", detail))
 
 
 def _residual_detail(v: Vector) -> str:
@@ -465,7 +452,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     from the three product expansions, pi from p*p, and checks the
     invariant-scalar action and the shifted-p disjunction where applicable.
     """
-    report = IdentityReport()
+    report = IdentityReport([], {})
     eta = dd.eta
     field = alg.field
     a0 = dd.axis(0)

@@ -12,14 +12,14 @@ documented relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType, SimpleNamespace
 
 from . import algfile
 from .algebra import AlgebraMap, extend_from_generators, is_ideal, quotient
-from .axial import axial_dimension, check_dihedral, check_fusion, identity_suite
-from .errors import AxialError, ConstraintViolation, UnknownEntry
+from .axial import CheckResult, axial_dimension, check_dihedral, check_fusion, identity_suite
+from .errors import AxialError, ConstraintViolation, NotAnIdeal, UnknownEntry
 from .fields import FieldDescriptor, parse_scalar, render
 from .linalg import Subspace
 
@@ -61,17 +61,17 @@ def _document(basis, products, lo, hi, wrap, beyond=None, **constraints):
     return doc
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    doc: str
-    document: dict            # symbolic algebra document, `catalog emit` layout
-    expected_adim: int
-    expected_case: int
-    expected_relation: tuple  # literal coefficients, leading one last
-    default_field: str
-    fixed_eta: str | None = None
-    requires_eta_minpoly: tuple | None = None
+class CatalogEntry(namedtuple(
+    "CatalogEntry",
+    "name doc document expected_adim expected_case expected_relation default_field"
+    " fixed_eta requires_eta_minpoly",
+    defaults=(None, None),
+)):
+    """One encoded entry: document is the symbolic algebra document in the
+    ``catalog emit`` layout, and expected_relation holds the documented
+    relation's literal coefficients, leading one last."""
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -80,13 +80,6 @@ class CatalogEntry:
     @property
     def required_char(self):
         return self.document.get("constraints", {}).get("characteristic")
-
-
-@dataclass(frozen=True)
-class StubEntry:
-    name: str
-    parameters: str
-    note: str
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +370,9 @@ def _entries():
     return _ENTRIES
 
 
-STUBS = (
-    StubEntry("JordanType", "eta", "single middle eigenvalue; imported family, no table encoded"),
-    StubEntry("ThreeZero", "eta, eta, 0", "imported family (with its quotient at eta = -1/3); no table encoded"),
-    StubEntry("FourOne", "1/4, 1/4", "imported family; no table encoded"),
-    StubEntry("FourTwo", "2, 2, 1/2", "imported family; quotient target of BarFourTwo; no table encoded"),
-    StubEntry("FourTwoRoot", "xi, (1-xi^2)/2, -1/(xi+1) with xi^2+2*xi-1=0", "imported family; no table encoded"),
-    StubEntry("FiveOne", "-1/3, -1/3", "imported family; no table encoded"),
-    StubEntry("SixTwo", "4/9, 4/9", "imported family; no table encoded"),
-)
-
-
 def list_entries():
     """The fully encoded entries, in catalog order."""
     return tuple(_entries().values())
-
-
-def list_stubs():
-    return STUBS
 
 
 def get_entry(name: str) -> CatalogEntry:
@@ -481,25 +459,13 @@ def instantiate(name, field=None, eta=None, enforce=True):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # pass | fail | skipped
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class EntryReport:
+class EntryReport(namedtuple(
+    "EntryReport", "entry field_repr eta_repr checks scalars relation dimensions"
+)):
     """A verification report.  Frozen, with read-only mappings and tuples,
     since verify_entry hands one cached report to every caller."""
 
-    entry: str
-    field_repr: str
-    eta_repr: str
-    checks: tuple
-    scalars: MappingProxyType
-    relation: MappingProxyType
-    dimensions: MappingProxyType
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -585,7 +551,7 @@ def _relation_pass(report, alg, dd, documented):
 def _identity_pass(report, alg, dd, documented):
     ident = identity_suite(alg, dd)
     for c in ident.checks:
-        report.checks.append(CheckResult(f"identity:{c.name}", c.status, c.detail))
+        report.checks.append(c._replace(name=f"identity:{c.name}"))
     for key, value in ident.scalars.items():
         report.scalars[key] = render(value)
 
@@ -638,13 +604,7 @@ def verify_entry(name, field=None, eta=None, checks=ALL_CHECKS):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    name: str
-    kind: str
-    subject: str
-    status: str
-    detail: str = ""
+ClaimReport = namedtuple("ClaimReport", "name kind subject status detail")
 
 
 def _span_of_label(alg, label):
@@ -689,6 +649,14 @@ def _ideal_claims(reports):
     )
 
 
+def _quotient_or_none(alg, span):
+    """quotient(alg, span), or None if span is not an ideal."""
+    try:
+        return quotient(alg, span)
+    except NotAnIdeal:
+        return None
+
+
 def _axis_correspondence(dd_source, projection, dd_target, indices):
     return [
         (projection.apply(dd_source.axis(i)), dd_target.axis(i))
@@ -703,11 +671,12 @@ def _quotient_isomorphism_claims(reports):
     for i in range(-2, 3):
         sigma = sigma + dd5.axis(i)
     span = Subspace.from_vectors(alg5.field, alg5.dim, [sigma])
-    ideal_ok = is_ideal(alg5, span)
+    quotient5 = _quotient_or_none(alg5, span)
+    ideal_ok = quotient5 is not None
     detail = f"axis-sum span is ideal: {ideal_ok}"
     iso_ok = False
     if ideal_ok:
-        qalg, proj = quotient(alg5, span)
+        qalg, proj = quotient5
         alg4x, dd4x = instantiate("FourEvX")
         pairs = _axis_correspondence(dd5, proj, dd4x, range(-2, 3))
         result = extend_from_generators(qalg, pairs, alg4x)
@@ -727,11 +696,11 @@ def _quotient_isomorphism_claims(reports):
         ("Seven", "SevenX", "gf:5", "4/3"),
     ):
         palg, pdd = instantiate(parent, field, eta)
-        span = _span_of_label(palg, "p1")
-        ok = is_ideal(palg, span)
+        quotient_p1 = _quotient_or_none(palg, _span_of_label(palg, "p1"))
+        ok = quotient_p1 is not None
         detail = f"p1 span is ideal: {ok}"
         if ok:
-            qalg, proj = quotient(palg, span)
+            qalg, proj = quotient_p1
             calg, cdd = instantiate(child)
             d = calg.dim
             pairs = _axis_correspondence(pdd, proj, cdd, range(-(d + 2), d + 4))
@@ -751,10 +720,11 @@ def _bar_four_two_quotient_claim(reports):
     w1 = algfile.parse_vector("p20 + p1 + 2*(a2+a0) + a1 + am1", alg, dd.eta)
     w2 = algfile.parse_vector("p21 + p1 + a2 + a0 + 2*(a1+am1)", alg, dd.eta)
     span = Subspace.from_vectors(alg.field, alg.dim, [w1, w2])
-    ok = span.dim == 2 and is_ideal(alg, span)
+    quotient2 = _quotient_or_none(alg, span) if span.dim == 2 else None
+    ok = quotient2 is not None
     detail = f"two-dimensional ideal: {ok}"
     if ok:
-        qalg, proj = quotient(alg, span)
+        qalg, proj = quotient2
         ok = qalg.dim == 5
         detail += f"; quotient dimension {qalg.dim}"
         if ok:

@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import algfile, catalog
-from .algebra import AlgebraMap, extend_from_generators, is_ideal, quotient
-from .errors import AxialError, ConstraintViolation, UnknownEntry
+from .algebra import AlgebraMap, extend_from_generators, quotient
+from .errors import AxialError, ConstraintViolation, NotAnIdeal, UnknownEntry
 from .linalg import Subspace
 
 
@@ -116,46 +116,39 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_catalog(args) -> int:
-    start = time.monotonic()
-    if args.action == "list":
-        for entry in catalog.list_entries():
-            constraints = []
-            if entry.fixed_eta:
-                constraints.append(f"eta={entry.fixed_eta}")
-            if entry.required_char:
-                constraints.append(f"char={entry.required_char}")
-            if entry.requires_eta_minpoly:
-                constraints.append(
-                    "minpoly=" + ",".join(str(c) for c in entry.requires_eta_minpoly)
-                )
-            suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
-            print(
-                f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "
-                f"case {entry.expected_case}  field {entry.default_field}{suffix}"
+def cmd_catalog_list(args) -> int:
+    for entry in catalog.list_entries():
+        constraints = []
+        if entry.fixed_eta:
+            constraints.append(f"eta={entry.fixed_eta}")
+        if entry.required_char:
+            constraints.append(f"char={entry.required_char}")
+        if entry.requires_eta_minpoly:
+            constraints.append(
+                "minpoly=" + ",".join(str(c) for c in entry.requires_eta_minpoly)
             )
-        for stub in catalog.list_stubs():
-            print(f"{stub.name:<12} (stub: {stub.parameters}) -- {stub.note}")
-        return 0
-    if args.action == "emit":
-        if not args.name:
-            raise AxialError("emit needs an entry name")
-        entry = catalog.get_entry(args.name)
-        alg, dd = catalog.instantiate(args.name, args.field, args.eta)
-        print(algfile.dumps(alg, dd, entry.document.get("constraints")))
-        return 0
+        suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
+        print(
+            f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "
+            f"case {entry.expected_case}  field {entry.default_field}{suffix}"
+        )
+    return 0
+
+
+def cmd_catalog_emit(args) -> int:
+    if not args.name:
+        raise AxialError("emit needs an entry name")
+    entry = catalog.get_entry(args.name)
+    alg, dd = catalog.instantiate(args.name, args.field, args.eta)
+    print(algfile.dumps(alg, dd, entry.document.get("constraints")))
+    return 0
+
+
+def cmd_catalog_claims(args) -> int:
+    start = time.monotonic()
     reports = catalog.check_claims()
     if args.json:
-        claims = [
-            {
-                "name": r.name,
-                "kind": r.kind,
-                "subject": r.subject,
-                "status": r.status,
-                "detail": r.detail,
-            }
-            for r in reports
-        ]
+        claims = [r._asdict() for r in reports]
         _emit_report({"claims": claims}, time.monotonic() - start, True)
     else:
         for r in reports:
@@ -214,10 +207,11 @@ def cmd_quotient(args) -> int:
     if not vectors:
         raise AxialError("empty ideal specification")
     span = Subspace.from_vectors(alg.field, alg.dim, vectors)
-    if not is_ideal(alg, span):
+    try:
+        qalg, proj = quotient(alg, span)
+    except NotAnIdeal:
         print("not an ideal", file=sys.stderr)
         return 1
-    qalg, proj = quotient(alg, span)
     qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
     text = algfile.dumps(qalg, qdd)
     if args.output:
@@ -245,12 +239,16 @@ def build_parser():
     p_verify.set_defaults(func=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")
-    p_cat.add_argument("action", choices=("list", "emit", "claims"))
-    p_cat.add_argument("name", nargs="?", default=None)
-    p_cat.add_argument("--field", default=None)
-    p_cat.add_argument("--eta", default=None)
-    p_cat.add_argument("--json", action="store_true")
-    p_cat.set_defaults(func=cmd_catalog)
+    actions = p_cat.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="list the entries").set_defaults(func=cmd_catalog_list)
+    p_emit = actions.add_parser("emit", help="write an entry as an algebra file")
+    p_emit.add_argument("name", nargs="?", default=None)
+    p_emit.add_argument("--field", default=None)
+    p_emit.add_argument("--eta", default=None)
+    p_emit.set_defaults(func=cmd_catalog_emit)
+    p_claims = actions.add_parser("claims", help="discharge the catalog's claims")
+    p_claims.add_argument("--json", action="store_true")
+    p_claims.set_defaults(func=cmd_catalog_claims)
 
     p_isom = sub.add_parser("isom", help="test a generator correspondence for isomorphism")
     p_isom.add_argument("source_a")

@@ -865,8 +865,3 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
     if den_val is None or den_val.is_zero():
         raise DenominatorVanishes(f"denominator of {render(x)} vanishes at {render(value)}")
     return num_val / den_val
-
-
-def characteristic(field: FieldDescriptor) -> int:
-    """0 for the Q-based fields, p for GF(p)."""
-    return field.characteristic()

@@ -20,7 +20,6 @@ def test_list_entries():
     three = catalog.get_entry("ThreeEv")
     assert three.document["basis"] == ["p1", "am1", "a0", "a1"] and three.dim == 4
     assert catalog.get_entry("SevenX").required_char == 5
-    assert len(catalog.list_stubs()) == 7
 
 
 def test_lookup_case_insensitive():
@@ -133,6 +132,13 @@ def test_check_claims_all_pass():
     assert "quotient_FiveThree_is_FourEvX" in names
     assert "ideal_p1_Seven" in names
     assert "quotient_BarFourTwo_two_dim" in names
+
+
+def test_identity_rows_are_check_results():
+    # one row type serves the identity suite and the report
+    assert catalog.CheckResult is axial.CheckResult
+    checks = axial.identity_suite(*catalog.instantiate("Seven")).checks
+    assert checks and all(type(c) is axial.CheckResult for c in checks)
 
 
 def test_cached_reports_are_frozen():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -47,9 +50,21 @@ def test_verify_negative_control_exits_one(capsys):
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
-    for name in ("ThreeEv", "SevenX", "BarFourTwo"):
-        assert name in out
-    assert out.count("stub") == 7
+    names = [line.split()[0] for line in out.splitlines()]
+    assert names == [entry.name for entry in catalog.list_entries()] and len(names) == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ("list", "Seven", "--field", "gf:7", "--eta", "5", "--json"),
+    ("claims", "Seven", "--field", "gf:7", "--eta", "9"),
+    ("emit", "Seven", "--json"),
+], ids=lambda argv: argv[0])
+def test_catalog_actions_take_only_their_own_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["catalog", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
 
 
 def test_catalog_emit_round_trip(tmp_path, capsys):
@@ -268,7 +283,7 @@ def test_eta_outside_the_fusion_table_names_eta(tmp_path, capsys, eta):
 
 def test_singular_shift_fails_the_dihedral_check(tmp_path, capsys):
     # the zero map as the shift: D2 names it, and the axes a_i, i < 0, which
-    # need the shift's inverse, fail the relation row
+    # need the shift's inverse, fail the relation and identities rows
     doc = _emitted(capsys, "ThreeEvX")
     doc["dihedral"].update(window=[0, 0], axes=["a0"])
     doc["dihedral"]["shift_images"] = dict.fromkeys(doc["dihedral"]["shift_images"], "0*a0")
@@ -280,7 +295,11 @@ def test_singular_shift_fails_the_dihedral_check(tmp_path, capsys):
     assert rows["dihedral"] == {
         "name": "dihedral", "status": "fail", "detail": "D2@None: shift is not invertible",
     }
-    assert rows["relation"]["status"] == "fail"
+    for name in ("relation", "identities"):
+        assert rows[name] == {
+            "name": name, "status": "fail",
+            "detail": "shift is not invertible, so a_-1 is undefined",
+        }
 
 
 @pytest.mark.parametrize("constraints", [
@@ -350,3 +369,13 @@ def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
     rows = [(c["name"], c["status"]) for c in json.loads(file_out)["canonical"]["checks"]]
     direct = json.loads(direct_out)["canonical"]["checks"]
     assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, so that no earlier import has loaded either module
+    env = dict(os.environ, PYTHONPATH="src")
+    probe = "import sys, axialcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -16,7 +16,6 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import (
     FieldDescriptor,
-    characteristic,
     parse_scalar,
     render,
     specialize,
@@ -93,10 +92,10 @@ def test_specialize_into_prime_and_number_field(QETA, GF5, NF):
 
 
 def test_characteristic(Q, QETA, GF5, NF):
-    assert characteristic(QETA) == 0
-    assert characteristic(GF5) == 5
-    assert characteristic(NF) == 0
-    assert characteristic(Q) == 0
+    assert QETA.characteristic() == 0
+    assert GF5.characteristic() == 5
+    assert NF.characteristic() == 0
+    assert Q.characteristic() == 0
 
 
 def test_render_round_trip(Q, QETA, GF5, NF):
