@@ -115,30 +115,34 @@ def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
 def _span_closure(echelon: EchelonBasis, gens, product):
     """Close span(gens) under product, multiplying each pair of kept words once:
     generators first, then products breadth first, later word on the left.
-    Each word goes into echelon and is kept if its remainder is nonzero;
-    (label, remainder) is yielded after each, so a caller can stop early."""
+    Each word goes into echelon and is kept if it raises the rank; (pivot,
+    word) is yielded after each, pivot being what echelon.add returned and
+    word None for a generator or (i, j) for the product of words i and j, so
+    a caller can stop early."""
     words = []
     for g in gens:
-        remainder = echelon.add(g)
-        yield "generator", remainder
-        if not remainder.is_zero():
+        pivot = echelon.add(g)
+        yield pivot, None
+        if pivot is not None:
             words.append(g)
     i = 0
     while i < len(words):
         for j in range(i + 1):
             word = product(words[i], words[j])
-            remainder = echelon.add(word)
-            yield f"word {i}*{j}", remainder
-            if not remainder.is_zero():
+            pivot = echelon.add(word)
+            yield pivot, (i, j)
+            if pivot is not None:
                 words.append(word)
         i += 1
 
 
 def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
-    """Smallest multiplication-closed subspace containing the generators."""
+    """Smallest multiplication-closed subspace containing the generators.
+    The closure stops once the span is the whole algebra, which is closed."""
     echelon = EchelonBasis(alg.field, alg.dim)
     for _ in _span_closure(echelon, gens, lambda x, y: multiply(alg, x, y)):
-        pass
+        if len(echelon.rows) == alg.dim:
+            break
     return echelon.subspace()
 
 
@@ -291,10 +295,11 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
         return Vector(field, src.entries + img.entries)
 
     echelon = EchelonBasis(field, n + target.dim)
-    for what, remainder in _span_closure(echelon, graph, product):
-        if not remainder.is_zero() and all(e.is_zero() for e in remainder[:n]):
+    for pivot, word in _span_closure(echelon, graph, product):
+        if pivot is not None and pivot >= n:  # the source half of the remainder vanished
+            what = "generator" if word is None else f"word {word[0]}*{word[1]}"
             return Inconsistent(f"images disagree on dependent word ({what})")
     if len(echelon.rows) < n:
         return NotGenerating(len(echelon.rows))
-    cols = [Vector(field, echelon.rows[k][n:]) for k in range(n)]
+    cols = [echelon.vector(k, n) for k in range(n)]
     return AlgebraMap(alg, target, Matrix.from_columns(field, cols, nrows=target.dim))

@@ -220,6 +220,8 @@ def _check_shape(doc):
         _require(isinstance(constraints, dict), "constraints must be an object")
         for key in ("exclude_eta", "nonzero"):
             _require(_all_str(constraints.get(key, []), list), f"{key} must be an array of literal strings")
+        required = constraints.get("characteristic")
+        _require(required is None or type(required) is int, "characteristic must be an integer or null")
 
 
 def load_document(doc, subject="file"):
@@ -262,10 +264,13 @@ def load_document(doc, subject="file"):
 
     index = {label: i for i, label in enumerate(doc["basis"])}
     table = {}
+    scalars = {}  # each distinct literal is parsed once
     for item in doc["products"]:
         entries = [field.zero()] * len(index)
         for label, literal in item["value"].items():
-            entries[index[label]] = parse_scalar(literal, field, eta)
+            if literal not in scalars:
+                scalars[literal] = parse_scalar(literal, field, eta)
+            entries[index[label]] = scalars[literal]
         table[index[item["left"]], index[item["right"]]] = Vector(field, entries)
     alg = AlgebraDef(field, doc["basis"], table)
     dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta)

@@ -387,7 +387,7 @@ def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
         else:
             lo -= 1
             new_index = lo
-        if span.add(dd.axis(new_index)).is_zero():
+        if span.add(dd.axis(new_index)) is None:
             quiet += 1
             if first_relation is None:
                 window = [dd.axis(i) for i in range(lo, hi + 1)]

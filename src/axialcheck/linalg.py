@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over any FieldDescriptor.
+"""Exact linear algebra over any FieldDescriptor.
 
 Everything is immutable.  Reduced row echelon form is the canonical
 normal form throughout: two subspaces are equal iff their RREF bases
@@ -202,12 +202,13 @@ class Matrix:
 def rref(m: Matrix):
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
     echelon = EchelonBasis(m.field, m.ncols)
+    is_zero = m.field.is_zero
     for r in m.rows:
-        echelon.add(Vector(m.field, r))
+        echelon._insert({j: e.payload for j, e in enumerate(r) if not is_zero(e.payload)})
     pivots = sorted(echelon.rows)
     zero_row = (m.field.zero(),) * m.ncols
-    rows = [echelon.rows[pc] for pc in pivots] + [zero_row] * (m.nrows - len(pivots))
-    return Matrix(m.field, rows), len(pivots), tuple(pivots)
+    rows = [_dense(m.field, m.ncols, echelon.rows[pc]) for pc in pivots]
+    return Matrix(m.field, rows + [zero_row] * (m.nrows - len(pivots))), len(pivots), tuple(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -248,15 +249,19 @@ def solve_in_span(target: Vector, spanners):
 
 
 class Subspace:
-    """A subspace kept as the nonzero rows of an RREF matrix (canonical)."""
+    """A subspace kept as the nonzero rows of an RREF matrix (canonical): as
+    sparse payload rows (see EchelonBasis) for reducing, and as Vectors in
+    ``basis``."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "rows", "basis", "pivots")
 
-    def __init__(self, field, ambient, basis, pivots):
+    def __init__(self, field, ambient, rows):
+        rows = tuple(rows)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "basis", tuple(Vector(field, _dense(field, ambient, r)) for r in rows))
+        object.__setattr__(self, "pivots", tuple(r[0][0] for r in rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -270,7 +275,7 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def _check(self, other):
         if not isinstance(other, Subspace):
@@ -280,9 +285,9 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        if len(v) != self.ambient:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        return Vector(v.field, _reduce(v.entries, zip(self.pivots, (r.entries for r in self.basis))))
+        entries = _sparse(v, self.field, self.ambient)
+        _reduce(self.field, entries, zip(self.pivots, self.rows))
+        return Vector(self.field, _dense(self.field, self.ambient, sorted(entries.items())))
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
@@ -297,13 +302,13 @@ class Subspace:
         """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
         vanish on the first half exactly in (0 | U and W)."""
         self._check(other)
-        zero = (self.field.zero(),) * self.ambient
-        sums = EchelonBasis(self.field, 2 * self.ambient)
-        for u in self.basis:
-            sums.add(Vector(self.field, u.entries + u.entries))
-        for w in other.basis:
-            sums.add(Vector(self.field, w.entries + zero))
-        return sums.subspace(self.ambient)
+        n = self.ambient
+        sums = EchelonBasis(self.field, 2 * n)
+        for u in self.rows:
+            sums._insert(dict(u + tuple((j + n, a) for j, a in u)))
+        for w in other.rows:
+            sums._insert(dict(w))
+        return sums.subspace(n)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -311,30 +316,67 @@ class Subspace:
         return (
             self.field is other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def _reduce(entries, rows):
-    """entries less c * row for each (pivot, row) of echelon rows, c being the
-    entry at the pivot; the rows are zero at each other's pivots."""
-    for pc, row in rows:
-        c = entries[pc]
-        if not c.is_zero():
-            entries = tuple(a if b.is_zero() else a - c * b for a, b in zip(entries, row))
+def _sparse(v: Vector, field, ambient):
+    """{column: payload} over the nonzero entries of v, a vector of the space."""
+    if len(v) != ambient:
+        raise AmbientMismatch("vector length differs from ambient dimension")
+    if v.field is not field:
+        raise DescriptorMismatch("vectors over different fields")
+    is_zero = field.is_zero
+    return {j: e.payload for j, e in enumerate(v.entries) if not is_zero(e.payload)}
+
+
+def _dense(field, n, terms):
+    """The n entries, as FieldElements, of the sparse (column, payload) terms."""
+    entries = [field.zero()] * n
+    for j, a in terms:
+        entries[j] = FieldElement(field, a)
     return entries
+
+
+def _subtract(field, entries, c, terms):
+    """entries -= c * terms, where entries maps columns to nonzero payloads and
+    terms are (column, payload) pairs; entries stays free of zeros."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    minus_c = field.neg(c)
+    for j, b in terms:
+        t = mul(minus_c, b)
+        if j in entries:
+            s = add(entries[j], t)
+            if is_zero(s):
+                del entries[j]
+            else:
+                entries[j] = s
+        else:
+            entries[j] = t
+
+
+def _reduce(field, entries, rows):
+    """Clear entries at the pivot of each (pivot, row) of echelon rows by
+    subtracting c * row, c being the entry there.  The rows are zero at each
+    other's pivots, so no subtraction refills a cleared pivot."""
+    for pc, row in rows:
+        c = entries.pop(pc, None)
+        if c is not None:
+            _subtract(field, entries, c, row[1:])
 
 
 class EchelonBasis:
     """A subspace grown one vector at a time, kept in reduced row echelon
-    form: each row (an entry tuple) has a 1 at its pivot column, where every
-    other row is zero, so reducing a vector is one pass over the rows."""
+    form.  Each row is a tuple of its nonzero (column, payload) pairs in
+    column order, led by a 1 at its pivot column, where every other row is
+    zero, so reducing a vector is one pass over the rows; the arithmetic is
+    the field's own on payloads."""
 
     __slots__ = ("field", "ambient", "rows")
 
@@ -342,29 +384,47 @@ class EchelonBasis:
         self.field, self.ambient = field, ambient
         self.rows = {}  # pivot column -> row
 
-    def add(self, v: Vector) -> Vector:
+    def add(self, v: Vector):
         """Reduce v against the rows and keep its remainder, if nonzero, as a
-        new row.  Returns the remainder: zero exactly when v was in the span."""
-        if len(v) != self.ambient:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        if v.field is not self.field:
-            raise DescriptorMismatch("vectors over different fields")
-        out = _reduce(v.entries, self.rows.items())
-        pivot = next((i for i, e in enumerate(out) if not e.is_zero()), None)
-        if pivot is not None:
-            inv = out[pivot].inverse()
-            new = out if inv.is_one() else tuple(inv * e for e in out)
-            for pc, r in self.rows.items():
-                self.rows[pc] = _reduce(r, ((pivot, new),))
-            self.rows[pivot] = new
-        return Vector(self.field, out)
+        new row.  Returns the new row's pivot column (the remainder's first
+        nonzero column), or None exactly when v was in the span."""
+        return self._insert(_sparse(v, self.field, self.ambient))
+
+    def _insert(self, entries):
+        """add() for a vector given as {column: nonzero payload}, which it
+        consumes."""
+        field, rows = self.field, self.rows
+        _reduce(field, entries, rows.items())
+        if not entries:
+            return None
+        pivot = min(entries)
+        lead = entries[pivot]
+        if lead != field.ONE:
+            inv, mul = field.inv(lead), field.mul
+            entries = {j: mul(inv, a) for j, a in entries.items()}
+        new = tuple(sorted(entries.items()))
+        for pc, row in rows.items():
+            c = next((a for j, a in row if j == pivot), None)
+            if c is not None:
+                reduced = dict(row)
+                del reduced[pivot]
+                _subtract(field, reduced, c, new[1:])
+                rows[pc] = tuple(sorted(reduced.items()))
+        rows[pivot] = new
+        return pivot
+
+    def vector(self, pc, n=0) -> Vector:
+        """The row with pivot pc, less its first n coordinates."""
+        terms = ((j - n, a) for j, a in self.rows[pc] if j >= n)
+        return Vector(self.field, _dense(self.field, self.ambient - n, terms))
 
     def subspace(self, n=0) -> "Subspace":
         """The span's vectors that vanish on the first n coordinates, as a
         subspace of the others: in echelon form, the rows with pivots >= n."""
-        pivots = [pc for pc in sorted(self.rows) if pc >= n]
-        basis = [Vector(self.field, self.rows[pc][n:]) for pc in pivots]
-        return Subspace(self.field, self.ambient - n, basis, [pc - n for pc in pivots])
+        rows = [self.rows[pc] for pc in sorted(self.rows) if pc >= n]
+        if n:
+            rows = [tuple((j - n, a) for j, a in row) for row in rows]
+        return Subspace(self.field, self.ambient - n, rows)
 
 
 def invert(m: Matrix) -> Matrix:

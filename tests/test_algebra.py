@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from axialcheck import algebra
 from axialcheck.algebra import (
     AlgebraDef,
     AlgebraMap,
@@ -333,3 +334,29 @@ def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch):
         calls[0] = 0
         ad.apply(alg.basis_vector(k))
         assert calls[0] <= ad.nrows
+
+
+def test_closure_stops_at_the_full_span(Q, monkeypatch):
+    # M_eta(S_5) is generated by the four adjacent transpositions; once the
+    # span is the whole algebra no product can add to it
+    alg = _matsuo_s5(Q, "1/4")
+    gens = [alg.basis_vector(alg.label_index(label)) for label in ("12", "23", "34", "45")]
+    ranks, products = [], []
+
+    class Recording(algebra.EchelonBasis):
+        __slots__ = ()
+
+        def add(self, v):
+            pivot = super().add(v)
+            ranks.append(len(self.rows))
+            return pivot
+
+    def counted(*args):
+        products.append(ranks[-1])
+        return multiply(*args)
+
+    monkeypatch.setattr(algebra, "EchelonBasis", Recording)
+    monkeypatch.setattr(algebra, "multiply", counted)
+    span = algebra.generated_subalgebra(alg, gens)
+    assert span.dim == alg.dim == 10
+    assert max(products) < 10 and len(products) == 26

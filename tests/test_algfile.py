@@ -91,3 +91,42 @@ def test_emitted_scalars_are_strings():
         for value in item["value"].values():
             assert isinstance(value, str)
     assert doc["dihedral"]["eta"] == "eta"
+
+
+def test_each_literal_is_parsed_once(monkeypatch, capsys):
+    from axialcheck import cli
+
+    assert cli.main(["catalog", "emit", "FiveThree"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    calls = []
+    parse = algfile.parse_scalar
+
+    def counted(text, *args):
+        calls.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(algfile, "parse_scalar", counted)
+    algfile.load_document(doc)
+    literals = [literal for item in doc["products"] for literal in item["value"].values()]
+    assert len(literals) == 55 and len(set(literals)) == 3
+    # the eta literal, the constraint literals, and each product literal once
+    assert doc["constraints"] == {"exclude_eta": ["0", "1", "1/2"]}
+    assert sorted(calls) == sorted(["eta", "0", "1", "1/2", *set(literals)])
+
+
+def test_a_repeated_malformed_literal_is_one_error(tmp_path, capsys):
+    from axialcheck import cli
+
+    doc, _, _ = _doc_for("ThreeEvX")
+    errors = []
+    for repeats in (1, 3):
+        for item in doc["products"][:repeats]:
+            value = item["value"]
+            value[next(iter(value))] = "2*/3"
+        path = tmp_path / f"bad{repeats}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]

@@ -255,7 +255,21 @@ def test_malformed_numbers_elsewhere_in_a_file_exit_two(tmp_path, capsys):
     assert code == 2 and err.startswith("error: invalid JSON")
     doc["constraints"] = {"characteristic": "abc"}
     code, out, err = _verify_document(capsys, tmp_path, doc)
-    assert code == 2 and "requires characteristic" in err
+    assert code == 2 and err == "error: characteristic must be an integer or null\n"
+
+
+@pytest.mark.parametrize("characteristic, exit_code", [("5", 2), (True, 2), (5.0, 2), (5, 0), (None, 0)])
+def test_required_characteristic_is_an_integer_or_null(tmp_path, capsys, characteristic, exit_code):
+    # a string once failed as "requires characteristic '5', field has 5"
+    doc = _emitted(capsys, "SevenX")
+    assert doc["field"] == {"kind": "prime", "p": 5}
+    doc["constraints"]["characteristic"] = characteristic
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert code == exit_code
+    if exit_code:
+        assert out == "" and err == "error: characteristic must be an integer or null\n"
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("entry, literal", [

@@ -131,6 +131,15 @@ def test_subspace_ops(Q):
     # canonical equality: different generating sets, same space
     doubled = Subspace.from_vectors(Q, 4, [v + v for v in vs] + vs)
     assert doubled == space
+    # two planes of Q^4 meeting in a line
+    for _ in range(10):
+        u0, u1, w0 = (Vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3))
+        plane_u, plane_w = Subspace.from_vectors(Q, 4, [u0, u1]), Subspace.from_vectors(Q, 4, [u0 + u1, w0])
+        meet = plane_u.intersection(plane_w)
+        assert meet.dim == plane_u.dim + plane_w.dim - plane_u.sum(plane_w).dim
+        assert meet.contains(u0 + u1)
+        assert all(plane_u.contains(v) and plane_w.contains(v) for v in meet.basis)
+        assert meet == plane_w.intersection(plane_u)
 
 
 def test_direct_sum_of_parts(QETA):
@@ -161,6 +170,14 @@ def _sympy_domain(field):
     if field.kind == field.PRIME:
         gf = GF(field.p)
         return gf, lambda e: gf(e.payload)
+    if field.kind == field.RATIONAL_FUNCTIONS:
+        t = sympy.Symbol(field.variable)
+        qt = QQ.frac_field(t)
+
+        def poly(coeffs):
+            return sum((sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(coeffs)), sympy.S.Zero)
+
+        return qt, lambda e: qt.from_sympy(poly(e.payload[0]) / poly(e.payload[1]))
     assert field.minpoly == (-1, 2, 1)  # eta = sqrt(2) - 1
     nf = QQ.algebraic_field(sympy.sqrt(2))
     eta = nf.from_sympy(sympy.sqrt(2) - 1)
@@ -181,6 +198,8 @@ def _random_low_rank(field, rng, rows, cols, rank):
     def entry():
         if field.kind == field.NUMBER_FIELD:
             return field.element((Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
+        if field.kind == field.RATIONAL_FUNCTIONS:
+            return field.element(((rng.randint(-3, 3), rng.randint(-2, 2)), (1,)))
         return field.from_int(rng.randint(-4, 4))
 
     if not rank:
@@ -189,7 +208,7 @@ def _random_low_rank(field, rng, rows, cols, rank):
     return left.matmul(Matrix(field, [[entry() for _ in range(cols)] for _ in range(rank)]))
 
 
-@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF"])
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
 def test_elimination_matches_sympy(fixture, request):
     field = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
@@ -206,10 +225,18 @@ def test_elimination_matches_sympy(fixture, request):
         assert ker.dim == null.shape[0] == ncols - rank
         if ker.dim:
             assert _domain_matrix([v.entries for v in ker.basis], ncols, field) == null.rref()[0]
-        # the incremental echelon basis grows the same span, in any order
+        # the incremental echelon basis grows the same span, in any order, and
+        # add gives a new pivot exactly for the rows that raise the rank
         echelon = EchelonBasis(field, ncols)
+        added, their_rank = [], 0
         for row in rng.sample(m.rows, len(m.rows)):
-            echelon.add(Vector(field, row))
+            pivots_before = set(echelon.rows)
+            pivot = echelon.add(Vector(field, row))
+            added.append(row)
+            raised = _domain_matrix(added, ncols, field).rank() > their_rank
+            their_rank += raised
+            assert (pivot is None) != raised
+            assert set(echelon.rows) - pivots_before == ({pivot} if raised else set())
         assert len(echelon.rows) == rank
         assert echelon.subspace().basis == tuple(Vector(field, r) for r in reduced.rows[:rank])
 
