@@ -369,14 +369,8 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
         "products": products,
     }
     if dd is not None:
-        axes = []
-        basis_vectors = {
-            alg.basis_vector(k): alg.labels[k] for k in range(alg.dim)
-        }
         seed_range = list(range(-1, alg.dim + 1))
-        for i in seed_range:
-            v = dd.axis(i)
-            axes.append(basis_vectors.get(v) or _render_vector_literal(v, alg.labels, literal))
+        axes = [_render_vector_literal(dd.axis(i), alg.labels, literal) for i in seed_range]
         shift_images = {}
         flip_images = {}
         for k in range(alg.dim):

@@ -17,7 +17,6 @@ from .algebra import (
     adjoint_matrix,
     generated_subalgebra,
     induce_on_quotient,
-    is_homomorphism,
     multiply,
 )
 from .errors import (
@@ -185,7 +184,8 @@ def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
 
 class DihedralData:
     """The base axis a_0, the shift automorphism and the base flip of a
-    dihedral algebra; every other axis is a_i = shift^i(a_0)."""
+    dihedral algebra; every other axis is a_i = shift^i(a_0).  The shift and
+    the flip are multiplicative by construction (see build)."""
 
     __slots__ = ("algebra", "eta", "shift", "flip", "_axes", "_unshift", "_inv_cache", "_base_split")
 
@@ -207,7 +207,9 @@ class DihedralData:
         """Check that eta avoids 0 and 1 (the fusion table's rule), that the
         seed axes are consecutive shifts of a_0 and that the flip fixes a_0.
         The shift is not inverted here: a singular shift is a failed
-        dihedral check, not a rejected input."""
+        dihedral check, not a rejected input.  Nor is either map checked for
+        multiplicativity: every caller passes maps that extend_from_generators
+        proved multiplicative, or that induce_on_quotient induced from such."""
         FusionTable(eta)
         axes = dict(seed_axes)
         seed_lo, seed_hi = min(axes), max(axes)
@@ -236,15 +238,6 @@ class DihedralData:
                         ) from None
                 self._axes[i] = self._unshift.apply(self.axis(i + 1))
         return self._axes[i]
-
-    def generators(self):
-        """The axes a_-d .. a_(d+1), d = dim, which span every axis.
-
-        The spans S_k of a_-k .. a_(k+1) grow with k, and once S_k = S_(k+1)
-        the shift and its inverse give S_(k+2) = S_k, so they stop for good;
-        as S_k can grow at most d times, S_d already holds every axis."""
-        d = self.algebra.dim
-        return [self.axis(i) for i in range(-d, d + 2)]
 
     def base_split(self) -> AxisDecomposition:
         """The decomposition at a_0 along the flip, kept because the fusion
@@ -275,31 +268,62 @@ class DihedralData:
 DihedralViolation = namedtuple("DihedralViolation", "condition index detail")
 
 
+def axis_orbit(alg, dd):
+    """Grow the window a_lo .. a_hi from a_0 by a_(hi+1), then a_(lo-1), in
+    turn, until two steps in a row add nothing to its span (at most dim
+    steps add something); reads only dd.axis.  Returns that window (lo, hi),
+    the window at the first step that added nothing, which carries exactly
+    one relation as every earlier axis raised the rank, and the rank.  With
+    an invertible shift the window spans every axis: a_(hi+1) in the span S
+    of a_lo .. a_hi gives shift(S) = S, and a_(lo-1) in S does so for the
+    inverse."""
+    lo = hi = 0
+    span = EchelonBasis(alg.field, alg.dim)
+    span.add(dd.axis(0))
+    relation = None
+    quiet = 0
+    while quiet < 2:
+        if hi == -lo:
+            hi += 1
+            new_index = hi
+        else:
+            lo -= 1
+            new_index = lo
+        if span.add(dd.axis(new_index)) is None:
+            quiet += 1
+            if relation is None:
+                relation = (lo, hi)
+        else:
+            quiet = 0
+    return (lo, hi), relation, len(span.rows)
+
+
 def check_dihedral(alg, dd: DihedralData):
     """Mechanical check of the dihedral axioms; returns violations (empty = pass).
 
-    Only a_0 is decomposed.  Once the shift is a verified automorphism, as
-    every axis is a_i = shift^i(a_0), the split, fusion and Miyamoto
-    results at a_i are those at a_0 conjugated by shift^i, and the involution
-    at i is shift^i o flip o shift^-i.  The relation flip o shift o flip =
-    shift^-1 with flip(a_0) = a_0 then gives tau_j(a_i) = a_{2j-i} for all
-    i and j.
+    The shift and the flip are multiplicative by construction (see
+    DihedralData.build), so D2 asks only whether dd.axis finds the shift's
+    inverse for a_-1.  D1 generates from the window of axis_orbit.  Only a_0
+    is decomposed.  As every axis is a_i = shift^i(a_0), the split, fusion
+    and Miyamoto results at a_i are those at a_0 conjugated by the
+    automorphism shift^i, and the involution at i is shift^i o flip o
+    shift^-i.  The relation flip o shift o flip = shift^-1 with
+    flip(a_0) = a_0 then gives tau_j(a_i) = a_{2j-i} for all i and j.
     """
     violations = []
     ident = Matrix.identity(alg.field, alg.dim)
 
-    if not is_homomorphism(dd.shift):
-        violations.append(DihedralViolation("D2", None, "shift is not multiplicative"))
-    if not dd.shift.is_bijective():
+    try:
+        dd.axis(-1)
+    except DataInconsistency:
         violations.append(DihedralViolation("D2", None, "shift is not invertible"))
-    if not is_homomorphism(dd.flip):
-        violations.append(DihedralViolation("D3", 0, "flip is not multiplicative"))
     if dd.flip.matrix.matmul(dd.flip.matrix) != ident:
         violations.append(DihedralViolation("D3", 0, "flip squared is not the identity"))
     if violations:
         return violations
 
-    span = generated_subalgebra(alg, dd.generators())
+    (lo, hi), _, _ = axis_orbit(alg, dd)
+    span = generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)])
     if span.dim != alg.dim:
         violations.append(
             DihedralViolation("D1", None, f"axes generate only dimension {span.dim}")
@@ -367,39 +391,12 @@ class RelationWitness(namedtuple("RelationWitness", "parity case coefficients ad
 
 
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
-    """Grow the axis window until the span stabilizes; classify the minimal
-    vanishing combination by its flip symmetry and the parity of the span.
-
-    At most dim steps can grow the span, so two steps in a row that add
-    nothing always come, and the first step that adds nothing exposes the
-    relation."""
-    field = alg.field
-    lo = hi = 0
-    span = EchelonBasis(field, alg.dim)
-    span.add(dd.axis(0))
-    first_relation = None
-    quiet = 0
-
-    while quiet < 2:
-        if hi == -lo:
-            hi += 1
-            new_index = hi
-        else:
-            lo -= 1
-            new_index = lo
-        if span.add(dd.axis(new_index)) is None:
-            quiet += 1
-            if first_relation is None:
-                window = [dd.axis(i) for i in range(lo, hi + 1)]
-                ker = kernel(Matrix.from_columns(field, window, nrows=alg.dim))
-                if ker.dim != 1:
-                    raise DataInconsistency(
-                        f"minimal relation window carries {ker.dim} independent relations"
-                    )
-                first_relation = (lo, hi, ker.basis[0])
-        else:
-            quiet = 0
-    return RelationWitness.classify(*first_relation, len(span.rows))
+    """Classify the one relation of axis_orbit's first relation window by
+    its flip symmetry, with the rank of the axis span as the dimension."""
+    _, (lo, hi), rank = axis_orbit(alg, dd)
+    window = [dd.axis(i) for i in range(lo, hi + 1)]
+    relation = kernel(Matrix.from_columns(alg.field, window, nrows=alg.dim)).basis[0]
+    return RelationWitness.classify(lo, hi, relation, rank)
 
 
 def p_vector(alg, dd: DihedralData, i: int, j: int) -> Vector:

@@ -415,7 +415,10 @@ def instantiate(name, field=None, eta=None, enforce=True):
     or scalar literal.  Defaults come from the entry.  Only the entry's own
     rules are checked here (its fixed eta unless ``enforce`` is false; no
     symbolic eta where a minimal polynomial binds it); the document, at this
-    field and eta, then goes through algfile.load_document.
+    field and eta, then goes through algfile.load_document.  The rules are
+    checked before the cache lookup, so the cache is keyed on (entry, field,
+    eta) alone: ``enforce`` decides which calls are refused, not what an
+    admitted call returns, and each instantiation is loaded once.
     """
     entry = get_entry(name)
     if not isinstance(field, FieldDescriptor):
@@ -432,11 +435,6 @@ def instantiate(name, field=None, eta=None, enforce=True):
     if eta.field is not field:
         raise ConstraintViolation("eta does not lie in the requested field")
 
-    key = (entry.name, field, render(eta), enforce)
-    cached = _instantiate_cache.get(key)
-    if cached is not None:
-        return cached
-
     if enforce and entry.fixed_eta is not None and eta != parse_scalar(entry.fixed_eta, field):
         raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
     if entry.requires_eta_minpoly is not None and field is FieldDescriptor.rational_functions(field.variable):
@@ -444,6 +442,10 @@ def instantiate(name, field=None, eta=None, enforce=True):
             f"{entry.name} needs eta bound by its minimal polynomial; "
             "a symbolic eta is not admissible"
         )
+    key = (entry.name, field, render(eta))
+    cached = _instantiate_cache.get(key)
+    if cached is not None:
+        return cached
     document = dict(
         entry.document,
         field=algfile.field_to_dict(field),

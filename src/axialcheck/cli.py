@@ -22,8 +22,8 @@ from .errors import AxialError, ConstraintViolation, NotAnIdeal, UnknownEntry
 from .linalg import Subspace
 
 
-def _emit_report(canonical, duration, as_json, out=None):
-    out = out if out is not None else sys.stdout
+def _emit_report(canonical, duration, as_json):
+    out = sys.stdout
     if as_json:
         out.write(
             json.dumps(

@@ -652,12 +652,6 @@ class FieldElement:
             raise DivisionByZero("division by zero")
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ScalarSyntaxError("exponent must be a nonnegative integer")
@@ -826,13 +820,17 @@ class _Parser:
 
 
 def parse_expression(text, env):
-    """Parse an expression with the supplied value hooks."""
+    """Parse an expression with the supplied value hooks.  Every scalar and
+    vector literal comes through here, so a literal with no value in the
+    field (a division by zero there) is named here, with the field."""
     if not isinstance(text, str) or not text.strip():
         raise ScalarSyntaxError("empty expression")
     try:
         return _Parser(text, env).parse()
     except RecursionError:
         raise ScalarSyntaxError("expression is nested too deeply") from None
+    except DivisionByZero as exc:
+        raise DivisionByZero(f"{text!r:.60} has no value in {env.field!r}: {exc}") from None
 
 
 def parse_scalar(text: str, field: FieldDescriptor, eta: FieldElement | None = None) -> FieldElement:

@@ -1,16 +1,28 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from axialcheck.algebra import AlgebraDef, AlgebraMap, is_homomorphism, multiply, quotient
-from axialcheck.algfile import parse_vector
+from axialcheck import cli
+from axialcheck.algebra import (
+    AlgebraDef,
+    AlgebraMap,
+    generated_subalgebra,
+    is_homomorphism,
+    multiply,
+    quotient,
+)
+from axialcheck.algfile import document_for, load_document, load_path, parse_vector
 from axialcheck.axial import (
     DihedralData,
+    DihedralViolation,
     FusionTable,
     FusionViolation,
     RelationWitness,
     axial_dimension,
+    axis_orbit,
     check_dihedral,
     check_fusion,
     identity_suite,
@@ -26,6 +38,7 @@ from axialcheck.errors import (
     InvolutionMismatch,
     MiyamotoNotAutomorphism,
     NotIdempotent,
+    NotSemisimple,
 )
 from axialcheck.fields import parse_scalar, render
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel
@@ -182,12 +195,124 @@ def test_axes_are_the_shift_orbit_of_the_base_axis(case):
 
 @pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
 def test_dihedral_generators_span_every_axis(case):
-    # D1 generates from a_-d .. a_(d+1); twice as many axes span no more
+    # D1 generates from the window of the orbit search; a_-(2d+2) .. a_(2d+3)
+    # span no more, and the search's rank is that span's dimension
     alg, dd = _orbit_case(case)
     d = alg.dim
+    (lo, hi), _, rank = axis_orbit(alg, dd)
     wide = [dd.axis(i) for i in range(-(2 * d + 2), 2 * d + 4)]
-    span = Subspace.from_vectors(alg.field, d, dd.generators())
+    span = Subspace.from_vectors(alg.field, d, [dd.axis(i) for i in range(lo, hi + 1)])
     assert span == Subspace.from_vectors(alg.field, d, wide)
+    assert span.dim == rank
+
+
+def _check_dihedral_reference(alg, dd):
+    """check_dihedral as it was before the shift and the flip were taken as
+    multiplicative by construction, kept as the reference: it proves both
+    maps multiplicative again, decides invertibility by rref and generates
+    D1 from a_-d .. a_(d+1)."""
+    violations = []
+    ident = Matrix.identity(alg.field, alg.dim)
+
+    if not is_homomorphism(dd.shift):
+        violations.append(DihedralViolation("D2", None, "shift is not multiplicative"))
+    if not dd.shift.is_bijective():
+        violations.append(DihedralViolation("D2", None, "shift is not invertible"))
+    if not is_homomorphism(dd.flip):
+        violations.append(DihedralViolation("D3", 0, "flip is not multiplicative"))
+    if dd.flip.matrix.matmul(dd.flip.matrix) != ident:
+        violations.append(DihedralViolation("D3", 0, "flip squared is not the identity"))
+    if violations:
+        return violations
+
+    d = alg.dim
+    span = generated_subalgebra(alg, [dd.axis(i) for i in range(-d, d + 2)])
+    if span.dim != alg.dim:
+        violations.append(
+            DihedralViolation("D1", None, f"axes generate only dimension {span.dim}")
+        )
+
+    fsfs = dd.flip.matrix.matmul(dd.shift.matrix)
+    if fsfs.matmul(fsfs) != ident:
+        violations.append(DihedralViolation("D3", None, "flip o shift o flip is not shift^-1"))
+
+    try:
+        dec = dd.base_split()
+    except (NotIdempotent, NotSemisimple, InvolutionMismatch) as exc:
+        violations.append(DihedralViolation("axis", 0, str(exc)))
+        return violations
+    for v in check_fusion(alg, dec):
+        violations.append(
+            DihedralViolation(
+                "fusion", 0,
+                f"product of parts ({v.part_i},{v.part_j}) escapes parts {v.allowed}",
+            )
+        )
+    try:
+        if miyamoto(alg, dec) != dd.flip:
+            violations.append(
+                DihedralViolation("D3", 0, "flip differs from the Miyamoto involution")
+            )
+    except MiyamotoNotAutomorphism as exc:
+        violations.append(DihedralViolation("D3", 0, str(exc)))
+    return violations
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
+def test_check_dihedral_matches_the_reference(case):
+    alg, dd = _orbit_case(case)
+    assert check_dihedral(alg, dd) == _check_dihedral_reference(alg, dd)
+
+
+def _add_z(dihedral, doc):
+    doc["basis"].append("z")
+    dihedral["shift_images"]["z"] = dihedral["flip_images"]["z"] = "z"
+
+
+def _identity_flip(dihedral, doc):
+    dihedral["flip_images"] = {label: label for label in dihedral["flip_images"]}
+
+
+def _singular_shift(dihedral, doc):
+    # as in test_cli.test_singular_shift_fails_the_dihedral_check
+    dihedral.update(window=[0, 0], axes=["a0"])
+    dihedral["shift_images"] = dict.fromkeys(dihedral["shift_images"], "0*a0")
+
+
+# a mutation of the ThreeEvX file and the start of its dihedral row
+FAILING_FILES = {
+    "extra basis vector": (_add_z, "D1@None: axes generate only dimension 3"),
+    "identity flip": (_identity_flip, "D3@None: flip o shift o flip is not shift^-1"),
+    "singular shift": (_singular_shift, "D2@None: shift is not invertible"),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_FILES)
+def test_failing_files_match_the_reference(tmp_path, capsys, name):
+    mutate, row = FAILING_FILES[name]
+    doc = document_for(*instantiate("ThreeEvX"))
+    mutate(doc["dihedral"], doc)
+    violations = check_dihedral(*load_document(doc)[:2])
+    assert violations == _check_dihedral_reference(*load_document(doc)[:2])
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--json"]) == 1
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["canonical"]["checks"]}
+    assert rows["dihedral"]["status"] == "fail"
+    assert rows["dihedral"]["detail"].startswith(row)
+
+
+GOLDEN_EMIT = sorted((Path(__file__).resolve().parent / "golden" / "emit").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "source", TRANSPORT_CASES + GOLDEN_EMIT,
+    ids=lambda c: c.stem if isinstance(c, Path) else "_".join(c).replace("/", "_"),
+)
+def test_shift_and_flip_are_multiplicative_by_construction(source):
+    # check_dihedral takes this from construction: the loader's extend_from_generators proves it
+    _, dd, *_ = load_path(source) if isinstance(source, Path) else instantiate(*source)
+    assert is_homomorphism(dd.shift) and is_homomorphism(dd.flip)
 
 
 def _fusion_by_membership(alg, dec):

@@ -134,6 +134,29 @@ def test_check_claims_all_pass():
     assert "quotient_BarFourTwo_two_dim" in names
 
 
+def test_an_unenforced_load_does_not_admit_an_enforced_call():
+    # the cache is keyed on (entry, field, eta), and the fixed-eta rule is
+    # checked before the lookup
+    catalog.instantiate("FourEv", "q", "1/4", enforce=False)
+    with pytest.raises(ConstraintViolation, match="defined at eta = -1/3 only"):
+        catalog.instantiate("FourEv", "q", "1/4")
+
+
+def test_claims_load_each_instantiation_once(monkeypatch):
+    subjects = []
+    load_document = algfile.load_document
+
+    def counted(doc, subject="file"):
+        subjects.append(subject)
+        return load_document(doc, subject)
+
+    monkeypatch.setattr(algfile, "load_document", counted)
+    catalog.clear_caches()
+    reports = catalog.check_claims()
+    assert len(reports) == 26 and all(r.status == "pass" for r in reports)
+    assert len(subjects) == 16
+
+
 def test_identity_rows_are_check_results():
     # one row type serves the identity suite and the report
     assert catalog.CheckResult is axial.CheckResult

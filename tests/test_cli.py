@@ -316,6 +316,50 @@ def test_singular_shift_fails_the_dihedral_check(tmp_path, capsys):
         }
 
 
+@pytest.mark.parametrize("what, label, image, error", [
+    ("shift", "a0", "a0", "error: shift images do not extend to an automorphism: "
+     "Inconsistent(detail='images disagree on dependent word (word 1*0)')\n"),
+    ("flip", "a1", "a1", "error: flip images do not extend to an automorphism: "
+     "Inconsistent(detail='images disagree on dependent word (word 2*0)')\n"),
+])
+def test_images_that_are_not_multiplicative_are_rejected(tmp_path, capsys, what, label, image, error):
+    # the loader proves the shift and the flip multiplicative; check_dihedral
+    # does not prove it again
+    doc = _emitted(capsys, "ThreeEvX")
+    doc["dihedral"][f"{what}_images"][label] = image
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert (code, out, err) == (2, "", error)
+
+
+def _first_product_value(doc, literal):
+    value = doc["products"][0]["value"]
+    value[next(iter(value))] = literal
+
+
+# a command line, or a mutation of the SevenX file to verify; the literal
+# that has no value, and its field
+NO_VALUE = {
+    "fixed eta": (["verify", "Seven", "--field", "gf:3"], "4/3", "GF(3)"),
+    "file eta": (lambda doc: doc["dihedral"].update(eta="1/5"), "1/5", "GF(5)"),
+    "product value": (lambda doc: _first_product_value(doc, "1/5"), "1/5", "GF(5)"),
+    "axis": (lambda doc: doc["dihedral"]["axes"].__setitem__(0, "am1/5"), "am1/5", "GF(5)"),
+    "ideal": (["quotient", "Seven", "--field", "gf:5", "--ideal", "p1/5"], "p1/5", "GF(5)"),
+}
+
+
+@pytest.mark.parametrize("name", NO_VALUE)
+def test_a_literal_with_no_value_in_the_field_names_itself(tmp_path, capsys, name):
+    how, literal, field = NO_VALUE[name]
+    if callable(how):
+        doc = _emitted(capsys, "SevenX")
+        how(doc)
+        code, out, err = _verify_document(capsys, tmp_path, doc)
+    else:
+        code, out, err = run(capsys, *how)
+    assert code == 2 and out == "" and is_error_line(err)
+    assert err.startswith(f"error: {literal!r} has no value in {field}: "), err
+
+
 @pytest.mark.parametrize("constraints", [
     {"exclude_eta": ["0", "-1/3"]},
     {"nonzero": ["1", "3*eta+1"]},
