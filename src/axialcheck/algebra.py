@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from .errors import AxialError, DescriptorMismatch, DimensionMismatch, NotAnIdeal
 from .fields import FieldElement
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, rref
 
@@ -227,7 +227,10 @@ def is_homomorphism(m: AlgebraMap) -> bool:
 
 
 def quotient(alg: AlgebraDef, ideal: Subspace):
-    """Quotient algebra on cosets of non-pivot basis vectors, plus projection."""
+    """Quotient algebra on cosets of non-pivot basis vectors, plus projection.
+    The ideal must be proper: the zero algebra has no basis to hold."""
+    if ideal.dim == alg.dim:
+        raise AxialError("the ideal is the whole algebra, so the quotient is zero")
     if not is_ideal(alg, ideal):
         raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
     pivots = set(ideal.pivots)

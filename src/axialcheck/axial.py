@@ -47,23 +47,15 @@ _ALLOWED = {
 }
 
 
-class FusionTable:
-    """Eigenvalue map (0, 1, eta, eta) plus the allowed-parts table."""
+def allowed(i, j):
+    """The parts that the product of parts i and j may meet."""
+    return _ALLOWED[(i, j) if i <= j else (j, i)]
 
-    __slots__ = ("eta",)
 
-    def __init__(self, eta):
-        if eta.is_zero() or eta.is_one():
-            raise DataInconsistency("eta must avoid 0 and 1")
-        object.__setattr__(self, "eta", eta)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FusionTable is immutable")
-
-    @staticmethod
-    def allowed(i, j):
-        key = (i, j) if i <= j else (j, i)
-        return _ALLOWED[key]
+def check_eta(eta):
+    """The eigenvalues 0, 1 and eta must be distinct."""
+    if eta.is_zero() or eta.is_one():
+        raise DataInconsistency("eta must avoid 0 and 1")
 
 
 class AxisDecomposition:
@@ -71,8 +63,8 @@ class AxisDecomposition:
     the four Subspaces.  The cached properties write the instance __dict__
     directly, past the immutability guard."""
 
-    def __init__(self, algebra: AlgebraDef, axis: Vector, parts, table: FusionTable):
-        vars(self).update(algebra=algebra, axis=axis, parts=parts, table=table)
+    def __init__(self, algebra: AlgebraDef, axis: Vector, parts):
+        vars(self).update(algebra=algebra, axis=axis, parts=parts)
 
     def __setattr__(self, *_):
         raise AttributeError("AxisDecomposition is immutable")
@@ -107,7 +99,7 @@ class AxisDecomposition:
                 prod = multiply(self.algebra, x, y)
                 coords = self.coordinates.apply(prod)
                 support = {basis[k][0] for k, c in enumerate(coords) if not c.is_zero()}
-                if not support <= set(self.table.allowed(i, j)):
+                if not support <= set(allowed(i, j)):
                     escapes[(p, q)] = prod
                 odd = (i == 3) != (j == 3)
                 graded = graded and all((k == 3) == odd for k in support)
@@ -120,11 +112,11 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
 
     The caller vouches that tau is an automorphism; tau^2 = id and
     tau(a) = a are checked here.  The parts are independent, so they
-    decompose M exactly when their dimensions add up to dim M: FusionTable
+    decompose M exactly when their dimensions add up to dim M: check_eta
     refuses eta in {0, 1}, a*a = a puts a in the 1-eigenspace, and in
     characteristic not 2 the +1 and -1 eigenspaces of tau meet in 0.
     """
-    table = FusionTable(eta)
+    check_eta(eta)
     if multiply(alg, a, a) != a:
         raise NotIdempotent("axis candidate fails a*a = a")
     if tau.apply(a) != a:
@@ -143,7 +135,7 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
             f"parts of dimensions {(m0.dim, m1.dim, m2.dim, m3.dim)} "
             f"do not decompose the {alg.dim}-dimensional algebra"
         )
-    return AxisDecomposition(alg, a, (m0, m1, m2, m3), table)
+    return AxisDecomposition(alg, a, (m0, m1, m2, m3))
 
 
 FusionViolation = namedtuple("FusionViolation", "part_i part_j left right product allowed")
@@ -164,7 +156,7 @@ def check_fusion(alg: AlgebraDef, dec: AxisDecomposition):
         if i <= j and (min(p, q), max(p, q)) in escapes
     )
     return [
-        FusionViolation(i, j, basis[p][1], basis[q][1], prod, dec.table.allowed(i, j))
+        FusionViolation(i, j, basis[p][1], basis[q][1], prod, allowed(i, j))
         for i, j, p, q, prod in ordered
     ]
 
@@ -204,13 +196,13 @@ class DihedralData:
 
     @classmethod
     def build(cls, alg, seed_axes, shift, flip, eta):
-        """Check that eta avoids 0 and 1 (the fusion table's rule), that the
-        seed axes are consecutive shifts of a_0 and that the flip fixes a_0.
+        """Check that eta avoids 0 and 1 (check_eta), that the seed axes
+        are consecutive shifts of a_0 and that the flip fixes a_0.
         The shift is not inverted here: a singular shift is a failed
         dihedral check, not a rejected input.  Nor is either map checked for
         multiplicativity: every caller passes maps that extend_from_generators
         proved multiplicative, or that induce_on_quotient induced from such."""
-        FusionTable(eta)
+        check_eta(eta)
         axes = dict(seed_axes)
         seed_lo, seed_hi = min(axes), max(axes)
         if set(axes) != set(range(seed_lo, seed_hi + 1)) or not seed_lo <= 0 <= seed_hi:

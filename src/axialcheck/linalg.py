@@ -292,12 +292,6 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.basis) + list(other.basis)
-        )
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
         vanish on the first half exactly in (0 | U and W)."""

@@ -20,7 +20,7 @@ from axialcheck.algebra import (
 )
 from axialcheck.axial import axis_orbit
 from axialcheck.catalog import instantiate
-from axialcheck.errors import DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from axialcheck.errors import AxialError, DescriptorMismatch, DimensionMismatch, NotAnIdeal
 from axialcheck.fields import FieldDescriptor, parse_scalar
 from axialcheck.linalg import Matrix, Subspace, Vector
 
@@ -126,6 +126,14 @@ def test_quotient():
     sym, _ = instantiate("ThreeEv")
     with pytest.raises(NotAnIdeal):
         quotient(sym, _span_of(sym, "p1"))
+
+
+def test_quotient_refuses_the_whole_algebra():
+    alg, dd = instantiate("ThreeEvX")
+    whole = Subspace.from_vectors(alg.field, alg.dim, [dd.axis(i) for i in (-1, 0, 1)])
+    assert whole.dim == alg.dim and is_ideal(alg, whole)
+    with pytest.raises(AxialError, match="the ideal is the whole algebra"):
+        quotient(alg, whole)
 
 
 def test_quotient_of_five_three():

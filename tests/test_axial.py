@@ -18,12 +18,13 @@ from axialcheck.algfile import document_for, load_document, load_path, parse_vec
 from axialcheck.axial import (
     DihedralData,
     DihedralViolation,
-    FusionTable,
     FusionViolation,
     RelationWitness,
+    allowed,
     axial_dimension,
     axis_orbit,
     check_dihedral,
+    check_eta,
     check_fusion,
     identity_suite,
     lambda_coefficient,
@@ -68,15 +69,14 @@ def _relation_vector(dd, witness):
 
 
 def test_fusion_table_invariants(QETA):
-    eta = QETA.generator()
-    table = FusionTable(eta)
-    assert table.eta == eta
-    assert table.allowed(2, 2) == (0, 1)
-    assert table.allowed(3, 3) == (0, 1, 2)
-    assert table.allowed(2, 3) == (3,)
+    assert allowed(2, 2) == (0, 1)
+    assert allowed(3, 3) == (0, 1, 2)
+    assert allowed(2, 3) == allowed(3, 2) == (3,)
+    assert allowed(0, 2) == allowed(2, 0) == (2,)
+    check_eta(QETA.generator())
     for value in (QETA.one(), QETA.zero()):
         with pytest.raises(DataInconsistency, match="eta must avoid 0 and 1"):
-            FusionTable(value)
+            check_eta(value)
 
 
 def test_split_five_three():
@@ -321,15 +321,15 @@ def _fusion_by_membership(alg, dec):
     violations = []
     for i in range(4):
         for j in range(i, 4):
-            allowed = dec.table.allowed(i, j)
+            parts = allowed(i, j)
             space = Subspace.from_vectors(
-                alg.field, alg.dim, [v for k in allowed for v in dec.part(k).basis]
+                alg.field, alg.dim, [v for k in parts for v in dec.part(k).basis]
             )
             for x in dec.part(i).basis:
                 for y in dec.part(j).basis:
                     prod = multiply(alg, x, y)
                     if not space.contains(prod):
-                        violations.append(FusionViolation(i, j, x, y, prod, allowed))
+                        violations.append(FusionViolation(i, j, x, y, prod, parts))
     return violations
 
 

@@ -157,6 +157,38 @@ def test_claims_load_each_instantiation_once(monkeypatch):
     assert len(subjects) == 16
 
 
+def test_claims_run_no_identity_suite(monkeypatch):
+    # the existence and dimension claims read only the structural rows
+    calls = []
+    identity_suite = catalog.identity_suite
+
+    def counted(alg, dd):
+        calls.append(alg)
+        return identity_suite(alg, dd)
+
+    monkeypatch.setattr(catalog, "identity_suite", counted)
+    catalog.clear_caches()
+    catalog.check_claims()
+    assert calls == []
+
+
+def test_a_quotient_row_with_the_wrong_child_fails():
+    row = ("ThreeEv", "q", "-1/3", "p1", "FourEvX", "p1 span is ideal", "matches FourEvX")
+    (claim,) = catalog._quotient_isomorphism_claims([row])
+    assert claim.status == "fail"
+    assert claim.detail == "p1 span is ideal: True; matches FourEvX: False"
+    row = ("ThreeEv", "qeta", "eta", "p1", "ThreeEvX", "p1 span is ideal", "matches ThreeEvX")
+    (claim,) = catalog._quotient_isomorphism_claims([row])
+    assert (claim.status, claim.detail) == ("fail", "p1 span is ideal: False")
+
+
+def test_an_ideal_row_whose_middle_is_not_special_fails():
+    row = ("ThreeEv", ("generic", "qeta", "eta"), ("at 1/4", "q", "1/4"), ("at -1/3", "q", "-1/3"))
+    (claim,) = catalog._ideal_claims([row])
+    assert claim.status == "fail"
+    assert claim.detail == "generic False, at 1/4 False, at -1/3 True"
+
+
 def test_identity_rows_are_check_results():
     # one row type serves the identity suite and the report
     assert catalog.CheckResult is axial.CheckResult

@@ -13,12 +13,17 @@ why, on every entry at its default field and eta:
   the row fails.
 
 Whether one corrected p1 coefficient fits both is still open.
+
+The characteristic polynomial of ad(a0), computed by sympy, is checked
+against the decomposition's part dimensions on every entry, and on FourEv
+away from its fixed eta, where it has an extra root: criterion 1 asks for a
+symbolic-eta FourEv, which cannot be axial.
 """
 
 import pytest
 
 from axialcheck import catalog
-from axialcheck.algebra import generated_subalgebra
+from axialcheck.algebra import adjoint_matrix, generated_subalgebra
 from axialcheck.axial import lambda_coefficient, p_vector
 
 ENTRIES = tuple(entry.name for entry in catalog.list_entries())
@@ -42,3 +47,37 @@ def test_rho_expansion_factor(name):
         "SixThree": eta * 2 - 1,
     }.get(name, alg.field.zero())
     assert base == expected
+
+
+def _char_poly(sympy_matrix, alg, dd):
+    """The characteristic polynomial of ad(a0), by sympy."""
+    return sympy_matrix(adjoint_matrix(alg, dd.axis(0)).rows, alg.dim, alg.field).charpoly()
+
+
+def _poly_with_roots(sympy_matrix, field, roots):
+    """prod (x - r) over roots, as the characteristic polynomial of diag(roots)."""
+    n = len(roots)
+    diagonal = [[r if i == j else field.zero() for j in range(n)] for i, r in enumerate(roots)]
+    return sympy_matrix(diagonal, n, field).charpoly()
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_adjoint_char_poly_matches_the_parts(name, sympy_matrix):
+    # x^d0 (x-1)^d1 (x-eta)^(d2+d3), (d0, d1, d2, d3) the base split's dimensions
+    alg, dd = catalog.instantiate(name)
+    d0, d1, d2, d3 = dd.base_split().dims()
+    field = alg.field
+    roots = [field.zero()] * d0 + [field.one()] * d1 + [dd.eta] * (d2 + d3)
+    assert _char_poly(sympy_matrix, alg, dd) == _poly_with_roots(sympy_matrix, field, roots)
+
+
+def test_four_ev_has_an_extra_root_off_its_fixed_eta(sympy_matrix):
+    # x (x-1) (x-eta)^2 (x+2eta+1) over Q(eta): the extra root -(2eta+1) is
+    # eta only at eta = -1/3, so FourEv is axial there and nowhere else
+    sympy = pytest.importorskip("sympy")
+    alg, dd = catalog.instantiate("FourEv", "qeta", "eta", enforce=False)
+    field, eta = alg.field, dd.eta
+    roots = [field.zero(), field.one(), eta, eta, -(eta * 2 + 1)]
+    assert _char_poly(sympy_matrix, alg, dd) == _poly_with_roots(sympy_matrix, field, roots)
+    t = sympy.Symbol("eta")
+    assert sympy.solve(sympy.Eq(-(2 * t + 1), t), t) == [sympy.Rational(-1, 3)]

@@ -207,6 +207,13 @@ def test_quotient_errors(tmp_path, capsys):
     assert str(missing) in err and not missing.exists()
 
 
+def test_a_quotient_by_the_whole_algebra_exits_two(capsys):
+    # the zero algebra has no basis that a file can hold
+    code, out, err = run(capsys, "quotient", "ThreeEvX", "--ideal", "am1;a0;a1")
+    assert code == 2 and out == ""
+    assert err == "error: the ideal is the whole algebra, so the quotient is zero\n"
+
+
 def test_quotient_of_three_ev_at_third(tmp_path, capsys):
     code, out, _ = run(
         capsys, "quotient", "ThreeEv", "--field", "q", "--eta=-1/3",

@@ -126,7 +126,7 @@ def test_subspace_ops(Q):
     ]
     space = Subspace.from_vectors(Q, 4, vs)
     zero = Subspace.from_vectors(Q, 4, [])
-    assert space.sum(zero) == space
+    assert Subspace.from_vectors(Q, 4, list(space.basis) + list(zero.basis)) == space
     assert space.intersection(space) == space
     # canonical equality: different generating sets, same space
     doubled = Subspace.from_vectors(Q, 4, [v + v for v in vs] + vs)
@@ -136,7 +136,8 @@ def test_subspace_ops(Q):
         u0, u1, w0 = (Vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3))
         plane_u, plane_w = Subspace.from_vectors(Q, 4, [u0, u1]), Subspace.from_vectors(Q, 4, [u0 + u1, w0])
         meet = plane_u.intersection(plane_w)
-        assert meet.dim == plane_u.dim + plane_w.dim - plane_u.sum(plane_w).dim
+        both = Subspace.from_vectors(Q, 4, list(plane_u.basis) + list(plane_w.basis))
+        assert meet.dim == plane_u.dim + plane_w.dim - both.dim
         assert meet.contains(u0 + u1)
         assert all(plane_u.contains(v) and plane_w.contains(v) for v in meet.basis)
         assert meet == plane_w.intersection(plane_u)
@@ -150,48 +151,15 @@ def test_direct_sum_of_parts(QETA):
     assert dec.dims() == (1, 1, 1, 2)
     total = dec.part(0)
     for i in (1, 2, 3):
-        assert total.sum(dec.part(i)).dim == total.dim + dec.part(i).dim
-        total = total.sum(dec.part(i))
+        grown = Subspace.from_vectors(alg.field, alg.dim, list(total.basis) + list(dec.part(i).basis))
+        assert grown.dim == total.dim + dec.part(i).dim
+        total = grown
     assert total.dim == alg.dim
 
 
 # ---------------------------------------------------------------------------
-# sympy as an independent, test-only oracle for elimination
+# sympy as an independent, test-only oracle for elimination (see conftest)
 # ---------------------------------------------------------------------------
-
-
-def _sympy_domain(field):
-    """The sympy domain matching field and a converter for its elements."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.domains import GF, QQ
-
-    if field.kind == field.RATIONALS:
-        return QQ, lambda e: QQ(e.payload.numerator, e.payload.denominator)
-    if field.kind == field.PRIME:
-        gf = GF(field.p)
-        return gf, lambda e: gf(e.payload)
-    if field.kind == field.RATIONAL_FUNCTIONS:
-        t = sympy.Symbol(field.variable)
-        qt = QQ.frac_field(t)
-
-        def poly(coeffs):
-            return sum((sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(coeffs)), sympy.S.Zero)
-
-        return qt, lambda e: qt.from_sympy(poly(e.payload[0]) / poly(e.payload[1]))
-    assert field.minpoly == (-1, 2, 1)  # eta = sqrt(2) - 1
-    nf = QQ.algebraic_field(sympy.sqrt(2))
-    eta = nf.from_sympy(sympy.sqrt(2) - 1)
-    return nf, lambda e: sum(
-        (nf.convert(QQ(c.numerator, c.denominator)) * eta**i for i, c in enumerate(e.payload)),
-        nf.zero,
-    )
-
-
-def _domain_matrix(rows, ncols, field):
-    from sympy.polys.matrices import DomainMatrix
-
-    domain, convert = _sympy_domain(field)
-    return DomainMatrix([[convert(e) for e in r] for r in rows], (len(rows), ncols), domain)
 
 
 def _random_low_rank(field, rng, rows, cols, rank):
@@ -209,22 +177,22 @@ def _random_low_rank(field, rng, rows, cols, rank):
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
-def test_elimination_matches_sympy(fixture, request):
+def test_elimination_matches_sympy(fixture, request, sympy_matrix):
     field = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
     for _ in range(30):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = _random_low_rank(field, rng, nrows, ncols, rng.randint(0, 4))
-        theirs = _domain_matrix(m.rows, ncols, field)
+        theirs = sympy_matrix(m.rows, ncols, field)
         reduced, rank, pivots = rref(m)
         expected, expected_pivots = theirs.rref()
-        assert _domain_matrix(reduced.rows, ncols, field) == expected
+        assert sympy_matrix(reduced.rows, ncols, field) == expected
         assert (rank, pivots) == (theirs.rank(), tuple(expected_pivots))
         ker = kernel(m)
         null = theirs.nullspace()
         assert ker.dim == null.shape[0] == ncols - rank
         if ker.dim:
-            assert _domain_matrix([v.entries for v in ker.basis], ncols, field) == null.rref()[0]
+            assert sympy_matrix([v.entries for v in ker.basis], ncols, field) == null.rref()[0]
         # the incremental echelon basis grows the same span, in any order, and
         # add gives a new pivot exactly for the rows that raise the rank
         echelon = EchelonBasis(field, ncols)
@@ -233,7 +201,7 @@ def test_elimination_matches_sympy(fixture, request):
             pivots_before = set(echelon.rows)
             pivot = echelon.add(Vector(field, row))
             added.append(row)
-            raised = _domain_matrix(added, ncols, field).rank() > their_rank
+            raised = sympy_matrix(added, ncols, field).rank() > their_rank
             their_rank += raised
             assert (pivot is None) != raised
             assert set(echelon.rows) - pivots_before == ({pivot} if raised else set())
