@@ -7,9 +7,7 @@ index pairs, so x*y = y*x cannot fail by construction.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .errors import AxialError, DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
 from .fields import FieldElement
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, rref
 
@@ -265,13 +263,7 @@ def induce_on_quotient(m: AlgebraMap, ideal: Subspace, qalg: AlgebraDef, project
     return AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
 
-# generator images contradict a linear dependency among product words
-Inconsistent = namedtuple("Inconsistent", "detail")
-# the closure of the generators spans a proper subspace
-NotGenerating = namedtuple("NotGenerating", "spanned_dimension")
-
-
-def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
+def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef) -> AlgebraMap:
     """Extend generator images to a linear map respecting all products.
 
     Closes the graph {(w | image of w)} of the generators under products, the
@@ -279,6 +271,8 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
     vanishes on the source side only means the images disagree on a dependent
     word.  Every pair of spanning words is checked, so a returned map is a
     homomorphism; the graph's echelon rows are then (e_k | image of e_k).
+    Raises DataInconsistency if the images disagree or the generators span
+    a proper subspace.
     """
     pairs = list(pairs)
     if not pairs:
@@ -301,8 +295,8 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
     for pivot, word in _span_closure(echelon, graph, product):
         if pivot is not None and pivot >= n:  # the source half of the remainder vanished
             what = "generator" if word is None else f"word {word[0]}*{word[1]}"
-            return Inconsistent(f"images disagree on dependent word ({what})")
+            raise DataInconsistency(f"images disagree on dependent word ({what})")
     if len(echelon.rows) < n:
-        return NotGenerating(len(echelon.rows))
+        raise DataInconsistency(f"the generators span only dimension {len(echelon.rows)} of {n}")
     cols = [echelon.vector(k, n) for k in range(n)]
     return AlgebraMap(alg, target, Matrix.from_columns(field, cols, nrows=target.dim))

@@ -290,10 +290,10 @@ def _map_from_images(alg, images, eta, what) -> AlgebraMap:
         (alg.basis_vector(alg.label_index(label)), parse_vector(literal, alg, eta))
         for label, literal in images.items()
     ]
-    result = extend_from_generators(alg, pairs, alg)
-    if isinstance(result, AlgebraMap):
-        return result
-    raise DataInconsistency(f"{what} images do not extend to an automorphism: {result}")
+    try:
+        return extend_from_generators(alg, pairs, alg)
+    except DataInconsistency as exc:
+        raise DataInconsistency(f"{what} images do not extend to an automorphism: {exc}") from None
 
 
 def loads(text: str):

@@ -177,19 +177,12 @@ def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
 class DihedralData:
     """The base axis a_0, the shift automorphism and the base flip of a
     dihedral algebra; every other axis is a_i = shift^i(a_0).  The shift and
-    the flip are multiplicative by construction (see build)."""
-
-    __slots__ = ("algebra", "eta", "shift", "flip", "_axes", "_unshift", "_inv_cache", "_base_split")
+    the flip are multiplicative by construction (see build).  The cached
+    properties write the instance __dict__ past the immutability guard."""
 
     def __init__(self, algebra, eta, a0, shift, flip):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "flip", flip)
-        object.__setattr__(self, "_axes", {0: a0})
-        object.__setattr__(self, "_unshift", None)
-        object.__setattr__(self, "_inv_cache", {})
-        object.__setattr__(self, "_base_split", None)
+        vars(self).update(algebra=algebra, eta=eta, shift=shift, flip=flip)
+        vars(self).update(_axes={0: a0}, _inv_cache={})
 
     def __setattr__(self, *_):
         raise AttributeError("DihedralData is immutable")
@@ -214,29 +207,33 @@ class DihedralData:
             raise DataInconsistency("flip does not fix the base axis")
         return cls(alg, eta, axes[0], shift, flip)
 
+    @cached_property
+    def _unshift(self) -> "AlgebraMap | None":
+        """The inverse of the shift, or None if the shift is singular."""
+        try:
+            return self.shift.inverse()
+        except DimensionMismatch:
+            return None
+
     def axis(self, i) -> Vector:
         """a_i, made from a_(i-1) by the shift for i > 0 and from a_(i+1) by
         its inverse for i < 0, and kept."""
         if i not in self._axes:
             if i > 0:
                 self._axes[i] = self.shift.apply(self.axis(i - 1))
+            elif self._unshift is None:
+                raise DataInconsistency(f"shift is not invertible, so a_{i} is undefined")
             else:
-                if self._unshift is None:
-                    try:
-                        object.__setattr__(self, "_unshift", self.shift.inverse())
-                    except DimensionMismatch:
-                        raise DataInconsistency(
-                            f"shift is not invertible, so a_{i} is undefined"
-                        ) from None
                 self._axes[i] = self._unshift.apply(self.axis(i + 1))
         return self._axes[i]
+
+    @cached_property
+    def _base_split(self) -> AxisDecomposition:
+        return split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
 
     def base_split(self) -> AxisDecomposition:
         """The decomposition at a_0 along the flip, kept because the fusion
         pass, check_dihedral and the identity suite all need it."""
-        if self._base_split is None:
-            dec = split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
-            object.__setattr__(self, "_base_split", dec)
         return self._base_split
 
     def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":

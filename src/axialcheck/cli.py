@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import algfile, catalog
-from .algebra import AlgebraMap, extend_from_generators, quotient
-from .errors import AxialError, ConstraintViolation, NotAnIdeal, UnknownEntry
+from .algebra import extend_from_generators, quotient
+from .errors import AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, UnknownEntry
 from .linalg import Subspace
 
 
@@ -188,11 +188,14 @@ def cmd_isom(args) -> int:
     if alg_a.dim != alg_b.dim:
         print("no isomorphism: dimensions differ")
         return 1
-    result = extend_from_generators(alg_a, pairs, alg_b)
-    if isinstance(result, AlgebraMap) and result.is_bijective():
-        print("isomorphism found")
-        return 0
-    print(f"no isomorphism: {result}")
+    try:
+        if extend_from_generators(alg_a, pairs, alg_b).is_bijective():
+            print("isomorphism found")
+            return 0
+        reason = "the extended map is not bijective"
+    except DataInconsistency as exc:
+        reason = exc
+    print(f"no isomorphism: {reason}")
     return 1
 
 

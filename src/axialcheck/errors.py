@@ -58,7 +58,7 @@ class NotAnIdeal(AxialError):
 
 
 class DataInconsistency(AxialError):
-    """Relation classification met contradictory data (e.g. mixed-symmetry minimal relation)."""
+    """Data contradict a required structure (e.g. generator images that do not extend)."""
 
 
 class ConstraintViolation(AxialError):

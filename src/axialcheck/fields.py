@@ -85,17 +85,11 @@ def _pdivmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / lead
-        q[shift] = factor
+    for shift in reversed(range(len(q))):
+        q[shift] = factor = a[shift + len(b) - 1] / lead
         for i, c in enumerate(b):
             a[shift + i] -= factor * c
-        a.pop()
-    return _ptrim(q), _ptrim(a)
+    return _ptrim(q), _ptrim(a[: len(b) - 1])
 
 
 def _pmonic(a):
@@ -854,10 +848,7 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
         raise DescriptorMismatch("specialize expects a rational-function element")
     if value.field is not target:
         raise DescriptorMismatch("value does not lie in the target field")
-    try:
-        num_val, den_val = (_peval(p, value, target) for p in x.payload)
-    except DenominatorVanishes as exc:
-        raise DenominatorVanishes(str(exc)) from None
+    num_val, den_val = (_peval(p, value, target) for p in x.payload)
     if num_val is None:
         return target.zero()
     if den_val is None or den_val.is_zero():

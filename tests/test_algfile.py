@@ -5,6 +5,7 @@ import pytest
 from axialcheck import algfile, catalog
 from axialcheck.algebra import multiply
 from axialcheck.errors import AlgebraFileError, ScalarSyntaxError, UnknownSymbol
+from axialcheck.fields import render
 
 
 def _doc_for(name):
@@ -20,6 +21,14 @@ def test_round_trip_three_ev():
     assert loaded_dd is not None
     assert loaded_dd.shift == dd.shift and loaded_dd.flip == dd.flip
     assert loaded_dd.eta == dd.eta
+
+
+def test_a_symbolic_file_without_an_eta_literal_takes_the_field_variable():
+    doc, alg, _ = _doc_for("ThreeEv")
+    assert doc["dihedral"].pop("eta") == "eta"
+    loaded_alg, loaded_dd, _ = algfile.load_document(doc)
+    assert loaded_dd.eta == loaded_alg.field.generator() and render(loaded_dd.eta) == "eta"
+    assert loaded_alg.table == alg.table
 
 
 def test_round_trip_concrete_entries():

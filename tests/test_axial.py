@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from axialcheck import cli
+from axialcheck import algebra, catalog, cli
 from axialcheck.algebra import (
     AlgebraDef,
     AlgebraMap,
@@ -300,6 +300,101 @@ def test_failing_files_match_the_reference(tmp_path, capsys, name):
     rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["canonical"]["checks"]}
     assert rows["dihedral"]["status"] == "fail"
     assert rows["dihedral"]["detail"].startswith(row)
+
+
+def _flip_of_order_three(dihedral, doc):
+    dihedral["flip_images"].update(am2="am2", a1="a2", a2="am1", am1="a1")
+
+
+def _extra_basis(labels, squares, shift, flip):
+    # extra basis vectors b with b*b = squares[b], the other products zero
+    def mutate(dihedral, doc):
+        doc["basis"] += labels
+        doc["products"] += [{"left": b, "right": b, "value": {squares[b]: "1"}} for b in labels]
+        dihedral["shift_images"].update(shift)
+        dihedral["flip_images"].update(flip)
+    return mutate
+
+
+def _doubled_axes(dihedral, doc):
+    for item in doc["products"]:
+        if item["left"] == item["right"]:
+            item["value"] = {item["left"]: "2"}
+
+
+def _eta_two(dihedral, doc):
+    dihedral["eta"] = "2"
+
+
+# an entry instantiation, a mutation of its file and the fusion and dihedral rows
+# of `verify --check fusion,dihedral` on the mutated file
+FAILURE_ROWS = {
+    "flip of order three": (
+        ("FiveThree", "q", "-1/3"), _flip_of_order_three,
+        "flip squared is not the identity", "D3@0: flip squared is not the identity",
+    ),
+    "flip swaps two idempotents": (
+        ("ThreeEvX",),
+        _extra_basis(["b", "c"], {"b": "b", "c": "c"}, {"b": "b", "c": "c"}, {"b": "c", "c": "b"}),
+        "",
+        "D1@None: axes generate only dimension 3; "
+        "D3@0: flip differs from the Miyamoto involution",
+    ),
+    "axes are not idempotent": (
+        ("ThreeEvX",), _doubled_axes,
+        "axis candidate fails a*a = a", "axis@0: axis candidate fails a*a = a",
+    ),
+    "eta is not an eigenvalue": (
+        ("ThreeEvX",), _eta_two,
+        "parts of dimensions (0, 1, 0, 0) do not decompose the 3-dimensional algebra",
+        "axis@0: parts of dimensions (0, 1, 0, 0) do not decompose the 3-dimensional algebra",
+    ),
+    # (b1 + b2)*(b1 - b2) = a1 - am1: a product of flip-even and flip-odd
+    # 0-vectors with a part 3 component
+    "sign map is not multiplicative": (
+        ("ThreeEvX",),
+        _extra_basis(
+            ["b0", "b1", "b2"], {"b0": "a0", "b1": "a1", "b2": "am1"},
+            {"b0": "b1", "b1": "b2", "b2": "b0"}, {"b0": "b0", "b1": "b2", "b2": "b1"},
+        ),
+        "; ".join(["parts (0,0) escape (0,)"] * 3),
+        "; ".join(["D1@None: axes generate only dimension 3"]
+                  + ["fusion@0: product of parts (0,0) escapes parts (0,)"] * 3
+                  + ["D3@0: sign map of the decomposition is not multiplicative"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_ROWS)
+def test_dihedral_failure_rows(tmp_path, capsys, name):
+    source, mutate, fusion, dihedral = FAILURE_ROWS[name]
+    doc = document_for(*instantiate(*source))
+    mutate(doc["dihedral"], doc)
+    violations = check_dihedral(*load_document(doc)[:2])
+    assert violations == _check_dihedral_reference(*load_document(doc)[:2])
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--check", "fusion,dihedral", "--json"]) == 1
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["canonical"]["checks"]}
+    fusion_status = "fail" if fusion else "pass"
+    assert rows["fusion"] == {"name": "fusion", "status": fusion_status, "detail": fusion}
+    assert rows["dihedral"] == {"name": "dihedral", "status": "fail", "detail": dihedral}
+
+
+def test_a_singular_shift_is_inverted_once(monkeypatch):
+    # the inverse shift is kept, None for a singular shift, so the D2, relation
+    # and identities passes do not each invert it again
+    doc = document_for(*instantiate("ThreeEvX"))
+    _singular_shift(doc["dihedral"], doc)
+    alg, dd, _ = load_document(doc)
+    calls = []
+    original = algebra.invert
+    monkeypatch.setattr(algebra, "invert", lambda m: calls.append(m) or original(m))
+    rows = {c.name: c for c in catalog.verify("singular", alg, dd).checks}
+    assert len(calls) == 1
+    assert rows["dihedral"].detail == "D2@None: shift is not invertible"
+    for name in ("relation", "identities"):
+        assert rows[name].detail == "shift is not invertible, so a_-1 is undefined"
 
 
 GOLDEN_EMIT = sorted((Path(__file__).resolve().parent / "golden" / "emit").glob("*.json"))

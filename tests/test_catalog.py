@@ -189,6 +189,18 @@ def test_an_ideal_row_whose_middle_is_not_special_fails():
     assert claim.detail == "generic False, at 1/4 False, at -1/3 True"
 
 
+def test_a_documented_relation_that_differs_fails():
+    entry = catalog.get_entry("ThreeEvX")
+    alg, dd = catalog.instantiate("ThreeEvX")
+    report = catalog.verify(entry.name, alg, dd, ("relations",), entry._replace(expected_case=1))
+    row = next(c for c in report.checks if c.name == "relation_documented")
+    assert row.status == "fail"
+    assert row.detail == (
+        "computed adim 3, case 4 (odd), coefficients (0, 1), "
+        "documented case 1 adim 3 coefficients ['0', '1']"
+    )
+
+
 def test_identity_rows_are_check_results():
     # one row type serves the identity suite and the report
     assert catalog.CheckResult is axial.CheckResult

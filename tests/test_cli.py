@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,14 @@ def test_catalog_emit_unknown(capsys):
     assert err == "error: emit needs an entry name\n"
 
 
+def test_claims_text_lists_every_claim(capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "claims.json"
+    claims = json.loads(golden.read_text(encoding="utf-8"))["canonical"]["claims"]
+    code, out, err = run(capsys, "catalog", "claims")
+    assert (code, err) == (0, "") and len(claims) == 26
+    assert out.splitlines() == [f"[ PASS] {c['name']}  ({c['detail']})" for c in claims]
+
+
 def test_claims_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "catalog", "claims", "--json")
     code2, out2, _ = run(capsys, "catalog", "claims", "--json")
@@ -182,6 +191,15 @@ def test_isom_commands(tmp_path, capsys):
                          "--field-b", "gf:7", "--map", "a0=a0")
     assert code == 2 and out == "" and is_error_line(err)
     assert "sources live over different fields" in err
+
+
+@pytest.mark.parametrize("mapping, code, line", [
+    ("am1=a1,a0=a0,a1=am1", 0, "isomorphism found"),
+    ("am1=0*a0,a0=0*a0,a1=0*a0", 1, "no isomorphism: the extended map is not bijective"),
+    ("a0=a0", 1, "no isomorphism: the generators span only dimension 1 of 3"),
+])
+def test_isom_prints_its_reason(capsys, mapping, code, line):
+    assert run(capsys, "isom", "ThreeEvX", "ThreeEvX", "--map", mapping) == (code, line + "\n", "")
 
 
 def test_isom_self_identity(capsys):
@@ -325,9 +343,9 @@ def test_singular_shift_fails_the_dihedral_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("what, label, image, error", [
     ("shift", "a0", "a0", "error: shift images do not extend to an automorphism: "
-     "Inconsistent(detail='images disagree on dependent word (word 1*0)')\n"),
+     "images disagree on dependent word (word 1*0)\n"),
     ("flip", "a1", "a1", "error: flip images do not extend to an automorphism: "
-     "Inconsistent(detail='images disagree on dependent word (word 2*0)')\n"),
+     "images disagree on dependent word (word 2*0)\n"),
 ])
 def test_images_that_are_not_multiplicative_are_rejected(tmp_path, capsys, what, label, image, error):
     # the loader proves the shift and the flip multiplicative; check_dihedral

@@ -238,13 +238,17 @@ def _random_poly(rng, degree):
     return fields._ptrim(tuple(coeffs) + (Fraction(rng.choice([-7, -1, 1, 2, 9]), rng.randint(1, 5)),))
 
 
+def _sympy_poly(sympy, poly):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.QQ)
+
+
 def test_polynomial_gcd_matches_sympy():
     # random pairs with a random common factor, some of them with a repeated one
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
 
     def to_sympy(poly):
-        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)], x, domain=sympy.QQ)
+        return _sympy_poly(sympy, poly)
 
     rng = random.Random(20260)
     for _ in range(150):
@@ -257,6 +261,25 @@ def test_polynomial_gcd_matches_sympy():
         got = fields._pgcd(a, b)
         assert to_sympy(got) == expected, (a, b)
         assert fields._pgcd(a, ()) == fields._pmonic(a)
+
+
+def test_polynomial_division_matches_sympy():
+    # dividends shorter than the divisor, with trailing zero coefficients or
+    # zero, and constant divisors among the cases
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261)
+    seen = set()
+    for _ in range(300):
+        a = _random_poly(rng, rng.randint(0, 8)) if rng.random() < 0.95 else ()
+        a += (Fraction(0),) * rng.choice([0, 0, 1, 3])
+        b = _random_poly(rng, rng.randint(0, 4))
+        kinds = {"short": len(a) < len(b), "constant": len(b) == 1, "untrimmed": a[-1:] == (0,)}
+        seen.update(kind for kind, on in kinds.items() if on)
+        q, r = fields._pdivmod(a, b)
+        assert q == fields._ptrim(q) and r == fields._ptrim(r) and len(r) < len(b)
+        expected = sympy.div(_sympy_poly(sympy, a), _sympy_poly(sympy, b))
+        assert (_sympy_poly(sympy, q), _sympy_poly(sympy, r)) == expected, (a, b)
+    assert seen == {"short", "constant", "untrimmed"}
 
 
 def test_rational_functions_with_large_coefficients_reduce_quickly(QETA):
