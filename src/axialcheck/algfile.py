@@ -318,7 +318,7 @@ def load_path(path):
 # ---------------------------------------------------------------------------
 
 
-def _render_vector_literal(v: Vector, labels, literal=render) -> str:
+def _render_vector_literal(v: Vector, labels, literal) -> str:
     terms = []
     for label, c in zip(labels, v.entries):
         if c.is_zero():

@@ -182,7 +182,7 @@ class DihedralData:
 
     def __init__(self, algebra, eta, a0, shift, flip):
         vars(self).update(algebra=algebra, eta=eta, shift=shift, flip=flip)
-        vars(self).update(_axes={0: a0}, _inv_cache={})
+        vars(self).update(_axes={0: a0})
 
     def __setattr__(self, *_):
         raise AttributeError("DihedralData is immutable")
@@ -228,13 +228,10 @@ class DihedralData:
         return self._axes[i]
 
     @cached_property
-    def _base_split(self) -> AxisDecomposition:
-        return split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
-
     def base_split(self) -> AxisDecomposition:
         """The decomposition at a_0 along the flip, kept because the fusion
         pass, check_dihedral and the identity suite all need it."""
-        return self._base_split
+        return split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
 
     def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":
         """The shift, flip and axes induced on qalg = algebra / ideal; None
@@ -246,11 +243,14 @@ class DihedralData:
         return DihedralData.build(qalg, {0: projection.apply(self.axis(0))}, qshift, qflip, self.eta)
 
     def involution_at(self, j) -> AlgebraMap:
-        """Conjugated flip f1^j o tau0 o f1^(-j)."""
-        if j not in self._inv_cache:
-            fj = self.shift.power(j)
-            self._inv_cache[j] = fj.compose(self.flip).compose(fj.inverse())
-        return self._inv_cache[j]
+        """tau_j = shift^j o flip o shift^-j, from the shift and its cached
+        inverse; tau_0 is the flip even when the shift is singular."""
+        if j == 0:
+            return self.flip
+        if self._unshift is None:
+            raise DataInconsistency(f"shift is not invertible, so tau_{j} is undefined")
+        forth, back = (self.shift, self._unshift) if j > 0 else (self._unshift, self.shift)
+        return forth.power(abs(j)).compose(self.flip).compose(back.power(abs(j)))
 
 
 # condition is "D1" | "D2" | "D3" | "axis" | "fusion"; index an int or None
@@ -323,7 +323,7 @@ def check_dihedral(alg, dd: DihedralData):
         violations.append(DihedralViolation("D3", None, "flip o shift o flip is not shift^-1"))
 
     try:
-        dec = dd.base_split()
+        dec = dd.base_split
     except (NotIdempotent, NotSemisimple, InvolutionMismatch) as exc:
         violations.append(DihedralViolation("axis", 0, str(exc)))
         return violations
@@ -418,7 +418,7 @@ class IdentityReport(namedtuple("IdentityReport", "checks scalars")):
 
 
 def _residual_detail(v: Vector) -> str:
-    return "residual (" + ", ".join(render(e) for e in v.entries) + ")"
+    return f"residual {v!r}"
 
 
 def _multiple_row(report, name, v, base, key):
@@ -442,7 +442,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     eta = dd.eta
     field = alg.field
     a0 = dd.axis(0)
-    dec = dd.base_split()
+    dec = dd.base_split
 
     lambdas = {}
     for i in (1, 2, 3):
@@ -542,13 +542,16 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     return report
 
 
-_MODES = (
-    "lemma_2_3_part1",
-    "lemma_2_3_part2",
-    "lemma_2_4_part1",
-    "lemma_2_4_part2",
-    "lemma_2_4_part3",
-)
+# Each two-sided mode reads the input a_0..a_k extended by a_-1 = sign *
+# a_source (lemma 2.3: -a_0; lemma 2.4: a_1, zero if absent): its output is
+# zero below index first, then sum(w * a_(i+o)) over the stencil {o: w} for
+# i = first .. k + last, then a_k.
+_STENCILS = {
+    "lemma_2_3_part1": (-1, 0, 1, {1: 1, 0: 2, -1: 2, -2: 1}, 1),
+    "lemma_2_3_part2": (-1, 0, 0, {0: 1, -1: 1}, 0),
+    "lemma_2_4_part1": (1, 1, 1, {-2: 1, -1: 1, 1: -1, 2: -1}, 1),
+    "lemma_2_4_part2": (1, 1, 1, {-1: 1, 1: -1}, 0),
+}
 
 
 def relation_transform(coeffs, mode):
@@ -561,56 +564,22 @@ def relation_transform(coeffs, mode):
     * lemma_2_4_part1/2: input (a_0..a_k) multiplies a_0 and (a_i + a_{-i});
       output as above.
     * lemma_2_4_part3: input (a_1..a_k); output is 1-indexed over
-      (a_{i+1} - a_{-i}).
+      (a_{i+1} - a_{-i}): the forward differences, then a_k.
     """
     coeffs = tuple(coeffs)
     if not coeffs:
         raise DimensionMismatch("coefficient sequence must be nonempty")
-    if mode not in _MODES:
+    if mode == "lemma_2_4_part3":
+        return tuple(a - b for a, b in zip(coeffs, coeffs[1:])) + coeffs[-1:]
+    if mode not in _STENCILS:
         raise DimensionMismatch(f"unknown transform mode {mode!r}")
-    field = coeffs[0].field
-    zero = field.zero()
+    sign, source, first, stencil, last = _STENCILS[mode]
+    zero = coeffs[0].field.zero()
     k = len(coeffs) - 1
-
-    def plain(i):
-        return coeffs[i] if 0 <= i <= k else zero
-
-    if mode in ("lemma_2_3_part1", "lemma_2_3_part2"):
-        def get(i):
-            if i == -1:
-                return -coeffs[0]
-            return plain(i)
-
-        if mode == "lemma_2_3_part2":
-            out = [get(i) + get(i - 1) for i in range(0, k + 1)]
-            out.append(coeffs[k])
-            return tuple(out)
-        out = [zero]
-        for i in range(1, k + 2):
-            out.append(get(i + 1) + get(i) * 2 + get(i - 1) * 2 + get(i - 2))
-        out.append(coeffs[k])
-        return tuple(out)
-
-    if mode in ("lemma_2_4_part1", "lemma_2_4_part2"):
-        def get(i):
-            if i == -1:
-                return plain(1)
-            return plain(i)
-
-        if mode == "lemma_2_4_part2":
-            out = [zero]
-            out.extend(get(i - 1) - get(i + 1) for i in range(1, k + 1))
-            out.append(coeffs[k])
-            return tuple(out)
-        out = [zero]
-        for i in range(1, k + 2):
-            out.append(get(i - 2) + get(i - 1) - get(i + 1) - get(i + 2))
-        out.append(coeffs[k])
-        return tuple(out)
-
-    # lemma_2_4_part3: input is (a_1..a_k)
-    seq = (zero,) + coeffs  # reindex so seq[i] = a_i
-    kk = len(coeffs)
-    out = [seq[i] - (seq[i + 1] if i + 1 <= kk else zero) for i in range(1, kk)]
-    out.append(seq[kk])
-    return tuple(out)
+    seq = dict(enumerate(coeffs))
+    seq[-1] = sign * seq.get(source, zero)
+    out = [zero] * first + [
+        sum((w * seq.get(i + o, zero) for o, w in stencil.items()), zero)
+        for i in range(first, k + last + 1)
+    ]
+    return (*out, coeffs[k])

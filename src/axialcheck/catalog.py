@@ -433,7 +433,7 @@ def instantiate(name, field=None, eta=None, enforce=True):
 
     if enforce and entry.fixed_eta is not None and eta != parse_scalar(entry.fixed_eta, field):
         raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
-    if entry.requires_eta_minpoly is not None and field is FieldDescriptor.rational_functions(field.variable):
+    if entry.requires_eta_minpoly is not None and field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
         raise ConstraintViolation(
             f"{entry.name} needs eta bound by its minimal polynomial; "
             "a symbolic eta is not admissible"
@@ -500,7 +500,7 @@ ALL_CHECKS = ("fusion", "dihedral", "relations", "identities")
 
 
 def _fusion_pass(report, alg, dd, documented):
-    dec = dd.base_split()
+    dec = dd.base_split
     report.dimensions["parts"] = tuple(dec.dims())
     violations = check_fusion(alg, dec)
     detail = "; ".join(
@@ -625,9 +625,9 @@ _IDEAL_ROWS = (
 )
 
 
-def _ideal_claims(rows=_IDEAL_ROWS):
+def _ideal_claims():
     claims = []
-    for name, *instantiations in rows:
+    for name, *instantiations in _IDEAL_ROWS:
         found = []
         for label, field, eta in instantiations:
             alg, dd = instantiate(name, field, eta, enforce=False)
@@ -657,12 +657,12 @@ _QUOTIENT_ROWS = (
 )
 
 
-def _quotient_isomorphism_claims(rows=_QUOTIENT_ROWS):
+def _quotient_isomorphism_claims():
     """Each parent modulo the ideal is its child: the projected axes a_i of
     the parent go to the child's a_i for i in -(d+2) .. d+3, d the child's
     dimension, and that correspondence extends to a bijective map."""
     claims = []
-    for parent, field, eta, ideal, child, ideal_phrase, child_phrase in rows:
+    for parent, field, eta, ideal, child, ideal_phrase, child_phrase in _QUOTIENT_ROWS:
         alg, dd = instantiate(parent, field, eta)
         quotient_by_ideal = _quotient_or_none(alg, _span(alg, dd, [ideal]))
         ok = quotient_by_ideal is not None

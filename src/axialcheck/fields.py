@@ -844,7 +844,7 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
     A ring homomorphism wherever the denominator (and every coefficient's
     image) survives; raises DenominatorVanishes otherwise.
     """
-    if x.field is not FieldDescriptor.rational_functions(x.field.variable):
+    if x.field.kind != FieldDescriptor.RATIONAL_FUNCTIONS:
         raise DescriptorMismatch("specialize expects a rational-function element")
     if value.field is not target:
         raise DescriptorMismatch("value does not lie in the target field")

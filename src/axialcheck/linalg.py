@@ -60,8 +60,6 @@ class Vector:
         return Vector(self.field, tuple(-a for a in self.entries))
 
     def scale(self, s):
-        if s.is_zero():
-            return Vector.zero(self.field, len(self.entries))
         return Vector(self.field, tuple(s * a for a in self.entries))
 
     def __eq__(self, other):
@@ -149,29 +147,13 @@ class Matrix:
         return Vector(field, out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
-        """self * other, summed over the nonzero entries of both on payloads."""
+        """self * other, one apply per column of other."""
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product size mismatch")
-        field = self.field
-        if other.field is not field:
-            raise DescriptorMismatch(f"matrix over another field than {field!r}")
-        add, mul, is_zero = field.add, field.mul, field.is_zero
-        sparse = [[(j, e.payload) for j, e in enumerate(r) if not is_zero(e.payload)]
-                  for r in other.rows]
-        zero = field.zero()
-        rows = []
-        for r in self.rows:
-            acc = {}
-            for k, e in enumerate(r):
-                a = e.payload
-                if is_zero(a):
-                    continue
-                for j, b in sparse[k]:
-                    t = mul(a, b)
-                    acc[j] = add(acc[j], t) if j in acc else t
-            rows.append(tuple(FieldElement(field, acc[j]) if j in acc else zero
-                              for j in range(other.ncols)))
-        return Matrix(field, rows)
+        if other.field is not self.field:
+            raise DescriptorMismatch(f"matrix over another field than {self.field!r}")
+        columns = [self.apply(other.column(j)) for j in range(other.ncols)]
+        return Matrix.from_columns(self.field, columns, nrows=self.nrows)
 
     def sub_scalar_diag(self, s) -> "Matrix":
         """self - s*I, used to form eigenoperator matrices."""

@@ -274,7 +274,7 @@ def test_multiply_matches_dense_loop(name, field, eta):
     rng = random.Random(name)
     vectors = [alg.basis_vector(i) for i in range(alg.dim)]
     vectors += [_rand_vec(alg, rng) for _ in range(4)]
-    vectors += [v for _, v in dd.base_split().eigenbasis()]
+    vectors += [v for _, v in dd.base_split.eigenbasis()]
     vectors.append(alg.zero_vector())
     for x in vectors:
         for y in vectors:

@@ -152,7 +152,7 @@ def test_axes_follow_the_base_axis_through_the_shift(case):
     # must give the a_0 parts moved by shift^i, the same fusion verdict, and
     # (where fusion holds) the conjugated flip as the Miyamoto involution
     alg, dd = instantiate(*case)
-    base = dd.base_split()
+    base = dd.base_split
     base_violations = len(check_fusion(alg, base))
     for i in range(-1, alg.dim + 2):
         shift_i = dd.shift.power(i)
@@ -237,7 +237,7 @@ def _check_dihedral_reference(alg, dd):
         violations.append(DihedralViolation("D3", None, "flip o shift o flip is not shift^-1"))
 
     try:
-        dec = dd.base_split()
+        dec = dd.base_split
     except (NotIdempotent, NotSemisimple, InvolutionMismatch) as exc:
         violations.append(DihedralViolation("axis", 0, str(exc)))
         return violations
@@ -397,6 +397,26 @@ def test_a_singular_shift_is_inverted_once(monkeypatch):
         assert rows[name].detail == "shift is not invertible, so a_-1 is undefined"
 
 
+def test_involutions_of_a_singular_shift():
+    doc = document_for(*instantiate("ThreeEvX"))
+    _singular_shift(doc["dihedral"], doc)
+    _, dd, _ = load_document(doc)
+    assert dd.involution_at(0) is dd.flip
+    for j in (1, -1):
+        with pytest.raises(DataInconsistency, match=f"tau_{j} is undefined"):
+            dd.involution_at(j)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog.list_entries()])
+def test_involutions_reflect_the_axes(name):
+    # tau_j = shift^j o flip o shift^-j mirrors a_i to a_(2j-i)
+    _, dd = instantiate(name)
+    for j in range(-2, 3):
+        tau = dd.involution_at(j)
+        for i in range(-2, 3):
+            assert tau.apply(dd.axis(i)) == dd.axis(2 * j - i), (name, i, j)
+
+
 GOLDEN_EMIT = sorted((Path(__file__).resolve().parent / "golden" / "emit").glob("*.json"))
 
 
@@ -451,7 +471,7 @@ def _assert_product_pass_matches_direct_checks(alg, dec):
 @pytest.mark.parametrize("case", TRANSPORT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
 def test_product_pass_matches_direct_checks(case):
     alg, dd = instantiate(*case)
-    _assert_product_pass_matches_direct_checks(alg, dd.base_split())
+    _assert_product_pass_matches_direct_checks(alg, dd.base_split)
     # the identity involution leaves the eta part unsplit, which fusion
     # rejects on most entries
     unsplit = split_eigenspace(alg, dd.axis(0), dd.eta, AlgebraMap.identity(alg))
@@ -705,3 +725,56 @@ def test_relation_transform_vanishes_on_catalog():
         for i, coeff in enumerate(out, start=1):
             acc = acc + (dd.axis(i + 1) - dd.axis(-i)).scale(coeff)
         assert acc.is_zero(), name
+
+
+# each mode's output on the first n of (2, 3, 5, 7, 11, 13), n = 1 .. 6,
+# zero slots included
+RELATION_TRANSFORMS = {
+    "lemma_2_3_part1": (
+        (0, 2, 2),
+        (0, 8, 8, 3),
+        (0, 13, 18, 13, 5),
+        (0, 13, 25, 27, 19, 7),
+        (0, 13, 25, 38, 41, 29, 11),
+        (0, 13, 25, 38, 54, 55, 37, 13),
+    ),
+    "lemma_2_3_part2": (
+        (0, 2),
+        (0, 5, 3),
+        (0, 5, 8, 5),
+        (0, 5, 8, 12, 7),
+        (0, 5, 8, 12, 18, 11),
+        (0, 5, 8, 12, 18, 24, 13),
+    ),
+    "lemma_2_4_part1": (
+        (0, 2, 2),
+        (0, 5, 5, 3),
+        (0, 0, 5, 8, 5),
+        (0, -7, -2, 8, 12, 7),
+        (0, -7, -13, -3, 12, 18, 11),
+        (0, -7, -13, -16, -1, 18, 24, 13),
+    ),
+    "lemma_2_4_part2": (
+        (0, 2),
+        (0, 2, 3),
+        (0, -3, 3, 5),
+        (0, -3, -4, 5, 7),
+        (0, -3, -4, -6, 7, 11),
+        (0, -3, -4, -6, -6, 11, 13),
+    ),
+    "lemma_2_4_part3": (
+        (2,),
+        (-1, 3),
+        (-1, -2, 5),
+        (-1, -2, -2, 7),
+        (-1, -2, -2, -4, 11),
+        (-1, -2, -2, -4, -2, 13),
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", RELATION_TRANSFORMS)
+def test_relation_transform_outputs(Q, mode):
+    primes = [Q.from_int(c) for c in (2, 3, 5, 7, 11, 13)]
+    for n, expected in enumerate(RELATION_TRANSFORMS[mode], start=1):
+        assert relation_transform(primes[:n], mode) == tuple(map(Q.from_int, expected)), (mode, n)

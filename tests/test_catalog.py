@@ -172,19 +172,22 @@ def test_claims_run_no_identity_suite(monkeypatch):
     assert calls == []
 
 
-def test_a_quotient_row_with_the_wrong_child_fails():
+def test_a_quotient_row_with_the_wrong_child_fails(monkeypatch):
     row = ("ThreeEv", "q", "-1/3", "p1", "FourEvX", "p1 span is ideal", "matches FourEvX")
-    (claim,) = catalog._quotient_isomorphism_claims([row])
+    monkeypatch.setattr(catalog, "_QUOTIENT_ROWS", [row])
+    (claim,) = catalog._quotient_isomorphism_claims()
     assert claim.status == "fail"
     assert claim.detail == "p1 span is ideal: True; matches FourEvX: False"
     row = ("ThreeEv", "qeta", "eta", "p1", "ThreeEvX", "p1 span is ideal", "matches ThreeEvX")
-    (claim,) = catalog._quotient_isomorphism_claims([row])
+    monkeypatch.setattr(catalog, "_QUOTIENT_ROWS", [row])
+    (claim,) = catalog._quotient_isomorphism_claims()
     assert (claim.status, claim.detail) == ("fail", "p1 span is ideal: False")
 
 
-def test_an_ideal_row_whose_middle_is_not_special_fails():
+def test_an_ideal_row_whose_middle_is_not_special_fails(monkeypatch):
     row = ("ThreeEv", ("generic", "qeta", "eta"), ("at 1/4", "q", "1/4"), ("at -1/3", "q", "-1/3"))
-    (claim,) = catalog._ideal_claims([row])
+    monkeypatch.setattr(catalog, "_IDEAL_ROWS", [row])
+    (claim,) = catalog._ideal_claims()
     assert claim.status == "fail"
     assert claim.detail == "generic False, at 1/4 False, at -1/3 True"
 

@@ -40,7 +40,7 @@ def test_degenerate_axis_pair_spans_dimension_two(name):
 def test_rho_expansion_factor(name):
     alg, dd = catalog.instantiate(name)
     eta = dd.eta
-    lam1 = lambda_coefficient(alg, dd.base_split(), dd.axis(1))
+    lam1 = lambda_coefficient(alg, dd.base_split, dd.axis(1))
     base = (eta * 2 - 1) * (lam1 * 4 - eta * 3)
     expected = {
         "BarFourTwo": alg.field.from_int(-6),
@@ -65,7 +65,7 @@ def _poly_with_roots(sympy_matrix, field, roots):
 def test_adjoint_char_poly_matches_the_parts(name, sympy_matrix):
     # x^d0 (x-1)^d1 (x-eta)^(d2+d3), (d0, d1, d2, d3) the base split's dimensions
     alg, dd = catalog.instantiate(name)
-    d0, d1, d2, d3 = dd.base_split().dims()
+    d0, d1, d2, d3 = dd.base_split.dims()
     field = alg.field
     roots = [field.zero()] * d0 + [field.one()] * d1 + [dd.eta] * (d2 + d3)
     assert _char_poly(sympy_matrix, alg, dd) == _poly_with_roots(sympy_matrix, field, roots)

@@ -222,6 +222,8 @@ def _dense_matmul(m, n):
 
 def _sparse_matrix(field, rng, rows, cols):
     # about half the entries zero, and one row all zero
+    if not rows or not cols:
+        return Matrix.zero(field, rows, cols)
     m = [[field.from_int(rng.choice((0, 0, 0, 1, -2, 3))) for _ in range(cols)] for _ in range(rows)]
     m[rng.randrange(rows)] = [field.zero()] * cols
     if field.variable is not None:
@@ -234,7 +236,11 @@ def _sparse_matrix(field, rng, rows, cols):
 def test_apply_and_matmul_match_dense_loops(fixture, request):
     field = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
-    for rows, inner, cols in ((3, 4, 2), (5, 5, 5), (1, 6, 3), (4, 1, 4), (6, 6, 6)):
+    # a matrix without rows has no columns either, so a zero dimension shows
+    # as a product with no columns, or with no inner dimension and no columns
+    shapes = ((3, 4, 2), (5, 5, 5), (1, 6, 3), (4, 1, 4), (6, 6, 6), (2, 3, 5), (6, 2, 1),
+              (3, 4, 0), (3, 0, 0), (0, 0, 0))
+    for rows, inner, cols in shapes:
         a = _sparse_matrix(field, rng, rows, inner)
         b = _sparse_matrix(field, rng, inner, cols)
         assert a.matmul(b) == _dense_matmul(a, b)
@@ -243,6 +249,18 @@ def test_apply_and_matmul_match_dense_loops(fixture, request):
             assert a.apply(v) == _dense_apply(a, v)
         for i in range(inner):
             assert a.apply(Vector.unit(field, inner, i)) == a.column(i)
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
+def test_scaling_by_zero_gives_the_zero_vector_and_checks_the_field(fixture, request):
+    field = request.getfixturevalue(fixture)
+    v = Vector(field, [field.from_int(3), field.zero(), field.from_int(-2)])
+    assert v.scale(field.zero()) == Vector.zero(field, 3)
+    for other in (FieldDescriptor.rationals(), FieldDescriptor.prime(5)):
+        if other is not field:
+            for s in (other.zero(), other.one()):
+                with pytest.raises(DescriptorMismatch):
+                    v.scale(s)
 
 
 def test_apply_and_matmul_refuse_other_fields(GF5, GF7, QETA):
