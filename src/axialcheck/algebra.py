@@ -8,8 +8,7 @@ index pairs, so x*y = y*x cannot fail by construction.
 from __future__ import annotations
 
 from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
-from .fields import FieldElement
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, rref
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _dense, _sparse, invert, rref
 
 
 class AlgebraDef:
@@ -17,10 +16,10 @@ class AlgebraDef:
 
     ``table`` maps an index pair (i, j) with i <= j to the product vector;
     missing pairs multiply to zero.  ``rows`` holds the same constants
-    sparsely: ``rows[i]`` is a tuple of (j, terms) over the nonzero e_i*e_j,
-    where ``terms`` is a tuple of (k, payload) over the product's nonzero
-    coefficients.  An entry with i != j is listed under both i and j, and
-    both share one ``terms`` tuple.
+    sparsely, in the form sparse_product sums them: ``rows[i]`` is a tuple
+    of (j, terms) over the nonzero e_i*e_j, where ``terms`` is a tuple of
+    (k, payload) over the product's nonzero coefficients.  An entry with
+    i != j is listed under both i and j, and both share one ``terms`` tuple.
     """
 
     __slots__ = ("field", "labels", "table", "rows", "dim")
@@ -76,22 +75,14 @@ class AlgebraDef:
         return f"AlgebraDef({', '.join(self.labels)})"
 
 
-def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants: a sum over the nonzero
-    x[i], the entries (j, terms) of row i and the nonzero y[j], done on
-    payloads by the field's own operations."""
-    field, dim = alg.field, alg.dim
-    if len(x) != dim or len(y) != dim:
-        raise DimensionMismatch("vector length differs from algebra dimension")
-    if x.field is not field or y.field is not field:
-        raise DescriptorMismatch(f"vector over another field than {field!r}")
+def sparse_product(alg: AlgebraDef, xs, ys):
+    """x*y for x and y given as {index: nonzero payload}, returned the same way
+    with the sums that cancel dropped: the one sum of the structure constants,
+    over i in xs, (j, terms) in rows[i] and j in ys, on payloads."""
+    field = alg.field
     add, mul, is_zero = field.add, field.mul, field.is_zero
-    ys = {j: e.payload for j, e in enumerate(y.entries) if not is_zero(e.payload)}
     out = {}
-    for i, e in enumerate(x.entries):
-        a = e.payload
-        if is_zero(a):
-            continue
+    for i, a in xs.items():
         for j, terms in alg.rows[i]:
             b = ys.get(j)
             if b is None:
@@ -100,8 +91,19 @@ def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
             for k, c in terms:
                 t = mul(s, c)
                 out[k] = add(out[k], t) if k in out else t
-    zero = field.zero()
-    return Vector(field, [FieldElement(field, out[k]) if k in out else zero for k in range(dim)])
+    return {k: c for k, c in out.items() if not is_zero(c)}
+
+
+def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
+    """x*y for Vectors of the algebra: checked, made sparse, multiplied by
+    sparse_product and made dense again."""
+    field, dim = alg.field, alg.dim
+    if len(x) != dim or len(y) != dim:
+        raise DimensionMismatch("vector length differs from algebra dimension")
+    if x.field is not field or y.field is not field:
+        raise DescriptorMismatch(f"vector over another field than {field!r}")
+    out = sparse_product(alg, _sparse(x, field, dim), _sparse(y, field, dim))
+    return Vector(field, _dense(field, dim, out.items()))
 
 
 def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
@@ -113,13 +115,14 @@ def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
 def _span_closure(echelon: EchelonBasis, gens, product):
     """Close span(gens) under product, multiplying each pair of kept words once:
     generators first, then products breadth first, later word on the left.
-    Each word goes into echelon and is kept if it raises the rank; (pivot,
-    word) is yielded after each, pivot being what echelon.add returned and
-    word None for a generator or (i, j) for the product of words i and j, so
-    a caller can stop early."""
+    Words are {index: nonzero payload} maps.  A copy of each goes into
+    echelon, and the word is kept if it raises the rank; (pivot, word) is
+    yielded after each, pivot being what echelon._insert returned and word
+    None for a generator or (i, j) for the product of words i and j, so a
+    caller can stop early."""
     words = []
     for g in gens:
-        pivot = echelon.add(g)
+        pivot = echelon._insert(dict(g))
         yield pivot, None
         if pivot is not None:
             words.append(g)
@@ -127,7 +130,7 @@ def _span_closure(echelon: EchelonBasis, gens, product):
     while i < len(words):
         for j in range(i + 1):
             word = product(words[i], words[j])
-            pivot = echelon.add(word)
+            pivot = echelon._insert(dict(word))
             yield pivot, (i, j)
             if pivot is not None:
                 words.append(word)
@@ -138,7 +141,8 @@ def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
     """Smallest multiplication-closed subspace containing the generators.
     The closure stops once the span is the whole algebra, which is closed."""
     echelon = EchelonBasis(alg.field, alg.dim)
-    for _ in _span_closure(echelon, gens, lambda x, y: multiply(alg, x, y)):
+    words = [_sparse(g, alg.field, alg.dim) for g in gens]
+    for _ in _span_closure(echelon, words, lambda x, y: sparse_product(alg, x, y)):
         if len(echelon.rows) == alg.dim:
             break
     return echelon.subspace()
@@ -278,18 +282,19 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef) -> Algebr
     if not pairs:
         raise DimensionMismatch("at least one generator pair is required")
     n, field = alg.dim, target.field
+    if alg.field is not field:
+        raise DescriptorMismatch("source and target algebras over different fields")
     graph = []
     for src, img in pairs:
         if len(src) != n:
             raise DimensionMismatch("generator not in the source algebra")
         if len(img) != target.dim:
             raise DimensionMismatch("image not in the target algebra")
-        graph.append(Vector(field, src.entries + img.entries))
+        graph.append(_join(_sparse(src, field, n), _sparse(img, field, target.dim), n))
 
     def product(x, y):
-        src = multiply(alg, Vector(field, x[:n]), Vector(field, y[:n]))
-        img = multiply(target, Vector(field, x[n:]), Vector(field, y[n:]))
-        return Vector(field, src.entries + img.entries)
+        (xs, xi), (ys, yi) = _halves(x, n), _halves(y, n)
+        return _join(sparse_product(alg, xs, ys), sparse_product(target, xi, yi), n)
 
     echelon = EchelonBasis(field, n + target.dim)
     for pivot, word in _span_closure(echelon, graph, product):
@@ -300,3 +305,13 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef) -> Algebr
         raise DataInconsistency(f"the generators span only dimension {len(echelon.rows)} of {n}")
     cols = [echelon.vector(k, n) for k in range(n)]
     return AlgebraMap(alg, target, Matrix.from_columns(field, cols, nrows=target.dim))
+
+
+def _join(src, img, n):
+    """The graph word (src | img) of a source map and an image map."""
+    return src | {k + n: c for k, c in img.items()}
+
+
+def _halves(word, n):
+    """A graph word split at column n into its source and image maps."""
+    return {k: c for k, c in word.items() if k < n}, {k - n: c for k, c in word.items() if k >= n}

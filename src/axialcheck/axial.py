@@ -18,6 +18,7 @@ from .algebra import (
     generated_subalgebra,
     induce_on_quotient,
     multiply,
+    sparse_product,
 )
 from .errors import (
     DataInconsistency,
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .fields import render
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
+from .linalg import _add_multiple, _dense, _sparse
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
 # is the intersection of the two overlapping rules and is empty: those
@@ -91,16 +93,23 @@ class AxisDecomposition:
         """(escapes, graded) from one pass over the eigenbasis products b_p*b_q,
         p <= q, read in eigen-coordinates: escapes maps (p, q) to b_p*b_q if it
         leaves the parts the fusion rule allows; graded is whether every
-        component has the sign s_p*s_q (part 3 odd, the others even)."""
-        basis = self.eigenbasis()
+        component has the sign s_p*s_q (part 3 odd, the others even).  It runs
+        on {index: nonzero payload} maps; only an escaping product becomes a
+        Vector."""
+        alg, field = self.algebra, self.algebra.field
+        parts = [i for i, part in enumerate(self.parts) for _ in part.rows]
+        words = [dict(row) for part in self.parts for row in part.rows]
+        columns = [_sparse(self.coordinates.column(k), field, alg.dim).items() for k in range(alg.dim)]
         escapes, graded = {}, True
-        for q, (j, y) in enumerate(basis):
-            for p, (i, x) in enumerate(basis[: q + 1]):
-                prod = multiply(self.algebra, x, y)
-                coords = self.coordinates.apply(prod)
-                support = {basis[k][0] for k, c in enumerate(coords) if not c.is_zero()}
+        for q, j in enumerate(parts):
+            for p, i in enumerate(parts[: q + 1]):
+                prod = sparse_product(alg, words[p], words[q])
+                coords = {}  # B^-1 prod, summed over the columns of B^-1 at its support
+                for k, c in prod.items():
+                    _add_multiple(field, coords, c, columns[k])
+                support = {parts[r] for r in coords}
                 if not support <= set(allowed(i, j)):
-                    escapes[(p, q)] = prod
+                    escapes[(p, q)] = Vector(field, _dense(field, alg.dim, prod.items()))
                 odd = (i == 3) != (j == 3)
                 graded = graded and all((k == 3) == odd for k in support)
         return escapes, graded

@@ -87,9 +87,10 @@ class Vector:
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged matrix")
@@ -112,7 +113,7 @@ class Matrix:
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero()
-        return cls(field, ((z,) * ncols,) * nrows)
+        return cls(field, ((z,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, field, columns, nrows=None):
@@ -120,7 +121,7 @@ class Matrix:
         if not columns:
             return cls.zero(field, nrows or 0, 0)
         n = len(columns[0])
-        return cls(field, tuple(tuple(col[i] for col in columns) for i in range(n)))
+        return cls(field, tuple(tuple(col[i] for col in columns) for i in range(n)), len(columns))
 
     def column(self, j):
         return Vector(self.field, tuple(r[j] for r in self.rows))
@@ -167,15 +168,15 @@ class Matrix:
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise DimensionMismatch("augment needs equal row counts")
-        return Matrix(self.field, tuple(a + b for a, b in zip(self.rows, other.rows)))
+        return Matrix(self.field, [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field is other.field and self.rows == other.rows
+        return self.field is other.field and self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
         return "Matrix[" + "; ".join(repr(Vector(self.field, r)) for r in self.rows) + "]"
@@ -190,7 +191,7 @@ def rref(m: Matrix):
     pivots = sorted(echelon.rows)
     zero_row = (m.field.zero(),) * m.ncols
     rows = [_dense(m.field, m.ncols, echelon.rows[pc]) for pc in pivots]
-    return Matrix(m.field, rows + [zero_row] * (m.nrows - len(pivots))), len(pivots), tuple(pivots)
+    return Matrix(m.field, rows + [zero_row] * (m.nrows - len(pivots)), m.ncols), len(pivots), tuple(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -320,13 +321,12 @@ def _dense(field, n, terms):
     return entries
 
 
-def _subtract(field, entries, c, terms):
-    """entries -= c * terms, where entries maps columns to nonzero payloads and
+def _add_multiple(field, entries, c, terms):
+    """entries += c * terms, where entries maps columns to nonzero payloads and
     terms are (column, payload) pairs; entries stays free of zeros."""
     add, mul, is_zero = field.add, field.mul, field.is_zero
-    minus_c = field.neg(c)
     for j, b in terms:
-        t = mul(minus_c, b)
+        t = mul(c, b)
         if j in entries:
             s = add(entries[j], t)
             if is_zero(s):
@@ -344,7 +344,7 @@ def _reduce(field, entries, rows):
     for pc, row in rows:
         c = entries.pop(pc, None)
         if c is not None:
-            _subtract(field, entries, c, row[1:])
+            _add_multiple(field, entries, field.neg(c), row[1:])
 
 
 class EchelonBasis:
@@ -384,7 +384,7 @@ class EchelonBasis:
             if c is not None:
                 reduced = dict(row)
                 del reduced[pivot]
-                _subtract(field, reduced, c, new[1:])
+                _add_multiple(field, reduced, field.neg(c), new[1:])
                 rows[pc] = tuple(sorted(reduced.items()))
         rows[pivot] = new
         return pivot
@@ -412,4 +412,4 @@ def invert(m: Matrix) -> Matrix:
     reduced, _, pivots = rref(m.augment(Matrix.identity(m.field, n)))
     if pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return Matrix(m.field, tuple(r[n:] for r in reduced.rows))
+    return Matrix(m.field, tuple(r[n:] for r in reduced.rows), n)

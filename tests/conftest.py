@@ -1,6 +1,12 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
+from axialcheck.algebra import AlgebraDef, AlgebraMap
+from axialcheck.axial import split_eigenspace
 from axialcheck.fields import FieldDescriptor
+from axialcheck.linalg import Matrix, Vector
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +71,42 @@ def sympy_matrix():
         return DomainMatrix([[convert(e) for e in r] for r in rows], (len(rows), ncols), dom)
 
     return matrix
+
+
+@pytest.fixture(scope="session")
+def matsuo_s5():
+    """(field, eta) -> M_eta(S_5), by the rule of the perfbench/matsuo.py
+    docstring: t*t = t, s*t = 0 if s and t commute, s*t = (eta/2)(s + t - tst)
+    if st has order 3.  The basis is the transpositions "12", "13", ..."""
+    def build(field, eta):
+        trans = list(combinations(range(1, 6), 2))
+        index = {t: k for k, t in enumerate(trans)}
+        half = field.from_fraction(Fraction(eta) / 2)
+
+        def vec(coeffs):
+            return Vector(field, [coeffs.get(k, field.zero()) for k in range(len(trans))])
+
+        table = {(k, k): vec({k: field.one()}) for k in range(len(trans))}
+        for s, t in combinations(trans, 2):
+            if len(set(s) | set(t)) != 3:
+                continue
+            u = tuple(sorted(set(s) ^ set(t)))  # tst, the third transposition
+            table[index[s], index[t]] = vec({index[s]: half, index[t]: half, index[u]: -half})
+        return AlgebraDef(field, [f"{a}{b}" for a, b in trans], table)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def matsuo_split(matsuo_s5):
+    """(field, eta) -> the decomposition of M_eta(S_5) at the axis "12", the
+    flip being conjugation by (1 2), which permutes the transpositions."""
+    def split(field, eta):
+        alg = matsuo_s5(field, eta)
+        swap = {"1": "2", "2": "1"}
+        images = ["".join(sorted(swap.get(c, c) for c in label)) for label in alg.labels]
+        columns = [alg.basis_vector(alg.label_index(label)) for label in images]
+        flip = AlgebraMap(alg, alg, Matrix.from_columns(field, columns, nrows=alg.dim))
+        return split_eigenspace(alg, alg.basis_vector(0), field.from_fraction(Fraction(eta)), flip)
+
+    return split

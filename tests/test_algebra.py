@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axialcheck import algebra
 from axialcheck.algebra import (
@@ -15,6 +15,7 @@ from axialcheck.algebra import (
     is_ideal,
     multiply,
     quotient,
+    sparse_product,
 )
 from axialcheck.axial import axis_orbit
 from axialcheck.catalog import instantiate
@@ -207,6 +208,11 @@ def test_extend_failures():
         DataInconsistency, match=r"^images disagree on dependent word \(generator\)$"
     ):
         extend_from_generators(alg, pairs, alg)
+    # the two algebras must share the field, whichever field the pairs are over
+    other, other_dd = instantiate("ThreeEvX", "gf:7")
+    for source, target, axes in ((alg, other, other_dd), (other, alg, dd)):
+        with pytest.raises(DescriptorMismatch):
+            extend_from_generators(source, [(axes.axis(i), axes.axis(i)) for i in (-1, 0, 1)], target)
 
 
 def _closure_by_rounds(alg, gens):
@@ -307,27 +313,8 @@ def test_multiply_refuses_other_fields_and_lengths(GF7):
             multiply(alg, a, Vector.unit(alg.field, alg.dim + 1, 0))
 
 
-def _matsuo_s5(field, eta):
-    # M_eta(S_5), by the rule of the perfbench/matsuo.py docstring: t*t = t,
-    # s*t = 0 if s and t commute, s*t = (eta/2)(s + t - tst) if st has order 3
-    trans = list(combinations(range(1, 6), 2))
-    index = {t: k for k, t in enumerate(trans)}
-    half = field.from_fraction(Fraction(eta) / 2)
-
-    def vec(coeffs):
-        return Vector(field, [coeffs.get(k, field.zero()) for k in range(len(trans))])
-
-    table = {(k, k): vec({k: field.one()}) for k in range(len(trans))}
-    for s, t in combinations(trans, 2):
-        if len(set(s) | set(t)) != 3:
-            continue
-        u = tuple(sorted(set(s) ^ set(t)))  # tst, the third transposition
-        table[index[s], index[t]] = vec({index[s]: half, index[t]: half, index[u]: -half})
-    return AlgebraDef(field, [f"{a}{b}" for a, b in trans], table)
-
-
-def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch):
-    alg = _matsuo_s5(Q, "1/4")
+def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch, matsuo_s5):
+    alg = matsuo_s5(Q, "1/4")
     assert alg.dim == 10 and len(alg.table) == 40
     ad = adjoint_matrix(alg, _rand_vec(alg, random.Random(5)))
     calls = [0]
@@ -350,27 +337,90 @@ def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch):
         assert calls[0] <= ad.nrows
 
 
-def test_closure_stops_at_the_full_span(Q, monkeypatch):
+def test_closure_stops_at_the_full_span(Q, monkeypatch, matsuo_s5):
     # M_eta(S_5) is generated by the four adjacent transpositions; once the
-    # span is the whole algebra no product can add to it
-    alg = _matsuo_s5(Q, "1/4")
+    # span is the whole algebra no product can add to it.  The closure works
+    # on sparse words, so the hooks are the kernel and EchelonBasis._insert.
+    alg = matsuo_s5(Q, "1/4")
     gens = [alg.basis_vector(alg.label_index(label)) for label in ("12", "23", "34", "45")]
     ranks, products = [], []
 
     class Recording(algebra.EchelonBasis):
         __slots__ = ()
 
-        def add(self, v):
-            pivot = super().add(v)
+        def _insert(self, entries):
+            pivot = super()._insert(entries)
             ranks.append(len(self.rows))
             return pivot
 
     def counted(*args):
         products.append(ranks[-1])
-        return multiply(*args)
+        return sparse_product(*args)
 
     monkeypatch.setattr(algebra, "EchelonBasis", Recording)
-    monkeypatch.setattr(algebra, "multiply", counted)
+    monkeypatch.setattr(algebra, "sparse_product", counted)
     span = algebra.generated_subalgebra(alg, gens)
     assert span.dim == alg.dim == 10
     assert max(products) < 10 and len(products) == 26
+
+
+# one field of each kind; the number field is Q[eta]/(eta^2 + 2*eta - 1)
+KERNEL_FIELDS = {
+    "Q": FieldDescriptor.rationals(),
+    "GF7": FieldDescriptor.prime(7),
+    "NF": FieldDescriptor.number_field((-1, 2, 1)),
+    "QETA": FieldDescriptor.rational_functions("eta"),
+}
+
+
+def _scalar(field, a, b):
+    """a + b*eta, or a alone in a field without a generator."""
+    value = field.from_int(a)
+    if field in (KERNEL_FIELDS["NF"], KERNEL_FIELDS["QETA"]):
+        value = value + field.from_int(b) * field.generator()
+    return value
+
+
+# structure constants and coordinates drawn from 0, 1, -1, eta and -eta
+# (as (a, b) of a + b*eta), so that the terms of a product coefficient often
+# cancel
+small = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+@st.composite
+def kernel_inputs(draw, field):
+    dim = draw(st.integers(1, 4))
+    table = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            table[i, j] = Vector(field, [_scalar(field, *draw(small)) for _ in range(dim)])
+    x, y = ([_scalar(field, *draw(small)) for _ in range(dim)] for _ in "xy")
+    return AlgebraDef(field, [f"e{i}" for i in range(dim)], table), x, y
+
+
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sparse_product_is_the_dense_double_sum(name, data):
+    field = KERNEL_FIELDS[name]
+    alg, x, y = data.draw(kernel_inputs(field))
+    dense = [field.zero()] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            c = alg.product_of_basis(i, j)
+            dense = [d + x[i] * y[j] * ck for d, ck in zip(dense, c)]
+    xs, ys = ({k: e.payload for k, e in enumerate(v) if not e.is_zero()} for v in (x, y))
+    out = sparse_product(alg, xs, ys)
+    assert not any(field.is_zero(c) for c in out.values())
+    assert out == {k: e.payload for k, e in enumerate(dense) if not e.is_zero()}
+
+
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+def test_sparse_product_drops_cancelled_sums(name):
+    # e0*e0 = e0 + e1 and e1*e1 = -e0: (e0 + e1)^2 sums 1 - 1 at e0
+    field = KERNEL_FIELDS[name]
+    one = field.one()
+    table = {(0, 0): Vector(field, [one, one]), (1, 1): Vector(field, [-one, field.zero()])}
+    alg = AlgebraDef(field, ["e0", "e1"], table)
+    both = {0: one.payload, 1: one.payload}
+    assert sparse_product(alg, both, both) == {1: one.payload}

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from axialcheck import algebra, catalog, cli
+from axialcheck import algebra, axial, catalog, cli
 from axialcheck.algebra import (
     AlgebraDef,
     AlgebraMap,
@@ -476,6 +476,60 @@ def test_product_pass_matches_direct_checks(case):
     # rejects on most entries
     unsplit = split_eigenspace(alg, dd.axis(0), dd.eta, AlgebraMap.identity(alg))
     _assert_product_pass_matches_direct_checks(alg, unsplit)
+
+
+def _dense_product_pattern(dec):
+    # the dense pass that the sparse kernel replaced: multiply, read the
+    # product in eigen-coordinates with coordinates.apply, take the zero pattern
+    basis = dec.eigenbasis()
+    escapes, graded = {}, True
+    for q, (j, y) in enumerate(basis):
+        for p, (i, x) in enumerate(basis[: q + 1]):
+            prod = multiply(dec.algebra, x, y)
+            coords = dec.coordinates.apply(prod)
+            support = {basis[k][0] for k, c in enumerate(coords) if not c.is_zero()}
+            if not support <= set(allowed(i, j)):
+                escapes[(p, q)] = prod
+            odd = (i == 3) != (j == 3)
+            graded = graded and all((k == 3) == odd for k in support)
+    return escapes, graded
+
+
+@pytest.mark.parametrize("case", [
+    *((entry.name,) for entry in catalog.list_entries()),
+    ("SixThree", "q", "3"),
+    ("matsuo", "q"),
+    ("matsuo", "gf:7"),
+], ids="_".join)
+def test_product_pass_matches_the_dense_pass(case, matsuo_split):
+    if case[0] == "matsuo":  # M_1/4(S_5)
+        dec = matsuo_split(catalog.field_from_spec(case[1]), "1/4")
+    else:
+        dec = instantiate(*case)[1].base_split
+    assert dec.product_pattern == _dense_product_pattern(dec)
+    # SixThree at eta = 3 is the case whose fusion fails
+    assert bool(dec.product_pattern[0]) == (case == ("SixThree", "q", "3"))
+
+
+def test_product_pass_forms_each_pair_once_in_the_kernel(Q, monkeypatch, matsuo_split):
+    # M_1/4(S_5) has dimension 10, so one pass forms 10*11/2 products, all
+    # in the kernel: no dense multiply and no Matrix.apply
+    dec = matsuo_split(Q, "1/4")
+    products = []
+
+    def counted(*args):
+        products.append(args)
+        return algebra.sparse_product(*args)
+
+    def refused(*args):
+        raise AssertionError("the product pass formed a dense product")
+
+    monkeypatch.setattr(axial, "sparse_product", counted)
+    monkeypatch.setattr(axial, "multiply", refused)
+    monkeypatch.setattr(algebra, "multiply", refused)
+    monkeypatch.setattr(Matrix, "apply", refused)
+    assert dec.product_pattern == ({}, True)
+    assert len(products) == 55
 
 
 def test_sign_map_that_is_not_an_automorphism(Q):

@@ -217,7 +217,7 @@ def _dense_matmul(m, n):
     return Matrix(m.field, [
         [sum((r[k] * n.rows[k][j] for k in range(m.ncols)), m.field.zero()) for j in range(n.ncols)]
         for r in m.rows
-    ])
+    ], n.ncols)
 
 
 def _sparse_matrix(field, rng, rows, cols):
@@ -236,10 +236,9 @@ def _sparse_matrix(field, rng, rows, cols):
 def test_apply_and_matmul_match_dense_loops(fixture, request):
     field = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
-    # a matrix without rows has no columns either, so a zero dimension shows
-    # as a product with no columns, or with no inner dimension and no columns
+    # each of the three dimensions may be zero
     shapes = ((3, 4, 2), (5, 5, 5), (1, 6, 3), (4, 1, 4), (6, 6, 6), (2, 3, 5), (6, 2, 1),
-              (3, 4, 0), (3, 0, 0), (0, 0, 0))
+              (3, 4, 0), (3, 0, 0), (0, 0, 0), (0, 4, 2), (2, 0, 3), (0, 3, 0))
     for rows, inner, cols in shapes:
         a = _sparse_matrix(field, rng, rows, inner)
         b = _sparse_matrix(field, rng, inner, cols)
@@ -249,6 +248,17 @@ def test_apply_and_matmul_match_dense_loops(fixture, request):
             assert a.apply(v) == _dense_apply(a, v)
         for i in range(inner):
             assert a.apply(Vector.unit(field, inner, i)) == a.column(i)
+
+
+def test_a_matrix_without_rows_keeps_its_columns(Q):
+    empty = Matrix.zero(Q, 0, 4)
+    assert (empty.nrows, empty.ncols) == (0, 4)
+    assert empty != Matrix.zero(Q, 0, 3)
+    stacked = Matrix.from_columns(Q, [Vector.zero(Q, 0)] * 4)
+    assert (stacked.nrows, stacked.ncols) == (0, 4) and stacked == empty
+    assert empty.apply(Vector.zero(Q, 4)) == Vector.zero(Q, 0)
+    with pytest.raises(DimensionMismatch):
+        Matrix(Q, [[Q.one()] * 3], 4)
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
