@@ -29,7 +29,8 @@ class AlgebraDef:
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
-        norm = {}
+        is_zero = field.is_zero
+        norm, rows = {}, [[] for _ in range(dim)]
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
@@ -40,14 +41,13 @@ class AlgebraDef:
                 raise DimensionMismatch("structure-constant vector has wrong length")
             if vec.field is not field:
                 raise DescriptorMismatch("structure constants over the wrong field")
-            if not vec.is_zero():
+            terms = tuple((k, e.payload) for k, e in enumerate(vec.entries) if not is_zero(e.payload))
+            if terms:  # a zero product is left out of both
                 norm[key] = vec
-        rows = [[] for _ in range(dim)]
-        for (i, j), vec in norm.items():
-            terms = tuple((k, e.payload) for k, e in enumerate(vec.entries) if not e.is_zero())
-            rows[i].append((j, terms))
-            if i != j:
-                rows[j].append((i, terms))
+                i, j = key
+                rows[i].append((j, terms))
+                if i != j:
+                    rows[j].append((i, terms))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", norm)

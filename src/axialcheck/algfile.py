@@ -26,6 +26,7 @@ are documents too (catalog.instantiate).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .axial import DihedralData
 from .algebra import AlgebraDef, AlgebraMap, extend_from_generators
@@ -127,7 +128,7 @@ def field_from_dict(block) -> FieldDescriptor:
         if not (isinstance(coeffs, list) and coeffs and all(isinstance(c, str) for c in coeffs)):
             raise AlgebraFileError("number field needs a 'minpoly' array of literal strings")
         try:
-            minpoly = tuple(parse_scalar(c, FieldDescriptor.rationals()).payload for c in coeffs)
+            minpoly = tuple(Fraction(*parse_scalar(c, FieldDescriptor.rationals()).payload) for c in coeffs)
         except AxialError as exc:
             raise AlgebraFileError(f"minpoly coefficient is not rational: {exc}") from None
         return FieldDescriptor.number_field(minpoly, variable=variable)

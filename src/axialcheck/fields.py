@@ -2,7 +2,8 @@
 
 Supported field kinds, one FieldDescriptor subclass each:
 
-* ``rationals``            -- arbitrary-precision fractions,
+* ``rationals``            -- Q, each element a coprime (numerator, denominator)
+                               pair of ints with a positive denominator,
 * ``prime``                -- GF(p) for an odd prime p,
 * ``number_field``         -- Q[t]/(m(t)) for a monic irreducible m of degree 2 or 3,
 * ``rational_functions``   -- Q(t) in one named variable.
@@ -275,11 +276,11 @@ def _bits(*polys):
 # ---------------------------------------------------------------------------
 
 
-def _render_fraction(fr):
+def _render_fraction(num, den):
     try:
-        return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # more digits than int() converts, so no literal could hold it
-        bits = fr.numerator.bit_length() + fr.denominator.bit_length()
+        bits = num.bit_length() + den.bit_length()
         raise ScalarSyntaxError(f"a number of {bits} bits is too long to write as a literal") from None
 
 
@@ -291,14 +292,12 @@ def _render_poly(poly, variable):
         c = poly[deg]
         if c == 0:
             continue
+        coeff = _render_fraction(abs(c.numerator), c.denominator)
         if deg == 0:
-            body = _render_fraction(abs(c))
+            body = coeff
         else:
             var = variable if deg == 1 else f"{variable}^{deg}"
-            if abs(c) == 1:
-                body = var
-            else:
-                body = f"{_render_fraction(abs(c))}*{var}"
+            body = var if coeff == "1" else f"{coeff}*{var}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
         else:
@@ -401,31 +400,87 @@ class FieldDescriptor:
         return self.from_fraction(n)
 
     def from_fraction(self, fr):
-        return FieldElement(self, self.embed(Fraction(fr)))
+        """The image of an int or a Fraction."""
+        return FieldElement(self, self.embed(fr))
 
     def generator(self):
         """The element represented by the field's variable."""
         raise UnknownSymbol(f"field {self!r} has no variable")
 
     # Each kind defines ZERO and ONE (payloads); canonical(raw payload) and
-    # embed(Fraction); add, neg, mul and inv on canonical payloads; render;
+    # embed(int or Fraction); add, neg, mul and inv on canonical payloads; render;
     # and size(payload) -> (degree, bits), which bounds the growth of powers.
     is_zero = staticmethod(operator.not_)
 
 
 class _Rationals(FieldDescriptor):
+    """Payloads are (numerator, denominator) ints: coprime, the denominator
+    positive, so zero is (0, 1).  The arithmetic is that of fractions.Fraction
+    on plain ints (Knuth, TAOCP vol. 2, 4.5.1): as the operands are reduced,
+    gcds of the smaller cross terms reduce each result."""
+
     __slots__ = ()
     kind = FieldDescriptor.RATIONALS
-    ZERO, ONE = Fraction(0), Fraction(1)
-    canonical = embed = staticmethod(Fraction)
-    add, neg, mul = staticmethod(operator.add), staticmethod(operator.neg), staticmethod(operator.mul)
-    render = staticmethod(_render_fraction)
+    ZERO, ONE = (0, 1), (1, 1)
 
-    def inv(self, a):
-        return 1 / a
+    @staticmethod
+    def canonical(a):
+        num, den = a
+        if not den:
+            raise DivisionByZero("zero denominator")
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
 
-    def size(self, a):
-        return 0, _bits((a,))
+    @staticmethod
+    def embed(fr):
+        return fr.numerator, fr.denominator
+
+    @staticmethod
+    def is_zero(a):
+        return not a[0]
+
+    @staticmethod
+    def add(a, b):
+        na, da = a
+        nb, db = b
+        g = math.gcd(da, db)
+        if g == 1:  # then the sum is already reduced
+            return na * db + da * nb, da * db
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)  # a zero sum has da = db = g, so it comes out (0, 1)
+        return t // g2, s * (db // g2)
+
+    @staticmethod
+    def neg(a):
+        return -a[0], a[1]
+
+    @staticmethod
+    def mul(a, b):
+        na, da = a
+        nb, db = b
+        g1 = math.gcd(na, db)  # a zero factor has denominator 1, so the product is (0, 1)
+        g2 = math.gcd(nb, da)
+        return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+    @staticmethod
+    def inv(a):
+        num, den = a
+        if num > 0:
+            return den, num
+        if num < 0:
+            return -den, -num
+        raise DivisionByZero("inverse of zero")
+
+    @staticmethod
+    def render(a):
+        return _render_fraction(*a)
+
+    @staticmethod
+    def size(a):
+        return 0, a[0].bit_length() + a[1].bit_length()
 
     def __repr__(self):
         return "Q"

@@ -46,7 +46,7 @@ def sympy_matrix():
 
     def domain(field):
         if field.kind == field.RATIONALS:
-            return QQ, lambda e: QQ(e.payload.numerator, e.payload.denominator)
+            return QQ, lambda e: QQ(Fraction(*e.payload))
         if field.kind == field.PRIME:
             gf = GF(field.p)
             return gf, lambda e: gf(e.payload)
@@ -98,15 +98,24 @@ def matsuo_s5():
 
 
 @pytest.fixture(scope="session")
-def matsuo_split(matsuo_s5):
-    """(field, eta) -> the decomposition of M_eta(S_5) at the axis "12", the
-    flip being conjugation by (1 2), which permutes the transpositions."""
-    def split(field, eta):
-        alg = matsuo_s5(field, eta)
+def matsuo_flip():
+    """alg -> the flip of M_eta(S_5) at the axis "12": conjugation by (1 2),
+    which permutes the transpositions."""
+    def flip(alg):
         swap = {"1": "2", "2": "1"}
         images = ["".join(sorted(swap.get(c, c) for c in label)) for label in alg.labels]
         columns = [alg.basis_vector(alg.label_index(label)) for label in images]
-        flip = AlgebraMap(alg, alg, Matrix.from_columns(field, columns, nrows=alg.dim))
-        return split_eigenspace(alg, alg.basis_vector(0), field.from_fraction(Fraction(eta)), flip)
+        return AlgebraMap(alg, alg, Matrix.from_columns(alg.field, columns, nrows=alg.dim))
+
+    return flip
+
+
+@pytest.fixture(scope="session")
+def matsuo_split(matsuo_s5, matsuo_flip):
+    """(field, eta) -> the decomposition of M_eta(S_5) at the axis "12" with
+    the flip of matsuo_flip."""
+    def split(field, eta):
+        alg = matsuo_s5(field, eta)
+        return split_eigenspace(alg, alg.basis_vector(0), field.from_fraction(Fraction(eta)), matsuo_flip(alg))
 
     return split

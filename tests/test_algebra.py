@@ -301,6 +301,15 @@ def test_sparse_rows_share_the_table():
             assert payload is vec[k].payload
 
 
+def test_zero_products_are_in_neither_table_nor_rows(Q):
+    # a zero product vector, given or computed, is a missing pair
+    a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
+    alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (1, 0): Vector.zero(Q, 2), (1, 1): b - b})
+    assert alg.table == {(0, 0): a}
+    assert alg.rows == (((0, ((0, Q.ONE),)),), ())
+    assert multiply(alg, a, b).is_zero() and multiply(alg, b, b).is_zero()
+
+
 def test_multiply_refuses_other_fields_and_lengths(GF7):
     for alg, other in ((instantiate("SevenX")[0], GF7),
                        (instantiate("ThreeEv")[0], FieldDescriptor.rational_functions("t"))):

@@ -532,6 +532,30 @@ def test_product_pass_forms_each_pair_once_in_the_kernel(Q, monkeypatch, matsuo_
     assert len(products) == 55
 
 
+def test_q_kernels_make_no_fraction(Q, monkeypatch, matsuo_s5, matsuo_flip):
+    # Q payloads are int pairs: once the literals are parsed, splitting,
+    # fusion, Miyamoto and the subalgebra closure construct no Fraction
+    alg = matsuo_s5(Q, "1/4")
+    flip, eta = matsuo_flip(alg), parse_scalar("1/4", Q)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    dec = split_eigenspace(alg, alg.basis_vector(0), eta, flip)
+    assert dec.dims() == (6, 1, 0, 3)
+    assert check_fusion(alg, dec) == []
+    assert miyamoto(alg, dec).matrix == flip.matrix  # the Miyamoto involution of (1 2) is its conjugation
+    gens = [alg.basis_vector(alg.label_index(label)) for label in ("12", "13", "45")]
+    assert generated_subalgebra(alg, gens).dim == 4
+    assert made == []
+    Fraction(1, 4)
+    assert made == [(1, 4)]  # the count sees a Fraction made
+
+
 def test_sign_map_that_is_not_an_automorphism(Q):
     # a*a = a, a*b = eta*b, b*b = b, and the flip negates b: then M3 = <b> and
     # b*b = b lands in the odd part, so fusion fails and the sign map (the

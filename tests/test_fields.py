@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from axialcheck import algfile, catalog, fields
 from axialcheck.errors import (
@@ -301,6 +302,56 @@ def test_numbers_too_long_for_a_literal_are_not_rendered(Q):
     with pytest.raises(ScalarSyntaxError, match="too long to write"):
         render(x)
     assert render(parse_scalar("((518)^42)^37", Q)) == str(518**1554)
+
+
+# ---------------------------------------------------------------------------
+# Q payloads: coprime (numerator, denominator) int pairs, checked against Fraction
+# ---------------------------------------------------------------------------
+
+
+def _is_canonical_pair(payload):
+    num, den = payload
+    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+@st.composite
+def _raw_rational_pairs(draw):
+    """Two raw (numerator, denominator) pairs of either sign whose
+    denominators are equal, coprime or share a factor."""
+    nums = st.one_of(st.just(0), st.integers(-10**12, 10**12))
+    d, k1, k2 = draw(st.integers(1, 10**6)), draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    d1, d2 = draw(st.sampled_from([(d, d), (d, d * k1 + 1), (d * k1, d * k2)]))
+    signs = st.sampled_from((1, -1))
+    return (draw(nums), draw(signs) * d1), (draw(nums), draw(signs) * d2)
+
+
+@given(_raw_rational_pairs())
+def test_rational_payloads_agree_with_fraction(pairs):
+    Q = FieldDescriptor.rationals()
+    (a, b), (fa, fb) = (Q.canonical(r) for r in pairs), (Fraction(*r) for r in pairs)
+    expected = [(a, fa), (b, fb), (Q.add(a, b), fa + fb), (Q.add(a, a), fa + fa),
+                (Q.neg(a), -fa), (Q.mul(a, b), fa * fb), (Q.embed(fa), fa)]
+    if fb:
+        expected.append((Q.inv(b), 1 / fb))
+    for payload, fr in expected:
+        assert _is_canonical_pair(payload)
+        assert payload == (fr.numerator, fr.denominator)
+    assert Q.render(a) == str(fa)
+    assert Q.size(a) == (0, fa.numerator.bit_length() + fa.denominator.bit_length())
+    assert Q.is_zero(a) == (fa == 0)
+
+
+def test_rational_payloads_with_a_zero_operand(Q):
+    x = (3, 7)
+    assert Q.mul((0, 1), x) == Q.mul(x, (0, 1)) == Q.mul((0, 1), (0, 1)) == (0, 1)
+    assert Q.add((0, 1), x) == Q.add(x, (0, 1)) == x
+    assert Q.add(x, Q.neg(x)) == Q.add((5, 12), (-5, 12)) == (0, 1)
+    assert Q.neg((0, 1)) == Q.canonical((0, -5)) == Q.embed(0) == Q.ZERO == (0, 1)
+    assert Q.is_zero((0, 1)) and not Q.is_zero(x)
+    assert render(Q.zero()) == "0"
+    for op, arg in ((Q.inv, (0, 1)), (Q.canonical, (1, 0))):
+        with pytest.raises(DivisionByZero):
+            op(arg)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_rref_random_properties(Q, GF7):
             for v in ker.basis:
                 assert m.apply(v).is_zero()
             if field is Q:
-                raw = [[e.payload for e in row] for row in m.rows]
+                raw = [[Fraction(*e.payload) for e in row] for row in m.rows]
                 assert rank == _rank_oracle(raw)
 
 
