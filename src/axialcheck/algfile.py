@@ -26,7 +26,6 @@ are documents too (catalog.instantiate).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .axial import DihedralData
 from .algebra import AlgebraDef, AlgebraMap, extend_from_generators
@@ -128,7 +127,7 @@ def field_from_dict(block) -> FieldDescriptor:
         if not (isinstance(coeffs, list) and coeffs and all(isinstance(c, str) for c in coeffs)):
             raise AlgebraFileError("number field needs a 'minpoly' array of literal strings")
         try:
-            minpoly = tuple(Fraction(*parse_scalar(c, FieldDescriptor.rationals()).payload) for c in coeffs)
+            minpoly = [parse_scalar(c, FieldDescriptor.rationals()) for c in coeffs]
         except AxialError as exc:
             raise AlgebraFileError(f"minpoly coefficient is not rational: {exc}") from None
         return FieldDescriptor.number_field(minpoly, variable=variable)
@@ -142,7 +141,8 @@ def field_to_dict(field: FieldDescriptor) -> dict:
     if field.p is not None:
         block["p"] = field.p
     if field.minpoly is not None:
-        block["minpoly"] = [render(FieldDescriptor.rationals().from_fraction(c)) for c in field.minpoly]
+        lead = field.minpoly[-1]  # the field keeps the monic modulus times this lead
+        block["minpoly"] = [render(FieldDescriptor.rationals().element((c, lead))) for c in field.minpoly]
     if field.variable is not None:
         block["variable"] = field.variable
     return block

@@ -13,14 +13,15 @@ documented relation.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from types import MappingProxyType, SimpleNamespace
 
 from . import algfile
 from .algebra import extend_from_generators, is_ideal, quotient
 from .axial import CheckResult, axial_dimension, check_dihedral, check_fusion, identity_suite
-from .errors import AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, UnknownEntry
+from .errors import (
+    AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, ScalarSyntaxError, UnknownEntry, UnknownSymbol,
+)
 from .fields import FieldDescriptor, parse_scalar, render
 from .linalg import Subspace
 
@@ -388,9 +389,9 @@ def field_from_spec(spec: str) -> FieldDescriptor:
         if spec.startswith("gf:"):
             return FieldDescriptor.prime(int(spec[3:]))
         if spec.startswith("nf:"):
-            coeffs = tuple(Fraction(c) for c in spec[3:].split(","))
+            coeffs = [parse_scalar(c, FieldDescriptor.rationals()) for c in spec[3:].split(",")]
             return FieldDescriptor.number_field(coeffs)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, ScalarSyntaxError, UnknownSymbol):
         raise ConstraintViolation(f"malformed number in field spec {spec!r}") from None
     raise ConstraintViolation(f"unknown field spec {spec!r}")
 

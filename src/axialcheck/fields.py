@@ -10,6 +10,8 @@ Supported field kinds, one FieldDescriptor subclass each:
 
 Every element is kept in a unique canonical form so that equality of values
 is equality of payloads.  Payloads are immutable; all operations are pure.
+Polynomial payloads hold integer polynomials (tuples of ints) and integer
+denominators; an int or a Fraction is read by its numerator and denominator.
 Fields are interned: equal fields are one object and compare by identity.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .errors import (
     DenominatorVanishes,
@@ -36,12 +37,13 @@ MAX_POWER_DEGREE = 64
 MAX_POWER_BITS = 1 << 14
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q: tuples of Fraction, ascending degree,
-# no trailing zeros; () is the zero polynomial.
+# dense univariate polynomials over Z: tuples of int, ascending degree, no
+# trailing zeros; () is the zero polynomial.  A polynomial over Q is one over
+# Z and a common denominator (Knuth, TAOCP vol. 2, 4.6.1).
 # ---------------------------------------------------------------------------
 
 _PZERO: tuple = ()
-_PONE = (Fraction(1),)
+_PONE = (1,)
 
 
 def _ptrim(coeffs):
@@ -60,54 +62,41 @@ def _padd(a, b):
     return _ptrim(out)
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
+def _pscale(a, c):
+    return tuple(x * c for x in a)
 
 
 def _pmul(a, b):
     if not a or not b:
         return _PZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)  # the product of the leads is the nonzero lead
 
 
 def _pdivmod(a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
+    """Pseudo-division in Z[t] by b != 0: (q, r, f) with f*a = q*b + r, len(r) < len(b) and
+    f > 0 a divisor of a power of lead(b); f = 1 when b divides a in Z[t] or lead(b) = +-1."""
+    a, n = list(a), len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    lead, f = b[-1], 1
     for shift in reversed(range(len(q))):
-        q[shift] = factor = a[shift + len(b) - 1] / lead
+        s = abs(lead) // math.gcd(a[shift + n], lead)
+        if s != 1:
+            a, q, f = [c * s for c in a], [c * s for c in q], f * s
+        q[shift] = factor = a[shift + n] // lead
         for i, c in enumerate(b):
             a[shift + i] -= factor * c
-    return _ptrim(q), _ptrim(a[: len(b) - 1])
-
-
-def _pmonic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
+    return _ptrim(q), _ptrim(a[:n]), f
 
 
 def _primitive(a):
-    """The integer polynomial with coprime coefficients that is proportional to a."""
-    denom = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (denom // c.denominator) for c in a]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    """a over the gcd of its coefficients, for a nonzero a."""
+    g = math.gcd(*a)
+    return a if g == 1 else tuple(c // g for c in a)
 
 
 def _pgcd_mod(a, b, p):
@@ -141,14 +130,13 @@ def _gcd_prime(k):
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q by Brown's (1971) modular algorithm: gcds modulo primes
+    """(g, a/g, b/g) for a primitive gcd g in Z[t] of two nonzero integer
+    polynomials, by Brown's (1971) modular algorithm: gcds modulo primes
     below 2^61, scaled to the gcd of the leading coefficients, are lifted by
     Chinese remaindering until the primitive part stops changing and divides
     both inputs, so no coefficient grows past the gcd's own."""
-    if not a or not b:
-        return _pmonic(a or b)
     if len(a) == 1 or len(b) == 1:
-        return _PONE
+        return _PONE, a, b
     ia, ib = _primitive(a), _primitive(b)
     scale = math.gcd(ia[-1], ib[-1])
     image = candidate = None
@@ -158,7 +146,7 @@ def _pgcd(a, b):
             continue
         g = _pgcd_mod(ia, ib, p)
         if len(g) == 1:
-            return _PONE
+            return _PONE, a, b
         g = [scale * c % p for c in g]
         if image is None or len(g) < len(image):  # the earlier primes were unlucky
             image, modulus = g, p
@@ -168,42 +156,27 @@ def _pgcd(a, b):
             modulus *= p
         else:
             continue
-        previous, candidate = candidate, _primitive([h - modulus if 2 * h > modulus else h for h in image])
+        previous, candidate = candidate, _primitive(tuple(h - modulus if 2 * h > modulus else h for h in image))
         if candidate == previous:
-            monic = _pmonic(tuple(Fraction(c) for c in candidate))
-            if not _pdivmod(a, monic)[1] and not _pdivmod(b, monic)[1]:
-                return monic
+            # a primitive divisor over Q divides in Z[t] (Gauss), so f = 1
+            (qa, ra, _), (qb, rb, _) = _pdivmod(a, candidate), _pdivmod(b, candidate)
+            if not ra and not rb:
+                return candidate, qa, qb
 
 
-def _pxgcd(a, b):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = _PONE, _PZERO
-    t0, t1 = _PZERO, _PONE
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = _pmonic(r0)
-        s0 = tuple(c / lead for c in s0)
-        t0 = tuple(c / lead for c in t0)
-    return r0, s0, t0
+def _cleared(coeffs):
+    """(integer polynomial, d > 0) whose quotient has these coefficients: ints,
+    Fractions or elements of Q."""
+    pairs = [c.payload if isinstance(c, FieldElement) else (c.numerator, c.denominator) for c in coeffs]
+    d = math.lcm(*(den for _, den in pairs))
+    return _ptrim([num * (d // den) for num, den in pairs]), d
 
 
-def _pconst(value):
-    value = Fraction(value)
-    return _PZERO if value == 0 else (value,)
-
-
-def _peval(a, point, target):
-    """Horner evaluation of a Q-polynomial at a point of the target field;
-    None for the zero polynomial."""
+def _peval(a, den, point, target):
+    """Horner evaluation of a/den at a point of the target field; None for a = ()."""
     acc = None
     for c in reversed(a):
-        fc = target.from_fraction(c)
+        fc = FieldElement(target, target.embed(*_Rationals.canonical((c, den))))
         acc = fc if acc is None else acc * point + fc
     return acc
 
@@ -241,22 +214,16 @@ def _is_prime(n):
 
 
 def _has_rational_root(poly):
-    """Rational-root test for a monic polynomial with rational coefficients."""
-    denom = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * denom) for c in poly]
-    lead, const = ints[-1], ints[0]
+    """Rational-root test for an integer polynomial: is sum c_i p^i q^(deg-i) ever 0?"""
+    lead, const, deg = poly[-1], poly[0], len(poly) - 1
     if const == 0:
         return True
     if abs(lead * const) > MAX_ROOT_SEARCH:
         raise InvalidDescriptor(f"modulus coefficients pass the root-search limit {MAX_ROOT_SEARCH}")
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                value = Fraction(0)
-                for c in reversed(poly):
-                    value = value * r + c
-                if value == 0:
+            for r in (p, -p):
+                if not sum(c * r**i * q ** (deg - i) for i, c in enumerate(poly)):
                     return True
     return False
 
@@ -266,9 +233,9 @@ def _divisors(n):
     return sorted({*small, *(n // d for d in small)})
 
 
-def _bits(*polys):
-    """The largest numerator plus denominator bit length among the coefficients."""
-    return max((c.numerator.bit_length() + c.denominator.bit_length() for p in polys for c in p), default=0)
+def _bits(den, *polys):
+    """The largest numerator plus denominator bit length among the coefficients over den."""
+    return max((_Rationals.size(_Rationals.canonical((c, den)))[1] for p in polys for c in p), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +251,8 @@ def _render_fraction(num, den):
         raise ScalarSyntaxError(f"a number of {bits} bits is too long to write as a literal") from None
 
 
-def _render_poly(poly, variable):
+def _render_poly(poly, den, variable):
+    """The rational polynomial poly/den, highest degree first."""
     if not poly:
         return "0"
     terms = []
@@ -292,7 +260,7 @@ def _render_poly(poly, variable):
         c = poly[deg]
         if c == 0:
             continue
-        coeff = _render_fraction(abs(c.numerator), c.denominator)
+        coeff = _render_fraction(*_Rationals.canonical((abs(c), den)))
         if deg == 0:
             body = coeff
         else:
@@ -359,13 +327,14 @@ class FieldDescriptor:
 
     @classmethod
     def number_field(cls, minpoly, variable="eta"):
-        minpoly = _ptrim(tuple(Fraction(c) for c in minpoly))
+        """minpoly: the monic modulus's ascending coefficients, ints, Fractions or elements of Q."""
+        minpoly, d = _cleared(minpoly)
         deg = len(minpoly) - 1
         if deg < 2:
             raise InvalidDescriptor("modulus must have degree >= 2")
         if deg > 3:
             raise InvalidDescriptor("moduli of degree > 3 are not supported")
-        if minpoly[-1] != 1:
+        if minpoly[-1] != d:
             raise InvalidDescriptor("modulus must be monic")
         if _has_rational_root(minpoly):
             raise InvalidDescriptor("modulus is reducible over Q")
@@ -400,17 +369,20 @@ class FieldDescriptor:
         return self.from_fraction(n)
 
     def from_fraction(self, fr):
-        """The image of an int or a Fraction."""
-        return FieldElement(self, self.embed(fr))
+        """The image of an int or a Fraction, read by its numerator and denominator."""
+        return FieldElement(self, self.embed(fr.numerator, fr.denominator))
 
     def generator(self):
         """The element represented by the field's variable."""
         raise UnknownSymbol(f"field {self!r} has no variable")
 
-    # Each kind defines ZERO and ONE (payloads); canonical(raw payload) and
-    # embed(int or Fraction); add, neg, mul and inv on canonical payloads; render;
-    # and size(payload) -> (degree, bits), which bounds the growth of powers.
-    is_zero = staticmethod(operator.not_)
+    # Each kind defines ZERO and ONE (payloads); canonical(raw payload); embed(num,
+    # den) of a rational in lowest terms; add, neg, mul and inv on canonical payloads;
+    # render; and size(payload) -> (degree, bits), which bounds the growth of powers.
+    # Every payload but GF(p)'s is a pair whose first part is zero exactly for zero.
+    @staticmethod
+    def is_zero(a):
+        return not a[0]
 
 
 class _Rationals(FieldDescriptor):
@@ -434,12 +406,8 @@ class _Rationals(FieldDescriptor):
         return num // g, den // g
 
     @staticmethod
-    def embed(fr):
-        return fr.numerator, fr.denominator
-
-    @staticmethod
-    def is_zero(a):
-        return not a[0]
+    def embed(num, den):
+        return num, den
 
     @staticmethod
     def add(a, b):
@@ -491,14 +459,15 @@ class _PrimeField(FieldDescriptor):
     kind = FieldDescriptor.PRIME
     ZERO, ONE = 0, 1
     render = staticmethod(str)
+    is_zero = staticmethod(operator.not_)
 
     def canonical(self, a):
         return int(a) % self.p
 
-    def embed(self, fr):
-        if fr.denominator % self.p == 0:
-            raise DenominatorVanishes(f"{fr} has no image in GF({self.p})")
-        return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
+    def embed(self, num, den):
+        if den % self.p == 0:
+            raise DenominatorVanishes(f"{_render_fraction(num, den)} has no image in GF({self.p})")
+        return num * pow(den, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -520,98 +489,116 @@ class _PrimeField(FieldDescriptor):
 
 
 class _NumberField(FieldDescriptor):
+    """Payloads are (c, d) for c(t)/d: c in Z[t] of lower degree than minpoly, the
+    modulus's primitive integer multiple, and d > 0 an int with gcd(c, d) = 1."""
+
     __slots__ = ()
     kind = FieldDescriptor.NUMBER_FIELD
-    ZERO, ONE = _PZERO, _PONE
-    embed = staticmethod(_pconst)
-    add, neg = staticmethod(_padd), staticmethod(_pneg)
+    ZERO, ONE = (_PZERO, 1), (_PONE, 1)
 
     def canonical(self, a):
-        return _pdivmod(_ptrim(tuple(Fraction(c) for c in a)), self.minpoly)[1]
+        return self._reduce(*_cleared(a))
+
+    def _reduce(self, c, d):
+        if len(c) >= len(self.minpoly):
+            _, c, f = _pdivmod(c, self.minpoly)
+            d *= f
+        g = math.gcd(*c, d)
+        return (c, d) if g == 1 else (tuple(x // g for x in c), d // g)
+
+    @staticmethod
+    def embed(num, den):
+        return (num,) if num else _PZERO, den
+
+    def add(self, a, b):
+        return self._reduce(_padd(_pscale(a[0], b[1]), _pscale(b[0], a[1])), a[1] * b[1])
+
+    @staticmethod
+    def neg(a):
+        return _pscale(a[0], -1), a[1]
 
     def mul(self, a, b):
-        prod = _pmul(a, b)
-        return _pdivmod(prod, self.minpoly)[1] if len(prod) >= len(self.minpoly) else prod
+        return self._reduce(_pmul(a[0], b[0]), a[1] * b[1])
 
     def inv(self, a):
-        g, s, _ = _pxgcd(a, self.minpoly)
-        if len(g) != 1:
-            raise InvalidDescriptor("modulus is not irreducible")
-        return _pdivmod(s, self.minpoly)[1]
+        # extended Euclid on pseudo-remainders, keeping r = s*c modulo minpoly
+        c, d = a
+        r0, r1, s0, s1 = self.minpoly, c, _PZERO, _PONE
+        while len(r1) != 1:
+            if not r1:
+                raise InvalidDescriptor("modulus is not irreducible")
+            q, r, f = _pdivmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _padd(_pscale(s0, f), _pscale(_pmul(q, s1), -1))
+        e = r1[0]  # s1*c = e, so (c/d)^-1 = d*s1/e
+        return self._reduce(_pscale(s1, d if e > 0 else -d), abs(e))
 
     def generator(self):
         return self.element((0, 1))
 
     def render(self, a):
-        return _render_poly(a, self.variable)
+        return _render_poly(*a, self.variable)
 
     def size(self, a):  # the degree stays below the modulus's
-        return 0, _bits(a, self.minpoly)
+        return 0, max(_bits(a[1], a[0]), _bits(self.minpoly[-1], self.minpoly))
 
     def __repr__(self):
-        return f"Q[{self.variable}]/({_render_poly(self.minpoly, self.variable)})"
+        return f"Q[{self.variable}]/({_render_poly(self.minpoly, self.minpoly[-1], self.variable)})"
 
 
 class _RationalFunctions(FieldDescriptor):
-    """Payloads are (numerator, denominator): coprime, the denominator monic."""
+    """Payloads are (N, D) for N/D: N and D in Z[t] with no common factor (their
+    polynomial gcd and the gcd of all their coefficients are 1) and lead(D) > 0."""
 
     __slots__ = ()
     kind = FieldDescriptor.RATIONAL_FUNCTIONS
     ZERO, ONE = (_PZERO, _PONE), (_PONE, _PONE)
 
     def canonical(self, payload):
-        num, den = (_ptrim(tuple(Fraction(c) for c in p)) for p in payload)
+        (num, dn), (den, dd) = (_cleared(p) for p in payload)
+        return self._reduce(_pscale(num, dd), _pscale(den, dn))
+
+    @staticmethod
+    def _reduce(num, den):
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return self.ZERO
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        return (num, den)
+            return _PZERO, _PONE
+        _, num, den = _pgcd(num, den)  # at once for a constant operand
+        g = math.gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
+        return (num, den) if g == 1 else (tuple(c // g for c in num), tuple(c // g for c in den))
 
-    def embed(self, fr):
-        return _pconst(fr), _PONE
-
-    def is_zero(self, a):
-        return not a[0]
+    @staticmethod
+    def embed(num, den):
+        return (num,) if num else _PZERO, (den,)
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        if d1 == _PONE and d2 == _PONE:
-            return _padd(n1, n2), _PONE
-        return self.canonical((_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
+        if d1 == d2:
+            return self._reduce(_padd(n1, n2), d1)
+        return self._reduce(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
-    def neg(self, a):
-        return _pneg(a[0]), a[1]
+    @staticmethod
+    def neg(a):
+        return _pscale(a[0], -1), a[1]
 
     def mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return self.ZERO
-        if d1 == _PONE and d2 == _PONE:
-            return _pmul(n1, n2), _PONE
-        return self.canonical((_pmul(n1, n2), _pmul(d1, d2)))
+        return self._reduce(_pmul(a[0], b[0]), _pmul(a[1], b[1]))
 
     def inv(self, a):
-        return self.canonical((a[1], a[0]))
+        return self._reduce(a[1], a[0])
 
     def generator(self):
-        return FieldElement(self, ((Fraction(0), Fraction(1)), _PONE))
+        return FieldElement(self, ((0, 1), _PONE))
 
     def render(self, a):
-        num, den = a
-        if den == _PONE:
-            return _render_poly(num, self.variable)
-        return f"({_render_poly(num, self.variable)})/({_render_poly(den, self.variable)})"
+        (num, den), v = a, self.variable
+        text = _render_poly(num, den[-1], v)
+        return text if len(den) == 1 else f"({text})/({_render_poly(den, den[-1], v)})"
 
     def size(self, a):
-        return max(map(len, a)) - 1, _bits(*a)
+        return max(map(len, a)) - 1, _bits(a[1][-1], *a)
 
     def __repr__(self):
         return f"Q({self.variable})"
@@ -647,7 +634,7 @@ class FieldElement:
                     f"cannot mix {self.field!r} and {other.field!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):  # an int or a Fraction
             return self.field.from_fraction(other)
         return NotImplemented
 
@@ -721,13 +708,13 @@ class FieldElement:
     # equality -------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FieldElement):
+            if not hasattr(other, "denominator"):  # neither an int nor a Fraction
+                return NotImplemented
             try:
                 other = self.field.from_fraction(other)
             except DenominatorVanishes:
                 return False
-        if not isinstance(other, FieldElement):
-            return NotImplemented
         return self.field is other.field and self.payload == other.payload
 
     def __hash__(self):
@@ -903,7 +890,7 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
         raise DescriptorMismatch("specialize expects a rational-function element")
     if value.field is not target:
         raise DescriptorMismatch("value does not lie in the target field")
-    num_val, den_val = (_peval(p, value, target) for p in x.payload)
+    num_val, den_val = (_peval(p, x.payload[1][-1], value, target) for p in x.payload)
     if num_val is None:
         return target.zero()
     if den_val is None or den_val.is_zero():

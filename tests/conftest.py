@@ -5,7 +5,7 @@ import pytest
 
 from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.axial import split_eigenspace
-from axialcheck.fields import FieldDescriptor
+from axialcheck.fields import FieldDescriptor, render
 from axialcheck.linalg import Matrix, Vector
 
 
@@ -36,7 +36,23 @@ def NF():
 
 
 @pytest.fixture(scope="session")
-def sympy_matrix():
+def sympy_value():
+    """element -> its value as a sympy expression, parsed from its rendered
+    literal, so that the oracles do not depend on the payload layout."""
+    sympy = pytest.importorskip("sympy")
+    values = {}
+
+    def value(e):
+        if e not in values:
+            names = {e.field.variable: sympy.Symbol(e.field.variable)} if e.field.variable else {}
+            values[e] = sympy.sympify(render(e).replace("^", "**"), locals=names)
+        return values[e]
+
+    return value
+
+
+@pytest.fixture(scope="session")
+def sympy_matrix(sympy_value):
     """(rows, ncols, field) -> the rows as a sympy DomainMatrix over the
     domain matching field: sympy serves as an independent, test-only oracle.
     A number field must be Q[eta]/(eta^2+2*eta-1), mapped to QQ<sqrt(2)>."""
@@ -50,25 +66,25 @@ def sympy_matrix():
         if field.kind == field.PRIME:
             gf = GF(field.p)
             return gf, lambda e: gf(e.payload)
+        t = sympy.Symbol(field.variable)
         if field.kind == field.RATIONAL_FUNCTIONS:
-            t = sympy.Symbol(field.variable)
             qt = QQ.frac_field(t)
-
-            def poly(coeffs):
-                return sum((sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(coeffs)), sympy.S.Zero)
-
-            return qt, lambda e: qt.from_sympy(poly(e.payload[0]) / poly(e.payload[1]))
+            return qt, lambda e: qt.from_sympy(sympy_value(e))
         assert field.minpoly == (-1, 2, 1)  # eta = sqrt(2) - 1
         nf = QQ.algebraic_field(sympy.sqrt(2))
         eta = nf.from_sympy(sympy.sqrt(2) - 1)
         return nf, lambda e: sum(
-            (nf.convert(QQ(c.numerator, c.denominator)) * eta**i for i, c in enumerate(e.payload)),
+            (nf.convert(c) * eta**i for i, c in enumerate(reversed(sympy.Poly(sympy_value(e), t).all_coeffs()))),
             nf.zero,
         )
 
+    converted = {}
+
     def matrix(rows, ncols, field):
         dom, convert = domain(field)
-        return DomainMatrix([[convert(e) for e in r] for r in rows], (len(rows), ncols), dom)
+        for e in (e for r in rows for e in r if e not in converted):
+            converted[e] = convert(e)
+        return DomainMatrix([[converted[e] for e in r] for r in rows], (len(rows), ncols), dom)
 
     return matrix
 

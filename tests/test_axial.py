@@ -532,11 +532,8 @@ def test_product_pass_forms_each_pair_once_in_the_kernel(Q, monkeypatch, matsuo_
     assert len(products) == 55
 
 
-def test_q_kernels_make_no_fraction(Q, monkeypatch, matsuo_s5, matsuo_flip):
-    # Q payloads are int pairs: once the literals are parsed, splitting,
-    # fusion, Miyamoto and the subalgebra closure construct no Fraction
-    alg = matsuo_s5(Q, "1/4")
-    flip, eta = matsuo_flip(alg), parse_scalar("1/4", Q)
+def _count_fractions(monkeypatch):
+    """The argument tuples of every Fraction made from now on."""
     made = []
     new = Fraction.__new__
 
@@ -545,6 +542,15 @@ def test_q_kernels_make_no_fraction(Q, monkeypatch, matsuo_s5, matsuo_flip):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
+    return made
+
+
+def test_q_kernels_make_no_fraction(Q, monkeypatch, matsuo_s5, matsuo_flip):
+    # Q payloads are int pairs: once the literals are parsed, splitting,
+    # fusion, Miyamoto and the subalgebra closure construct no Fraction
+    alg = matsuo_s5(Q, "1/4")
+    flip, eta = matsuo_flip(alg), parse_scalar("1/4", Q)
+    made = _count_fractions(monkeypatch)
     dec = split_eigenspace(alg, alg.basis_vector(0), eta, flip)
     assert dec.dims() == (6, 1, 0, 3)
     assert check_fusion(alg, dec) == []
@@ -554,6 +560,20 @@ def test_q_kernels_make_no_fraction(Q, monkeypatch, matsuo_s5, matsuo_flip):
     assert made == []
     Fraction(1, 4)
     assert made == [(1, 4)]  # the count sees a Fraction made
+
+
+@pytest.mark.parametrize("name, spec", [("ThreeEv", "qeta"), ("SixThree", "nf:-1,2,1")])
+def test_polynomial_kernels_make_no_fraction(name, spec, monkeypatch):
+    # Q(eta) and Q[t]/(m) payloads are integer polynomials: the same kernels
+    # construct no Fraction over those fields either
+    alg, dd = instantiate(name, spec)
+    made = _count_fractions(monkeypatch)
+    dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
+    assert check_fusion(alg, dec) == []
+    assert miyamoto(alg, dec).matrix == dd.flip.matrix
+    (lo, hi), _, _ = axis_orbit(alg, dd)
+    assert generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)]).dim == alg.dim
+    assert made == []
 
 
 def test_sign_map_that_is_not_an_automorphism(Q):

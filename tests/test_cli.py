@@ -103,7 +103,9 @@ def test_file_source_fixes_field_eta_and_window(tmp_path, capsys):
 
 
 def test_malformed_field_specs_exit_two(capsys):
-    for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1"):
+    # an nf: coefficient is a scalar literal: decimals, a leading '+' and
+    # exponent forms are not in its grammar
+    for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1", "nf:-0.5,0,1", "nf:+1,0,1", "nf:1e3,0,1"):
         code, out, err = run(capsys, "verify", "Seven", "--field", spec)
         assert code == 2 and out == ""
         assert err == f"error: malformed number in field spec {spec!r}\n"
@@ -454,11 +456,20 @@ def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
     assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]
 
 
+def _loaded_by_cli_import(names):
+    """Which of the named modules a fresh interpreter loads with axialcheck.cli."""
+    env = dict(os.environ, PYTHONPATH="src")
+    probe = f"import sys, axialcheck.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, so that no earlier import has loaded either module
-    env = dict(os.environ, PYTHONPATH="src")
-    probe = "import sys, axialcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]\n"
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # every payload is ints, so no Fraction (whose module imports decimal) is needed
+    assert _loaded_by_cli_import(["fractions", "decimal"]) == "[]\n"

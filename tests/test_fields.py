@@ -38,12 +38,27 @@ def _pmul(a, b):
     return out
 
 
-def test_parse_spec_examples(QETA, GF5):
+def _monic_parts(sympy_value, x):
+    """(numerator, denominator) of a Q(eta) element as ascending Fraction
+    coefficients with the denominator monic, read from its value rather than
+    its payload.  Nothing is cancelled here, so the parts are in lowest terms
+    only if the field's own reduction made them so."""
+    sympy = pytest.importorskip("sympy")
+    eta = sympy.Symbol(x.field.variable)
+    num, den = (sympy.Poly(p, eta, domain=sympy.QQ) for p in sympy.fraction(sympy_value(x)))
+    lead = den.LC()
+    return tuple(
+        fields._ptrim(tuple(Fraction(int(c.p), int(c.q)) for c in reversed((p * (1 / lead)).all_coeffs())))
+        for p in (num, den)
+    )
+
+
+def test_parse_spec_examples(QETA, GF5, sympy_value):
     x = parse_scalar("(-1)*eta*(3*eta+1)/4", QETA)
     assert x == parse_scalar("-3/4*eta^2 - 1/4*eta", QETA)
     assert parse_scalar("0", GF5).is_zero()
     y = parse_scalar("(2*eta)/(eta+1)", QETA)
-    num, den = y.payload
+    num, den = _monic_parts(sympy_value, y)
     assert den == (Fraction(1), Fraction(1))  # monic eta + 1
     assert num == (Fraction(0), Fraction(2))
 
@@ -54,14 +69,15 @@ def test_parenthesized_power(QETA):
     assert a == b
 
 
-def test_reduction_against_oracle(QETA):
+def test_reduction_against_oracle(QETA, sympy_value):
     # (eta/(eta+1)) * (eta+1) must cancel; oracle multiplies numerators naively
     x = parse_scalar("eta/(eta+1)", QETA)
     y = parse_scalar("eta+1", QETA)
     prod = x * y
-    xn, xd = x.payload
+    xn, xd = _monic_parts(sympy_value, x)
     raw_num = _pmul(list(xn), [Fraction(1), Fraction(1)])
-    assert list(prod.payload[0]) == raw_num[: len(prod.payload[0])] or prod == parse_scalar("eta", QETA)
+    prod_num = _monic_parts(sympy_value, prod)[0]
+    assert list(prod_num) == raw_num[: len(prod_num)] or prod == parse_scalar("eta", QETA)
     assert prod == parse_scalar("eta", QETA)
 
 
@@ -199,7 +215,7 @@ def test_int_coercion(QETA):
     assert eta / 2 == parse_scalar("eta/2", QETA)
 
 
-def test_nested_powers_are_refused_before_they_are_computed(Q, QETA, NF):
+def test_nested_powers_are_refused_before_they_are_computed(Q, QETA, NF, sympy_value):
     # each exponent is within MAX_EXPONENT, but nesting multiplies them
     for text, field in (
         ("((eta+1)^64)^64", QETA),
@@ -211,7 +227,7 @@ def test_nested_powers_are_refused_before_they_are_computed(Q, QETA, NF):
             parse_scalar(text, field)
         assert time.monotonic() - start < 1.0, text
     # the largest single powers stay allowed
-    assert parse_scalar("(eta+1)^64", QETA).payload[0][32] == math.comb(64, 32)
+    assert _monic_parts(sympy_value, parse_scalar("(eta+1)^64", QETA))[0][32] == math.comb(64, 32)
     assert parse_scalar("(2^64)^64", Q) == 2**4096
 
 
@@ -235,13 +251,14 @@ def test_number_field_modulus_size_is_bounded():
 
 
 def _random_poly(rng, degree):
-    coeffs = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(degree)]
-    return fields._ptrim(tuple(coeffs) + (Fraction(rng.choice([-7, -1, 1, 2, 9]), rng.randint(1, 5)),))
+    # integer coefficients with a content that is sometimes not 1
+    content = rng.choice([1, 1, 1, 2, 6])
+    coeffs = [content * rng.randint(-60, 60) for _ in range(degree)]
+    return fields._ptrim(tuple(coeffs) + (content * rng.choice([-7, -1, 1, 2, 9]) * rng.randint(1, 5),))
 
 
 def _sympy_poly(sympy, poly):
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.QQ)
+    return sympy.Poly(list(reversed(poly)), sympy.Symbol("x"), domain=sympy.QQ)
 
 
 def test_polynomial_gcd_matches_sympy():
@@ -259,31 +276,40 @@ def test_polynomial_gcd_matches_sympy():
         if rng.random() < 0.25:
             b = fields._pmul(b, common)
         expected = to_sympy(a).gcd(to_sympy(b)).monic()
-        got = fields._pgcd(a, b)
-        assert to_sympy(got) == expected, (a, b)
-        assert fields._pgcd(a, ()) == fields._pmonic(a)
+        g, qa, qb = fields._pgcd(a, b)
+        assert to_sympy(g).monic() == expected, (a, b)
+        assert math.gcd(*g) == 1 and fields._pmul(g, qa) == a and fields._pmul(g, qb) == b
+        assert fields._pgcd(a, (3,)) == ((1,), a, (3,))
 
 
 def test_polynomial_division_matches_sympy():
     # dividends shorter than the divisor, with trailing zero coefficients or
-    # zero, and constant divisors among the cases
+    # zero, constant divisors and exact quotients among the cases
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261)
     seen = set()
     for _ in range(300):
-        a = _random_poly(rng, rng.randint(0, 8)) if rng.random() < 0.95 else ()
-        a += (Fraction(0),) * rng.choice([0, 0, 1, 3])
         b = _random_poly(rng, rng.randint(0, 4))
-        kinds = {"short": len(a) < len(b), "constant": len(b) == 1, "untrimmed": a[-1:] == (0,)}
+        a = _random_poly(rng, rng.randint(0, 8)) if rng.random() < 0.95 else ()
+        exact = rng.random() < 0.2
+        if exact:
+            a = fields._pmul(b, a)
+        a += (0,) * rng.choice([0, 0, 1, 3])
+        kinds = {"short": len(a) < len(b), "constant": len(b) == 1, "untrimmed": a[-1:] == (0,),
+                 "exact": exact, "unit": abs(b[-1]) == 1}
         seen.update(kind for kind, on in kinds.items() if on)
-        q, r = fields._pdivmod(a, b)
+        q, r, f = fields._pdivmod(a, b)
         assert q == fields._ptrim(q) and r == fields._ptrim(r) and len(r) < len(b)
+        assert fields._padd(fields._pmul(q, b), r) == tuple(f * c for c in fields._ptrim(a))
+        assert f > 0 and abs(b[-1]) ** len(a) % f == 0
+        if exact or abs(b[-1]) == 1:  # b divides a in Z[t], or a unit lead: no scaling
+            assert f == 1 and (r == () or not exact)
         expected = sympy.div(_sympy_poly(sympy, a), _sympy_poly(sympy, b))
-        assert (_sympy_poly(sympy, q), _sympy_poly(sympy, r)) == expected, (a, b)
-    assert seen == {"short", "constant", "untrimmed"}
+        assert (_sympy_poly(sympy, q) * sympy.Rational(1, f), _sympy_poly(sympy, r) * sympy.Rational(1, f)) == expected
+    assert seen == {"short", "constant", "untrimmed", "exact", "unit"}
 
 
-def test_rational_functions_with_large_coefficients_reduce_quickly(QETA):
+def test_rational_functions_with_large_coefficients_reduce_quickly(QETA, sympy_value):
     # Euclid over Fraction coefficients took about 12 s on the first one
     for text, common in (
         ("(2^40*eta+1)^48/(eta^2+5)^24", 0),
@@ -292,7 +318,7 @@ def test_rational_functions_with_large_coefficients_reduce_quickly(QETA):
         start = time.monotonic()
         x = parse_scalar(text, QETA)
         assert time.monotonic() - start < 1.0, text
-        num, den = x.payload
+        num, den = _monic_parts(sympy_value, x)
         assert (len(num) - 1, len(den) - 1) == ((48, 48) if common == 0 else (16, 1))
 
 
@@ -330,7 +356,7 @@ def test_rational_payloads_agree_with_fraction(pairs):
     Q = FieldDescriptor.rationals()
     (a, b), (fa, fb) = (Q.canonical(r) for r in pairs), (Fraction(*r) for r in pairs)
     expected = [(a, fa), (b, fb), (Q.add(a, b), fa + fb), (Q.add(a, a), fa + fa),
-                (Q.neg(a), -fa), (Q.mul(a, b), fa * fb), (Q.embed(fa), fa)]
+                (Q.neg(a), -fa), (Q.mul(a, b), fa * fb), (Q.embed(fa.numerator, fa.denominator), fa)]
     if fb:
         expected.append((Q.inv(b), 1 / fb))
     for payload, fr in expected:
@@ -346,12 +372,166 @@ def test_rational_payloads_with_a_zero_operand(Q):
     assert Q.mul((0, 1), x) == Q.mul(x, (0, 1)) == Q.mul((0, 1), (0, 1)) == (0, 1)
     assert Q.add((0, 1), x) == Q.add(x, (0, 1)) == x
     assert Q.add(x, Q.neg(x)) == Q.add((5, 12), (-5, 12)) == (0, 1)
-    assert Q.neg((0, 1)) == Q.canonical((0, -5)) == Q.embed(0) == Q.ZERO == (0, 1)
+    assert Q.neg((0, 1)) == Q.canonical((0, -5)) == Q.embed(0, 1) == Q.ZERO == (0, 1)
     assert Q.is_zero((0, 1)) and not Q.is_zero(x)
     assert render(Q.zero()) == "0"
     for op, arg in ((Q.inv, (0, 1)), (Q.canonical, (1, 0))):
         with pytest.raises(DivisionByZero):
             op(arg)
+
+
+# ---------------------------------------------------------------------------
+# Q(eta) and Q[t]/(m) payloads: integer polynomials, checked against the
+# arithmetic on polynomials with Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def _fpoly(coeffs):
+    return fields._ptrim(tuple(Fraction(c) for c in coeffs))
+
+
+def _fadd(a, b):
+    n = max(len(a), len(b))
+    return _fpoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _fmul(a, b):
+    return _fpoly(_pmul(a, b)) if a and b else ()
+
+
+def _fmod(a, m):
+    a = list(a)
+    while len(a) >= len(m):
+        factor = a[-1] / m[-1]
+        for i, c in enumerate(m):
+            a[len(a) - len(m) + i] -= factor * c
+        a = list(_fpoly(a))
+    return tuple(a)
+
+
+def _fgcd(a, b):
+    while b:
+        a, b = b, _fmod(a, b)
+    return tuple(c / a[-1] for c in a)
+
+
+def _fquo(a, b):
+    q, a = [Fraction(0)] * (len(a) - len(b) + 1), list(a)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q[k] * c
+    return _fpoly(q)
+
+
+def _fraction_function(num, den):
+    """num/den in the form of the Fraction reference: coprime, den monic."""
+    num, den = _fpoly(num), _fpoly(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = _fgcd(num, den)
+    num, den = _fquo(num, g), _fquo(den, g)
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def _render_reference(poly, variable):
+    terms = []
+    for deg in range(len(poly) - 1, -1, -1):
+        c = poly[deg]
+        if c:
+            coeff = str(abs(c))
+            var = "" if deg == 0 else variable if deg == 1 else f"{variable}^{deg}"
+            body = coeff if not var else var if coeff == "1" else f"{coeff}*{var}"
+            terms.append(("-" if c < 0 else "") + body if not terms else (" - " if c < 0 else " + ") + body)
+    return "".join(terms) or "0"
+
+
+def _size_reference(*polys):
+    return max((c.numerator.bit_length() + c.denominator.bit_length() for p in polys for c in p), default=0)
+
+
+_coefficients = st.builds(Fraction, st.one_of(st.integers(-40, 40), st.integers(-2**70, 2**70)), st.integers(1, 12))
+_polys = st.lists(_coefficients, max_size=4).map(_fpoly)
+
+
+@st.composite
+def _raw_rational_functions(draw):
+    """(num, den) with Fraction coefficients, den nonzero and of either sign,
+    often with a common factor."""
+    common = draw(st.one_of(st.just((Fraction(1),)), _polys.filter(bool)))
+    num = _fmul(draw(_polys), common)
+    den = _fmul(draw(_polys.filter(bool)), common)
+    return num, den
+
+
+def _is_canonical_function(payload):
+    num, den = payload
+    coeffs = num + den
+    return (all(type(c) is int for c in coeffs) and den == fields._ptrim(den) == _fpoly(den) and den[-1] > 0
+            and num == fields._ptrim(num) and math.gcd(*coeffs) == 1
+            and (not num or len(_fgcd(_fpoly(num), _fpoly(den))) == 1))
+
+
+@given(_raw_rational_functions(), _raw_rational_functions(), _coefficients)
+def test_rational_function_payloads_agree_with_fraction_polynomials(raw_a, raw_b, r):
+    QETA = FieldDescriptor.rational_functions("eta")
+
+    def value(payload):  # the reference form of a payload
+        num, den = payload
+        return tuple(Fraction(c, den[-1]) for c in num), tuple(Fraction(c, den[-1]) for c in den)
+
+    a, b = QETA.canonical(raw_a), QETA.canonical(raw_b)
+    (na, da), (nb, db) = fa, fb = _fraction_function(*raw_a), _fraction_function(*raw_b)
+    expected = [
+        (a, fa), (b, fb), (QETA.neg(a), (tuple(-c for c in na), da)),
+        (QETA.add(a, b), _fraction_function(_fadd(_fmul(na, db), _fmul(nb, da)), _fmul(da, db))),
+        (QETA.add(a, a), _fraction_function(_fadd(na, na), da)),
+        (QETA.mul(a, b), _fraction_function(_fmul(na, nb), _fmul(da, db))),
+        (QETA.embed(r.numerator, r.denominator), _fraction_function(_fpoly([r]), (1,))),
+    ]
+    if nb:
+        expected.append((QETA.inv(b), _fraction_function(db, nb)))
+    for payload, reference in expected:
+        assert _is_canonical_function(payload)
+        assert value(payload) == reference
+    assert QETA.canonical(a) == a
+    text = _render_reference(na, "eta")
+    assert render(QETA.element(raw_a)) == (text if da == (1,) else f"({text})/({_render_reference(da, 'eta')})")
+    assert QETA.size(a) == (max(len(na), len(da)) - 1, _size_reference(na, da))
+    assert QETA.is_zero(a) == (na == ())
+
+
+@pytest.mark.parametrize("minpoly", [(-1, 2, 1), (Fraction(-1, 2), 0, 1), (Fraction(-1, 3), Fraction(1, 2), 0, 1)])
+@given(raw=st.tuples(_polys, _polys), r=_coefficients)
+def test_number_field_payloads_agree_with_fraction_polynomials(minpoly, raw, r):
+    NF = FieldDescriptor.number_field(minpoly)
+    m = _fpoly(minpoly)
+
+    def value(payload):
+        c, d = payload
+        return tuple(Fraction(x, d) for x in c)
+
+    def is_canonical(payload):
+        c, d = payload
+        return (all(type(x) is int for x in c + (d,)) and d > 0 and c == fields._ptrim(c)
+                and math.gcd(*c, d) == 1 and len(c) < len(m))
+
+    a, b = (NF.canonical(p) for p in raw)
+    fa, fb = (_fmod(p, m) for p in raw)
+    expected = [(a, fa), (b, fb), (NF.neg(a), tuple(-c for c in fa)), (NF.add(a, b), _fadd(fa, fb)),
+                (NF.add(a, a), _fadd(fa, fa)), (NF.mul(a, b), _fmod(_fmul(fa, fb), m)),
+                (NF.embed(r.numerator, r.denominator), _fpoly([r]))]
+    if fb:
+        inverse = NF.inv(b)
+        expected.append((inverse, value(inverse)))
+        assert _fmod(_fmul(value(inverse), fb), m) == (1,)
+    for payload, reference in expected:
+        assert is_canonical(payload)
+        assert value(payload) == reference
+    assert NF.canonical(raw[0]) == a and render(NF.element(raw[0])) == _render_reference(fa, "eta")
+    assert NF.size(a) == (0, _size_reference(fa, m))
+    assert NF.is_zero(a) == (fa == ())
+    assert repr(NF) == f"Q[eta]/({_render_reference(m, 'eta')})"
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +554,10 @@ def test_equal_fields_are_one_object(kind):
     assert make() is field
     assert catalog.field_from_spec(spec) is field
     assert algfile.field_from_dict(algfile.field_to_dict(field)) is field
+
+
+def test_number_field_spec_coefficients_are_scalar_literals():
+    assert catalog.field_from_spec("nf:1-2,2^1,(3-1)/2") is FieldDescriptor.number_field((-1, 2, 1))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -164,10 +164,11 @@ def test_direct_sum_of_parts(QETA):
 
 def _random_low_rank(field, rng, rows, cols, rank):
     def entry():
-        if field.kind == field.NUMBER_FIELD:
-            return field.element((Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
+        if field.kind == field.NUMBER_FIELD:  # (a + b*eta)/c
+            c = rng.randint(1, 3)
+            return field.element((Fraction(rng.randint(-3, 3), c), Fraction(rng.randint(-3, 3), c)))
         if field.kind == field.RATIONAL_FUNCTIONS:
-            return field.element(((rng.randint(-3, 3), rng.randint(-2, 2)), (1,)))
+            return field.element(((rng.randint(-3, 3), rng.randint(-2, 2)), (rng.randint(1, 3),)))
         return field.from_int(rng.randint(-4, 4))
 
     if not rank:
