@@ -8,7 +8,7 @@ index pairs, so x*y = y*x cannot fail by construction.
 from __future__ import annotations
 
 from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, _dense, _sparse, invert, rref
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _terms, invert, rref
 
 
 class AlgebraDef:
@@ -29,7 +29,6 @@ class AlgebraDef:
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
-        is_zero = field.is_zero
         norm, rows = {}, [[] for _ in range(dim)]
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -41,7 +40,7 @@ class AlgebraDef:
                 raise DimensionMismatch("structure-constant vector has wrong length")
             if vec.field is not field:
                 raise DescriptorMismatch("structure constants over the wrong field")
-            terms = tuple((k, e.payload) for k, e in enumerate(vec.entries) if not is_zero(e.payload))
+            terms = tuple(sorted(vec.terms.items()))
             if terms:  # a zero product is left out of both
                 norm[key] = vec
                 i, j = key
@@ -95,15 +94,13 @@ def sparse_product(alg: AlgebraDef, xs, ys):
 
 
 def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
-    """x*y for Vectors of the algebra: checked, made sparse, multiplied by
-    sparse_product and made dense again."""
+    """x*y for Vectors of the algebra, by sparse_product on their terms."""
     field, dim = alg.field, alg.dim
     if len(x) != dim or len(y) != dim:
         raise DimensionMismatch("vector length differs from algebra dimension")
     if x.field is not field or y.field is not field:
         raise DescriptorMismatch(f"vector over another field than {field!r}")
-    out = sparse_product(alg, _sparse(x, field, dim), _sparse(y, field, dim))
-    return Vector(field, _dense(field, dim, out.items()))
+    return Vector.sparse(field, dim, sparse_product(alg, x.terms, y.terms))
 
 
 def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
@@ -141,7 +138,7 @@ def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
     """Smallest multiplication-closed subspace containing the generators.
     The closure stops once the span is the whole algebra, which is closed."""
     echelon = EchelonBasis(alg.field, alg.dim)
-    words = [_sparse(g, alg.field, alg.dim) for g in gens]
+    words = [_terms(g, alg.field, alg.dim) for g in gens]
     for _ in _span_closure(echelon, words, lambda x, y: sparse_product(alg, x, y)):
         if len(echelon.rows) == alg.dim:
             break
@@ -211,14 +208,11 @@ class AlgebraMap:
             return NotImplemented
         return self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash(self.matrix)
-
 
 def is_homomorphism(m: AlgebraMap) -> bool:
     """Check m(x*y) = m(x)*m(y) on all basis pairs (bilinearity does the rest)."""
     src, tgt = m.source, m.target
-    images = [m.matrix.column(j) for j in range(src.dim)]
+    images = m.matrix.columns
     for i in range(src.dim):
         for j in range(i + 1):
             lhs = m.apply(src.product_of_basis(i, j))
@@ -239,10 +233,10 @@ def quotient(alg: AlgebraDef, ideal: Subspace):
     keep = [k for k in range(alg.dim) if k not in pivots]
     qdim = len(keep)
     field = alg.field
+    index = {k: q for q, k in enumerate(keep)}  # v modulo the ideal is zero at its pivots
 
     def project(v: Vector) -> Vector:
-        reduced = ideal.reduce(v)
-        return Vector(field, tuple(reduced[k] for k in keep))
+        return Vector.sparse(field, qdim, {index[k]: c for k, c in ideal.reduce(v).terms.items()})
 
     qtable = {}
     for qi, ki in enumerate(keep):
@@ -290,7 +284,7 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef) -> Algebr
             raise DimensionMismatch("generator not in the source algebra")
         if len(img) != target.dim:
             raise DimensionMismatch("image not in the target algebra")
-        graph.append(_join(_sparse(src, field, n), _sparse(img, field, target.dim), n))
+        graph.append(_join(_terms(src, field, n), _terms(img, field, target.dim), n))
 
     def product(x, y):
         (xs, xi), (ys, yi) = _halves(x, n), _halves(y, n)

@@ -267,12 +267,13 @@ def load_document(doc, subject="file"):
     table = {}
     scalars = {}  # each distinct literal is parsed once
     for item in doc["products"]:
-        entries = [field.zero()] * len(index)
+        terms = {}
         for label, literal in item["value"].items():
             if literal not in scalars:
-                scalars[literal] = parse_scalar(literal, field, eta)
-            entries[index[label]] = scalars[literal]
-        table[index[item["left"]], index[item["right"]]] = Vector(field, entries)
+                scalars[literal] = parse_scalar(literal, field, eta).payload
+            if not field.is_zero(scalars[literal]):
+                terms[index[label]] = scalars[literal]
+        table[index[item["left"]], index[item["right"]]] = Vector.sparse(field, len(index), terms)
     alg = AlgebraDef(field, doc["basis"], table)
     dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta)
     return alg, dd, constraints
@@ -321,10 +322,8 @@ def load_path(path):
 
 def _render_vector_literal(v: Vector, labels, literal) -> str:
     terms = []
-    for label, c in zip(labels, v.entries):
-        if c.is_zero():
-            continue
-        lit = literal(c)
+    for k, c in sorted(v.terms.items()):
+        label, lit = labels[k], literal(c)
         if lit == "1":
             term = label
         elif lit == "-1":
@@ -350,17 +349,11 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
     if dd is not None and field.variable == "eta" and dd.eta != field.generator():
         field = field_from_dict(dict(field_to_dict(field), variable="t"))
 
-    def literal(c):
-        return render(FieldElement(field, c.payload))
-
+    literal = field.render  # of a payload
     products = []
     for (i, j) in sorted(alg.table):
         vec = alg.table[(i, j)]
-        value = {
-            alg.labels[k]: literal(c)
-            for k, c in enumerate(vec.entries)
-            if not c.is_zero()
-        }
+        value = {alg.labels[k]: literal(c) for k, c in sorted(vec.terms.items())}
         products.append(
             {"left": alg.labels[i], "right": alg.labels[j], "value": value}
         )
@@ -387,7 +380,7 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
             "axes": axes,
             "shift_images": shift_images,
             "flip_images": flip_images,
-            "eta": literal(dd.eta),
+            "eta": literal(dd.eta.payload),
         }
     if constraints:
         doc["constraints"] = constraints

@@ -29,8 +29,7 @@ from .errors import (
     NotSemisimple,
 )
 from .fields import render
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
-from .linalg import _add_multiple, _dense, _sparse
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _add_multiple, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
 # is the intersection of the two overlapping rules and is empty: those
@@ -94,12 +93,11 @@ class AxisDecomposition:
         p <= q, read in eigen-coordinates: escapes maps (p, q) to b_p*b_q if it
         leaves the parts the fusion rule allows; graded is whether every
         component has the sign s_p*s_q (part 3 odd, the others even).  It runs
-        on {index: nonzero payload} maps; only an escaping product becomes a
-        Vector."""
+        on the vectors' terms."""
         alg, field = self.algebra, self.algebra.field
-        parts = [i for i, part in enumerate(self.parts) for _ in part.rows]
-        words = [dict(row) for part in self.parts for row in part.rows]
-        columns = [_sparse(self.coordinates.column(k), field, alg.dim).items() for k in range(alg.dim)]
+        basis = self.eigenbasis()
+        parts, words = [i for i, _ in basis], [v.terms for _, v in basis]
+        columns = [c.terms.items() for c in self.coordinates.columns]
         escapes, graded = {}, True
         for q, j in enumerate(parts):
             for p, i in enumerate(parts[: q + 1]):
@@ -109,7 +107,7 @@ class AxisDecomposition:
                     _add_multiple(field, coords, c, columns[k])
                 support = {parts[r] for r in coords}
                 if not support <= set(allowed(i, j)):
-                    escapes[(p, q)] = Vector(field, _dense(field, alg.dim, prod.items()))
+                    escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
                 odd = (i == 3) != (j == 3)
                 graded = graded and all((k == 3) == odd for k in support)
         return escapes, graded
@@ -117,18 +115,23 @@ class AxisDecomposition:
 
 def _squares_to_identity(*factors):
     """Whether the product of the square matrices factors is an involution:
-    each unit column goes through the factors twice, on payload maps."""
+    each unit vector goes through the factors twice."""
     field, n = factors[0].field, factors[0].ncols
-    columns = [[_sparse(m.column(k), field, n).items() for k in range(n)] for m in reversed(factors)]
     for j in range(n):
-        x = {j: field.ONE}
-        for cols in columns * 2:
-            x, y = {}, x
-            for k, c in y.items():
-                _add_multiple(field, x, c, cols[k])
-        if x != {j: field.ONE}:
+        x = unit = Vector.unit(field, n, j)
+        for m in reversed(factors * 2):
+            x = m.apply(x)
+        if x != unit:
             return False
     return True
+
+
+def _common_kernel(a, b):
+    """The kernel of the n x n matrix a stacked on the n x n matrix b."""
+    field, n = a.field, a.nrows
+    return kernel(Matrix.from_columns(field, [
+        Vector.sparse(field, 2 * n, x.terms | {i + n: c for i, c in y.terms.items()})
+        for x, y in zip(a.columns, b.columns)], 2 * n))
 
 
 def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDecomposition:
@@ -152,9 +155,7 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     one = alg.field.one()
     m0 = kernel(ad)
     m1 = Subspace.from_vectors(alg.field, alg.dim, [a])
-    eta_rows = ad.sub_scalar_diag(eta).rows
-    m2, m3 = (kernel(Matrix(alg.field, eta_rows + tau.matrix.sub_scalar_diag(s).rows))
-              for s in (one, -one))
+    m2, m3 = (_common_kernel(ad.sub_scalar_diag(eta), tau.matrix.sub_scalar_diag(s)) for s in (one, -one))
     if m0.dim + m1.dim + m2.dim + m3.dim != alg.dim:
         raise NotSemisimple(
             f"parts of dimensions {(m0.dim, m1.dim, m2.dim, m3.dim)} "
@@ -534,8 +535,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         )
 
     # invariant elements acting as scalars on a0 act the same on every p_{i,j}
-    fixed = kernel(Matrix(field, dd.shift.matrix.sub_scalar_diag(one).rows
-                          + dd.flip.matrix.sub_scalar_diag(one).rows))
+    fixed = _common_kernel(dd.shift.matrix.sub_scalar_diag(one), dd.flip.matrix.sub_scalar_diag(one))
     applicable = False
     ok = True
     for x in fixed.basis:

@@ -1,9 +1,13 @@
 """Exact linear algebra over any FieldDescriptor.
 
-Everything is immutable.  Reduced row echelon form is the canonical
-normal form throughout: two subspaces are equal iff their RREF bases
-agree entrywise.  Pivoting always takes the first nonzero row, never by
-magnitude -- arithmetic is exact, and determinism matters more.
+A Vector is its nonzero entries, {index: payload}, and a Matrix is its
+column Vectors: every kernel works on these maps with the field's own
+payload arithmetic, and FieldElements are made only where an entry is read
+(``entries``, indexing, ``rows``).  Everything is immutable.  Reduced row
+echelon form is the canonical normal form throughout: two subspaces are
+equal iff their RREF bases agree entrywise.  Pivoting always takes the first
+nonzero row, never by magnitude -- arithmetic is exact, and determinism
+matters more.
 """
 
 from __future__ import annotations
@@ -11,141 +15,168 @@ from __future__ import annotations
 from .errors import AmbientMismatch, DescriptorMismatch, DimensionMismatch
 from .fields import FieldElement, render
 
+_set = object.__setattr__  # past the immutability guards, on new objects
+
+
+def _fill(obj, *values):
+    """Set the slots of the new immutable obj to values, in order."""
+    for name, value in zip(obj.__slots__, values):
+        _set(obj, name, value)
+
 
 class Vector:
-    __slots__ = ("field", "entries")
+    """A vector of field^dim; ``terms`` maps the index of each nonzero entry
+    to its payload and is never changed once the vector holds it."""
 
-    def __init__(self, field, entries):
+    __slots__ = ("field", "dim", "terms")
+
+    def __new__(cls, field, entries):
+        """The vector of the FieldElements entries."""
         entries = tuple(entries)
-        for e in entries:
-            if e.field is not field:
-                raise DescriptorMismatch("vector entries in mixed fields")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", entries)
+        if any(e.field is not field for e in entries):
+            raise DescriptorMismatch("vector entries in mixed fields")
+        terms = {j: e.payload for j, e in enumerate(entries) if not field.is_zero(e.payload)}
+        return cls.sparse(field, len(entries), terms)
 
     def __setattr__(self, *_):
         raise AttributeError("Vector is immutable")
 
     @classmethod
+    def sparse(cls, field, dim, terms):
+        """The vector of field^dim whose nonzero entries are terms, {index:
+        nonzero payload}, which it keeps.  Its slots are set one by one, as
+        this is the constructor every kernel calls."""
+        v = object.__new__(cls)
+        _set(v, "field", field)
+        _set(v, "dim", dim)
+        _set(v, "terms", terms)
+        return v
+
+    @classmethod
     def zero(cls, field, n):
-        z = field.zero()
-        return cls(field, (z,) * n)
+        return cls.sparse(field, n, {})
 
     @classmethod
     def unit(cls, field, n, i):
-        z, o = field.zero(), field.one()
-        return cls(field, tuple(o if j == i else z for j in range(n)))
+        return cls.sparse(field, n, {i: field.ONE})
+
+    entries = property(tuple, doc="The entries, as FieldElements.")
 
     def __len__(self):
-        return len(self.entries)
+        return self.dim
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return FieldElement(self.field, self.terms.get(range(self.dim)[i], self.field.ZERO))
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self.__getitem__, range(self.dim))
 
     def is_zero(self):
-        return all(e.is_zero() for e in self.entries)
+        return not self.terms
 
     def __add__(self, other):
         self._check(other)
-        return Vector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        add, is_zero = self.field.add, self.field.is_zero
+        terms = dict(self.terms)
+        for j, b in other.terms.items():
+            s = add(terms[j], b) if j in terms else b
+            if is_zero(s):
+                del terms[j]
+            else:
+                terms[j] = s
+        return Vector.sparse(self.field, self.dim, terms)
 
     def __sub__(self, other):
         self._check(other)
-        return Vector(self.field, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self):
-        return Vector(self.field, tuple(-a for a in self.entries))
+        neg = self.field.neg
+        return Vector.sparse(self.field, self.dim, {j: neg(a) for j, a in self.terms.items()})
 
     def scale(self, s):
-        return Vector(self.field, tuple(s * a for a in self.entries))
+        field = self.field
+        if s.field is not field:
+            raise DescriptorMismatch(f"cannot mix {s.field!r} and {field!r}")
+        if s.is_zero():
+            return Vector.zero(field, self.dim)
+        mul, c = field.mul, s.payload
+        return Vector.sparse(field, self.dim, {j: mul(c, a) for j, a in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.field is other.field and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
+        return self.field is other.field and self.dim == other.dim and self.terms == other.terms
 
     def _check(self, other):
         if not isinstance(other, Vector):
             raise DimensionMismatch("expected a Vector")
         if other.field is not self.field:
             raise DescriptorMismatch("vectors over different fields")
-        if len(other.entries) != len(self.entries):
-            raise DimensionMismatch(
-                f"vector lengths differ ({len(self.entries)} vs {len(other.entries)})"
-            )
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"vector lengths differ ({self.dim} vs {other.dim})")
 
     def __repr__(self):
-        return "(" + ", ".join(render(e) for e in self.entries) + ")"
+        return "(" + ", ".join(map(render, self)) + ")"
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    """A matrix kept as ``columns``, a tuple of ncols Vectors of length nrows."""
 
-    def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
+    __slots__ = ("field", "nrows", "ncols", "columns")
+
+    def __new__(cls, field, rows, ncols=None):
+        """The matrix of the rows, each a sequence of ncols FieldElements."""
+        rows = [tuple(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged matrix")
-            for e in r:
-                if e.field is not field:
-                    raise DescriptorMismatch("matrix entries in mixed fields")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged matrix")
+        return cls.from_columns(field, [Vector(field, [r[j] for r in rows]) for j in range(ncols)], len(rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def from_columns(cls, field, columns, nrows=None):
+        columns = tuple(columns)
+        if nrows is None:
+            nrows = len(columns[0]) if columns else 0
+        for c in columns:
+            if c.field is not field:
+                raise DescriptorMismatch("matrix entries in mixed fields")
+            if c.dim != nrows:
+                raise DimensionMismatch("ragged matrix")
+        m = object.__new__(cls)
+        _fill(m, field, nrows, len(columns), columns)
+        return m
+
+    @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls.from_columns(field, [Vector.unit(field, n, j) for j in range(n)], n)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, ((z,) * ncols,) * nrows, ncols)
+        return cls.from_columns(field, [Vector.zero(field, nrows)] * ncols, nrows)
 
-    @classmethod
-    def from_columns(cls, field, columns, nrows=None):
-        columns = list(columns)
-        if not columns:
-            return cls.zero(field, nrows or 0, 0)
-        n = len(columns[0])
-        return cls(field, tuple(tuple(col[i] for col in columns) for i in range(n)), len(columns))
+    @property
+    def rows(self):
+        return tuple(zip(*self.columns)) if self.ncols else ((),) * self.nrows
 
     def column(self, j):
-        return Vector(self.field, tuple(r[j] for r in self.rows))
+        return self.columns[j]
 
     def apply(self, v: Vector) -> Vector:
-        """self * v, summed over the nonzero entries of v on payloads."""
+        """self * v: the sum of the columns at the support of v, on payloads."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector size mismatch")
         field = self.field
         if v.field is not field:
             raise DescriptorMismatch(f"vector over another field than {field!r}")
-        add, mul, is_zero = field.add, field.mul, field.is_zero
-        support = [(j, e.payload) for j, e in enumerate(v.entries) if not is_zero(e.payload)]
-        zero = field.zero()
-        out = []
-        for r in self.rows:
-            acc = None
-            for j, b in support:
-                a = r[j].payload
-                if not is_zero(a):
-                    t = mul(a, b)
-                    acc = t if acc is None else add(acc, t)
-            out.append(zero if acc is None else FieldElement(field, acc))
-        return Vector(field, out)
+        out, columns = {}, self.columns
+        for j, b in v.terms.items():
+            _add_multiple(field, out, b, columns[j].terms.items())
+        return Vector.sparse(field, self.nrows, out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """self * other, one apply per column of other."""
@@ -153,30 +184,25 @@ class Matrix:
             raise DimensionMismatch("matrix product size mismatch")
         if other.field is not self.field:
             raise DescriptorMismatch(f"matrix over another field than {self.field!r}")
-        columns = [self.apply(other.column(j)) for j in range(other.ncols)]
-        return Matrix.from_columns(self.field, columns, nrows=self.nrows)
+        return Matrix.from_columns(self.field, map(self.apply, other.columns), self.nrows)
 
     def sub_scalar_diag(self, s) -> "Matrix":
         """self - s*I, used to form eigenoperator matrices."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("square matrix required")
-        rows = [list(r) for r in self.rows]
-        for i in range(self.nrows):
-            rows[i][i] = rows[i][i] - s
-        return Matrix(self.field, rows)
+        n = self.nrows
+        return Matrix.from_columns(
+            self.field, [c - Vector.unit(self.field, n, j).scale(s) for j, c in enumerate(self.columns)], n)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise DimensionMismatch("augment needs equal row counts")
-        return Matrix(self.field, [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols)
+        return Matrix.from_columns(self.field, self.columns + other.columns, self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field is other.field and self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        return self.field is other.field and self.nrows == other.nrows and self.columns == other.columns
 
     def __repr__(self):
         return "Matrix[" + "; ".join(repr(Vector(self.field, r)) for r in self.rows) + "]"
@@ -184,29 +210,37 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
-    echelon = EchelonBasis(m.field, m.ncols)
-    is_zero = m.field.is_zero
-    for r in m.rows:
-        echelon._insert({j: e.payload for j, e in enumerate(r) if not is_zero(e.payload)})
-    pivots = sorted(echelon.rows)
-    zero_row = (m.field.zero(),) * m.ncols
-    rows = [_dense(m.field, m.ncols, echelon.rows[pc]) for pc in pivots]
-    return Matrix(m.field, rows + [zero_row] * (m.nrows - len(pivots)), m.ncols), len(pivots), tuple(pivots)
+    field = m.field
+    echelon = EchelonBasis(field, m.ncols)
+    for row in _transpose((c.terms.items() for c in m.columns), m.nrows):
+        echelon._insert(row)
+    pivots = tuple(sorted(echelon.rows))
+    columns = _transpose((echelon.rows[pc] for pc in pivots), m.ncols)
+    reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
+    return reduced, len(pivots), pivots
+
+
+def _transpose(vectors, n):
+    """The n {index: payload} maps of the transpose of vectors, each given by
+    its (index, payload) pairs."""
+    out = [{} for _ in range(n)]
+    for i, terms in enumerate(vectors):
+        for j, a in terms:
+            out[j][i] = a
+    return out
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Subspace of all v with m v = 0."""
     reduced, rank, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    z, o = m.field.zero(), m.field.one()
+    field, neg = m.field, m.field.neg
     basis = []
-    for f in free:
-        v = [z] * m.ncols
-        v[f] = o
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[row_idx][f]
-        basis.append(Vector(m.field, v))
-    return Subspace.from_vectors(m.field, m.ncols, basis)
+    for f in range(m.ncols):
+        if f not in pivots:
+            terms = {pivots[i]: neg(a) for i, a in reduced.columns[f].terms.items()}
+            terms[f] = field.ONE
+            basis.append(Vector.sparse(field, m.ncols, terms))
+    return Subspace.from_vectors(field, m.ncols, basis)
 
 
 def solve_in_span(target: Vector, spanners):
@@ -216,19 +250,14 @@ def solve_in_span(target: Vector, spanners):
     back-substitution solution.
     """
     spanners = list(spanners)
-    field = target.field
-    n = len(target)
     for s in spanners:
         target._check(s)
     k = len(spanners)
-    rows = [[s[i] for s in spanners] + [target[i]] for i in range(n)]
-    reduced, rank, pivots = rref(Matrix(field, rows))
+    reduced, rank, pivots = rref(Matrix.from_columns(target.field, spanners + [target], len(target)))
     if k in pivots:
         return None
-    coeffs = [field.zero()] * k
-    for row_idx, pc in enumerate(pivots):
-        coeffs[pc] = reduced.rows[row_idx][k]
-    return coeffs
+    solution = dict(zip(pivots, reduced.columns[k]))  # column k of the rref, read at the pivots
+    return [solution.get(c, target.field.zero()) for c in range(k)]
 
 
 class Subspace:
@@ -240,11 +269,8 @@ class Subspace:
 
     def __init__(self, field, ambient, rows):
         rows = tuple(rows)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "basis", tuple(Vector(field, _dense(field, ambient, r)) for r in rows))
-        object.__setattr__(self, "pivots", tuple(r[0][0] for r in rows))
+        basis = tuple(Vector.sparse(field, ambient, dict(r)) for r in rows)
+        _fill(self, field, ambient, rows, basis, tuple(r[0][0] for r in rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -268,9 +294,9 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        entries = _sparse(v, self.field, self.ambient)
+        entries = dict(_terms(v, self.field, self.ambient))
         _reduce(self.field, entries, zip(self.pivots, self.rows))
-        return Vector(self.field, _dense(self.field, self.ambient, sorted(entries.items())))
+        return Vector.sparse(self.field, self.ambient, entries)
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
@@ -296,29 +322,17 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def _sparse(v: Vector, field, ambient):
-    """{column: payload} over the nonzero entries of v, a vector of the space."""
+def _terms(v: Vector, field, ambient):
+    """The terms of v, once v is checked to be a vector of field^ambient."""
     if len(v) != ambient:
         raise AmbientMismatch("vector length differs from ambient dimension")
     if v.field is not field:
         raise DescriptorMismatch("vectors over different fields")
-    is_zero = field.is_zero
-    return {j: e.payload for j, e in enumerate(v.entries) if not is_zero(e.payload)}
-
-
-def _dense(field, n, terms):
-    """The n entries, as FieldElements, of the sparse (column, payload) terms."""
-    entries = [field.zero()] * n
-    for j, a in terms:
-        entries[j] = FieldElement(field, a)
-    return entries
+    return v.terms
 
 
 def _add_multiple(field, entries, c, terms):
@@ -364,7 +378,7 @@ class EchelonBasis:
         """Reduce v against the rows and keep its remainder, if nonzero, as a
         new row.  Returns the new row's pivot column (the remainder's first
         nonzero column), or None exactly when v was in the span."""
-        return self._insert(_sparse(v, self.field, self.ambient))
+        return self._insert(dict(_terms(v, self.field, self.ambient)))
 
     def _insert(self, entries):
         """add() for a vector given as {column: nonzero payload}, which it
@@ -391,8 +405,7 @@ class EchelonBasis:
 
     def vector(self, pc, n=0) -> Vector:
         """The row with pivot pc, less its first n coordinates."""
-        terms = ((j - n, a) for j, a in self.rows[pc] if j >= n)
-        return Vector(self.field, _dense(self.field, self.ambient - n, terms))
+        return Vector.sparse(self.field, self.ambient - n, {j - n: a for j, a in self.rows[pc] if j >= n})
 
     def subspace(self, n=0) -> "Subspace":
         """The span's vectors that vanish on the first n coordinates, as a
@@ -412,4 +425,4 @@ def invert(m: Matrix) -> Matrix:
     reduced, _, pivots = rref(m.augment(Matrix.identity(m.field, n)))
     if pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return Matrix(m.field, tuple(r[n:] for r in reduced.rows), n)
+    return Matrix.from_columns(m.field, reduced.columns[n:], n)

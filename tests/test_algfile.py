@@ -6,6 +6,7 @@ from axialcheck import algfile, catalog
 from axialcheck.algebra import multiply
 from axialcheck.errors import AlgebraFileError, ScalarSyntaxError, UnknownSymbol
 from axialcheck.fields import render
+from axialcheck.linalg import Vector
 
 
 def _doc_for(name):
@@ -92,6 +93,28 @@ def test_vector_literals():
         algfile.parse_vector("3", alg, dd.eta)
     with pytest.raises(UnknownSymbol):
         algfile.parse_vector("b7 + a0", alg, dd.eta)
+
+
+def test_vector_literals_take_powers_of_scalars_only():
+    alg, dd = catalog.instantiate("ThreeEv")
+    with pytest.raises(ScalarSyntaxError, match="^cannot exponentiate a vector$"):
+        algfile.parse_vector("a0^2", alg, dd.eta)
+    a0 = alg.basis_vector(alg.label_index("a0"))
+    assert algfile.parse_vector("eta^2*a0", alg, dd.eta) == a0.scale(dd.eta * dd.eta)
+
+
+def test_zero_literals_drop_out_of_the_table():
+    doc = {
+        "field": {"kind": "rationals"},
+        "basis": ["x", "y"],
+        "products": [
+            {"left": "x", "right": "x", "value": {"x": "0", "y": "2"}},
+            {"left": "x", "right": "y", "value": {"x": "1 - 1"}},
+        ],
+    }
+    alg, _, _ = algfile.load_document(doc)
+    assert alg.table == {(0, 0): Vector.sparse(alg.field, 2, {1: alg.field.from_int(2).payload})}
+    assert algfile.document_for(alg)["products"] == [{"left": "x", "right": "x", "value": {"y": "2"}}]
 
 
 def test_emitted_scalars_are_strings():

@@ -9,6 +9,7 @@ from axialcheck import algebra, axial, catalog, cli
 from axialcheck.algebra import (
     AlgebraDef,
     AlgebraMap,
+    adjoint_matrix,
     generated_subalgebra,
     is_homomorphism,
     multiply,
@@ -41,7 +42,7 @@ from axialcheck.errors import (
     NotIdempotent,
     NotSemisimple,
 )
-from axialcheck.fields import parse_scalar, render
+from axialcheck.fields import FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel
 
 
@@ -574,6 +575,37 @@ def test_polynomial_kernels_make_no_fraction(name, spec, monkeypatch):
     (lo, hi), _, _ = axis_orbit(alg, dd)
     assert generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)]).dim == alg.dim
     assert made == []
+
+
+def _count_field_elements(monkeypatch):
+    """The payload of every FieldElement made from now on."""
+    made = []
+    init = FieldElement.__init__
+
+    def counted(self, field, payload):
+        made.append(payload)
+        init(self, field, payload)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    return made
+
+
+def test_kernels_make_no_field_element(Q, monkeypatch, matsuo_s5, matsuo_flip):
+    # vectors and matrices hold payloads: products, matrix arithmetic,
+    # elimination and the closure make a FieldElement only where one is read
+    alg = matsuo_s5(Q, "1/4")
+    flip = matsuo_flip(alg)
+    x, y = alg.basis_vector(0), alg.basis_vector(4) - alg.basis_vector(9)
+    made = _count_field_elements(monkeypatch)
+    prod = multiply(alg, x, y)
+    ad = adjoint_matrix(alg, x)
+    assert ad.apply(y) == prod
+    assert ad.matmul(flip.matrix).matmul(flip.matrix) == ad
+    assert kernel(ad).dim == 6
+    assert invert(flip.matrix) == flip.matrix
+    assert generated_subalgebra(alg, [x, y]).dim == 4
+    assert made == []
+    assert prod[2] == Q.zero() and made == [Q.ZERO, Q.ZERO]  # reading entries makes them
 
 
 def test_sign_map_that_is_not_an_automorphism(Q):

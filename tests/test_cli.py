@@ -234,6 +234,12 @@ def test_a_quotient_by_the_whole_algebra_exits_two(capsys):
     assert err == "error: the ideal is the whole algebra, so the quotient is zero\n"
 
 
+def test_a_power_of_a_vector_in_an_ideal_exits_two(capsys):
+    code, out, err = run(capsys, "quotient", "ThreeEv", "--ideal", "a0^2")
+    assert code == 2 and out == ""
+    assert err == "error: cannot exponentiate a vector\n"
+
+
 def test_quotient_of_three_ev_at_third(tmp_path, capsys):
     code, out, _ = run(
         capsys, "quotient", "ThreeEv", "--field", "q", "--eta=-1/3",

@@ -195,15 +195,15 @@ def test_elimination_matches_sympy(fixture, request, sympy_matrix):
         if ker.dim:
             assert sympy_matrix([v.entries for v in ker.basis], ncols, field) == null.rref()[0]
         # the incremental echelon basis grows the same span, in any order, and
-        # add gives a new pivot exactly for the rows that raise the rank
+        # add gives a new pivot exactly for the rows that raise the rank: the
+        # pivot columns of the sampled rows, transposed, in sympy's rref
         echelon = EchelonBasis(field, ncols)
-        added, their_rank = [], 0
-        for row in rng.sample(m.rows, len(m.rows)):
+        order = rng.sample(m.rows, len(m.rows))
+        _, raising = sympy_matrix(order, ncols, field).transpose().rref()
+        for k, row in enumerate(order):
             pivots_before = set(echelon.rows)
             pivot = echelon.add(Vector(field, row))
-            added.append(row)
-            raised = sympy_matrix(added, ncols, field).rank() > their_rank
-            their_rank += raised
+            raised = k in raising
             assert (pivot is None) != raised
             assert set(echelon.rows) - pivots_before == ({pivot} if raised else set())
         assert len(echelon.rows) == rank
@@ -301,3 +301,73 @@ def test_invert_refuses_a_singular_matrix(Q, GF7):
             invert(_int_matrix(field, rows))
     m = _int_matrix(GF7, [[1, 3, 0], [2, 5, 1], [0, 0, 1]])
     assert m.matmul(invert(m)) == Matrix.identity(GF7, 3)
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
+def test_payload_maps_match_entrywise_loops(fixture, request):
+    # Vector and Matrix arithmetic on payload maps against loops over the
+    # FieldElements; every result keeps its shape and no zero payload
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+
+    def same(v, entries):
+        assert v == Vector(field, entries) and v.entries == tuple(entries) and len(v) == len(entries)
+        assert all(v[j] == e for j, e in enumerate(entries)) and repr(v) == repr(Vector(field, entries))
+        assert all(0 <= j < len(entries) and not field.is_zero(a) for j, a in v.terms.items())
+
+    for n in (0, 1, 2, 4, 6):
+        m, other = _sparse_matrix(field, rng, n, n), _sparse_matrix(field, rng, n, 3)
+        rows = m.rows
+        assert len(rows) == n and all(len(r) == n for r in rows)
+        assert Matrix(field, rows) == m == Matrix.from_columns(field, m.columns, n)
+        assert all(m.columns[j].entries == tuple(r[j] for r in rows) for j in range(n))
+        for u, w in zip(rows, rows[1:] + rows[:1]):
+            x, y = Vector(field, u), Vector(field, w)
+            assert x == Vector.sparse(field, n, {j: e.payload for j, e in enumerate(u) if not e.is_zero()})
+            same(x + y, [a + b for a, b in zip(u, w)])
+            same(x - y, [a - b for a, b in zip(u, w)])
+            same(x - x, [field.zero()] * n)
+            same(-x, [-a for a in u])
+            for s in (field.zero(), field.one(), *w):
+                same(x.scale(s), [s * a for a in u])
+            assert (x == y) == (u == w)
+            same(m.apply(x), _dense_apply(m, x).entries)
+        product = m.matmul(other)
+        assert product == _dense_matmul(m, other) and (product.nrows, product.ncols) == (n, 3)
+        try:
+            inverse = invert(m)
+        except DimensionMismatch:
+            assert rref(m)[1] < n
+        else:
+            assert _dense_matmul(m, inverse) == Matrix.identity(field, n) == _dense_matmul(inverse, m)
+
+
+def test_zero_sizes_keep_their_shape(Q):
+    empty = Vector(Q, [])
+    assert (len(empty), empty.entries, list(empty), repr(empty)) == (0, (), [], "()")
+    assert empty == Vector.zero(Q, 0) != Vector.zero(Q, 1)
+    for nrows, ncols in ((0, 3), (3, 0), (0, 0)):
+        m = Matrix(Q, [[]] * nrows, ncols)
+        assert (m.nrows, m.ncols, m.rows) == (nrows, ncols, ((),) * nrows)
+        assert [len(c) for c in m.columns] == [nrows] * ncols
+        assert m == Matrix.zero(Q, nrows, ncols) == Matrix.from_columns(Q, m.columns, nrows)
+        assert m.apply(Vector.zero(Q, ncols)) == Vector.zero(Q, nrows)
+        assert m.matmul(Matrix.zero(Q, ncols, 2)) == Matrix.zero(Q, nrows, 2)
+        reduced, rank, _ = rref(m)
+        assert (reduced.nrows, reduced.ncols, rank) == (nrows, ncols, 0)
+        assert kernel(m).dim == ncols
+    assert Matrix.zero(Q, 3, 0) != Matrix.zero(Q, 2, 0)
+    assert invert(Matrix.identity(Q, 0)) == Matrix.zero(Q, 0, 0)
+
+
+def test_columns_share_one_field_and_one_length(Q, GF7):
+    with pytest.raises(DescriptorMismatch):
+        Matrix.from_columns(Q, [Vector.unit(Q, 2, 0), Vector.unit(GF7, 2, 1)])
+    with pytest.raises(DescriptorMismatch):
+        Matrix(Q, [[Q.one(), GF7.one()]])
+    with pytest.raises(DimensionMismatch, match="ragged matrix"):
+        Matrix.from_columns(Q, [Vector.unit(Q, 2, 0), Vector.unit(Q, 3, 1)])
+    with pytest.raises(DimensionMismatch, match="ragged matrix"):
+        Matrix.from_columns(Q, [Vector.unit(Q, 2, 0)], nrows=3)
+    with pytest.raises(DimensionMismatch, match="ragged matrix"):
+        Matrix(Q, [[Q.one(), Q.zero()], [Q.one()]])
