@@ -21,6 +21,7 @@ from .algebra import (
     sparse_product,
 )
 from .errors import (
+    AxialError,
     DataInconsistency,
     DimensionMismatch,
     InvolutionMismatch,
@@ -28,7 +29,7 @@ from .errors import (
     NotIdempotent,
     NotSemisimple,
 )
-from .fields import render
+from .fields import FieldDescriptor, render
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, _add_multiple, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
@@ -126,23 +127,15 @@ def _squares_to_identity(*factors):
     return True
 
 
-def _common_kernel(a, b):
-    """The kernel of the n x n matrix a stacked on the n x n matrix b."""
-    field, n = a.field, a.nrows
-    return kernel(Matrix.from_columns(field, [
-        Vector.sparse(field, 2 * n, x.terms | {i + n: c for i, c in y.terms.items()})
-        for x, y in zip(a.columns, b.columns)], 2 * n))
-
-
 def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDecomposition:
-    """Split M along ad(a) eigenvalues 0, 1, eta, with the eta part divided
+    """Split M along ad(a) eigenvalues 0, 1, eta, with the eta part K divided
     by the supplied involution into its fixed (M2) and negated (M3) pieces.
 
-    The caller vouches that tau is an automorphism; tau^2 = id and
-    tau(a) = a are checked here.  The parts are independent, so they
-    decompose M exactly when their dimensions add up to dim M: check_eta
-    refuses eta in {0, 1}, a*a = a puts a in the 1-eigenspace, and in
-    characteristic not 2 the +1 and -1 eigenspaces of tau meet in 0.
+    The caller vouches that tau is an automorphism; tau^2 = id and tau(a) = a
+    are checked here, so tau maps K into K and, as no field has characteristic
+    2, K = (1 + tau)K + (1 - tau)K = M2 + M3: ad(a) - eta is eliminated once.
+    The parts are independent (eta is not 0 or 1, and a*a = a), so they
+    decompose M exactly when their dimensions add up to dim M.
     """
     check_eta(eta)
     if multiply(alg, a, a) != a:
@@ -152,10 +145,11 @@ def split_eigenspace(alg: AlgebraDef, a: Vector, eta, tau: AlgebraMap) -> AxisDe
     if not _squares_to_identity(tau.matrix):
         raise InvolutionMismatch("flip squared is not the identity")
     ad = adjoint_matrix(alg, a)
-    one = alg.field.one()
     m0 = kernel(ad)
     m1 = Subspace.from_vectors(alg.field, alg.dim, [a])
-    m2, m3 = (_common_kernel(ad.sub_scalar_diag(eta), tau.matrix.sub_scalar_diag(s)) for s in (one, -one))
+    pairs = [(v, tau.apply(v)) for v in kernel(ad.sub_scalar_diag(eta)).basis]
+    m2 = Subspace.from_vectors(alg.field, alg.dim, [v + w for v, w in pairs])
+    m3 = Subspace.from_vectors(alg.field, alg.dim, [v - w for v, w in pairs])
     if m0.dim + m1.dim + m2.dim + m3.dim != alg.dim:
         raise NotSemisimple(
             f"parts of dimensions {(m0.dim, m1.dim, m2.dim, m3.dim)} "
@@ -254,10 +248,24 @@ class DihedralData:
         return self._axes[i]
 
     @cached_property
+    def _split(self):
+        try:
+            return split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
+        except AxialError as exc:
+            return exc
+
+    @property
     def base_split(self) -> AxisDecomposition:
-        """The decomposition at a_0 along the flip, kept because the fusion
-        pass, check_dihedral and the identity suite all need it."""
-        return split_eigenspace(self.algebra, self.axis(0), self.eta, self.flip)
+        """The decomposition at a_0 along the flip, derived once for the fusion pass, check_dihedral
+        and the identity suite.  A failed split is kept too: every read re-raises its AxialError."""
+        if isinstance(self._split, AxialError):
+            raise self._split
+        return self._split
+
+    @cached_property
+    def orbit(self):
+        """axis_orbit(self.algebra, self), grown once for all its readers."""
+        return axis_orbit(self.algebra, self)
 
     def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":
         """The shift, flip and axes induced on qalg = algebra / ideal; None
@@ -335,7 +343,7 @@ def check_dihedral(alg, dd: DihedralData):
     if violations:
         return violations
 
-    (lo, hi), _, _ = axis_orbit(alg, dd)
+    (lo, hi), _, _ = dd.orbit
     span = generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)])
     if span.dim != alg.dim:
         violations.append(
@@ -405,7 +413,7 @@ class RelationWitness(namedtuple("RelationWitness", "parity case coefficients ad
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
     """Classify the one relation of axis_orbit's first relation window by
     its flip symmetry, with the rank of the axis span as the dimension."""
-    _, (lo, hi), rank = axis_orbit(alg, dd)
+    _, (lo, hi), rank = dd.orbit
     window = [dd.axis(i) for i in range(lo, hi + 1)]
     relation = kernel(Matrix.from_columns(alg.field, window, nrows=alg.dim)).basis[0]
     return RelationWitness.classify(lo, hi, relation, rank)
@@ -520,7 +528,7 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     # two-generated subalgebra: p*p = pi*p, and dimension 3 away from the
     # degenerate case p = 0 (there the two axes span a Jordan-type plane)
     sub = generated_subalgebra(alg, [a0, dd.axis(1)])
-    report.scalars["two_generated_dim"] = field.from_int(sub.dim)
+    report.scalars["two_generated_dim"] = FieldDescriptor.rationals().from_int(sub.dim)
     pp = multiply(alg, p1, p1)
     if p1.is_zero():
         report.add("p1_square", pp.is_zero())
@@ -535,7 +543,9 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         )
 
     # invariant elements acting as scalars on a0 act the same on every p_{i,j}
-    fixed = _common_kernel(dd.shift.matrix.sub_scalar_diag(one), dd.flip.matrix.sub_scalar_diag(one))
+    fixed = kernel(Matrix.from_columns(field, [
+        Vector.sparse(field, 2 * alg.dim, x.terms | {i + alg.dim: c for i, c in y.terms.items()})
+        for x, y in zip(*(m.matrix.sub_scalar_diag(one).columns for m in (dd.shift, dd.flip)))], 2 * alg.dim))
     applicable = False
     ok = True
     for x in fixed.basis:

@@ -389,7 +389,7 @@ class EchelonBasis:
             return None
         pivot = min(entries)
         lead = entries[pivot]
-        if lead != field.ONE:
+        if lead != field.ONE:  # a fast path: the new row does not depend on the answer
             inv, mul = field.inv(lead), field.mul
             entries = {j: mul(inv, a) for j, a in entries.items()}
         new = tuple(sorted(entries.items()))

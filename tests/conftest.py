@@ -1,5 +1,7 @@
+import json
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -135,3 +137,34 @@ def matsuo_split(matsuo_s5, matsuo_flip):
         return split_eigenspace(alg, alg.basis_vector(0), field.from_fraction(Fraction(eta)), matsuo_flip(alg))
 
     return split
+
+
+@pytest.fixture(scope="session")
+def hostile_file():
+    """(n, d, seed) -> the text of a seeded random algebra file over Q(eta)
+    with basis e0 .. e(n-1).  e0 is idempotent; every other product is 3
+    random basis terms whose coefficients are quotients of random degree-d
+    polynomials in eta.  The shift and the flip are the identity, and e0 is
+    the one axis."""
+    def make(n, d, seed):
+        rng = random.Random(seed)
+        labels = [f"e{k}" for k in range(n)]
+
+        def poly():
+            return " + ".join(f"{rng.randint(1 if k == d else -9, 9)}*eta^{k}" for k in range(d + 1))
+
+        products = [{"left": "e0", "right": "e0", "value": {"e0": "1"}}]
+        for i, j in combinations_with_replacement(range(n), 2):
+            if (i, j) != (0, 0):
+                terms = rng.sample(labels, 3)
+                products.append({"left": labels[i], "right": labels[j],
+                                 "value": {t: f"({poly()})/({poly()})" for t in terms}})
+        identity = {label: label for label in labels}
+        return json.dumps({
+            "field": {"kind": "rational_functions", "variable": "eta"},
+            "basis": labels,
+            "products": products,
+            "dihedral": {"window": [0, 0], "axes": ["e0"], "shift_images": identity, "flip_images": identity},
+        })
+
+    return make

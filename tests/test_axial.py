@@ -108,6 +108,42 @@ def test_split_error_cases():
         split_eigenspace(alg, dd.axis(0), dd.eta, dd.shift)  # shift moves the axis
 
 
+def test_split_eliminates_twice(monkeypatch):
+    # ker ad(a) and ker(ad(a) - eta), each n x n: the eta-eigenspace is split
+    # by 1 +- tau, not eliminated again stacked on tau -+ 1
+    alg, dd = instantiate("FiveThree")
+    shapes = []
+
+    def counted(m):
+        shapes.append((m.nrows, m.ncols))
+        return kernel(m)
+
+    monkeypatch.setattr(axial, "kernel", counted)
+    split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
+    assert shapes == [(alg.dim, alg.dim)] * 2
+
+
+def _stacked_kernel(a, b):
+    """ker a and ker b meet in the kernel of the n x n matrix a stacked on b."""
+    return kernel(Matrix(a.field, a.rows + b.rows, a.ncols))
+
+
+@pytest.mark.parametrize("name", [*(entry.name for entry in catalog.list_entries()), "matsuo"])
+def test_eta_parts_are_the_eta_space_met_with_the_flip_eigenspaces(Q, name, matsuo_s5, matsuo_flip):
+    # M2 = K and ker(tau - 1), M3 = K and ker(tau + 1), K = ker(ad(a) - eta),
+    # on every catalog entry at its default field and on M_1/4(S_5)
+    if name == "matsuo":
+        alg = matsuo_s5(Q, "1/4")
+        a, eta, tau = alg.basis_vector(0), Q.from_fraction(Fraction(1, 4)), matsuo_flip(alg)
+    else:
+        alg, dd = instantiate(name)
+        a, eta, tau = dd.axis(0), dd.eta, dd.flip
+    dec = split_eigenspace(alg, a, eta, tau)
+    ad_eta = adjoint_matrix(alg, a).sub_scalar_diag(eta)
+    one = alg.field.one()
+    assert dec.parts[2:] == tuple(_stacked_kernel(ad_eta, tau.matrix.sub_scalar_diag(s)) for s in (one, -one))
+
+
 def test_identity_involution_gives_trivial_negated_part():
     alg, dd = instantiate("FiveThree")
     ident = AlgebraMap.identity(alg)
@@ -729,14 +765,16 @@ RELATION_CASES = {
 
 @pytest.mark.parametrize("name", RELATION_CASES)
 def test_relation_cases_match_the_two_branch_classifier(Q, name):
-    # axial_dimension only reads axes, so an algebra without products and an
-    # object that hands out the listed axes will do
+    # axial_dimension only reads axes and their orbit, so an algebra without
+    # products and an object that hands out the listed axes and their
+    # axis_orbit will do
     axes, other, window, adim, expected = RELATION_CASES[name]
     coords = {i: axes.get(i, other) for i in range(-3, 5)}
     dim = len(coords[0])
     alg = AlgebraDef(Q, [f"e{k}" for k in range(dim)], {})
     vectors = {i: Vector(Q, [Q.from_int(c) for c in v]) for i, v in coords.items()}
     dd = SimpleNamespace(axis=vectors.__getitem__)
+    dd.orbit = axis_orbit(alg, dd)
     lo, hi = window
     columns = [vectors[i] for i in range(lo, hi + 1)]
     coeffs = kernel(Matrix.from_columns(Q, columns, nrows=dim)).basis[0]

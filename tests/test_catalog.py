@@ -5,7 +5,7 @@ import pytest
 from axialcheck import algfile, axial, catalog
 from axialcheck.algebra import multiply
 from axialcheck.axial import split_eigenspace
-from axialcheck.errors import ConstraintViolation, UnknownEntry
+from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
 from axialcheck.fields import FieldDescriptor, parse_scalar, render, specialize
 
 
@@ -92,9 +92,10 @@ def test_verify_entry_seven():
     assert prod == dd.axis(0).scale(parse_scalar("-5/3", alg.field))
 
 
-def test_verify_splits_the_base_axis_once(monkeypatch):
-    # fresh dihedral data, so no earlier pass has split its base axis yet
-    alg, dd, _ = algfile.loads(algfile.dumps(*catalog.instantiate("FiveThree")))
+def test_verify_splits_the_base_axis_once(monkeypatch, hostile_file):
+    # FiveThree splits; FourEv, BarFourTwo and Seven at a symbolic eta and a
+    # seeded hostile file fail the split.  Each gets fresh dihedral data, so
+    # no earlier pass has split its base axis yet.
     calls = []
 
     def counted(*args):
@@ -102,10 +103,37 @@ def test_verify_splits_the_base_axis_once(monkeypatch):
         return split_eigenspace(*args)
 
     monkeypatch.setattr(axial, "split_eigenspace", counted)
-    report = catalog.verify("FiveThree.json", alg, dd)
-    assert report.passed and "relation_documented" not in {c.name for c in report.checks}
-    # check_dihedral, fusion and identities all share the one a_0 split
-    assert len(calls) == 1
+    for source in ("FiveThree", "FourEv", "BarFourTwo", "Seven", "hostile"):
+        if source == "hostile":
+            text = hostile_file(6, 3, 1)
+        else:
+            eta = (None, None) if source == "FiveThree" else ("qeta", "eta")
+            text = algfile.dumps(*catalog.instantiate(source, *eta, enforce=False))
+        alg, dd, _ = algfile.loads(text)
+        calls.clear()
+        report = catalog.verify(f"{source}.json", alg, dd)
+        # check_dihedral, fusion and identities all share the one a_0 split,
+        # whether it decomposes or raises
+        assert len(calls) == 1, source
+        assert "relation_documented" not in {c.name for c in report.checks}
+        if source == "FiveThree":
+            assert report.passed
+            continue
+        with pytest.raises(NotSemisimple) as failed:
+            split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
+        rows = {c.name: c for c in report.checks}
+        # every pass that reads the split reports the error's own text
+        assert rows["fusion"] == ("fusion", "fail", str(failed.value))
+        assert rows["identities"] == ("identities", "fail", str(failed.value))
+        assert rows["dihedral"].status == "fail"
+        assert rows["dihedral"].detail.endswith(f"axis@0: {failed.value}")
+
+
+def test_two_generated_dim_is_an_integer_in_every_characteristic():
+    # a dimension, not a field element: 3 is not read as 0 over GF(3)
+    report = catalog.verify_entry("BarFourTwo", "gf:3")
+    assert report.scalars["two_generated_dim"] == "3"
+    assert ("identity:two_generated_dim", "pass", "dimension 3") in report.checks
 
 
 def test_verify_entry_three_ev_symbolic():

@@ -10,7 +10,9 @@ why, on every entry at its default field and eta:
   carries the factor base = (2*eta - 1)(4*lambda1 - 3*eta).  base is 0 on
   every entry except BarFourTwo (-6) and SixThree (2*eta - 1), so the stated
   coefficients are tested only on those two entries, which are the two where
-  the row fails.
+  the row fails.  The residual is 9*p1 + 9*a0 on BarFourTwo (eta = 2) and
+  (1 - 2*eta)*p1 + (3 - 7*eta)/8*a0 on SixThree, over its number field.  The
+  first vanishes mod 3, so BarFourTwo over GF(3) passes every row.
 
 Whether one corrected p1 coefficient fits both is still open.
 
@@ -25,6 +27,7 @@ import pytest
 from axialcheck import catalog
 from axialcheck.algebra import adjoint_matrix, generated_subalgebra
 from axialcheck.axial import lambda_coefficient, p_vector
+from axialcheck.fields import parse_scalar, render
 
 ENTRIES = tuple(entry.name for entry in catalog.list_entries())
 
@@ -47,6 +50,25 @@ def test_rho_expansion_factor(name):
         "SixThree": eta * 2 - 1,
     }.get(name, alg.field.zero())
     assert base == expected
+
+
+@pytest.mark.parametrize("name, eta, p1_coeff, a0_coeff", [
+    ("BarFourTwo", "2", "9", "9"),
+    ("SixThree", "eta", "1 - 2*eta", "(3 - 7*eta)/8"),
+])
+def test_rho_expansion_residual(name, eta, p1_coeff, a0_coeff):
+    alg, dd = catalog.instantiate(name)
+    assert render(dd.eta) == eta
+    p1, a0 = alg.basis_vector(alg.label_index("p1")), dd.axis(0)
+    residual = p1.scale(parse_scalar(p1_coeff, alg.field, dd.eta)) + a0.scale(parse_scalar(a0_coeff, alg.field, dd.eta))
+    rows = {c.name: c for c in catalog.verify_entry(name).checks}
+    assert rows["identity:rho_expansion"] == ("identity:rho_expansion", "fail", f"residual {residual!r}")
+
+
+def test_bar_four_two_passes_every_row_in_characteristic_three():
+    report = catalog.verify_entry("BarFourTwo", "gf:3")
+    assert report.passed
+    assert ("identity:rho_expansion", "pass", "") in report.checks
 
 
 def _char_poly(sympy_matrix, alg, dd):
