@@ -3,5 +3,11 @@
 The submodules are the API, as in ``from axialcheck import catalog``.
 """
 
-# perfbench's launcher and trace worker call axialcheck.list_entries()
-from .catalog import list_entries
+
+def __getattr__(name):
+    # perfbench calls axialcheck.list_entries(); the catalog loads on first use
+    if name == "list_entries":
+        from .catalog import list_entries
+
+        return list_entries
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,8 @@ class AlgebraDef:
 
     ``table`` maps an index pair (i, j) with i <= j to the product vector;
     missing pairs multiply to zero.  ``rows`` holds the same constants
-    sparsely, in the form sparse_product sums them: ``rows[i]`` is a tuple
-    of (j, terms) over the nonzero e_i*e_j, where ``terms`` is a tuple of
+    sparsely, in the form sparse_product sums them: ``rows[i]`` is a dict
+    {j: terms} over the nonzero e_i*e_j, where ``terms`` is a tuple of
     (k, payload) over the product's nonzero coefficients.  An entry with
     i != j is listed under both i and j, and both share one ``terms`` tuple.
     """
@@ -29,7 +29,7 @@ class AlgebraDef:
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
-        norm, rows = {}, [[] for _ in range(dim)]
+        norm, rows = {}, tuple({} for _ in range(dim))
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
@@ -44,13 +44,11 @@ class AlgebraDef:
             if terms:  # a zero product is left out of both
                 norm[key] = vec
                 i, j = key
-                rows[i].append((j, terms))
-                if i != j:
-                    rows[j].append((i, terms))
+                rows[i][j] = rows[j][i] = terms
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", norm)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, *_):
@@ -77,20 +75,24 @@ class AlgebraDef:
 def sparse_product(alg: AlgebraDef, xs, ys):
     """x*y for x and y given as {index: nonzero payload}, returned the same way
     with the sums that cancel dropped: the one sum of the structure constants,
-    over i in xs, (j, terms) in rows[i] and j in ys, on payloads."""
+    over i in xs and j in both ys and rows[i], walking the shorter of the two,
+    by the field's mac and settle on payloads."""
     field = alg.field
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    mul, mac = field.mul, field.mac
     out = {}
     for i, a in xs.items():
-        for j, terms in alg.rows[i]:
-            b = ys.get(j)
-            if b is None:
-                continue
-            s = mul(a, b)
-            for k, c in terms:
-                t = mul(s, c)
-                out[k] = add(out[k], t) if k in out else t
-    return {k: c for k, c in out.items() if not is_zero(c)}
+        row = alg.rows[i]
+        if len(ys) < len(row):
+            for j, b in ys.items():
+                terms = row.get(j)
+                if terms is not None:
+                    mac(out, mul(a, b), terms)
+        else:
+            for j, terms in row.items():
+                b = ys.get(j)
+                if b is not None:
+                    mac(out, mul(a, b), terms)
+    return field.settle(out)
 
 
 def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:

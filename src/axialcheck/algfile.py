@@ -184,12 +184,12 @@ def _check_shape(doc):
         )
         pair = [item["left"], item["right"]]
         _require(_all_str(item["value"], dict), "product value must map labels to scalar literal strings")
-        _require(
-            _all_str(pair, list) and {*pair, *item["value"]} <= labels,
-            f"undeclared basis label in the product {pair!r:.60}",
-        )
-        _require(frozenset(pair) not in pairs, f"duplicate product pair {pair}")
-        pairs.add(frozenset(pair))
+        if not (_all_str(pair, list) and {*pair, *item["value"]} <= labels):
+            raise AlgebraFileError(f"undeclared basis label in the product {pair!r:.60}")
+        key = frozenset(pair)
+        if key in pairs:
+            raise AlgebraFileError(f"duplicate product pair {pair}")
+        pairs.add(key)
 
     dihedral = doc.get("dihedral")
     if dihedral is not None:

@@ -30,7 +30,7 @@ from .errors import (
     NotSemisimple,
 )
 from .fields import FieldDescriptor, render
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, _add_multiple, invert, kernel, solve_in_span
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
 # is the intersection of the two overlapping rules and is empty: those
@@ -105,8 +105,8 @@ class AxisDecomposition:
                 prod = sparse_product(alg, words[p], words[q])
                 coords = {}  # B^-1 prod, summed over the columns of B^-1 at its support
                 for k, c in prod.items():
-                    _add_multiple(field, coords, c, columns[k])
-                support = {parts[r] for r in coords}
+                    field.mac(coords, c, columns[k])
+                support = {parts[r] for r in field.settle(coords)}
                 if not support <= set(allowed(i, j)):
                     escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
                 odd = (i == 3) != (j == 3)

@@ -379,10 +379,26 @@ class FieldDescriptor:
     # Each kind defines ZERO and ONE (payloads); canonical(raw payload); embed(num,
     # den) of a rational in lowest terms; add, neg, mul and inv on canonical payloads;
     # render; and size(payload) -> (degree, bits), which bounds the growth of powers.
+    # A kind may keep the sums of mac in a raw form of its own, which settle
+    # makes canonical; Q[t]/(m) and Q(eta) take the canonical loop below.
     # Every payload but GF(p)'s is a pair whose first part is zero exactly for zero.
     @staticmethod
     def is_zero(a):
         return not a[0]
+
+    def mac(self, out, c, terms):
+        """out[k] += c*t for each (k, t) of terms, c and each t canonical:
+        out maps indices to sums in the kind's raw form, read only by settle."""
+        add, mul = self.add, self.mul
+        for k, t in terms:
+            t = mul(c, t)
+            out[k] = add(out[k], t) if k in out else t
+
+    def settle(self, out):
+        """The canonical nonzero entries of the sums that mac left in out.
+        This is each kind's one decision that an accumulated sum is zero."""
+        is_zero = self.is_zero
+        return {k: s for k, s in out.items() if not is_zero(s)}
 
 
 class _Rationals(FieldDescriptor):
@@ -443,6 +459,28 @@ class _Rationals(FieldDescriptor):
         raise DivisionByZero("inverse of zero")
 
     @staticmethod
+    def mac(out, c, terms):
+        """Raw sums are unreduced pairs with positive denominators: equal
+        denominators add their numerators, others meet at their lcm, so a raw
+        denominator divides the lcm of the terms' unreduced denominators."""
+        cn, cd = c
+        for k, (n, d) in terms:
+            n, d = cn * n, cd * d
+            if k in out:
+                sn, sd = out[k]
+                if sd == d:
+                    n += sn
+                else:
+                    g = math.gcd(sd, d)
+                    n, d = sn * (d // g) + n * (sd // g), sd // g * d
+            out[k] = n, d
+
+    @staticmethod
+    def settle(out):
+        gcd = math.gcd  # one per entry; g >= 1, as d > 0
+        return {k: (n // g, d // g) for k, (n, d) in out.items() if n and (g := gcd(n, d))}
+
+    @staticmethod
     def render(a):
         return _render_fraction(*a)
 
@@ -480,6 +518,16 @@ class _PrimeField(FieldDescriptor):
 
     def inv(self, a):
         return pow(a, -1, self.p)
+
+    @staticmethod
+    def mac(out, c, terms):
+        """Raw sums are plain ints, reduced mod p by settle."""
+        for k, t in terms:
+            out[k] = out[k] + c * t if k in out else c * t
+
+    def settle(self, out):
+        p = self.p
+        return {k: r for k, s in out.items() if (r := s % p)}
 
     def size(self, a):  # elements do not grow
         return 0, 0

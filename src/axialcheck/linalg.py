@@ -173,10 +173,10 @@ class Matrix:
         field = self.field
         if v.field is not field:
             raise DescriptorMismatch(f"vector over another field than {field!r}")
-        out, columns = {}, self.columns
+        out, columns, mac = {}, self.columns, field.mac
         for j, b in v.terms.items():
-            _add_multiple(field, out, b, columns[j].terms.items())
-        return Vector.sparse(field, self.nrows, out)
+            mac(out, b, columns[j].terms.items())
+        return Vector.sparse(field, self.nrows, field.settle(out))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """self * other, one apply per column of other."""

@@ -291,7 +291,7 @@ def test_sparse_rows_share_the_table():
     alg, _ = instantiate("ThreeEv")
     listed = {}
     for i, row in enumerate(alg.rows):
-        for j, terms in row:
+        for j, terms in row.items():
             listed[i, j] = terms
     assert {key for key in listed if key[0] <= key[1]} == set(alg.table)
     for (i, j), vec in alg.table.items():
@@ -306,7 +306,7 @@ def test_zero_products_are_in_neither_table_nor_rows(Q):
     a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
     alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (1, 0): Vector.zero(Q, 2), (1, 1): b - b})
     assert alg.table == {(0, 0): a}
-    assert alg.rows == (((0, ((0, Q.ONE),)),), ())
+    assert alg.rows == ({0: ((0, Q.ONE),)}, {})
     assert multiply(alg, a, b).is_zero() and multiply(alg, b, b).is_zero()
 
 
@@ -327,13 +327,19 @@ def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch, matsuo_
     assert alg.dim == 10 and len(alg.table) == 40
     ad = adjoint_matrix(alg, _rand_vec(alg, random.Random(5)))
     calls = [0]
-    mul = type(Q).mul
+    mul, mac = type(Q).mul, type(Q).mac
 
     def counted(a, b):
         calls[0] += 1
         return mul(a, b)
 
+    def counted_mac(out, c, terms):  # one multiplication per term
+        terms = tuple(terms)
+        calls[0] += len(terms)
+        return mac(out, c, terms)
+
     monkeypatch.setattr(type(Q), "mul", staticmethod(counted))
+    monkeypatch.setattr(type(Q), "mac", staticmethod(counted_mac))
     for i in range(alg.dim):
         for j in range(alg.dim):
             calls[0] = 0
@@ -384,16 +390,16 @@ KERNEL_FIELDS = {
 
 def _scalar(field, a, b):
     """a + b*eta, or a alone in a field without a generator."""
-    value = field.from_int(a)
+    value = field.from_fraction(a)
     if field in (KERNEL_FIELDS["NF"], KERNEL_FIELDS["QETA"]):
-        value = value + field.from_int(b) * field.generator()
+        value = value + field.from_fraction(b) * field.generator()
     return value
 
 
-# structure constants and coordinates drawn from 0, 1, -1, eta and -eta
-# (as (a, b) of a + b*eta), so that the terms of a product coefficient often
-# cancel
-small = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+# structure constants and coordinates drawn from 0, 1, -1, 1/2, -2/3, eta and
+# -eta (as (a, b) of a + b*eta), so that the terms of a product coefficient
+# often cancel, and Q sums meet over unequal denominators
+small = st.sampled_from([(0, 0), (1, 0), (-1, 0), (Fraction(1, 2), 0), (Fraction(-2, 3), 0), (0, 1), (0, -1)])
 
 
 @st.composite
@@ -433,3 +439,33 @@ def test_sparse_product_drops_cancelled_sums(name):
     alg = AlgebraDef(field, ["e0", "e1"], table)
     both = {0: one.payload, 1: one.payload}
     assert sparse_product(alg, both, both) == {1: one.payload}
+
+
+class _WalkSpy(dict):
+    """A ys map that records which side sparse_product walks: its items when
+    it is the shorter side, its get when the row is."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.walks = set()
+
+    def items(self):
+        self.walks.add("ys")
+        return super().items()
+
+    def get(self, *args):
+        self.walks.add("row")
+        return super().get(*args)
+
+
+@pytest.mark.parametrize("support,walk", [((3,), "ys"), (range(10), "row")])
+def test_sparse_product_walks_the_shorter_side(Q, matsuo_s5, support, walk):
+    # each row of M_{1/4}(S_5) holds 7 products: t*t and the 6 transpositions
+    # that do not commute with t
+    alg = matsuo_s5(Q, "1/4")
+    assert {len(row) for row in alg.rows} == {7}
+    x = alg.basis_vector(0)
+    y = Vector.sparse(Q, alg.dim, {k: Q.canonical((k + 1, 2)) for k in support})
+    ys = _WalkSpy(y.terms)
+    assert sparse_product(alg, x.terms, ys) == _dense_multiply(alg, x, y).terms
+    assert ys.walks == {walk}

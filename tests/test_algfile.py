@@ -82,6 +82,26 @@ def test_validation_errors():
         algfile.loads("{not json")
 
 
+@pytest.mark.parametrize("left,right,value,message", [
+    ("x", "z", {}, "undeclared basis label in the product ['x', 'z']"),
+    ("x", "y", {"w": "1"}, "undeclared basis label in the product ['x', 'y']"),
+    (1, "x", {}, "undeclared basis label in the product [1, 'x']"),
+    (["x"] * 20, "y", {}, "undeclared basis label in the product " + repr([["x"] * 20, "y"])[:60]),
+    ("y", "x", {}, "duplicate product pair ['y', 'x']"),
+])
+def test_product_shape_messages(left, right, value, message):
+    # x*y is declared first, so the last case repeats it
+    doc = {
+        "field": {"kind": "rationals"},
+        "basis": ["x", "y"],
+        "products": [{"left": "x", "right": "y", "value": {}},
+                     {"left": left, "right": right, "value": value}],
+    }
+    with pytest.raises(AlgebraFileError) as exc:
+        algfile.load_document(doc)
+    assert str(exc.value) == message
+
+
 def test_vector_literals():
     alg, dd = catalog.instantiate("ThreeEv")
     v = algfile.parse_vector("2*eta*(a0+a1) - am1", alg, dd.eta)

@@ -462,10 +462,10 @@ def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
     assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]
 
 
-def _loaded_by_cli_import(names):
-    """Which of the named modules a fresh interpreter loads with axialcheck.cli."""
+def _loaded_by_import(modules, names):
+    """Which of the named modules a fresh interpreter loads with the given ones."""
     env = dict(os.environ, PYTHONPATH="src")
-    probe = f"import sys, axialcheck.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    probe = f"import sys, {', '.join(modules)}; print(sorted({set(names)!r} & set(sys.modules)))"
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -473,9 +473,26 @@ def _loaded_by_cli_import(names):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, so that no earlier import has loaded either module
-    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]\n"
+    assert _loaded_by_import(["axialcheck.cli"], ["dataclasses", "inspect"]) == "[]\n"
 
 
 def test_cli_import_leaves_out_fractions_and_decimal():
     # every payload is ints, so no Fraction (whose module imports decimal) is needed
-    assert _loaded_by_cli_import(["fractions", "decimal"]) == "[]\n"
+    assert _loaded_by_import(["axialcheck.cli"], ["fractions", "decimal"]) == "[]\n"
+
+
+def test_engine_import_leaves_out_the_catalog_and_the_cli():
+    # the package resolves list_entries on first use, so loading files and
+    # checking axes compiles neither the catalog nor the command line
+    loaded = _loaded_by_import(["axialcheck.algfile", "axialcheck.axial"],
+                               ["axialcheck.catalog", "axialcheck.cli", "argparse"])
+    assert loaded == "[]\n"
+
+
+def test_package_finds_list_entries_on_first_use():
+    import axialcheck
+    from axialcheck.catalog import list_entries
+
+    assert axialcheck.list_entries is list_entries
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        axialcheck.no_such_name

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from axialcheck import algfile, catalog, fields
 from axialcheck.errors import (
@@ -532,6 +532,77 @@ def test_number_field_payloads_agree_with_fraction_polynomials(minpoly, raw, r):
     assert NF.size(a) == (0, _size_reference(fa, m))
     assert NF.is_zero(a) == (fa == ())
     assert repr(NF) == f"Q[eta]/({_render_reference(m, 'eta')})"
+
+
+# ---------------------------------------------------------------------------
+# mac and settle: each kind's multiply-accumulate, against the canonical loop
+# ---------------------------------------------------------------------------
+
+MAC_FIELDS = {
+    "Q": FieldDescriptor.rationals(),
+    "GF7": FieldDescriptor.prime(7),
+    "NF": FieldDescriptor.number_field((-1, 2, 1)),
+    "QETA": FieldDescriptor.rational_functions("eta"),
+}
+# small values over few denominators, so that sums often cancel exactly and
+# Q sums meet over equal and unequal denominators
+_mac_values = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+def _mac_scalars(field):
+    if field.kind == FieldDescriptor.PRIME:
+        return st.integers(0, field.p - 1)
+    value = _mac_values.map(field.from_fraction)
+    if field.variable is not None:  # a + b*eta
+        value = st.builds(lambda a, b: a + b * field.generator(), value, value)
+    return value.map(lambda x: x.payload)
+
+
+def _mac_reference(field, steps):
+    sums = {}
+    for c, terms in steps:
+        for k, t in terms:
+            t = field.mul(c, t)
+            sums[k] = field.add(sums[k], t) if k in sums else t
+    return {k: s for k, s in sums.items() if not field.is_zero(s)}
+
+
+def _settled(field, steps):
+    out = {}
+    for c, terms in steps:
+        field.mac(out, c, terms)
+    settled = field.settle(out)
+    for payload in settled.values():
+        raw = payload
+        if field.kind == FieldDescriptor.NUMBER_FIELD:  # canonical reads a coefficient list
+            raw = [Fraction(c, payload[1]) for c in payload[0]]
+        assert not field.is_zero(payload) and field.canonical(raw) == payload
+    return settled
+
+
+@pytest.mark.parametrize("name", MAC_FIELDS)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_settle_after_mac_is_the_canonical_loop(name, data):
+    field = MAC_FIELDS[name]
+    scalars = _mac_scalars(field)
+    terms = st.lists(st.tuples(st.integers(0, 2), scalars), max_size=4)
+    steps = data.draw(st.lists(st.tuples(scalars, terms), max_size=5))
+    assert _settled(field, steps) == _mac_reference(field, steps)
+
+
+@pytest.mark.parametrize("name,steps,expected", [
+    # (1/3)(3/2) = 3/6 raw, then -(1/2) over the lcm 6 cancels it
+    ("Q", [((1, 3), [(0, (3, 2))]), ((-1, 1), [(0, (1, 2))])], {}),
+    # 1/2 + 1/3 over the lcm 6, and a sum over equal raw denominators
+    ("Q", [((1, 2), [(0, (1, 1)), (1, (1, 2))]), ((1, 3), [(0, (1, 1))]), ((1, 2), [(1, (1, 2))])],
+     {0: (5, 6), 1: (1, 2)}),
+    # 3*4 + 2*1 = 14 = 0 mod 7 drops out, and 3*6 + 6*6 = 54 = 5 mod 7
+    ("GF7", [(3, [(0, 4), (1, 6)]), (2, [(0, 1)]), (6, [(1, 6)])], {1: 5}),
+])
+def test_mac_sums_that_cancel_or_meet_over_an_lcm(name, steps, expected):
+    field = MAC_FIELDS[name]
+    assert _settled(field, steps) == _mac_reference(field, steps) == expected
 
 
 # ---------------------------------------------------------------------------
