@@ -7,6 +7,9 @@ index pairs, so x*y = y*x cannot fail by construction.
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, _terms, invert, rref
 
@@ -111,19 +114,19 @@ def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
     return Matrix.from_columns(alg.field, cols, nrows=alg.dim)
 
 
-def _span_closure(echelon: EchelonBasis, gens, product):
+def _span_closure(echelon: EchelonBasis, gens, product, n):
     """Close span(gens) under product, multiplying each pair of kept words once:
     generators first, then products breadth first, later word on the left.
     Words are {index: nonzero payload} maps.  A copy of each goes into
-    echelon, and the word is kept if it raises the rank; (pivot, word) is
-    yielded after each, pivot being what echelon._insert returned and word
-    None for a generator or (i, j) for the product of words i and j, so a
-    caller can stop early."""
+    echelon, and the word is kept if its remainder's pivot is below n;
+    (pivot, word) is yielded after each, pivot being what echelon._insert
+    returned and word None for a generator or (i, j) for the product of
+    words i and j, so a caller can stop early."""
     words = []
     for g in gens:
         pivot = echelon._insert(dict(g))
         yield pivot, None
-        if pivot is not None:
+        if pivot is not None and pivot < n:
             words.append(g)
     i = 0
     while i < len(words):
@@ -131,7 +134,7 @@ def _span_closure(echelon: EchelonBasis, gens, product):
             word = product(words[i], words[j])
             pivot = echelon._insert(dict(word))
             yield pivot, (i, j)
-            if pivot is not None:
+            if pivot is not None and pivot < n:
                 words.append(word)
         i += 1
 
@@ -141,7 +144,7 @@ def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
     The closure stops once the span is the whole algebra, which is closed."""
     echelon = EchelonBasis(alg.field, alg.dim)
     words = [_terms(g, alg.field, alg.dim) for g in gens]
-    for _ in _span_closure(echelon, words, lambda x, y: sparse_product(alg, x, y)):
+    for _ in _span_closure(echelon, words, partial(sparse_product, alg), alg.dim):
         if len(echelon.rows) == alg.dim:
             break
     return echelon.subspace()
@@ -263,51 +266,52 @@ def induce_on_quotient(m: AlgebraMap, ideal: Subspace, qalg: AlgebraDef, project
     return AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
 
-def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef) -> AlgebraMap:
-    """Extend generator images to a linear map respecting all products.
+def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
+    """Extend generator images to linear maps respecting all products.
 
-    Closes the graph {(w | image of w)} of the generators under products, the
-    image of a product word being the product of images.  A remainder that
-    vanishes on the source side only means the images disagree on a dependent
-    word.  Every pair of spanning words is checked, so a returned map is a
-    homomorphism; the graph's echelon rows are then (e_k | image of e_k).
-    Raises DataInconsistency if the images disagree or the generators span
-    a proper subspace.
+    Each pair is (g, f_1(g), ..., f_m(g)).  Closes the graph {(w | f_1(w) |
+    ... | f_m(w))} of the generators under products, taken in each summand of
+    alg + target^m, keeping a word when its source part raises the rank.  A
+    remainder whose source part vanishes means that the f_k holding its pivot
+    disagrees on a dependent word; that row reduces only f_k's part and the
+    later ones.  Every pair of spanning words is checked, so each returned map
+    is a homomorphism.  Returns f_1 for m = 1, else (f_1, ..., f_m).
+    Raises DataInconsistency as extending f_1, ..., f_m in turn would (f_1's
+    disagreement, the generators spanning a proper subspace, a later f_k's),
+    its ``image`` k - 1 for the f_k at fault.
     """
     pairs = list(pairs)
     if not pairs:
         raise DimensionMismatch("at least one generator pair is required")
-    n, field = alg.dim, target.field
+    n, t, field = alg.dim, target.dim, target.field
     if alg.field is not field:
         raise DescriptorMismatch("source and target algebras over different fields")
+    offsets = [n + b * t for b in range(len(pairs[0]) - 1)]  # where each f_k's part starts
     graph = []
-    for src, img in pairs:
+    for src, *imgs in pairs:
         if len(src) != n:
             raise DimensionMismatch("generator not in the source algebra")
-        if len(img) != target.dim:
+        if list(map(len, imgs)) != [t] * len(offsets):
             raise DimensionMismatch("image not in the target algebra")
-        graph.append(_join(_terms(src, field, n), _terms(img, field, target.dim), n))
-
-    def product(x, y):
-        (xs, xi), (ys, yi) = _halves(x, n), _halves(y, n)
-        return _join(sparse_product(alg, xs, ys), sparse_product(target, xi, yi), n)
-
-    echelon = EchelonBasis(field, n + target.dim)
-    for pivot, word in _span_closure(echelon, graph, product):
-        if pivot is not None and pivot >= n:  # the source half of the remainder vanished
+        graph.append(_terms(src, field, n) | {
+            k + off: c for off, img in zip(offsets, imgs) for k, c in _terms(img, field, t).items()})
+    rows = [*alg.rows, *({j + off: tuple((k + off, c) for k, c in terms) for j, terms in row.items()}
+                         for off in offsets for row in target.rows)]
+    direct_sum = SimpleNamespace(field=field, rows=rows)  # all that sparse_product reads
+    echelon, failed = EchelonBasis(field, n + len(offsets) * t), {}
+    for pivot, word in _span_closure(echelon, graph, partial(sparse_product, direct_sum), n):
+        if pivot is not None and pivot >= n:  # the source part of the remainder vanished
             what = "generator" if word is None else f"word {word[0]}*{word[1]}"
-            raise DataInconsistency(f"images disagree on dependent word ({what})")
-    if len(echelon.rows) < n:
-        raise DataInconsistency(f"the generators span only dimension {len(echelon.rows)} of {n}")
-    cols = [echelon.vector(k, n) for k in range(n)]
-    return AlgebraMap(alg, target, Matrix.from_columns(field, cols, nrows=target.dim))
-
-
-def _join(src, img, n):
-    """The graph word (src | img) of a source map and an image map."""
-    return src | {k + n: c for k, c in img.items()}
-
-
-def _halves(word, n):
-    """A graph word split at column n into its source and image maps."""
-    return {k: c for k, c in word.items() if k < n}, {k - n: c for k, c in word.items() if k >= n}
+            failed.setdefault((pivot - n) // t, f"images disagree on dependent word ({what})")
+            if 0 in failed:  # nothing outranks f_1's disagreement
+                break
+    if (rank := sum(pc < n for pc in echelon.rows)) < n:
+        failed.setdefault(0, f"the generators span only dimension {rank} of {n}")
+    if failed:
+        exc = DataInconsistency(failed[min(failed)])
+        exc.image = min(failed)
+        raise exc
+    maps = tuple(AlgebraMap(alg, target, Matrix.from_columns(field, [
+        Vector.sparse(field, t, {j - off: a for j, a in echelon.rows[k] if off <= j < off + t}) for k in range(n)], t))
+        for off in offsets)
+    return maps[0] if len(maps) == 1 else maps

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .axial import DihedralData
-from .algebra import AlgebraDef, AlgebraMap, extend_from_generators
+from .algebra import AlgebraDef, extend_from_generators
 from .errors import (
     AlgebraFileError,
     AxialError,
@@ -282,20 +282,20 @@ def load_document(doc, subject="file"):
 def _load_dihedral(block, alg, eta):
     lo = block["window"][0]
     seed_axes = {lo + pos: parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
-    shift = _map_from_images(alg, block["shift_images"], eta, "shift")
-    flip = _map_from_images(alg, block["flip_images"], eta, "flip")
-    return DihedralData.build(alg, seed_axes, shift, flip, eta)
-
-
-def _map_from_images(alg, images, eta, what) -> AlgebraMap:
-    pairs = [
-        (alg.basis_vector(alg.label_index(label)), parse_vector(literal, alg, eta))
-        for label, literal in images.items()
-    ]
-    try:
-        return extend_from_generators(alg, pairs, alg)
-    except DataInconsistency as exc:
-        raise DataInconsistency(f"{what} images do not extend to an automorphism: {exc}") from None
+    given = {"shift": block["shift_images"], "flip": block["flip_images"]}
+    # maps whose images list the same labels in the same order extend in one closure
+    groups = [["shift", "flip"]] if list(given["shift"]) == list(given["flip"]) else [["shift"], ["flip"]]
+    maps = []
+    for names in groups:
+        labels = list(given[names[0]])
+        images = [[parse_vector(given[what][label], alg, eta) for label in labels] for what in names]
+        gens = [alg.basis_vector(alg.label_index(label)) for label in labels]
+        try:
+            extended = extend_from_generators(alg, zip(gens, *images), alg)
+        except DataInconsistency as exc:
+            raise DataInconsistency(f"{names[exc.image]} images do not extend to an automorphism: {exc}") from None
+        maps += extended if len(names) > 1 else [extended]
+    return DihedralData.build(alg, seed_axes, *maps, eta)
 
 
 def loads(text: str):

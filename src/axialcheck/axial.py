@@ -209,12 +209,12 @@ class DihedralData:
 
     @classmethod
     def build(cls, alg, seed_axes, shift, flip, eta):
-        """Check that eta avoids 0 and 1 (check_eta), that the seed axes
-        are consecutive shifts of a_0 and that the flip fixes a_0.
-        The shift is not inverted here: a singular shift is a failed
-        dihedral check, not a rejected input.  Nor is either map checked for
-        multiplicativity: every caller passes maps that extend_from_generators
-        proved multiplicative, or that induce_on_quotient induced from such."""
+        """Check that eta avoids 0 and 1 (check_eta), that the seed axes are
+        consecutive shifts of a_0 and that the flip fixes a_0.  A singular
+        shift is a failed dihedral check, not a rejected input, so it is not
+        inverted here; nor is either map checked for multiplicativity: the
+        loader proved both with extend_from_generators, in one closure when
+        they share generators, or induce_on_quotient induced them from such."""
         check_eta(eta)
         axes = dict(seed_axes)
         seed_lo, seed_hi = min(axes), max(axes)

@@ -60,6 +60,8 @@ class NotAnIdeal(AxialError):
 class DataInconsistency(AxialError):
     """Data contradict a required structure (e.g. generator images that do not extend)."""
 
+    image = 0  # the index of the map at fault, where several maps extend together
+
 
 class ConstraintViolation(AxialError):
     """Catalog entry instantiated at inadmissible field/parameter."""

@@ -164,6 +164,18 @@ def _pgcd(a, b):
                 return candidate, qa, qb
 
 
+def _accumulate(out, k, num, d):
+    """out[k] += num/d for an integer polynomial num and an int d > 0, summed as _Rationals.mac sums."""
+    if k in out:
+        sn, sd = out[k]
+        if sd == d:
+            num = _padd(sn, num)
+        else:
+            g = math.gcd(sd, d)
+            num, d = _padd(_pscale(sn, d // g), _pscale(num, sd // g)), sd // g * d
+    out[k] = num, d
+
+
 def _cleared(coeffs):
     """(integer polynomial, d > 0) whose quotient has these coefficients: ints,
     Fractions or elements of Q."""
@@ -379,26 +391,13 @@ class FieldDescriptor:
     # Each kind defines ZERO and ONE (payloads); canonical(raw payload); embed(num,
     # den) of a rational in lowest terms; add, neg, mul and inv on canonical payloads;
     # render; and size(payload) -> (degree, bits), which bounds the growth of powers.
-    # A kind may keep the sums of mac in a raw form of its own, which settle
-    # makes canonical; Q[t]/(m) and Q(eta) take the canonical loop below.
+    # mac(out, c, terms) does out[k] += c*t for each (k, t) of terms, keeping the sums
+    # in a raw form of the kind's own, and settle(out) returns their canonical nonzero
+    # entries: each kind's one decision that an accumulated sum is zero.
     # Every payload but GF(p)'s is a pair whose first part is zero exactly for zero.
     @staticmethod
     def is_zero(a):
         return not a[0]
-
-    def mac(self, out, c, terms):
-        """out[k] += c*t for each (k, t) of terms, c and each t canonical:
-        out maps indices to sums in the kind's raw form, read only by settle."""
-        add, mul = self.add, self.mul
-        for k, t in terms:
-            t = mul(c, t)
-            out[k] = add(out[k], t) if k in out else t
-
-    def settle(self, out):
-        """The canonical nonzero entries of the sums that mac left in out.
-        This is each kind's one decision that an accumulated sum is zero."""
-        is_zero = self.is_zero
-        return {k: s for k, s in out.items() if not is_zero(s)}
 
 
 class _Rationals(FieldDescriptor):
@@ -580,6 +579,16 @@ class _NumberField(FieldDescriptor):
         e = r1[0]  # s1*c = e, so (c/d)^-1 = d*s1/e
         return self._reduce(_pscale(s1, d if e > 0 else -d), abs(e))
 
+    def mac(self, out, c, terms):
+        """Raw sums are (c, d) pairs reduced neither by the modulus nor by a gcd."""
+        cn, cd = c
+        for k, (tn, td) in terms:
+            _accumulate(out, k, _pmul(cn, tn), cd * td)
+
+    def settle(self, out):
+        reduce = self._reduce  # zero only once reduced: a raw c can be a multiple of the modulus
+        return {k: r for k, s in out.items() if (r := reduce(*s))[0]}
+
     def generator(self):
         return self.element((0, 1))
 
@@ -636,6 +645,24 @@ class _RationalFunctions(FieldDescriptor):
 
     def inv(self, a):
         return self._reduce(a[1], a[0])
+
+    def mac(self, out, c, terms):
+        """Raw sums are (N, d) pairs over an int d, as in Q[t]/(m), until a term
+        with a polynomial denominator comes: from then on the sum is a payload,
+        summed by the canonical mul and add, so no polynomial lcm is deferred."""
+        for k, t in terms:
+            s = out.get(k)
+            if len(c[1]) == len(t[1]) == 1 and (s is None or type(s[1]) is int):
+                _accumulate(out, k, _pmul(c[0], t[0]), c[1][0] * t[1][0])
+            else:
+                t = self.mul(c, t)
+                out[k] = t if s is None else self.add(t, s if type(s[1]) is tuple else (s[0], (s[1],)))
+
+    @staticmethod
+    def settle(out):
+        gcd = math.gcd  # a payload's content is 1, so it stays as it is
+        return {k: (n, d) if type(d) is tuple else (tuple(x // g for x in n), (d // g,))
+                for k, (n, d) in out.items() if n and (g := 1 if type(d) is tuple else gcd(*n, d))}
 
     def generator(self):
         return FieldElement(self, ((0, 1), _PONE))

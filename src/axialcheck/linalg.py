@@ -403,10 +403,6 @@ class EchelonBasis:
         rows[pivot] = new
         return pivot
 
-    def vector(self, pc, n=0) -> Vector:
-        """The row with pivot pc, less its first n coordinates."""
-        return Vector.sparse(self.field, self.ambient - n, {j - n: a for j, a in self.rows[pc] if j >= n})
-
     def subspace(self, n=0) -> "Subspace":
         """The span's vectors that vanish on the first n coordinates, as a
         subspace of the others: in echelon form, the rows with pivots >= n."""

@@ -191,6 +191,19 @@ def test_extend_flip_fixes_central_element():
     assert flip.apply(p1) == p1
 
 
+def test_maps_with_the_same_generators_extend_together():
+    # FiveThree's shift and flip from the axes a_-2 .. a_2, alone and in one
+    # closure; a third map, the identity but for a_-2 -> a_1, does not extend
+    alg, dd = instantiate("FiveThree")
+    gens = [dd.axis(i) for i in range(-2, 3)]
+    shift, flip = (extend_from_generators(alg, [(g, m.apply(g)) for g in gens], alg) for m in (dd.shift, dd.flip))
+    assert extend_from_generators(alg, [(g, shift.apply(g), flip.apply(g)) for g in gens], alg) == (shift, flip)
+    pairs = [(g, shift.apply(g), flip.apply(g), g if i else dd.axis(1)) for i, g in enumerate(gens)]
+    with pytest.raises(DataInconsistency, match=r"^images disagree on dependent word") as failed:
+        extend_from_generators(alg, pairs, alg)
+    assert failed.value.image == 2
+
+
 def test_extend_failures():
     alg, dd = instantiate("ThreeEvX")
     # two axes only generate a proper subalgebra here

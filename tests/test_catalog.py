@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from axialcheck import algfile, axial, catalog
+from axialcheck import algebra, algfile, axial, catalog, cli, fields
 from axialcheck.algebra import multiply
 from axialcheck.axial import split_eigenspace
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
@@ -198,6 +198,48 @@ def test_claims_run_no_identity_suite(monkeypatch):
     catalog.clear_caches()
     catalog.check_claims()
     assert calls == []
+
+
+def test_each_instantiation_extends_the_shift_and_the_flip_in_one_closure(monkeypatch):
+    # every catalog document lists the flip's generators as the shift's, in
+    # the same order, so the loader closes both graphs together
+    calls = []
+    span_closure = algebra._span_closure
+
+    def counted(*args):
+        calls.append(args)
+        return span_closure(*args)
+
+    monkeypatch.setattr(algebra, "_span_closure", counted)
+    for entry in catalog.list_entries():
+        catalog.clear_caches()
+        calls.clear()
+        catalog.instantiate(entry.name)
+        assert len(calls) == 1, entry.name
+
+
+# Every Q(eta) reduction calls fields._pgcd, so its calls bound the Q(eta)
+# work of a run, with no timing.  The bounds are the counts before the summing
+# kernels deferred Q(eta) sums, except for claims, which then made 3,769.
+@pytest.mark.parametrize("source, most", [((6, 3, 1), 2657), ((8, 4, 1), 5826), ("claims", 2000)])
+def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
+    calls = []
+    pgcd = fields._pgcd
+
+    def counted(a, b):
+        calls.append(None)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(fields, "_pgcd", counted)
+    catalog.clear_caches()
+    if source == "claims":
+        assert cli.main(["catalog", "claims"]) == 0
+    else:
+        path = tmp_path / "hostile.json"
+        path.write_text(hostile_file(*source), encoding="utf-8")
+        assert cli.main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    assert len(calls) <= most, len(calls)
 
 
 def test_a_quotient_row_with_the_wrong_child_fails(monkeypatch):

@@ -364,6 +364,43 @@ def test_images_that_are_not_multiplicative_are_rejected(tmp_path, capsys, what,
     assert (code, out, err) == (2, "", error)
 
 
+_SHIFT = "error: shift images do not extend to an automorphism: "
+_FLIP = "error: flip images do not extend to an automorphism: "
+
+
+# ThreeEvX mutations: shift and flip images set, the labels kept (None for
+# all), whether flip_images lists them reversed, and the error.  The shift and
+# the flip extend in one closure when they list the same labels in the same
+# order, and each error is the one that extending the shift and then the flip
+# would raise, with the word numbered in its own map's closure.
+@pytest.mark.parametrize("shift, flip, only, reverse, error", [
+    # both maps disagree
+    ({"a0": "a0"}, {"a1": "a1"}, None, False, _SHIFT + "images disagree on dependent word (word 1*0)\n"),
+    # the flip disagrees on word 1*0, before the shift on word 2*1
+    ({"a0": "am1"}, {"am1": "a0"}, None, False, _SHIFT + "images disagree on dependent word (word 2*1)\n"),
+    # the flip disagrees, and the generators span less than the algebra
+    ({"a0": "a1"}, {"a0": "a0 + a1"}, ["a0"], False, _SHIFT + "the generators span only dimension 1 of 3\n"),
+    # flip_images in another order: two closures, each numbering its own words
+    ({}, {"am1": "a0"}, None, True, _FLIP + "images disagree on dependent word (word 2*1)\n"),
+    ({"a0": "a0"}, {"a1": "a1"}, None, True, _SHIFT + "images disagree on dependent word (word 1*0)\n"),
+    ({"a0": "a1", "a1": "am1"}, {"a0": "a0 + a1"}, ["a0", "a1"], True,
+     _SHIFT + "the generators span only dimension 2 of 3\n"),
+    # every literal is read before the one closure, so a malformed flip
+    # literal is reported before the shift's disagreement
+    ({"a0": "a0"}, {"a1": "a1 +"}, None, False, "error: unexpected token None\n"),
+])
+def test_the_shift_and_the_flip_fail_in_order(tmp_path, capsys, shift, flip, only, reverse, error):
+    doc = _emitted(capsys, "ThreeEvX")
+    block = doc["dihedral"]
+    for what, images in (("shift", shift), ("flip", flip)):
+        given = block[f"{what}_images"]
+        given = {label: given[label] for label in only or given}
+        given.update(images)
+        block[f"{what}_images"] = dict(reversed(given.items())) if reverse and what == "flip" else given
+    code, out, err = _verify_document(capsys, tmp_path, doc)
+    assert (code, out, err) == (2, "", error)
+
+
 def _first_product_value(doc, literal):
     value = doc["products"][0]["value"]
     value[next(iter(value))] = literal

@@ -555,6 +555,11 @@ def _mac_scalars(field):
     value = _mac_values.map(field.from_fraction)
     if field.variable is not None:  # a + b*eta
         value = st.builds(lambda a, b: a + b * field.generator(), value, value)
+    if field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
+        # now and then over 1 + c*eta, so that Q(eta) sums switch from their
+        # raw form over an int to canonical sums, and still cancel
+        over = st.sampled_from([None, 1, 2]).map(lambda c: c and 1 + c * field.generator())
+        value = st.builds(lambda x, d: x / d if d else x, value, over)
     return value.map(lambda x: x.payload)
 
 
@@ -599,6 +604,15 @@ def test_settle_after_mac_is_the_canonical_loop(name, data):
      {0: (5, 6), 1: (1, 2)}),
     # 3*4 + 2*1 = 14 = 0 mod 7 drops out, and 3*6 + 6*6 = 54 = 5 mod 7
     ("GF7", [(3, [(0, 4), (1, 6)]), (2, [(0, 1)]), (6, [(1, 6)])], {1: 5}),
+    # eta*eta + 2*eta - 1 is the modulus itself: a nonzero raw sum, zero in Q[eta]/(m)
+    ("NF", [(((0, 1), 1), [(0, ((0, 1), 1))]), (((2,), 1), [(0, ((0, 1), 1))]), (((-1,), 1), [(0, ((1,), 1))])],
+     {}),
+    # 1/2 + eta/3 over the lcm 6
+    ("QETA", [(((1,), (2,)), [(0, ((1,), (1,)))]), (((1,), (3,)), [(0, ((0, 1), (1,)))])], {0: ((3, 2), (6,))}),
+    # 1/2 + 1/(1 + eta) is a canonical sum from its second term on, and
+    # - 1/(1 + eta) - 1/2 cancels it
+    ("QETA", [(((1,), (2,)), [(0, ((1,), (1,)))]), (((1,), (1,)), [(0, ((1,), (1, 1)))]),
+              (((-1,), (1,)), [(0, ((1,), (1, 1)))]), (((-1,), (2,)), [(0, ((1,), (1,)))])], {}),
 ])
 def test_mac_sums_that_cancel_or_meet_over_an_lcm(name, steps, expected):
     field = MAC_FIELDS[name]
