@@ -117,25 +117,25 @@ def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
 def _span_closure(echelon: EchelonBasis, gens, product, n):
     """Close span(gens) under product, multiplying each pair of kept words once:
     generators first, then products breadth first, later word on the left.
-    Words are {index: nonzero payload} maps.  A copy of each goes into
-    echelon, and the word is kept if its remainder's pivot is below n;
+    Words are {index: nonzero payload} maps.  Each goes into echelon and, if
+    its remainder's pivot is below n, is kept as that remainder (the new row):
+    two remainders multiply to their words' product less products of pairs
+    taken before, which are in the span, so echelon grows as on the words.
     (pivot, word) is yielded after each, pivot being what echelon._insert
     returned and word None for a generator or (i, j) for the product of
     words i and j, so a caller can stop early."""
     words = []
-    for g in gens:
-        pivot = echelon._insert(dict(g))
-        yield pivot, None
+
+    def insert(word, source):
+        pivot = echelon._insert(word)
         if pivot is not None and pivot < n:
-            words.append(g)
+            words.append(dict(echelon.rows[pivot]))
+        return pivot, source
+
+    yield from (insert(g, None) for g in gens)
     i = 0
     while i < len(words):
-        for j in range(i + 1):
-            word = product(words[i], words[j])
-            pivot = echelon._insert(dict(word))
-            yield pivot, (i, j)
-            if pivot is not None and pivot < n:
-                words.append(word)
+        yield from (insert(product(words[i], words[j]), (i, j)) for j in range(i + 1))
         i += 1
 
 

@@ -93,24 +93,28 @@ class AxisDecomposition:
         """(escapes, graded) from one pass over the eigenbasis products b_p*b_q,
         p <= q, read in eigen-coordinates: escapes maps (p, q) to b_p*b_q if it
         leaves the parts the fusion rule allows; graded is whether every
-        component has the sign s_p*s_q (part 3 odd, the others even).  It runs
-        on the vectors' terms."""
+        component has the sign s_p*s_q (part 3 odd, the others even).  Every
+        allowed set has that sign, so only an escaping product can break the
+        grading.  It runs on the vectors' terms."""
         alg, field = self.algebra, self.algebra.field
         basis = self.eigenbasis()
         parts, words = [i for i, _ in basis], [v.terms for _, v in basis]
         columns = [c.terms.items() for c in self.coordinates.columns]
+        rules = {(i, j): frozenset(allowed(i, j)) for i in range(4) for j in range(i, 4)}
         escapes, graded = {}, True
         for q, j in enumerate(parts):
             for p, i in enumerate(parts[: q + 1]):
                 prod = sparse_product(alg, words[p], words[q])
+                if not prod:
+                    continue
                 coords = {}  # B^-1 prod, summed over the columns of B^-1 at its support
                 for k, c in prod.items():
                     field.mac(coords, c, columns[k])
                 support = {parts[r] for r in field.settle(coords)}
-                if not support <= set(allowed(i, j)):
+                if not support <= rules[i, j]:
                     escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
-                odd = (i == 3) != (j == 3)
-                graded = graded and all((k == 3) == odd for k in support)
+                    odd = (i == 3) != (j == 3)
+                    graded = graded and all((k == 3) == odd for k in support)
         return escapes, graded
 
 
@@ -169,12 +173,9 @@ def check_fusion(alg: AlgebraDef, dec: AxisDecomposition):
     ordered by (i, j, x, y); empty means the fusion rule holds.
     """
     basis = dec.eigenbasis()
-    escapes = dec.product_pattern[0]
-    ordered = sorted(
-        (i, j, p, q, escapes[min(p, q), max(p, q)])
-        for p, (i, _) in enumerate(basis) for q, (j, _) in enumerate(basis)
-        if i <= j and (min(p, q), max(p, q)) in escapes
-    )
+    ordered = sorted(  # b_p*b_q for p <= q, and b_q*b_p too when b_p and b_q share a part
+        (basis[a][0], basis[b][0], a, b, prod) for (p, q), prod in dec.product_pattern[0].items()
+        for a, b in ({(p, q), (q, p)} if basis[p][0] == basis[q][0] else [(p, q)]))
     return [
         FusionViolation(i, j, basis[p][1], basis[q][1], prod, allowed(i, j))
         for i, j, p, q, prod in ordered

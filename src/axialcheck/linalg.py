@@ -12,6 +12,8 @@ matters more.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import AmbientMismatch, DescriptorMismatch, DimensionMismatch
 from .fields import FieldElement, render
 
@@ -294,8 +296,7 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        entries = dict(_terms(v, self.field, self.ambient))
-        _reduce(self.field, entries, zip(self.pivots, self.rows))
+        entries = _reduce(self.field, _terms(v, self.field, self.ambient), dict(zip(self.pivots, self.rows)))
         return Vector.sparse(self.field, self.ambient, entries)
 
     def contains(self, v: Vector) -> bool:
@@ -335,38 +336,31 @@ def _terms(v: Vector, field, ambient):
     return v.terms
 
 
-def _add_multiple(field, entries, c, terms):
-    """entries += c * terms, where entries maps columns to nonzero payloads and
-    terms are (column, payload) pairs; entries stays free of zeros."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for j, b in terms:
-        t = mul(c, b)
-        if j in entries:
-            s = add(entries[j], t)
-            if is_zero(s):
-                del entries[j]
-            else:
-                entries[j] = s
-        else:
-            entries[j] = t
-
-
 def _reduce(field, entries, rows):
-    """Clear entries at the pivot of each (pivot, row) of echelon rows by
-    subtracting c * row, c being the entry there.  The rows are zero at each
-    other's pivots, so no subtraction refills a cleared pivot."""
-    for pc, row in rows:
-        c = entries.pop(pc, None)
-        if c is not None:
-            _add_multiple(field, entries, field.neg(c), row[1:])
+    """The remainder of entries, {column: nonzero payload}, against echelon
+    rows, {pivot: row}: entries less c * row for each entry c at a pivot, by
+    mac and one settle, walking the shorter of the two.  The rows are zero at
+    each other's pivots, so no subtraction changes a c.  Returns entries
+    itself when no row applies."""
+    if len(entries) < len(rows):
+        hits = [(c, row) for pc, c in entries.items() if (row := rows.get(pc)) is not None]
+    else:
+        hits = [(c, row) for pc, row in rows.items() if (c := entries.get(pc)) is not None]
+    if not hits:
+        return entries
+    out, neg, mac = dict(entries), field.neg, field.mac
+    for c, row in hits:
+        del out[row[0][0]]
+        mac(out, neg(c), row[1:])
+    return field.settle(out)
 
 
 class EchelonBasis:
     """A subspace grown one vector at a time, kept in reduced row echelon
     form.  Each row is a tuple of its nonzero (column, payload) pairs in
     column order, led by a 1 at its pivot column, where every other row is
-    zero, so reducing a vector is one pass over the rows; the arithmetic is
-    the field's own on payloads."""
+    zero, so a vector reduces in one sum (see _reduce); the arithmetic is the
+    field's own on payloads."""
 
     __slots__ = ("field", "ambient", "rows")
 
@@ -378,13 +372,14 @@ class EchelonBasis:
         """Reduce v against the rows and keep its remainder, if nonzero, as a
         new row.  Returns the new row's pivot column (the remainder's first
         nonzero column), or None exactly when v was in the span."""
-        return self._insert(dict(_terms(v, self.field, self.ambient)))
+        return self._insert(_terms(v, self.field, self.ambient))
 
     def _insert(self, entries):
         """add() for a vector given as {column: nonzero payload}, which it
-        consumes."""
+        leaves as it is.  The rows holding the new pivot, found by bisection,
+        are reduced against the new row."""
         field, rows = self.field, self.rows
-        _reduce(field, entries, rows.items())
+        entries = _reduce(field, entries, rows)
         if not entries:
             return None
         pivot = min(entries)
@@ -392,14 +387,11 @@ class EchelonBasis:
         if lead != field.ONE:  # a fast path: the new row does not depend on the answer
             inv, mul = field.inv(lead), field.mul
             entries = {j: mul(inv, a) for j, a in entries.items()}
-        new = tuple(sorted(entries.items()))
+        new, key = tuple(sorted(entries.items())), (pivot,)  # (pivot,) sorts just before (pivot, a)
         for pc, row in rows.items():
-            c = next((a for j, a in row if j == pivot), None)
-            if c is not None:
-                reduced = dict(row)
-                del reduced[pivot]
-                _add_multiple(field, reduced, field.neg(c), new[1:])
-                rows[pc] = tuple(sorted(reduced.items()))
+            k = bisect_left(row, key)
+            if k < len(row) and row[k][0] == pivot:
+                rows[pc] = tuple(sorted(_reduce(field, dict(row), {pivot: new}).items()))
         rows[pivot] = new
         return pivot
 

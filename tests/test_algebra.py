@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from axialcheck.errors import (
     NotAnIdeal,
 )
 from axialcheck.fields import FieldDescriptor, parse_scalar
-from axialcheck.linalg import Matrix, Subspace, Vector
+from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector
 
 
 def _span_of(alg, label):
@@ -390,6 +392,111 @@ def test_closure_stops_at_the_full_span(Q, monkeypatch, matsuo_s5):
     span = algebra.generated_subalgebra(alg, gens)
     assert span.dim == alg.dim == 10
     assert max(products) < 10 and len(products) == 26
+
+
+def _raw_closure(echelon, gens, product, n):
+    # the closure before kept words became echelon remainders: it keeps each
+    # generator and each product as it was formed
+    words = []
+    for g in gens:
+        pivot = echelon._insert(g)
+        yield pivot, None
+        if pivot is not None and pivot < n:
+            words.append(g)
+    i = 0
+    while i < len(words):
+        for j in range(i + 1):
+            word = product(words[i], words[j])
+            pivot = echelon._insert(word)
+            yield pivot, (i, j)
+            if pivot is not None and pivot < n:
+                words.append(word)
+        i += 1
+
+
+CLOSURE_FIELDS = (FieldDescriptor.prime(3), FieldDescriptor.prime(7), FieldDescriptor.rationals())
+
+
+def _random_word(field, dim, rng):
+    values = [field.from_fraction(c) for c in (1, -1, 2, Fraction(1, 2))]
+    if field.variable:
+        values.append(field.generator())
+    return Vector(field, [rng.choice(values) if rng.random() < 0.5 else field.zero() for _ in range(dim)])
+
+
+def _random_algebra(field, rng):
+    """Dimension 1 to 6, each product zero or a random word."""
+    dim = rng.randint(1, 6)
+    table = {(i, j): _random_word(field, dim, rng) for i in range(dim) for j in range(i, dim) if rng.random() < 0.7}
+    return AlgebraDef(field, [f"e{i}" for i in range(dim)], table)
+
+
+def _random_field(trial, rng):
+    return KERNEL_FIELDS["QETA"] if trial % 10 == 0 else rng.choice(CLOSURE_FIELDS)
+
+
+def test_the_closure_over_remainders_matches_the_closure_over_words():
+    rng = random.Random(2106)
+    for trial in range(300):
+        alg = _random_algebra(_random_field(trial, rng), rng)
+        gens = [_random_word(alg.field, alg.dim, rng).terms for _ in range(rng.randint(1, 3))]
+        runs = []
+        for closure in (algebra._span_closure, _raw_closure):
+            echelon = EchelonBasis(alg.field, alg.dim)
+            runs.append((list(closure(echelon, gens, partial(sparse_product, alg), alg.dim)), echelon.rows))
+        assert runs[0] == runs[1], trial
+
+
+def test_extending_over_remainders_matches_extending_over_words(monkeypatch):
+    # two maps, each the identity or random images, on a basis or on random
+    # generators: the same maps, or the same error text and image
+    rng, outcomes, closures = random.Random(517), Counter(), (algebra._span_closure, _raw_closure)
+    for trial in range(300):
+        alg = _random_algebra(_random_field(trial, rng), rng)
+        if rng.random() < 0.5:
+            gens = [alg.basis_vector(i) for i in range(alg.dim)]
+        else:
+            gens = [_random_word(alg.field, alg.dim, rng) for _ in range(rng.randint(1, alg.dim))]
+        identity = [rng.random() < 0.5 for _ in "fg"]
+        pairs = [(g, *(g if same else _random_word(alg.field, alg.dim, rng) for same in identity)) for g in gens]
+        results = []
+        for closure in closures:
+            monkeypatch.setattr(algebra, "_span_closure", closure)
+            try:
+                results.append(extend_from_generators(alg, pairs, alg))
+            except DataInconsistency as exc:
+                results.append((str(exc), exc.image))
+        assert results[0] == results[1], trial
+        first, second = results[0]
+        outcomes["maps" if isinstance(first, AlgebraMap) else "span" if "span only" in first else f"image {second}"] += 1
+    assert min(outcomes[k] for k in ("maps", "span", "image 0", "image 1")) >= 20, outcomes
+
+
+@pytest.mark.parametrize("fixture, most", [("Q", 48), ("GF7", 48)])
+def test_the_closure_of_matsuo_s5_keeps_unit_words(fixture, most, request, monkeypatch, matsuo_s5):
+    # every kept word of the adjacent transpositions' closure is its echelon
+    # remainder, a unit vector, so each product sums one row of structure
+    # constants: 48 terms in all, where the raw words summed 152
+    field = request.getfixturevalue(fixture)
+    alg = matsuo_s5(field, "1/4")
+    gens = [alg.basis_vector(alg.label_index(label)) for label in ("12", "23", "34", "45")]
+    lengths, summed = set(), [0]
+    mac = type(field).mac
+
+    def counted(alg, xs, ys):
+        lengths.update((len(xs), len(ys)))
+        return sparse_product(alg, xs, ys)
+
+    def counted_mac(out, c, terms):  # one multiplication per term
+        terms = tuple(terms)
+        summed[0] += len(terms)
+        return mac(out, c, terms)
+
+    monkeypatch.setattr(algebra, "sparse_product", counted)
+    monkeypatch.setattr(type(field), "mac", staticmethod(counted_mac))
+    assert algebra.generated_subalgebra(alg, gens).dim == alg.dim
+    assert lengths == {1}
+    assert summed[0] <= most, summed[0]
 
 
 # one field of each kind; the number field is Q[eta]/(eta^2 + 2*eta - 1)

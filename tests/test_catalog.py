@@ -218,16 +218,14 @@ def test_each_instantiation_extends_the_shift_and_the_flip_in_one_closure(monkey
         assert len(calls) == 1, entry.name
 
 
-# Every Q(eta) reduction calls fields._pgcd, so its calls bound the Q(eta)
-# work of a run, with no timing.  The bounds are the counts before the summing
-# kernels deferred Q(eta) sums, except for claims, which then made 3,769.
-@pytest.mark.parametrize("source, most", [((6, 3, 1), 2657), ((8, 4, 1), 5826), ("claims", 2000)])
-def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
+def _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source):
+    """The operand lengths of every fields._pgcd call of verifying
+    hostile_file(*source), or of catalog claims."""
     calls = []
     pgcd = fields._pgcd
 
     def counted(a, b):
-        calls.append(None)
+        calls.append((len(a), len(b)))
         return pgcd(a, b)
 
     monkeypatch.setattr(fields, "_pgcd", counted)
@@ -239,7 +237,25 @@ def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hosti
         path.write_text(hostile_file(*source), encoding="utf-8")
         assert cli.main(["verify", str(path)]) == 1
     capsys.readouterr()
+    return calls
+
+
+# Every Q(eta) reduction calls fields._pgcd, so its calls bound the Q(eta)
+# work of a run, with no timing.  The bounds are the counts before the summing
+# kernels deferred Q(eta) sums, except for claims, which then made 3,769.
+@pytest.mark.parametrize("source, most", [((6, 3, 1), 2657), ((8, 4, 1), 5826), ("claims", 2000)])
+def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
+    calls = _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source)
     assert len(calls) <= most, len(calls)
+
+
+# Most of those calls return at once for a constant operand; the ones with two
+# non-constant operands run Brown's algorithm, and these are their counts.
+@pytest.mark.parametrize("source, most", [((6, 3, 1), 468), ((8, 4, 1), 796), ("claims", 67)])
+def test_brown_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
+    calls = _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source)
+    brown = sum(a > 1 and b > 1 for a, b in calls)
+    assert brown <= most, brown
 
 
 def test_a_quotient_row_with_the_wrong_child_fails(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from axialcheck.catalog import instantiate
 from axialcheck.errors import DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, parse_scalar
-from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, rref, solve_in_span
+from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, _reduce, invert, kernel, rref, solve_in_span
 
 
 def _random_matrix(field, rng, rows, cols, span=5):
@@ -340,6 +340,73 @@ def test_payload_maps_match_entrywise_loops(fixture, request):
             assert rref(m)[1] < n
         else:
             assert _dense_matmul(m, inverse) == Matrix.identity(field, n) == _dense_matmul(inverse, m)
+
+
+def _payload(field, rng):
+    """A random nonzero payload: a small fraction, times eta or 1/(1 + eta)
+    now and then where the field has eta, so that Q(eta) sums also meet
+    polynomial denominators."""
+    x = field.from_fraction(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
+    if field.variable and rng.random() < 0.5:
+        eta = field.generator()
+        x = x * (eta if rng.random() < 0.5 else (field.one() + eta).inverse())
+    return x.payload
+
+
+def _naive_reduce(field, entries, rows):
+    # one row at a time in pivot order, each sum by the canonical add and mul
+    entries = dict(entries)
+    for pc in sorted(rows):
+        c = entries.get(pc)
+        for j, b in rows[pc] if c is not None else ():
+            s = field.add(entries.get(j, field.ZERO), field.mul(field.neg(c), b))
+            if field.is_zero(s):
+                del entries[j]
+            else:
+                entries[j] = s
+    return entries
+
+
+def _naive_insert(field, rows, entries):
+    # EchelonBasis._insert by _naive_reduce, back-substituting into every row
+    entries = _naive_reduce(field, entries, rows)
+    if entries:
+        pivot = min(entries)
+        inv = field.inv(entries[pivot])
+        new = tuple(sorted((j, field.mul(inv, a)) for j, a in entries.items()))
+        for pc in rows:
+            rows[pc] = tuple(sorted(_naive_reduce(field, dict(rows[pc]), {pivot: new}).items()))
+        rows[pivot] = new
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
+def test_reduce_and_insert_match_the_canonical_elimination(fixture, request):
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for _ in range(20):
+        n = rng.randint(4, 9)
+        echelon, reference = EchelonBasis(field, n), {}
+        for _ in range(rng.randint(1, n)):
+            terms = {j: _payload(field, rng) for j in rng.sample(range(n), rng.randint(1, n))}
+            echelon._insert(terms)
+            _naive_insert(field, reference, terms)
+            rows = echelon.rows
+            assert rows == reference
+            for pc, row in rows.items():  # lead 1, zero at the other pivots, sorted, no zeros
+                assert row[0] == (pc, field.ONE) and not set(rows).intersection(j for j, _ in row[1:])
+                assert [j for j, _ in row] == sorted({j for j, _ in row})
+                assert not any(field.is_zero(a) for _, a in row)
+            for size in (1, len(rows) + 1, n):  # shorter and longer than the row set
+                v = {j: _payload(field, rng) for j in rng.sample(range(n), min(size, n))}
+                assert _reduce(field, v, rows) == _naive_reduce(field, v, rows)
+
+
+def test_a_raw_sum_that_is_a_multiple_of_the_modulus_is_zero(NF):
+    # (1 - 2 eta) - eta * eta sums -(eta^2 + 2 eta - 1) raw: zero in Q[eta]/(m)
+    eta, one = NF.generator().payload, NF.ONE
+    v = {0: eta, 1: (NF.one() - NF.from_int(2) * NF.generator()).payload}
+    assert _reduce(NF, v, {0: ((0, one), (1, eta))}) == {}
+    assert _reduce(NF, {**v, 2: one}, {0: ((0, one), (1, eta))}) == {2: one}
 
 
 def test_zero_sizes_keep_their_shape(Q):
