@@ -8,8 +8,10 @@ Supported field kinds, one FieldDescriptor subclass each:
 * ``number_field``         -- Q[t]/(m(t)) for a monic irreducible m of degree 2 or 3,
 * ``rational_functions``   -- Q(t) in one named variable.
 
-Every element is kept in a unique canonical form so that equality of values
-is equality of payloads.  Payloads are immutable; all operations are pure.
+Every element is kept in a unique canonical form, so equal values have equal
+payloads (and hashes); equality itself is decided as every zero is, by the
+field's settle on the difference.  Payloads are immutable; all operations are
+pure.
 Polynomial payloads hold integer polynomials (tuples of ints) and integer
 denominators; an int or a Fraction is read by its numerator and denominator.
 Fields are interned: equal fields are one object and compare by identity.
@@ -389,11 +391,12 @@ class FieldDescriptor:
         raise UnknownSymbol(f"field {self!r} has no variable")
 
     # Each kind defines ZERO and ONE (payloads); canonical(raw payload); embed(num,
-    # den) of a rational in lowest terms; add, neg, mul and inv on canonical payloads;
+    # den) of a rational in lowest terms; neg, mul and inv on canonical payloads;
     # render; and size(payload) -> (degree, bits), which bounds the growth of powers.
     # mac(out, c, terms) does out[k] += c*t for each (k, t) of terms, keeping the sums
-    # in a raw form of the kind's own, and settle(out) returns their canonical nonzero
-    # entries: each kind's one decision that an accumulated sum is zero.
+    # in a raw form of the kind's own (a canonical payload is one), and settle(out)
+    # returns their canonical nonzero entries.  mac is each kind's one addition rule,
+    # and settle its one decision that a sum, or a difference, is zero.
     # Every payload but GF(p)'s is a pair whose first part is zero exactly for zero.
     @staticmethod
     def is_zero(a):
@@ -404,7 +407,7 @@ class _Rationals(FieldDescriptor):
     """Payloads are (numerator, denominator) ints: coprime, the denominator
     positive, so zero is (0, 1).  The arithmetic is that of fractions.Fraction
     on plain ints (Knuth, TAOCP vol. 2, 4.5.1): as the operands are reduced,
-    gcds of the smaller cross terms reduce each result."""
+    gcds of the smaller cross terms reduce each product."""
 
     __slots__ = ()
     kind = FieldDescriptor.RATIONALS
@@ -423,18 +426,6 @@ class _Rationals(FieldDescriptor):
     @staticmethod
     def embed(num, den):
         return num, den
-
-    @staticmethod
-    def add(a, b):
-        na, da = a
-        nb, db = b
-        g = math.gcd(da, db)
-        if g == 1:  # then the sum is already reduced
-            return na * db + da * nb, da * db
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = math.gcd(t, g)  # a zero sum has da = db = g, so it comes out (0, 1)
-        return t // g2, s * (db // g2)
 
     @staticmethod
     def neg(a):
@@ -506,9 +497,6 @@ class _PrimeField(FieldDescriptor):
             raise DenominatorVanishes(f"{_render_fraction(num, den)} has no image in GF({self.p})")
         return num * pow(den, -1, self.p) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -556,9 +544,6 @@ class _NumberField(FieldDescriptor):
     @staticmethod
     def embed(num, den):
         return (num,) if num else _PZERO, den
-
-    def add(self, a, b):
-        return self._reduce(_padd(_pscale(a[0], b[1]), _pscale(b[0], a[1])), a[1] * b[1])
 
     @staticmethod
     def neg(a):
@@ -630,7 +615,7 @@ class _RationalFunctions(FieldDescriptor):
     def embed(num, den):
         return (num,) if num else _PZERO, (den,)
 
-    def add(self, a, b):
+    def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
         if d1 == d2:
             return self._reduce(_padd(n1, n2), d1)
@@ -649,14 +634,18 @@ class _RationalFunctions(FieldDescriptor):
     def mac(self, out, c, terms):
         """Raw sums are (N, d) pairs over an int d, as in Q[t]/(m), until a term
         with a polynomial denominator comes: from then on the sum is a payload,
-        summed by the canonical mul and add, so no polynomial lcm is deferred."""
+        summed by the canonical mul and _add, so no polynomial lcm is deferred.
+        A payload over a constant, as a caller may seed out with, is such a
+        raw pair already."""
         for k, t in terms:
             s = out.get(k)
+            if s is not None and type(s[1]) is tuple and len(s[1]) == 1:
+                s = out[k] = s[0], s[1][0]
             if len(c[1]) == len(t[1]) == 1 and (s is None or type(s[1]) is int):
                 _accumulate(out, k, _pmul(c[0], t[0]), c[1][0] * t[1][0])
             else:
                 t = self.mul(c, t)
-                out[k] = t if s is None else self.add(t, s if type(s[1]) is tuple else (s[0], (s[1],)))
+                out[k] = t if s is None else self._add(t, s if type(s[1]) is tuple else (s[0], (s[1],)))
 
     @staticmethod
     def settle(out):
@@ -698,9 +687,17 @@ class FieldElement:
         return self.field.is_zero(self.payload)
 
     def is_one(self):
-        return self.payload == self.field.ONE
+        f = self.field
+        return not self._sum(f.neg(f.ONE), f.ONE)
 
     # helpers --------------------------------------------------------------
+
+    def _sum(self, c, b):
+        """self + c*b for payloads c and b, by the field's mac and settle: {0:
+        payload}, or {} exactly when the sum is zero."""
+        f, out = self.field, {0: self.payload}
+        f.mac(out, c, ((0, b),))
+        return f.settle(out)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -720,7 +717,7 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        return FieldElement(f, f.add(self.payload, other.payload))
+        return FieldElement(f, self._sum(f.ONE, other.payload).get(0, f.ZERO))
 
     __radd__ = __add__
 
@@ -790,7 +787,8 @@ class FieldElement:
                 other = self.field.from_fraction(other)
             except DenominatorVanishes:
                 return False
-        return self.field is other.field and self.payload == other.payload
+        f = self.field
+        return f is other.field and not self._sum(f.neg(f.ONE), other.payload)
 
     def __hash__(self):
         return hash((self.field, self.payload))

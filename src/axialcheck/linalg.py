@@ -76,21 +76,18 @@ class Vector:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        """self + c*other for a payload c, by one mac and one settle."""
         self._check(other)
-        add, is_zero = self.field.add, self.field.is_zero
-        terms = dict(self.terms)
-        for j, b in other.terms.items():
-            s = add(terms[j], b) if j in terms else b
-            if is_zero(s):
-                del terms[j]
-            else:
-                terms[j] = s
-        return Vector.sparse(self.field, self.dim, terms)
+        field, out = self.field, dict(self.terms)
+        field.mac(out, c, other.terms.items())
+        return Vector.sparse(field, self.dim, field.settle(out))
+
+    def __add__(self, other):
+        return self._plus(self.field.ONE, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return self + -other
+        return self._plus(self.field.neg(self.field.ONE), other)
 
     def __neg__(self):
         neg = self.field.neg
@@ -108,7 +105,7 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.field is other.field and self.dim == other.dim and self.terms == other.terms
+        return self.field is other.field and self.dim == other.dim and not (self - other).terms
 
     def _check(self, other):
         if not isinstance(other, Vector):
@@ -313,15 +310,6 @@ class Subspace:
         for w in other.rows:
             sums._insert(dict(w))
         return sums.subspace(n)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.ambient == other.ambient
-            and self.rows == other.rows
-        )
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

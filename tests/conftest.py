@@ -54,13 +54,13 @@ def sympy_value():
 
 
 @pytest.fixture(scope="session")
-def sympy_matrix(sympy_value):
-    """(rows, ncols, field) -> the rows as a sympy DomainMatrix over the
-    domain matching field: sympy serves as an independent, test-only oracle.
-    A number field must be Q[eta]/(eta^2+2*eta-1), mapped to QQ<sqrt(2)>."""
+def sympy_domain(sympy_value):
+    """field -> (domain, convert): the sympy domain matching field and the map
+    of its elements into it, so that sympy serves as an independent, test-only
+    oracle.  A number field must be Q[eta]/(eta^2+2*eta-1), mapped to
+    QQ<sqrt(2)>."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import GF, QQ
-    from sympy.polys.matrices import DomainMatrix
 
     def domain(field):
         if field.kind == field.RATIONALS:
@@ -80,10 +80,19 @@ def sympy_matrix(sympy_value):
             nf.zero,
         )
 
+    return domain
+
+
+@pytest.fixture(scope="session")
+def sympy_matrix(sympy_domain):
+    """(rows, ncols, field) -> the rows as a sympy DomainMatrix over the
+    domain matching field (see sympy_domain)."""
+    from sympy.polys.matrices import DomainMatrix
+
     converted = {}
 
     def matrix(rows, ncols, field):
-        dom, convert = domain(field)
+        dom, convert = sympy_domain(field)
         for e in (e for r in rows for e in r if e not in converted):
             converted[e] = convert(e)
         return DomainMatrix([[converted[e] for e in r] for r in rows], (len(rows), ncols), dom)

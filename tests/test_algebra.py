@@ -90,7 +90,7 @@ def test_generated_subalgebra():
         alg.dim,
         [dd.axis(0), dd.axis(1), alg.basis_vector(alg.label_index("p1"))],
     )
-    assert span == expected
+    assert span.rows == expected.rows
     alg5, dd5 = instantiate("FiveThree")
     assert generated_subalgebra(alg5, [dd5.axis(0), dd5.axis(1)]).dim == 3
     full = generated_subalgebra(alg5, [alg5.basis_vector(i) for i in range(alg5.dim)])
@@ -261,7 +261,7 @@ def test_generated_subalgebra_matches_closure_by_rounds(name):
         [alg.zero_vector(), dd.axis(0) + dd.axis(1)],
         [_rand_vec(alg, rng)],
     ):
-        assert generated_subalgebra(alg, gens) == _closure_by_rounds(alg, gens)
+        assert generated_subalgebra(alg, gens).rows == _closure_by_rounds(alg, gens).rows
 
 
 ENTRIES = ("ThreeEv", "ThreeEvX", "FourEv", "FourEvX", "BarFourTwo", "FiveThree", "SixThree", "Seven", "SevenX")

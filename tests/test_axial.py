@@ -87,7 +87,7 @@ def test_split_five_three():
     m3 = Subspace.from_vectors(
         alg.field, alg.dim, [_axis_diff(alg, dd, 1), _axis_diff(alg, dd, 2)]
     )
-    assert dec.part(3) == m3
+    assert dec.part(3).rows == m3.rows
     assert not check_fusion(alg, dec)
 
 
@@ -95,7 +95,7 @@ def test_split_three_ev():
     alg, dd = instantiate("ThreeEv")
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
     assert dec.dims() == (1, 1, 1, 1)
-    assert dec.part(3) == Subspace.from_vectors(alg.field, alg.dim, [_axis_diff(alg, dd, 1)])
+    assert dec.part(3).rows == Subspace.from_vectors(alg.field, alg.dim, [_axis_diff(alg, dd, 1)]).rows
     lam = lambda_coefficient(alg, dec, dd.axis(1))
     assert lam == parse_scalar("3*eta/4", alg.field)
 
@@ -141,7 +141,8 @@ def test_eta_parts_are_the_eta_space_met_with_the_flip_eigenspaces(Q, name, mats
     dec = split_eigenspace(alg, a, eta, tau)
     ad_eta = adjoint_matrix(alg, a).sub_scalar_diag(eta)
     one = alg.field.one()
-    assert dec.parts[2:] == tuple(_stacked_kernel(ad_eta, tau.matrix.sub_scalar_diag(s)) for s in (one, -one))
+    assert [p.rows for p in dec.parts[2:]] == [_stacked_kernel(ad_eta, tau.matrix.sub_scalar_diag(s)).rows
+                                               for s in (one, -one)]
 
 
 def test_identity_involution_gives_trivial_negated_part():
@@ -198,7 +199,7 @@ def test_axes_follow_the_base_axis_through_the_shift(case):
             Subspace.from_vectors(alg.field, alg.dim, [shift_i.apply(v) for v in part.basis])
             for part in base.parts
         )
-        assert dec.parts == moved, (case, i)
+        assert [p.rows for p in dec.parts] == [p.rows for p in moved], (case, i)
         assert len(check_fusion(alg, dec)) == base_violations, (case, i)
         if not base_violations:
             assert miyamoto(alg, dec) == dd.involution_at(i), (case, i)
@@ -239,7 +240,7 @@ def test_dihedral_generators_span_every_axis(case):
     (lo, hi), _, rank = axis_orbit(alg, dd)
     wide = [dd.axis(i) for i in range(-(2 * d + 2), 2 * d + 4)]
     span = Subspace.from_vectors(alg.field, d, [dd.axis(i) for i in range(lo, hi + 1)])
-    assert span == Subspace.from_vectors(alg.field, d, wide)
+    assert span.rows == Subspace.from_vectors(alg.field, d, wide).rows
     assert span.dim == rank
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialcheck import algfile, catalog, fields
+from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.errors import (
     DenominatorVanishes,
     DescriptorMismatch,
@@ -17,11 +18,12 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import (
     FieldDescriptor,
+    FieldElement,
     parse_scalar,
     render,
     specialize,
 )
-from axialcheck.linalg import Vector
+from axialcheck.linalg import Matrix, Vector
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,11 @@ def test_numbers_too_long_for_a_literal_are_not_rendered(Q):
 # ---------------------------------------------------------------------------
 
 
+def _plus(field, a, b):
+    """a + b for payloads, by FieldElement's +: the field's mac and settle."""
+    return (FieldElement(field, a) + FieldElement(field, b)).payload
+
+
 def _is_canonical_pair(payload):
     num, den = payload
     return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
@@ -355,7 +362,7 @@ def _raw_rational_pairs(draw):
 def test_rational_payloads_agree_with_fraction(pairs):
     Q = FieldDescriptor.rationals()
     (a, b), (fa, fb) = (Q.canonical(r) for r in pairs), (Fraction(*r) for r in pairs)
-    expected = [(a, fa), (b, fb), (Q.add(a, b), fa + fb), (Q.add(a, a), fa + fa),
+    expected = [(a, fa), (b, fb), (_plus(Q, a, b), fa + fb), (_plus(Q, a, a), fa + fa),
                 (Q.neg(a), -fa), (Q.mul(a, b), fa * fb), (Q.embed(fa.numerator, fa.denominator), fa)]
     if fb:
         expected.append((Q.inv(b), 1 / fb))
@@ -370,8 +377,8 @@ def test_rational_payloads_agree_with_fraction(pairs):
 def test_rational_payloads_with_a_zero_operand(Q):
     x = (3, 7)
     assert Q.mul((0, 1), x) == Q.mul(x, (0, 1)) == Q.mul((0, 1), (0, 1)) == (0, 1)
-    assert Q.add((0, 1), x) == Q.add(x, (0, 1)) == x
-    assert Q.add(x, Q.neg(x)) == Q.add((5, 12), (-5, 12)) == (0, 1)
+    assert _plus(Q, (0, 1), x) == _plus(Q, x, (0, 1)) == x
+    assert _plus(Q, x, Q.neg(x)) == _plus(Q, (5, 12), (-5, 12)) == (0, 1)
     assert Q.neg((0, 1)) == Q.canonical((0, -5)) == Q.embed(0, 1) == Q.ZERO == (0, 1)
     assert Q.is_zero((0, 1)) and not Q.is_zero(x)
     assert render(Q.zero()) == "0"
@@ -472,20 +479,21 @@ def _is_canonical_function(payload):
             and (not num or len(_fgcd(_fpoly(num), _fpoly(den))) == 1))
 
 
+def _function_value(payload):
+    """A Q(eta) payload in the form of the Fraction reference."""
+    num, den = payload
+    return tuple(Fraction(c, den[-1]) for c in num), tuple(Fraction(c, den[-1]) for c in den)
+
+
 @given(_raw_rational_functions(), _raw_rational_functions(), _coefficients)
 def test_rational_function_payloads_agree_with_fraction_polynomials(raw_a, raw_b, r):
     QETA = FieldDescriptor.rational_functions("eta")
-
-    def value(payload):  # the reference form of a payload
-        num, den = payload
-        return tuple(Fraction(c, den[-1]) for c in num), tuple(Fraction(c, den[-1]) for c in den)
-
     a, b = QETA.canonical(raw_a), QETA.canonical(raw_b)
     (na, da), (nb, db) = fa, fb = _fraction_function(*raw_a), _fraction_function(*raw_b)
     expected = [
         (a, fa), (b, fb), (QETA.neg(a), (tuple(-c for c in na), da)),
-        (QETA.add(a, b), _fraction_function(_fadd(_fmul(na, db), _fmul(nb, da)), _fmul(da, db))),
-        (QETA.add(a, a), _fraction_function(_fadd(na, na), da)),
+        (_plus(QETA, a, b), _fraction_function(_fadd(_fmul(na, db), _fmul(nb, da)), _fmul(da, db))),
+        (_plus(QETA, a, a), _fraction_function(_fadd(na, na), da)),
         (QETA.mul(a, b), _fraction_function(_fmul(na, nb), _fmul(da, db))),
         (QETA.embed(r.numerator, r.denominator), _fraction_function(_fpoly([r]), (1,))),
     ]
@@ -493,7 +501,7 @@ def test_rational_function_payloads_agree_with_fraction_polynomials(raw_a, raw_b
         expected.append((QETA.inv(b), _fraction_function(db, nb)))
     for payload, reference in expected:
         assert _is_canonical_function(payload)
-        assert value(payload) == reference
+        assert _function_value(payload) == reference
     assert QETA.canonical(a) == a
     text = _render_reference(na, "eta")
     assert render(QETA.element(raw_a)) == (text if da == (1,) else f"({text})/({_render_reference(da, 'eta')})")
@@ -518,8 +526,8 @@ def test_number_field_payloads_agree_with_fraction_polynomials(minpoly, raw, r):
 
     a, b = (NF.canonical(p) for p in raw)
     fa, fb = (_fmod(p, m) for p in raw)
-    expected = [(a, fa), (b, fb), (NF.neg(a), tuple(-c for c in fa)), (NF.add(a, b), _fadd(fa, fb)),
-                (NF.add(a, a), _fadd(fa, fa)), (NF.mul(a, b), _fmod(_fmul(fa, fb), m)),
+    expected = [(a, fa), (b, fb), (NF.neg(a), tuple(-c for c in fa)), (_plus(NF, a, b), _fadd(fa, fb)),
+                (_plus(NF, a, a), _fadd(fa, fa)), (NF.mul(a, b), _fmod(_fmul(fa, fb), m)),
                 (NF.embed(r.numerator, r.denominator), _fpoly([r]))]
     if fb:
         inverse = NF.inv(b)
@@ -535,7 +543,7 @@ def test_number_field_payloads_agree_with_fraction_polynomials(minpoly, raw, r):
 
 
 # ---------------------------------------------------------------------------
-# mac and settle: each kind's multiply-accumulate, against the canonical loop
+# mac and settle: each kind's multiply-accumulate, against Fraction arithmetic
 # ---------------------------------------------------------------------------
 
 MAC_FIELDS = {
@@ -563,13 +571,37 @@ def _mac_scalars(field):
     return value.map(lambda x: x.payload)
 
 
+def _reference_arithmetic(field):
+    """(value, add, mul): a payload's value, and the sum and product of values,
+    by Fraction and the Fraction-polynomial helpers above, sharing no code with
+    the field.  Canonical payloads of equal values are equal."""
+    if field.kind == FieldDescriptor.RATIONALS:
+        return (lambda a: Fraction(*a)), (lambda x, y: x + y), (lambda x, y: x * y)
+    if field.kind == FieldDescriptor.PRIME:
+        p = field.p
+        return (lambda a: a), (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
+    if field.kind == FieldDescriptor.NUMBER_FIELD:
+        m = _fpoly(field.minpoly)
+        return (lambda a: _fpoly([Fraction(c, a[1]) for c in a[0]])), _fadd, (lambda x, y: _fmod(_fmul(x, y), m))
+    return (_function_value,
+            lambda x, y: _fraction_function(_fadd(_fmul(x[0], y[1]), _fmul(y[0], x[1])), _fmul(x[1], y[1])),
+            lambda x, y: _fraction_function(_fmul(x[0], y[0]), _fmul(x[1], y[1])))
+
+
+def _values(field, payloads):
+    value = _reference_arithmetic(field)[0]
+    return {k: value(a) for k, a in payloads.items()}
+
+
 def _mac_reference(field, steps):
+    value, add, mul = _reference_arithmetic(field)
     sums = {}
     for c, terms in steps:
         for k, t in terms:
-            t = field.mul(c, t)
-            sums[k] = field.add(sums[k], t) if k in sums else t
-    return {k: s for k, s in sums.items() if not field.is_zero(s)}
+            t = mul(value(c), value(t))
+            sums[k] = add(sums[k], t) if k in sums else t
+    zero = value(field.ZERO)
+    return {k: s for k, s in sums.items() if s != zero}
 
 
 def _settled(field, steps):
@@ -593,7 +625,7 @@ def test_settle_after_mac_is_the_canonical_loop(name, data):
     scalars = _mac_scalars(field)
     terms = st.lists(st.tuples(st.integers(0, 2), scalars), max_size=4)
     steps = data.draw(st.lists(st.tuples(scalars, terms), max_size=5))
-    assert _settled(field, steps) == _mac_reference(field, steps)
+    assert _values(field, _settled(field, steps)) == _mac_reference(field, steps)
 
 
 @pytest.mark.parametrize("name,steps,expected", [
@@ -616,7 +648,69 @@ def test_settle_after_mac_is_the_canonical_loop(name, data):
 ])
 def test_mac_sums_that_cancel_or_meet_over_an_lcm(name, steps, expected):
     field = MAC_FIELDS[name]
-    assert _settled(field, steps) == _mac_reference(field, steps) == expected
+    settled = _settled(field, steps)
+    assert settled == expected and _values(field, settled) == _mac_reference(field, steps)
+
+
+# ---------------------------------------------------------------------------
+# equality is a zero test: every == settles a difference by the field's settle
+# ---------------------------------------------------------------------------
+
+
+def _small_element(field, rng):
+    """A seeded element of few values, so that equal pairs come often."""
+    x = field.from_fraction(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+    if field.variable is not None:
+        x = x + field.from_int(rng.randint(-1, 1)) * field.generator()
+        if field.kind == FieldDescriptor.RATIONAL_FUNCTIONS and rng.random() < 0.5:
+            x = x / (field.one() + field.generator())
+    return x
+
+
+def test_no_field_kind_has_a_second_addition_rule():
+    for cls in (FieldDescriptor, *FieldDescriptor.__subclasses__()):
+        assert not hasattr(cls, "add"), cls
+
+
+@pytest.mark.parametrize("name", MAC_FIELDS)
+def test_equality_is_a_zero_test(name, monkeypatch):
+    field = MAC_FIELDS[name]
+    settle, settles = field.settle, []
+
+    def counted(self, out):
+        settles.append(out)
+        return settle(out)
+
+    monkeypatch.setattr(type(field), "settle", counted)
+
+    def decided(outcome, expected):
+        # the outcome agrees with payload comparison, and came through settle
+        assert outcome == expected and settles
+        settles.clear()
+
+    rng = random.Random(name)
+    source, target = AlgebraDef(field, ["e0", "e1"], {}), AlgebraDef(field, ["e0", "e1", "e2"], {})
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        xs = [_small_element(field, rng) for _ in range(3)]
+        # equal values by another route about half the time
+        ys = [x - field.one() + field.one() if rng.random() < 0.5 else _small_element(field, rng) for x in xs]
+        for x, y in zip(xs, ys):
+            same = x.payload == y.payload
+            seen[same] += 1
+            settles.clear()
+            decided(x == y, same)
+            decided(x != y, not same)
+            decided(x.is_one(), x.payload == field.ONE)
+        u, v = Vector(field, xs), Vector(field, ys)
+        decided(u == v, u.terms == v.terms)
+        decided(u != v, u.terms != v.terms)
+        m, n = (Matrix.from_columns(field, [w, u], 3) for w in (u, v))
+        decided(m == n, u.terms == v.terms)
+        decided(AlgebraMap(source, target, m) == AlgebraMap(source, target, n), u.terms == v.terms)
+    assert seen[True] and seen[False]
+    decided(field.one().is_one(), True)
+    decided((field.one() + field.one() - field.one()).is_one(), True)
 
 
 # ---------------------------------------------------------------------------
