@@ -25,8 +25,6 @@ from .errors import (
 from .fields import FieldDescriptor, parse_scalar, render
 from .linalg import Subspace
 
-QETA = FieldDescriptor.rational_functions("eta")
-
 GLOBAL_EXCLUDED_ETA = ("0", "1", "1/2")
 
 
@@ -384,7 +382,7 @@ def field_from_spec(spec: str) -> FieldDescriptor:
     if spec == "q":
         return FieldDescriptor.rationals()
     if spec == "qeta":
-        return QETA
+        return FieldDescriptor.rational_functions("eta")
     try:
         if spec.startswith("gf:"):
             return FieldDescriptor.prime(int(spec[3:]))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from axialcheck import algebra, algfile, axial, catalog, cli, fields
+from axialcheck import algebra, algfile, axial, catalog, cli, polynomials
 from axialcheck.algebra import multiply
 from axialcheck.axial import split_eigenspace
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
@@ -219,16 +219,16 @@ def test_each_instantiation_extends_the_shift_and_the_flip_in_one_closure(monkey
 
 
 def _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source):
-    """The operand lengths of every fields._pgcd call of verifying
+    """The operand lengths of every polynomials._pgcd call of verifying
     hostile_file(*source), or of catalog claims."""
     calls = []
-    pgcd = fields._pgcd
+    pgcd = polynomials._pgcd
 
     def counted(a, b):
         calls.append((len(a), len(b)))
         return pgcd(a, b)
 
-    monkeypatch.setattr(fields, "_pgcd", counted)
+    monkeypatch.setattr(polynomials, "_pgcd", counted)
     catalog.clear_caches()
     if source == "claims":
         assert cli.main(["catalog", "claims"]) == 0
@@ -240,7 +240,7 @@ def _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source):
     return calls
 
 
-# Every Q(eta) reduction calls fields._pgcd, so its calls bound the Q(eta)
+# Every Q(eta) reduction calls polynomials._pgcd, so its calls bound the Q(eta)
 # work of a run, with no timing.  The runs make 2,159, 4,769 and 565 calls
 # since mac takes a payload over a constant as a raw sum; each bound keeps the
 # headroom of the bound before (2,657, 5,826 and 2,000 over 2,517, 5,610 and

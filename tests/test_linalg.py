@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from axialcheck import fields
+from axialcheck import polynomials
 from axialcheck.catalog import instantiate
 from axialcheck.errors import DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar
@@ -427,8 +427,8 @@ def test_reducing_over_constant_denominators_takes_no_polynomial_gcd(QETA, monke
     v = {0: x[1].payload, 1: x[2].payload, 2: x[3].payload, 3: x[0].payload}
     expected = {2: (x[3] - x[1] * x[0] - x[2] * x[2]).payload, 3: (x[0] - x[1] * x[1] - x[2] * x[3]).payload}
     calls = []
-    pgcd = fields._pgcd
-    monkeypatch.setattr(fields, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    pgcd = polynomials._pgcd
+    monkeypatch.setattr(polynomials, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
     assert _reduce(QETA, v, rows) == expected
     assert calls == []
 
