@@ -76,6 +76,14 @@ def _primitive(a):
     return a if g == 1 else tuple(c // g for c in a)
 
 
+def _primitive_pair(num, den):
+    """num/den over the gcd of all their coefficients, with lead(den) > 0."""
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    return (num, den) if g == 1 else (tuple(c // g for c in num), tuple(c // g for c in den))
+
+
 def _pgcd_mod(a, b, p):
     """Monic gcd modulo p of two integer polynomials whose leads p does not divide."""
     a, b = [c % p for c in a], [c % p for c in b]
@@ -310,10 +318,7 @@ class _RationalFunctions(FieldDescriptor):
         if not num:
             return _PZERO, _PONE
         _, num, den = _pgcd(num, den)  # at once for a constant operand
-        g = math.gcd(*num, *den)
-        if den[-1] < 0:
-            g = -g
-        return (num, den) if g == 1 else (tuple(c // g for c in num), tuple(c // g for c in den))
+        return _primitive_pair(num, den)
 
     @staticmethod
     def embed(num, den):
@@ -330,6 +335,11 @@ class _RationalFunctions(FieldDescriptor):
         return _pscale(a[0], -1), a[1]
 
     def mul(self, a, b):
+        if len(a[0]) == len(a[1]) == 1:
+            a, b = b, a
+        if len(b[0]) == len(b[1]) == 1:  # a nonzero constant n/d: as N and D are coprime,
+            (n,), (d,) = b  # N*n and D*d share only content, and d > 0 keeps lead(D*d) > 0
+            return _primitive_pair(_pscale(a[0], n), _pscale(a[1], d))
         return self._reduce(_pmul(a[0], b[0]), _pmul(a[1], b[1]))
 
     def inv(self, a):

@@ -496,6 +496,9 @@ def test_rational_function_payloads_agree_with_fraction_polynomials(raw_a, raw_b
         (_plus(QETA, a, a), _fraction_function(_fadd(na, na), da)),
         (QETA.mul(a, b), _fraction_function(_fmul(na, nb), _fmul(da, db))),
         (QETA.embed(r.numerator, r.denominator), _fraction_function(_fpoly([r]), (1,))),
+        # a product by a constant, on either side
+        (QETA.mul(a, QETA.embed(r.numerator, r.denominator)), _fraction_function(_fmul(na, _fpoly([r])), da)),
+        (QETA.mul(QETA.embed(r.numerator, r.denominator), b), _fraction_function(_fmul(_fpoly([r]), nb), db)),
     ]
     if nb:
         expected.append((QETA.inv(b), _fraction_function(db, nb)))
