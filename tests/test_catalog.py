@@ -237,6 +237,7 @@ def _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source):
         path.write_text(hostile_file(*source), encoding="utf-8")
         assert cli.main(["verify", str(path)]) == 1
     capsys.readouterr()
+    assert calls, "the patched _pgcd is not the one the run calls"
     return calls
 
 

@@ -431,6 +431,7 @@ def test_reducing_over_constant_denominators_takes_no_polynomial_gcd(QETA, monke
     monkeypatch.setattr(polynomials, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
     assert _reduce(QETA, v, rows) == expected
     assert calls == []
+    assert eta / (eta + 1) and calls  # the patch is the _pgcd that Q(eta) calls
 
 
 def test_a_raw_sum_that_is_a_multiple_of_the_modulus_is_zero(NF):
