@@ -22,38 +22,44 @@ from .errors import AxialError, ConstraintViolation, DataInconsistency, NotAnIde
 from .linalg import Subspace
 
 
-def _emit_report(canonical, duration, as_json):
-    out = sys.stdout
+def _write(text, code):
+    """Write a command's output and return its exit code, decided before the
+    output is written.  A reader that closed stdout early leaves the code as
+    it is: the rest of the output, and the interpreter's last flush, go to
+    os.devnull, as the Python docs' note on SIGPIPE advises."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
+def _report_text(canonical, duration, as_json):
     if as_json:
-        out.write(
-            json.dumps(
-                {"canonical": canonical, "meta": {"duration_seconds": duration}},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
-        return
+        return json.dumps(
+            {"canonical": canonical, "meta": {"duration_seconds": duration}},
+            sort_keys=True,
+            indent=2,
+        ) + "\n"
+    lines = []
     for check in canonical.get("checks", []):
         status = check["status"].upper()
         line = f"[{status:>7}] {check['name']}"
         if check.get("detail"):
             line += f"  ({check['detail']})"
-        out.write(line + "\n")
+        lines.append(line)
     relation = canonical.get("relation")
     if relation:
-        out.write(
+        lines.append(
             f"adim={relation['adim']} case={relation['case']} "
-            f"parity={relation['parity']} coefficients={relation['coefficients']}\n"
+            f"parity={relation['parity']} coefficients={relation['coefficients']}"
         )
     scalars = canonical.get("scalars")
     if scalars:
-        out.write(
-            "scalars: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(scalars.items()))
-            + "\n"
-        )
-    out.write(f"duration: {duration:.3f}s\n")
+        lines.append("scalars: " + ", ".join(f"{k}={v}" for k, v in sorted(scalars.items())))
+    lines.append(f"duration: {duration:.3f}s")
+    return "\n".join(lines) + "\n"
 
 
 def _resolve_checks(text):
@@ -112,11 +118,11 @@ def cmd_verify(args) -> int:
         if dd is None:
             raise AxialError("source has no dihedral block; nothing to verify")
         report = catalog.verify(name, alg, dd, checks)
-    _emit_report(report.canonical(), time.monotonic() - start, args.json)
-    return 0 if report.passed else 1
+    return _write(_report_text(report.canonical(), time.monotonic() - start, args.json), 0 if report.passed else 1)
 
 
 def cmd_catalog_list(args) -> int:
+    lines = []
     for entry in catalog.list_entries():
         constraints = []
         if entry.fixed_eta:
@@ -128,11 +134,11 @@ def cmd_catalog_list(args) -> int:
                 "minpoly=" + ",".join(str(c) for c in entry.requires_eta_minpoly)
             )
         suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
-        print(
+        lines.append(
             f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "
-            f"case {entry.expected_case}  field {entry.default_field}{suffix}"
+            f"case {entry.expected_case}  field {entry.default_field}{suffix}\n"
         )
-    return 0
+    return _write("".join(lines), 0)
 
 
 def cmd_catalog_emit(args) -> int:
@@ -140,20 +146,16 @@ def cmd_catalog_emit(args) -> int:
         raise AxialError("emit needs an entry name")
     entry = catalog.get_entry(args.name)
     alg, dd = catalog.instantiate(args.name, args.field, args.eta)
-    print(algfile.dumps(alg, dd, entry.document.get("constraints")))
-    return 0
+    return _write(algfile.dumps(alg, dd, entry.document.get("constraints")) + "\n", 0)
 
 
 def cmd_catalog_claims(args) -> int:
     start = time.monotonic()
     reports = catalog.check_claims()
+    code = 0 if all(r.status == "pass" for r in reports) else 1
     if args.json:
-        claims = [r._asdict() for r in reports]
-        _emit_report({"claims": claims}, time.monotonic() - start, True)
-    else:
-        for r in reports:
-            print(f"[{r.status.upper():>5}] {r.name}  ({r.detail})")
-    return 0 if all(r.status == "pass" for r in reports) else 1
+        return _write(_report_text({"claims": [r._asdict() for r in reports]}, time.monotonic() - start, True), code)
+    return _write("".join(f"[{r.status.upper():>5}] {r.name}  ({r.detail})\n" for r in reports), code)
 
 
 def _parse_correspondence(text, source_alg, target_alg, eta):
@@ -186,17 +188,14 @@ def cmd_isom(args) -> int:
     eta_b = dd_b.eta if dd_b is not None else None
     pairs = _parse_correspondence(args.map, alg_a, alg_b, eta_b)
     if alg_a.dim != alg_b.dim:
-        print("no isomorphism: dimensions differ")
-        return 1
+        return _write("no isomorphism: dimensions differ\n", 1)
     try:
         if extend_from_generators(alg_a, pairs, alg_b).is_bijective():
-            print("isomorphism found")
-            return 0
+            return _write("isomorphism found\n", 0)
         reason = "the extended map is not bijective"
     except DataInconsistency as exc:
         reason = exc
-    print(f"no isomorphism: {reason}")
-    return 1
+    return _write(f"no isomorphism: {reason}\n", 1)
 
 
 def cmd_quotient(args) -> int:
@@ -217,11 +216,10 @@ def cmd_quotient(args) -> int:
         return 1
     qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
     text = algfile.dumps(qalg, qdd)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    if not args.output:
+        return _write(text + "\n", 0)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
     return 0
 
 

@@ -499,10 +499,12 @@ def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
     assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]
 
 
-def _loaded_by_import(modules, names):
-    """Which of the named modules a fresh interpreter loads with the given ones."""
+def _loaded_by_import(modules, names, then="pass"):
+    """Which of the named modules a fresh interpreter loads with the given
+    ones and the statement ``then``, whose output is dropped."""
     env = dict(os.environ, PYTHONPATH="src")
-    probe = f"import sys, {', '.join(modules)}; print(sorted({set(names)!r} & set(sys.modules)))"
+    probe = (f"import sys, {', '.join(modules)}; sys.stdout = open({os.devnull!r}, 'w'); {then}; "
+             f"print(sorted({set(names)!r} & set(sys.modules)), file=sys.__stdout__)")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -524,6 +526,29 @@ def test_engine_import_leaves_out_the_catalog_and_the_cli():
     loaded = _loaded_by_import(["axialcheck.algfile", "axialcheck.axial"],
                                ["axialcheck.catalog", "axialcheck.cli", "argparse"])
     assert loaded == "[]\n"
+
+
+def _matsuo_s3_over_q():
+    """M_eta(S_3) at eta = 1/4 over Q, in the layout of perfbench/matsuo.py."""
+    t = ["t1_2", "t1_3", "t2_3"]
+    products = [{"left": s, "right": s, "value": {s: "1"}} for s in t]
+    products += [{"left": a, "right": b, "value": {a: "1/8", b: "1/8", c: "-1/8"}}
+                 for a, b, c in ((t[0], t[1], t[2]), (t[0], t[2], t[1]), (t[1], t[2], t[0]))]
+    return json.dumps({"field": {"kind": "rationals"}, "basis": t, "products": products})
+
+
+@pytest.mark.parametrize("then, loaded", [
+    ("axialcheck.list_entries()", False),
+    ("axialcheck.cli.main(['verify', 'Seven', '--json'])", False),
+    ("axialcheck.cli.main(['verify', 'SevenX', '--json'])", False),
+    (f"axialcheck.algfile.loads({_matsuo_s3_over_q()!r})", False),
+    ("axialcheck.cli.main(['verify', 'ThreeEv'])", True),
+    ("axialcheck.cli.main(['verify', 'SixThree'])", True),
+])
+def test_only_a_polynomial_field_loads_the_polynomials(then, loaded):
+    # runs over Q and GF(p) never compile the Q[t]/(m) and Q(eta) arithmetic
+    probe = _loaded_by_import(["axialcheck.cli", "axialcheck.algfile"], ["axialcheck.polynomials"], then)
+    assert probe == ("['axialcheck.polynomials']\n" if loaded else "[]\n")
 
 
 def test_package_finds_list_entries_on_first_use():

@@ -1,7 +1,8 @@
 """The CLI contract under generated input: every run of ``cli.main`` exits
 0, 1 or 2 and never ends in a traceback.
 
-Four kinds of input are generated: ``--field`` specs, ``--eta`` literals,
+A reader that closes stdout early does not change the exit code.  Four kinds
+of input are generated: ``--field`` specs, ``--eta`` literals,
 ``catalog emit ThreeEvX`` files with a mutated field block, product literal
 or any other part of the document, and ``catalog emit ThreeEv`` files (over
 Q(eta)) with a mutated product literal.  The examples are derandomized, so
@@ -12,6 +13,9 @@ crashed.
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -173,3 +177,26 @@ def test_mutated_symbolic_product_literal(tmp_path_factory, emitted_symbolic, in
     value = products[index % len(products)]["value"]
     value[next(iter(value))] = literal
     _verify_file(tmp_path_factory, dict(emitted_symbolic, products=products))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "Seven"], 0),
+    (["verify", "BarFourTwo"], 1),
+    (["catalog", "claims"], 0),
+    (["verify", "."], 2),  # a directory is unreadable input
+])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    # the pipe's read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        done = subprocess.run([sys.executable, "-m", "axialcheck.cli", *argv], cwd=root, stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH="src"))
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    if code == 2:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    else:
+        assert done.stderr == ""
