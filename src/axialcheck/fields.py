@@ -11,10 +11,10 @@ Supported field kinds, one FieldDescriptor subclass each:
 Every element is kept in a unique canonical form, so equal values have equal
 payloads (and hashes); equality itself is decided as every zero is, by the
 field's settle on the difference.  Payloads are immutable; all operations are
-pure.
-Polynomial payloads hold integer polynomials (tuples of ints) and integer
-denominators; an int or a Fraction is read by its numerator and denominator.
+pure.  An int or a Fraction is read by its numerator and denominator.
 Fields are interned: equal fields are one object and compare by identity.
+The two polynomial kinds live in ``polynomials``, which is compiled when such
+a field is first made, so a run over Q or GF(p) never loads it.
 """
 
 from __future__ import annotations
@@ -94,8 +94,10 @@ _FIELDS: dict = {}  # (class, p, minpoly, variable) -> the one such field
 class FieldDescriptor:
     """Identifies one of the four exact fields and does the arithmetic on its
     elements' payloads.  Each kind is a subclass, so a field's arithmetic is
-    chosen when the field is made.  Fields are made by the constructors
-    below, which validate and then intern: equal fields are one object."""
+    chosen when the field is made; the polynomial kinds' arithmetic is also
+    compiled then, on the first such field.  Fields are made by the
+    constructors below, which validate and then intern: equal fields are one
+    object."""
 
     # each kind's tag in the field block of an algebra file
     RATIONALS, PRIME, NUMBER_FIELD, RATIONAL_FUNCTIONS = (
@@ -135,7 +137,6 @@ class FieldDescriptor:
     def number_field(cls, minpoly, variable="eta"):
         """minpoly: the monic modulus's ascending coefficients, ints, Fractions or elements of Q."""
         from .polynomials import _NumberField, _cleared, _has_rational_root
-
         minpoly, d = _cleared(minpoly)
         deg = len(minpoly) - 1
         if deg < 2:
@@ -151,7 +152,6 @@ class FieldDescriptor:
     @classmethod
     def rational_functions(cls, variable="eta"):
         from .polynomials import _RationalFunctions
-
         return _RationalFunctions(variable=variable or "eta")
 
     # basics ---------------------------------------------------------------
@@ -610,12 +610,11 @@ def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) ->
     A ring homomorphism wherever the denominator (and every coefficient's
     image) survives; raises DenominatorVanishes otherwise.
     """
-    from .polynomials import _peval
-
     if x.field.kind != FieldDescriptor.RATIONAL_FUNCTIONS:
         raise DescriptorMismatch("specialize expects a rational-function element")
     if value.field is not target:
         raise DescriptorMismatch("value does not lie in the target field")
+    from .polynomials import _peval  # loaded already, as x lies in Q(t)
     num_val, den_val = (_peval(p, x.payload[1][-1], value, target) for p in x.payload)
     if num_val is None:
         return target.zero()

@@ -1,11 +1,6 @@
-"""Integer polynomials and the two field kinds built on them, Q[t]/(m) and Q(t).
-
-Payloads hold integer polynomials (tuples of ints) and integer denominators.
-``fields`` imports this module when a run first makes such a field or
-specializes such an element, so a run over Q or GF(p) never compiles it.
-"""
-
-from __future__ import annotations
+"""Integer polynomials and the field kinds on them, Q[t]/(m) and Q(t).  ``fields``
+imports this module when a run first makes such a field or specializes such an
+element, so a run over Q or GF(p) never compiles it."""
 
 import itertools
 import math
@@ -228,11 +223,6 @@ def _render_poly(poly, den, variable):
         else:
             terms.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(terms)
-
-
-# ---------------------------------------------------------------------------
-# the two polynomial field kinds
-# ---------------------------------------------------------------------------
 
 
 class _NumberField(FieldDescriptor):
