@@ -544,7 +544,7 @@ def _matsuo_s3_over_q():
     (f"axialcheck.algfile.loads({_matsuo_s3_over_q()!r})", False),
     ("axialcheck.cli.main(['verify', 'ThreeEv'])", True),
     ("axialcheck.cli.main(['verify', 'SixThree'])", True),
-])
+], ids=["list_entries", "Seven", "SevenX", "matsuo_file", "ThreeEv", "SixThree"])
 def test_only_a_polynomial_field_loads_the_polynomials(then, loaded):
     # runs over Q and GF(p) never compile the Q[t]/(m) and Q(eta) arithmetic
     probe = _loaded_by_import(["axialcheck.cli", "axialcheck.algfile"], ["axialcheck.polynomials"], then)
