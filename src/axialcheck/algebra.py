@@ -1,8 +1,8 @@
 """Commutative structure-constant algebras: products, subalgebras, ideals,
 quotients, and linear maps extended from generators.
 
-Commutativity is structural: the multiplication table is keyed by unordered
-index pairs, so x*y = y*x cannot fail by construction.
+Commutativity is structural: e_i*e_j and e_j*e_i are one shared map of
+structure constants, so x*y = y*x cannot fail by construction.
 """
 
 from __future__ import annotations
@@ -17,40 +17,33 @@ from .linalg import EchelonBasis, Matrix, Subspace, Vector, _terms, invert, rref
 class AlgebraDef:
     """Algebra given by basis labels and symmetric structure constants.
 
-    ``table`` maps an index pair (i, j) with i <= j to the product vector;
-    missing pairs multiply to zero.  ``rows`` holds the same constants
-    sparsely, in the form sparse_product sums them: ``rows[i]`` is a dict
-    {j: terms} over the nonzero e_i*e_j, where ``terms`` is a tuple of
-    (k, payload) over the product's nonzero coefficients.  An entry with
-    i != j is listed under both i and j, and both share one ``terms`` tuple.
+    ``rows[i]`` maps each j with e_i*e_j nonzero to that product's
+    ``terms``, {k: nonzero payload}, the map of the product Vector given for
+    the pair; missing pairs multiply to zero.  (i, j) and (j, i) share one
+    map, and nothing else holds the constants.
     """
 
-    __slots__ = ("field", "labels", "table", "rows", "dim")
+    __slots__ = ("field", "labels", "rows", "dim")
 
     def __init__(self, field, labels, table):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
-        norm, rows = {}, tuple({} for _ in range(dim))
+        rows = tuple({} for _ in range(dim))
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
-            key = (i, j) if i <= j else (j, i)
-            if key in norm:
-                raise DimensionMismatch(f"duplicate structure-constant key {key}")
+            if j in rows[i]:
+                raise DimensionMismatch(f"duplicate structure-constant key {(min(i, j), max(i, j))}")
             if len(vec) != dim:
                 raise DimensionMismatch("structure-constant vector has wrong length")
             if vec.field is not field:
                 raise DescriptorMismatch("structure constants over the wrong field")
-            terms = tuple(sorted(vec.terms.items()))
-            if terms:  # a zero product is left out of both
-                norm[key] = vec
-                i, j = key
-                rows[i][j] = rows[j][i] = terms
+            if vec.terms:  # a zero product is left out
+                rows[i][j] = rows[j][i] = vec.terms
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "table", norm)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", dim)
 
@@ -67,9 +60,7 @@ class AlgebraDef:
         return Vector.zero(self.field, self.dim)
 
     def product_of_basis(self, i, j) -> Vector:
-        key = (i, j) if i <= j else (j, i)
-        vec = self.table.get(key)
-        return vec if vec is not None else self.zero_vector()
+        return Vector.sparse(self.field, self.dim, self.rows[i].get(j, {}))
 
     def __repr__(self):
         return f"AlgebraDef({', '.join(self.labels)})"
@@ -89,12 +80,12 @@ def sparse_product(alg: AlgebraDef, xs, ys):
             for j, b in ys.items():
                 terms = row.get(j)
                 if terms is not None:
-                    mac(out, mul(a, b), terms)
+                    mac(out, mul(a, b), terms.items())
         else:
             for j, terms in row.items():
                 b = ys.get(j)
                 if b is not None:
-                    mac(out, mul(a, b), terms)
+                    mac(out, mul(a, b), terms.items())
     return field.settle(out)
 
 
@@ -295,7 +286,7 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
             raise DimensionMismatch("image not in the target algebra")
         graph.append(_terms(src, field, n) | {
             k + off: c for off, img in zip(offsets, imgs) for k, c in _terms(img, field, t).items()})
-    rows = [*alg.rows, *({j + off: tuple((k + off, c) for k, c in terms) for j, terms in row.items()}
+    rows = [*alg.rows, *({j + off: {k + off: c for k, c in terms.items()} for j, terms in row.items()}
                          for off in offsets for row in target.rows)]
     direct_sum = SimpleNamespace(field=field, rows=rows)  # all that sparse_product reads
     echelon, failed = EchelonBasis(field, n + len(offsets) * t), {}

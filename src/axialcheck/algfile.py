@@ -351,12 +351,12 @@ def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=No
 
     literal = field.render  # of a payload
     products = []
-    for (i, j) in sorted(alg.table):
-        vec = alg.table[(i, j)]
-        value = {alg.labels[k]: literal(c) for k, c in sorted(vec.terms.items())}
-        products.append(
-            {"left": alg.labels[i], "right": alg.labels[j], "value": value}
-        )
+    for i, row in enumerate(alg.rows):
+        for j in sorted(j for j in row if j >= i):
+            value = {alg.labels[k]: literal(c) for k, c in sorted(row[j].items())}
+            products.append(
+                {"left": alg.labels[i], "right": alg.labels[j], "value": value}
+            )
     doc = {
         "field": field_to_dict(field),
         "basis": list(alg.labels),

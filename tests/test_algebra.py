@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,10 +269,11 @@ ENTRIES = ("ThreeEv", "ThreeEvX", "FourEv", "FourEvX", "BarFourTwo", "FiveThree"
 
 
 def _dense_multiply(alg, x, y):
-    # the dense loop the sparse rows replaced: every table entry, and every
-    # coefficient of each product vector
+    # the dense loop the sparse rows replaced: every basis pair i <= j, and
+    # every coefficient of each product vector
     out = [alg.field.zero()] * alg.dim
-    for (i, j), c in alg.table.items():
+    for i, j in combinations_with_replacement(range(alg.dim), 2):
+        c = alg.product_of_basis(i, j)
         if i == j:
             s = x[i] * y[i]
         else:
@@ -303,25 +305,25 @@ def test_multiply_matches_dense_loop(name, field, eta):
 
 
 def test_sparse_rows_share_the_table():
-    alg, _ = instantiate("ThreeEv")
-    listed = {}
-    for i, row in enumerate(alg.rows):
-        for j, terms in row.items():
-            listed[i, j] = terms
-    assert {key for key in listed if key[0] <= key[1]} == set(alg.table)
-    for (i, j), vec in alg.table.items():
-        assert listed[j, i] is listed[i, j]
-        assert listed[i, j] == tuple((k, e.payload) for k, e in enumerate(vec) if not e.is_zero())
-        for k, payload in listed[i, j]:
-            assert payload is vec[k].payload
+    # each nonzero product is held once: rows[i][j] and rows[j][i] are the
+    # terms map of the Vector given for the pair
+    three, _ = instantiate("ThreeEv")
+    pairs = combinations_with_replacement(range(three.dim), 2)
+    table = {(j, i): three.product_of_basis(i, j) for i, j in pairs}  # some keys given as j >= i
+    alg = AlgebraDef(three.field, three.labels, table)
+    listed = {(i, j): terms for i, row in enumerate(alg.rows) for j, terms in row.items()}
+    assert {key for key in listed if key[0] >= key[1]} == {key for key, vec in table.items() if vec.terms}
+    for (i, j), vec in table.items():
+        assert listed.get((i, j)) is listed.get((j, i)) is (vec.terms or None)
+        assert alg.product_of_basis(j, i).terms == vec.terms
 
 
 def test_zero_products_are_in_neither_table_nor_rows(Q):
     # a zero product vector, given or computed, is a missing pair
     a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
     alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (1, 0): Vector.zero(Q, 2), (1, 1): b - b})
-    assert alg.table == {(0, 0): a}
-    assert alg.rows == ({0: ((0, Q.ONE),)}, {})
+    assert alg.rows == ({0: {0: Q.ONE}}, {})
+    assert alg.product_of_basis(0, 1).is_zero() and alg.product_of_basis(0, 0) == a
     assert multiply(alg, a, b).is_zero() and multiply(alg, b, b).is_zero()
 
 
@@ -339,7 +341,7 @@ def test_multiply_refuses_other_fields_and_lengths(GF7):
 
 def test_multiply_work_is_bounded_by_the_product_support(Q, monkeypatch, matsuo_s5):
     alg = matsuo_s5(Q, "1/4")
-    assert alg.dim == 10 and len(alg.table) == 40
+    assert alg.dim == 10 and sum(j >= i for i, row in enumerate(alg.rows) for j in row) == 40
     ad = adjoint_matrix(alg, _rand_vec(alg, random.Random(5)))
     calls = [0]
     mul, mac = type(Q).mul, type(Q).mac
