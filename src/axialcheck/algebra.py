@@ -11,7 +11,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, _terms, invert, rref
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _full_row, _terms, invert, rref
 
 
 class AlgebraDef:
@@ -120,7 +120,7 @@ def _span_closure(echelon: EchelonBasis, gens, product, n):
     def insert(word, source):
         pivot = echelon._insert(word)
         if pivot is not None and pivot < n:
-            words.append(dict(echelon.rows[pivot]))
+            words.append(_full_row(echelon.field, pivot, echelon.rows[pivot]))
         return pivot, source
 
     yield from (insert(g, None) for g in gens)
@@ -225,8 +225,7 @@ def quotient(alg: AlgebraDef, ideal: Subspace):
         raise AxialError("the ideal is the whole algebra, so the quotient is zero")
     if not is_ideal(alg, ideal):
         raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
-    pivots = set(ideal.pivots)
-    keep = [k for k in range(alg.dim) if k not in pivots]
+    keep = [k for k in range(alg.dim) if k not in ideal.rows]
     qdim = len(keep)
     field = alg.field
     index = {k: q for q, k in enumerate(keep)}  # v modulo the ideal is zero at its pivots
@@ -251,8 +250,7 @@ def induce_on_quotient(m: AlgebraMap, ideal: Subspace, qalg: AlgebraDef, project
     for v in ideal.basis:
         if not ideal.contains(m.apply(v)):
             return None
-    pivots = set(ideal.pivots)
-    keep = [k for k in range(m.source.dim) if k not in pivots]
+    keep = [k for k in range(m.source.dim) if k not in ideal.rows]
     cols = [projection.apply(m.apply(m.source.basis_vector(k))) for k in keep]
     return AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
@@ -303,6 +301,6 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
         exc.image = min(failed)
         raise exc
     maps = tuple(AlgebraMap(alg, target, Matrix.from_columns(field, [
-        Vector.sparse(field, t, {j - off: a for j, a in echelon.rows[k] if off <= j < off + t}) for k in range(n)], t))
+        Vector.sparse(field, t, {j - off: a for j, a in echelon.rows[k].items() if off <= j < off + t}) for k in range(n)], t))
         for off in offsets)
     return maps[0] if len(maps) == 1 else maps

@@ -430,7 +430,7 @@ def lambda_coefficient(alg, dec: AxisDecomposition, target: Vector):
     """Coefficient of the axis in the M1 component of target (M1's basis row
     is the axis divided by its entry at the pivot)."""
     coords = dec.coordinates.apply(target)
-    return coords[dec.part(0).dim] / dec.axis[dec.part(1).pivots[0]]
+    return coords[dec.part(0).dim] / dec.axis[min(dec.part(1).rows)]
 
 
 # one row of a report; status is "pass" | "fail" | "skipped"

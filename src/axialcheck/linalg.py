@@ -12,8 +12,6 @@ matters more.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import AmbientMismatch, DescriptorMismatch, DimensionMismatch
 from .fields import FieldElement, render
 
@@ -211,20 +209,20 @@ def rref(m: Matrix):
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
     field = m.field
     echelon = EchelonBasis(field, m.ncols)
-    for row in _transpose((c.terms.items() for c in m.columns), m.nrows):
+    for row in _transpose((c.terms for c in m.columns), m.nrows):
         echelon._insert(row)
     pivots = tuple(sorted(echelon.rows))
-    columns = _transpose((echelon.rows[pc] for pc in pivots), m.ncols)
+    columns = _transpose((_full_row(field, pc, echelon.rows[pc]) for pc in pivots), m.ncols)
     reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
     return reduced, len(pivots), pivots
 
 
 def _transpose(vectors, n):
-    """The n {index: payload} maps of the transpose of vectors, each given by
-    its (index, payload) pairs."""
+    """The n {index: payload} maps of the transpose of vectors, each given as
+    such a map."""
     out = [{} for _ in range(n)]
     for i, terms in enumerate(vectors):
-        for j, a in terms:
+        for j, a in terms.items():
             out[j][i] = a
     return out
 
@@ -260,16 +258,16 @@ def solve_in_span(target: Vector, spanners):
 
 
 class Subspace:
-    """A subspace kept as the nonzero rows of an RREF matrix (canonical): as
-    sparse payload rows (see EchelonBasis) for reducing, and as Vectors in
-    ``basis``."""
+    """A subspace kept as the nonzero rows of an RREF matrix (canonical):
+    ``rows`` maps each pivot, in increasing order, to its row's entries after
+    the pivot (see EchelonBasis), for reducing, and ``basis`` holds the rows
+    as Vectors."""
 
-    __slots__ = ("field", "ambient", "rows", "basis", "pivots")
+    __slots__ = ("field", "ambient", "rows", "basis")
 
     def __init__(self, field, ambient, rows):
-        rows = tuple(rows)
-        basis = tuple(Vector.sparse(field, ambient, dict(r)) for r in rows)
-        _fill(self, field, ambient, rows, basis, tuple(r[0][0] for r in rows))
+        basis = tuple(Vector.sparse(field, ambient, _full_row(field, pc, row)) for pc, row in rows.items())
+        _fill(self, field, ambient, rows, basis)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -293,7 +291,7 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        entries = _reduce(self.field, _terms(v, self.field, self.ambient), dict(zip(self.pivots, self.rows)))
+        entries = _reduce(self.field, _terms(v, self.field, self.ambient), self.rows)
         return Vector.sparse(self.field, self.ambient, entries)
 
     def contains(self, v: Vector) -> bool:
@@ -303,12 +301,13 @@ class Subspace:
         """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
         vanish on the first half exactly in (0 | U and W)."""
         self._check(other)
-        n = self.ambient
-        sums = EchelonBasis(self.field, 2 * n)
-        for u in self.rows:
-            sums._insert(dict(u + tuple((j + n, a) for j, a in u)))
-        for w in other.rows:
-            sums._insert(dict(w))
+        field, n = self.field, self.ambient
+        sums = EchelonBasis(field, 2 * n)
+        for pc, row in self.rows.items():
+            u = _full_row(field, pc, row)
+            sums._insert(u | {j + n: a for j, a in u.items()})
+        for pc, row in other.rows.items():
+            sums._insert(_full_row(field, pc, row))
         return sums.subspace(n)
 
     def __repr__(self):
@@ -324,37 +323,43 @@ def _terms(v: Vector, field, ambient):
     return v.terms
 
 
+def _full_row(field, pivot, row):
+    """The entries of the echelon row at pivot, its leading 1 included."""
+    return {pivot: field.ONE} | row
+
+
 def _reduce(field, entries, rows):
     """The remainder of entries, {column: nonzero payload}, against echelon
-    rows, {pivot: row}: entries less c * row for each entry c at a pivot, by
+    rows, {pivot: {column: payload}} with each row's leading 1 implied:
+    entries less c * row for each entry c at a pivot, which is deleted, by
     mac and one settle, walking the shorter of the two.  The rows are zero at
     each other's pivots, so no subtraction changes a c.  Returns entries
     itself when no row applies."""
     if len(entries) < len(rows):
-        hits = [(c, row) for pc, c in entries.items() if (row := rows.get(pc)) is not None]
+        hits = [(pc, c, row) for pc, c in entries.items() if (row := rows.get(pc)) is not None]
     else:
-        hits = [(c, row) for pc, row in rows.items() if (c := entries.get(pc)) is not None]
+        hits = [(pc, c, row) for pc, row in rows.items() if (c := entries.get(pc)) is not None]
     if not hits:
         return entries
     out, neg, mac = dict(entries), field.neg, field.mac
-    for c, row in hits:
-        del out[row[0][0]]
-        mac(out, neg(c), row[1:])
+    for pc, c, row in hits:
+        del out[pc]
+        mac(out, neg(c), row.items())
     return field.settle(out)
 
 
 class EchelonBasis:
     """A subspace grown one vector at a time, kept in reduced row echelon
-    form.  Each row is a tuple of its nonzero (column, payload) pairs in
-    column order, led by a 1 at its pivot column, where every other row is
-    zero, so a vector reduces in one sum (see _reduce); the arithmetic is the
-    field's own on payloads."""
+    form.  ``rows`` maps each pivot column to the map {column: nonzero
+    payload} of its row's entries after the pivot; the row's 1 at the pivot
+    is implied, and every other row is zero there, so a vector reduces in one
+    sum (see _reduce).  The arithmetic is the field's own on payloads."""
 
     __slots__ = ("field", "ambient", "rows")
 
     def __init__(self, field, ambient):
         self.field, self.ambient = field, ambient
-        self.rows = {}  # pivot column -> row
+        self.rows = {}  # pivot column -> the row's entries after it
 
     def add(self, v: Vector):
         """Reduce v against the rows and keep its remainder, if nonzero, as a
@@ -364,31 +369,29 @@ class EchelonBasis:
 
     def _insert(self, entries):
         """add() for a vector given as {column: nonzero payload}, which it
-        leaves as it is.  The rows holding the new pivot, found by bisection,
-        are reduced against the new row."""
+        leaves as it is.  The rows holding the new pivot are reduced against
+        the new row."""
         field, rows = self.field, self.rows
         entries = _reduce(field, entries, rows)
         if not entries:
             return None
         pivot = min(entries)
-        lead = entries[pivot]
+        new = dict(entries)
+        lead = new.pop(pivot)
         if lead != field.ONE:  # a fast path: the new row does not depend on the answer
             inv, mul = field.inv(lead), field.mul
-            entries = {j: mul(inv, a) for j, a in entries.items()}
-        new, key = tuple(sorted(entries.items())), (pivot,)  # (pivot,) sorts just before (pivot, a)
+            new = {j: mul(inv, a) for j, a in new.items()}
         for pc, row in rows.items():
-            k = bisect_left(row, key)
-            if k < len(row) and row[k][0] == pivot:
-                rows[pc] = tuple(sorted(_reduce(field, dict(row), {pivot: new}).items()))
+            if pivot in row:
+                rows[pc] = _reduce(field, row, {pivot: new})
         rows[pivot] = new
         return pivot
 
     def subspace(self, n=0) -> "Subspace":
         """The span's vectors that vanish on the first n coordinates, as a
         subspace of the others: in echelon form, the rows with pivots >= n."""
-        rows = [self.rows[pc] for pc in sorted(self.rows) if pc >= n]
-        if n:
-            rows = [tuple((j - n, a) for j, a in row) for row in rows]
+        rows = {pc - n: {j - n: a for j, a in row.items()} if n else row
+                for pc, row in sorted(self.rows.items()) if pc >= n}
         return Subspace(self.field, self.ambient - n, rows)
 
 

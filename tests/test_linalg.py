@@ -355,11 +355,12 @@ def _payload(field, rng):
 
 
 def _naive_reduce(dom, entries, rows):
-    # one row at a time in pivot order, each sum in the sympy domain
+    # one row at a time in pivot order, each sum in the sympy domain; a row
+    # is {pivot: {column: value}} with its leading 1 implied
     entries = dict(entries)
     for pc in sorted(rows):
-        c = entries.get(pc)
-        for j, b in rows[pc] if c is not None else ():
+        c = entries.pop(pc, None)
+        for j, b in rows[pc].items() if c is not None else ():
             s = entries.get(j, dom.zero) - c * b
             if dom.is_zero(s):
                 del entries[j]
@@ -373,10 +374,10 @@ def _naive_insert(dom, rows, entries):
     entries = _naive_reduce(dom, entries, rows)
     if entries:
         pivot = min(entries)
-        lead = entries[pivot]
-        new = tuple(sorted((j, dom.quo(a, lead)) for j, a in entries.items()))
+        lead = entries.pop(pivot)
+        new = {j: dom.quo(a, lead) for j, a in entries.items()}
         for pc in rows:
-            rows[pc] = tuple(sorted(_naive_reduce(dom, dict(rows[pc]), {pivot: new}).items()))
+            rows[pc] = _naive_reduce(dom, rows[pc], {pivot: new})
         rows[pivot] = new
 
 
@@ -407,11 +408,10 @@ def test_reduce_and_insert_match_the_canonical_elimination(fixture, request, sym
             echelon._insert(terms)
             _naive_insert(dom, reference, valued(terms.items()))
             rows = echelon.rows
-            assert {pc: tuple(valued(row).items()) for pc, row in rows.items()} == reference
-            for pc, row in rows.items():  # lead 1, zero at the other pivots, sorted, no zeros
-                assert row[0] == (pc, field.ONE) and not set(rows).intersection(j for j, _ in row[1:])
-                assert [j for j, _ in row] == sorted({j for j, _ in row})
-                assert not any(field.is_zero(a) for _, a in row)
+            assert {pc: valued(row.items()) for pc, row in rows.items()} == reference
+            for pc, row in rows.items():  # entries after the pivot only, none at a pivot, no zeros
+                assert all(j > pc for j in row) and not set(rows).intersection(row)
+                assert not any(field.is_zero(a) for a in row.values())
             for size in (1, len(rows) + 1, n):  # shorter and longer than the row set
                 v = {j: _payload(field, rng) for j in rng.sample(range(n), min(size, n))}
                 assert valued(_reduce(field, v, rows).items()) == _naive_reduce(dom, valued(v.items()), reference)
@@ -422,8 +422,7 @@ def test_reducing_over_constant_denominators_takes_no_polynomial_gcd(QETA, monke
     # vector's own entries seed the sum without the canonical mul and add
     eta, third = QETA.generator(), QETA.from_fraction(Fraction(1, 3))
     x = [third * eta, eta * eta / 2 - 1, third + eta, 2 * eta - 5]
-    rows = {0: ((0, QETA.ONE), (2, x[0].payload), (3, x[1].payload)),
-            1: ((1, QETA.ONE), (2, x[2].payload), (3, x[3].payload))}
+    rows = {0: {2: x[0].payload, 3: x[1].payload}, 1: {2: x[2].payload, 3: x[3].payload}}
     v = {0: x[1].payload, 1: x[2].payload, 2: x[3].payload, 3: x[0].payload}
     expected = {2: (x[3] - x[1] * x[0] - x[2] * x[2]).payload, 3: (x[0] - x[1] * x[1] - x[2] * x[3]).payload}
     calls = []
@@ -438,8 +437,8 @@ def test_a_raw_sum_that_is_a_multiple_of_the_modulus_is_zero(NF):
     # (1 - 2 eta) - eta * eta sums -(eta^2 + 2 eta - 1) raw: zero in Q[eta]/(m)
     eta, one = NF.generator().payload, NF.ONE
     v = {0: eta, 1: (NF.one() - NF.from_int(2) * NF.generator()).payload}
-    assert _reduce(NF, v, {0: ((0, one), (1, eta))}) == {}
-    assert _reduce(NF, {**v, 2: one}, {0: ((0, one), (1, eta))}) == {2: one}
+    assert _reduce(NF, v, {0: {1: eta}}) == {}
+    assert _reduce(NF, {**v, 2: one}, {0: {1: eta}}) == {2: one}
 
 
 def test_zero_sizes_keep_their_shape(Q):
