@@ -385,6 +385,8 @@ def field_from_spec(spec: str) -> FieldDescriptor:
         return FieldDescriptor.rational_functions("eta")
     try:
         if spec.startswith("gf:"):
+            if not (spec[3:].isascii() and spec[3:].isdigit()):  # a file's "p" rule: int() takes more
+                raise ValueError
             return FieldDescriptor.prime(int(spec[3:]))
         if spec.startswith("nf:"):
             coeffs = [parse_scalar(c, FieldDescriptor.rationals()) for c in spec[3:].split(",")]

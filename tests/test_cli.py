@@ -104,8 +104,10 @@ def test_file_source_fixes_field_eta_and_window(tmp_path, capsys):
 
 def test_malformed_field_specs_exit_two(capsys):
     # an nf: coefficient is a scalar literal: decimals, a leading '+' and
-    # exponent forms are not in its grammar
-    for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1", "nf:-0.5,0,1", "nf:+1,0,1", "nf:1e3,0,1"):
+    # exponent forms are not in its grammar; a gf: prime is ASCII digits, as
+    # a file's "p" is, with no sign, space, underscore or other script's digit
+    for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1", "nf:-0.5,0,1", "nf:+1,0,1", "nf:1e3,0,1",
+                 "gf:+7", "gf: 7", "gf:\u0667", "gf:1_1"):
         code, out, err = run(capsys, "verify", "Seven", "--field", spec)
         assert code == 2 and out == ""
         assert err == f"error: malformed number in field spec {spec!r}\n"
@@ -499,15 +501,33 @@ def test_emitted_file_keeps_eta_apart_from_the_field_variable(tmp_path, capsys):
     assert rows == [(c["name"], c["status"]) for c in direct if c["name"] != "relation_documented"]
 
 
-def _loaded_by_import(modules, names, then="pass"):
-    """Which of the named modules a fresh interpreter loads with the given
-    ones and the statement ``then``, whose output is dropped."""
+def _fresh_interpreter(probe):
+    """The stdout of running the statements probe in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH="src")
-    probe = (f"import sys, {', '.join(modules)}; sys.stdout = open({os.devnull!r}, 'w'); {then}; "
-             f"print(sorted({set(names)!r} & set(sys.modules)), file=sys.__stdout__)")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return subprocess.run([sys.executable, "-c", probe], cwd=root, env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def _loaded_by_import(modules, names, then="pass"):
+    """Which of the named modules a fresh interpreter loads with the given
+    ones and the statement ``then``, whose output is dropped."""
+    return _fresh_interpreter(f"import sys, {', '.join(modules)}; sys.stdout = open({os.devnull!r}, 'w'); {then}; "
+                              f"print(sorted({set(names)!r} & set(sys.modules)), file=sys.__stdout__)")
+
+
+def test_runs_load_only_the_standard_library():
+    # the runtime has no dependencies: every top-level module that importing
+    # the CLI and running both polynomial kinds and the claims adds is the
+    # standard library's or the package.  A site hook may load third-party
+    # modules first (certifi, say), so only what the run adds counts.
+    runs = [["verify", "ThreeEv", "--json"], ["verify", "SixThree", "--json"], ["catalog", "claims", "--json"]]
+    added = _fresh_interpreter(
+        f"import sys; before = set(sys.modules); import axialcheck.cli; "
+        f"sys.stdout = open({os.devnull!r}, 'w'); [axialcheck.cli.main(argv) for argv in {runs!r}]; "
+        f"print(*sorted({{m.partition('.')[0] for m in set(sys.modules) - before}}), file=sys.__stdout__)").split()
+    assert "axialcheck" in added
+    assert [m for m in added if m != "axialcheck" and m not in sys.stdlib_module_names] == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
