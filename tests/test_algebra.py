@@ -309,7 +309,7 @@ def test_sparse_rows_share_the_table():
     # terms map of the Vector given for the pair
     three, _ = instantiate("ThreeEv")
     pairs = combinations_with_replacement(range(three.dim), 2)
-    table = {(j, i): three.product_of_basis(i, j) for i, j in pairs}  # some keys given as j >= i
+    table = {(j, i): three.product_of_basis(i, j) for i, j in pairs}  # each key given as (j, i), j >= i
     alg = AlgebraDef(three.field, three.labels, table)
     listed = {(i, j): terms for i, row in enumerate(alg.rows) for j, terms in row.items()}
     assert {key for key in listed if key[0] >= key[1]} == {key for key, vec in table.items() if vec.terms}
