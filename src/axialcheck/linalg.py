@@ -211,8 +211,9 @@ def rref(m: Matrix):
     echelon = EchelonBasis(field, m.ncols)
     for row in _transpose((c.terms for c in m.columns), m.nrows):
         echelon._insert(row)
-    pivots = tuple(sorted(echelon.rows))
-    columns = _transpose((_full_row(field, pc, echelon.rows[pc]) for pc in pivots), m.ncols)
+    space = echelon.subspace()
+    pivots = tuple(space.rows)
+    columns = _transpose((v.terms for v in space.basis), m.ncols)
     reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
     return reduced, len(pivots), pivots
 
