@@ -6,7 +6,7 @@ Every case runs through ``cli.main`` in this process.  A report case stores
 its exit code and the ``canonical`` section of its ``--json`` report (the
 ``meta`` section holds wall-clock time and is left out).  A file case stores
 the command's stdout verbatim: the ``catalog emit`` outputs, which the
-``verify_file`` cases read back, and the ``quotient`` outputs.
+``verify_file`` cases read back, the ``quotient`` outputs and ``catalog list``.
 
 ``tests/test_golden.py`` recomputes every case and compares it byte for
 byte with the stored snapshot; it never writes.  Standard library only.
@@ -42,6 +42,7 @@ def _cases():
     for entry in ENTRIES + ("SixThree_q_3",):
         cases.append(("report", f"verify_file/{entry}", ("verify", f"{{emit:{entry}}}", "--json")))
     cases.append(("report", "claims", ("catalog", "claims", "--json")))
+    cases.append(("file", "catalog_list", ("catalog", "list")))
     cases.append((
         "file", "quotient/FiveThree_axis_sum",
         ("quotient", "FiveThree", "--field", "q", "--eta=-1/3", "--ideal", "a2+am2+a1+am1+a0"),
