@@ -31,11 +31,13 @@ class AlgebraDef:
             raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
         rows = tuple({} for _ in range(dim))
+        seen = set()  # the unordered keys, zero products included
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
-            if j in rows[i]:
-                raise DimensionMismatch(f"duplicate structure-constant key {(min(i, j), max(i, j))}")
+            if (key := (min(i, j), max(i, j))) in seen:
+                raise DimensionMismatch(f"duplicate structure-constant key {key}")
+            seen.add(key)
             if len(vec) != dim:
                 raise DimensionMismatch("structure-constant vector has wrong length")
             if vec.field is not field:

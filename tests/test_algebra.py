@@ -327,6 +327,14 @@ def test_zero_products_are_in_neither_table_nor_rows(Q):
     assert multiply(alg, a, b).is_zero() and multiply(alg, b, b).is_zero()
 
 
+def test_a_duplicate_key_is_refused_whatever_its_value(Q):
+    # (0, 1) and (1, 0) name one product, even where either vector is zero
+    zero, a = Vector.zero(Q, 2), Vector.unit(Q, 2, 0)
+    for first, second in ((zero, a), (a, zero), (zero, zero)):
+        with pytest.raises(DimensionMismatch, match=r"^duplicate structure-constant key \(0, 1\)$"):
+            AlgebraDef(Q, ("a", "b"), {(0, 1): first, (1, 0): second})
+
+
 def test_multiply_refuses_other_fields_and_lengths(GF7):
     for alg, other in ((instantiate("SevenX")[0], GF7),
                        (instantiate("ThreeEv")[0], FieldDescriptor.rational_functions("t"))):
