@@ -20,7 +20,7 @@ from . import algfile
 from .algebra import extend_from_generators, is_ideal, quotient
 from .axial import CheckResult, axial_dimension, check_dihedral, check_fusion, identity_suite
 from .errors import (
-    AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, ScalarSyntaxError, UnknownEntry, UnknownSymbol,
+    AlgebraFileError, AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, UnknownEntry,
 )
 from .fields import FieldDescriptor, parse_scalar, render
 from .linalg import Subspace
@@ -63,9 +63,8 @@ def _document(basis, products, lo, hi, wrap, beyond=None, **constraints):
 
 class CatalogEntry(namedtuple(
     "CatalogEntry",
-    "name doc document expected_adim expected_case expected_relation default_field"
-    " fixed_eta requires_eta_minpoly",
-    defaults=(None, None),
+    "name doc document expected_adim expected_case expected_relation default_field fixed_eta",
+    defaults=(None,),
 )):
     """One encoded entry: document is the symbolic algebra document in the
     ``catalog emit`` layout, and expected_relation holds the documented
@@ -281,7 +280,6 @@ def _six_three():
         expected_case=2,
         expected_relation=("0", "0", "1"),
         default_field="nf:-1,2,1",
-        requires_eta_minpoly=(-1, 2, 1),
     )
 
 
@@ -378,22 +376,21 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def field_from_spec(spec: str) -> FieldDescriptor:
-    """Parse a field spec: q | gf:<p> | qeta | nf:<c0,c1,...>."""
-    if spec == "q":
-        return FieldDescriptor.rationals()
-    if spec == "qeta":
-        return FieldDescriptor.rational_functions("eta")
+    """The field of a spec string, q | qeta | gf:<p> | nf:<c0,c1,...>, read by
+    algfile.field_from_dict as the file field block it names: a gf: prime is
+    that block's "p" string, and the nf: coefficients its "minpoly" strings."""
+    if spec.startswith("gf:"):
+        block = {"kind": "prime", "p": spec[3:]}
+    elif spec.startswith("nf:"):
+        block = {"kind": "number_field", "minpoly": spec[3:].split(",")}
+    elif spec in ("q", "qeta"):
+        block = {"kind": "rationals" if spec == "q" else "rational_functions"}
+    else:
+        raise ConstraintViolation(f"unknown field spec {spec!r}")
     try:
-        if spec.startswith("gf:"):
-            if not (spec[3:].isascii() and spec[3:].isdigit()):  # a file's "p" rule: int() takes more
-                raise ValueError
-            return FieldDescriptor.prime(int(spec[3:]))
-        if spec.startswith("nf:"):
-            coeffs = [parse_scalar(c, FieldDescriptor.rationals()) for c in spec[3:].split(",")]
-            return FieldDescriptor.number_field(coeffs)
-    except (ValueError, ZeroDivisionError, ScalarSyntaxError, UnknownSymbol):
+        return algfile.field_from_dict(block)
+    except AlgebraFileError:
         raise ConstraintViolation(f"malformed number in field spec {spec!r}") from None
-    raise ConstraintViolation(f"unknown field spec {spec!r}")
 
 
 _instantiate_cache: dict = {}
@@ -408,33 +405,29 @@ def clear_caches():
 def instantiate(name, field=None, eta=None, enforce=True):
     """Build (AlgebraDef, DihedralData) for a catalog entry.
 
-    ``field`` is a FieldDescriptor or a spec string; ``eta`` a FieldElement
-    or scalar literal.  Defaults come from the entry.  Only the entry's own
-    rules are checked here (its fixed eta unless ``enforce`` is false; no
-    symbolic eta where a minimal polynomial binds it); the document, at this
-    field and eta, then goes through algfile.load_document.  The rules are
-    checked before the cache lookup, so the cache is keyed on (entry, field,
-    eta) alone: ``enforce`` decides which calls are refused, not what an
-    admitted call returns, and each instantiation is loaded once.
+    ``field`` is a spec string (field_from_spec), or None for the entry's
+    default field; ``eta`` is a scalar literal, or None for the entry's fixed
+    eta, else the field's variable.  Only the entry's own rules are checked
+    here (its fixed eta unless ``enforce`` is false; no symbolic eta where
+    the default field is a number field); the document, at this field and
+    eta, then goes through algfile.load_document.  The rules are checked
+    before the cache lookup, so the cache is keyed on (entry, field, eta)
+    alone: ``enforce`` decides which calls are refused, not what an admitted
+    call returns, and each instantiation is loaded once.
     """
     entry = get_entry(name)
-    if not isinstance(field, FieldDescriptor):
-        field = field_from_spec(entry.default_field if field is None else field)
+    field = field_from_spec(entry.default_field if field is None else field)
+    eta = None if eta is None else parse_scalar(eta, field)
+    if entry.fixed_eta is not None and (eta is None or enforce):
+        fixed = parse_scalar(entry.fixed_eta, field)
+        if eta is not None and eta != fixed:
+            raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
+        eta = fixed
     if eta is None:
-        if entry.fixed_eta is not None:
-            eta = parse_scalar(entry.fixed_eta, field)
-        elif field.variable is not None:
-            eta = field.generator()
-        else:
+        if field.variable is None:
             raise ConstraintViolation(f"{entry.name} needs an explicit eta over {field!r}")
-    elif isinstance(eta, str):
-        eta = parse_scalar(eta, field)
-    if eta.field is not field:
-        raise ConstraintViolation("eta does not lie in the requested field")
-
-    if enforce and entry.fixed_eta is not None and eta != parse_scalar(entry.fixed_eta, field):
-        raise ConstraintViolation(f"{entry.name} is defined at eta = {entry.fixed_eta} only")
-    if entry.requires_eta_minpoly is not None and field.kind == FieldDescriptor.RATIONAL_FUNCTIONS:
+        eta = field.generator()
+    if field.kind == FieldDescriptor.RATIONAL_FUNCTIONS and entry.default_field.startswith("nf:"):
         raise ConstraintViolation(
             f"{entry.name} needs eta bound by its minimal polynomial; "
             "a symbolic eta is not admissible"

@@ -129,10 +129,8 @@ def cmd_catalog_list(args) -> int:
             constraints.append(f"eta={entry.fixed_eta}")
         if entry.required_char:
             constraints.append(f"char={entry.required_char}")
-        if entry.requires_eta_minpoly:
-            constraints.append(
-                "minpoly=" + ",".join(str(c) for c in entry.requires_eta_minpoly)
-            )
+        if entry.default_field.startswith("nf:"):
+            constraints.append("minpoly=" + entry.default_field[3:])
         suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
         lines.append(
             f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "

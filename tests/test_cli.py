@@ -104,13 +104,22 @@ def test_file_source_fixes_field_eta_and_window(tmp_path, capsys):
 
 def test_malformed_field_specs_exit_two(capsys):
     # an nf: coefficient is a scalar literal: decimals, a leading '+' and
-    # exponent forms are not in its grammar; a gf: prime is ASCII digits, as
-    # a file's "p" is, with no sign, space, underscore or other script's digit
+    # exponent forms are not in its grammar; a gf: prime is at most 40 ASCII
+    # digits, as a file's "p" is, with no sign, space, underscore or other
+    # script's digit
     for spec in ("gf:abc", "gf:", "nf:1,x,1", "nf:1/0,1", "nf:-0.5,0,1", "nf:+1,0,1", "nf:1e3,0,1",
-                 "gf:+7", "gf: 7", "gf:\u0667", "gf:1_1"):
+                 "gf:+7", "gf: 7", "gf:\u0667", "gf:1_1", "gf:" + "1" * 41):
         code, out, err = run(capsys, "verify", "Seven", "--field", spec)
         assert code == 2 and out == ""
         assert err == f"error: malformed number in field spec {spec!r}\n"
+
+
+def test_unknown_field_specs_exit_two(capsys):
+    # a kind is one of q, qeta, gf:, nf:, in lower case and with its colon
+    for spec in ("", "gf", "nf", "q:", "qeta:", "GF:7"):
+        code, out, err = run(capsys, "verify", "Seven", "--field", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: unknown field spec {spec!r}\n"
 
 
 def test_prime_field_beyond_the_primality_limit_exits_two(capsys):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from axialcheck import algfile, catalog, fields, polynomials
 from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.errors import (
+    AlgebraFileError,
+    ConstraintViolation,
     DenominatorVanishes,
     DescriptorMismatch,
     DivisionByZero,
@@ -740,6 +742,42 @@ def test_equal_fields_are_one_object(kind):
 
 def test_number_field_spec_coefficients_are_scalar_literals():
     assert catalog.field_from_spec("nf:1-2,2^1,(3-1)/2") is FieldDescriptor.number_field((-1, 2, 1))
+
+
+@pytest.mark.parametrize("spec, block", [
+    ("q", {"kind": "rationals"}),
+    ("qeta", {"kind": "rational_functions"}),
+    ("gf:7", {"kind": "prime", "p": "7"}),
+    ("nf:-1,2,1", {"kind": "number_field", "minpoly": ["-1", "2", "1"]}),
+])
+def test_a_spec_is_the_field_block_it_names(spec, block):
+    assert catalog.field_from_spec(spec) is algfile.field_from_dict(block)
+
+
+def _field_or_refusal(make, malformed):
+    """The field made, or how it was refused: the InvalidDescriptor message,
+    or "malformed" for the reader's own refusal."""
+    try:
+        return make()
+    except InvalidDescriptor as exc:
+        return f"invalid: {exc}"
+    except malformed:
+        return "malformed"
+
+
+def test_a_gf_spec_reads_its_prime_as_a_file_reads_p():
+    rng = random.Random(28)
+
+    def digits(n):
+        return "".join(rng.choice("0123456789") for _ in range(n))
+
+    for p in ("+7", " 7", "1_1", "\u0667", digits(1), digits(40), digits(41), digits(4301), "91", "2", "7"):
+        spec = _field_or_refusal(lambda: catalog.field_from_spec(f"gf:{p}"), ConstraintViolation)
+        block = _field_or_refusal(lambda: algfile.field_from_dict({"kind": "prime", "p": p}), AlgebraFileError)
+        if isinstance(block, FieldDescriptor):
+            assert spec is block, p
+        else:
+            assert spec == block, p[:50]
 
 
 @pytest.mark.parametrize("kind", KINDS)
