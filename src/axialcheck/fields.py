@@ -9,9 +9,11 @@ Supported field kinds, one FieldDescriptor subclass each:
 * ``rational_functions``   -- Q(t) in one named variable.
 
 Every element is kept in a unique canonical form, so equal values have equal
-payloads (and hashes); equality itself is decided as every zero is, by the
-field's settle on the difference.  Payloads are immutable; all operations are
-pure.  An int or a Fraction is read by its numerator and denominator.
+payloads; equality itself is decided as every zero is, by the field's settle
+on the difference.  Payloads are immutable; all operations are pure.  An int
+or a Fraction is read by its numerator and denominator, and an element equals
+the ints and Fractions of its value, but hashes agree only between elements
+of one field: in GF(7), 3 == 10, and no hash of 3 agrees with both.
 Fields are interned: equal fields are one object and compare by identity.
 The two polynomial kinds live in ``polynomials``, which is compiled when such
 a field is first made, so a run over Q or GF(p) never loads it.
