@@ -265,7 +265,9 @@ class DihedralData:
 
     @cached_property
     def orbit(self):
-        """axis_orbit(self.algebra, self), grown once for all its readers."""
+        """The window (lo, hi) of axis_orbit(self.algebra, self), grown once
+        for both its readers: D1 generates from it, and axial_dimension
+        classifies its one relation."""
         return axis_orbit(self.algebra, self)
 
     def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":
@@ -293,33 +295,27 @@ DihedralViolation = namedtuple("DihedralViolation", "condition index detail")
 
 
 def axis_orbit(alg, dd):
-    """Grow the window a_lo .. a_hi from a_0 by a_(hi+1), then a_(lo-1), in
-    turn, until two steps in a row add nothing to its span (at most dim
-    steps add something); reads only dd.axis.  Returns that window (lo, hi),
-    the window at the first step that added nothing, which carries exactly
-    one relation as every earlier axis raised the rank, and the rank.  With
-    an invertible shift the window spans every axis: a_(hi+1) in the span S
-    of a_lo .. a_hi gives shift(S) = S, and a_(lo-1) in S does so for the
-    inverse."""
+    """Make a_-1 first, so a singular shift raises before any window is
+    grown, then grow the window a_lo .. a_hi from a_0 by a_(hi+1), then
+    a_(lo-1), in turn, and return (lo, hi) at the first axis that adds
+    nothing to the span; reads only dd.axis.  Every earlier axis raised the
+    rank, so the window carries exactly one relation and spans hi - lo
+    dimensions.  With an invertible shift it spans every axis: a_(hi+1) in
+    the span S of a_lo .. a_hi gives shift(S) = S, and a_(lo-1) in S does so
+    for the inverse."""
+    dd.axis(-1)
     lo = hi = 0
     span = EchelonBasis(alg.field, alg.dim)
     span.add(dd.axis(0))
-    relation = None
-    quiet = 0
-    while quiet < 2:
+    while True:
         if hi == -lo:
             hi += 1
-            new_index = hi
+            axis = dd.axis(hi)
         else:
             lo -= 1
-            new_index = lo
-        if span.add(dd.axis(new_index)) is None:
-            quiet += 1
-            if relation is None:
-                relation = (lo, hi)
-        else:
-            quiet = 0
-    return (lo, hi), relation, len(span.rows)
+            axis = dd.axis(lo)
+        if span.add(axis) is None:
+            return lo, hi
 
 
 def check_dihedral(alg, dd: DihedralData):
@@ -327,7 +323,8 @@ def check_dihedral(alg, dd: DihedralData):
 
     The shift and the flip are multiplicative by construction (see
     DihedralData.build), so D2 asks only whether dd.axis finds the shift's
-    inverse for a_-1.  D1 generates from the window of axis_orbit.  Only a_0
+    inverse for a_-1.  D1 generates from dd.orbit, the window of the first
+    relation, which spans every axis once the shift is invertible.  Only a_0
     is decomposed.  As every axis is a_i = shift^i(a_0), the split, fusion
     and Miyamoto results at a_i are those at a_0 conjugated by the
     automorphism shift^i, and the involution at i is shift^i o flip o
@@ -344,7 +341,7 @@ def check_dihedral(alg, dd: DihedralData):
     if violations:
         return violations
 
-    (lo, hi), _, _ = dd.orbit
+    lo, hi = dd.orbit
     span = generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)])
     if span.dim != alg.dim:
         violations.append(
@@ -388,11 +385,12 @@ class RelationWitness(namedtuple("RelationWitness", "parity case coefficients ad
         return f"adim {self.adim}, case {self.case} ({self.parity}), coefficients ({coeffs})"
 
     @classmethod
-    def classify(cls, lo, hi, coeffs, adim):
+    def classify(cls, lo, hi, coeffs):
         """Classify the relation sum coeffs[i - lo] a_i = 0 over [lo, hi], with
         c = lo + hi in {0, 1}: the flip mirrors i to c - i, the case is 1 + 2c
         (plus 1 if antisymmetric), and the alphas are the coefficients over
-        c..hi divided by the lead one at a_hi, less the first in case 2."""
+        c..hi divided by the lead one at a_hi, less the first in case 2.  The
+        relation is the window's only one, so the axial dimension is hi - lo."""
         c = lo + hi
         if c not in (0, 1):
             raise DataInconsistency("minimal relation window has unexpected shape")
@@ -403,21 +401,16 @@ class RelationWitness(namedtuple("RelationWitness", "parity case coefficients ad
             raise DataInconsistency("minimal relation has mixed flip symmetry")
         case = 1 + 2 * c + antisymmetric
         seq = tuple(by_index[i] / by_index[hi] for i in range(c, hi + 1))
-        if adim != hi - lo:
-            raise DataInconsistency(
-                f"axial dimension {adim} contradicts relation case {case} (expects {hi - lo})"
-            )
         alphas = seq[1:] if case == 2 else seq
-        return cls("odd" if antisymmetric else "even", case, alphas, adim, (lo, hi))
+        return cls("odd" if antisymmetric else "even", case, alphas, hi - lo, (lo, hi))
 
 
 def axial_dimension(alg, dd: DihedralData) -> RelationWitness:
-    """Classify the one relation of axis_orbit's first relation window by
-    its flip symmetry, with the rank of the axis span as the dimension."""
-    _, (lo, hi), rank = dd.orbit
+    """Classify the one relation of the window dd.orbit by its flip symmetry."""
+    lo, hi = dd.orbit
     window = [dd.axis(i) for i in range(lo, hi + 1)]
     relation = kernel(Matrix.from_columns(alg.field, window, nrows=alg.dim)).basis[0]
-    return RelationWitness.classify(lo, hi, relation, rank)
+    return RelationWitness.classify(lo, hi, relation)
 
 
 def p_vector(alg, dd: DihedralData, i: int, j: int) -> Vector:
@@ -543,7 +536,8 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
             f"dimension {sub.dim}",
         )
 
-    # invariant elements acting as scalars on a0 act the same on every p_{i,j}
+    # invariant elements acting as scalars on a0 act the same on every p_{i,j};
+    # j = 0 decides every j: the automorphism shift fixes x, and p_{i,j} = shift^j(p_{i,0})
     fixed = kernel(Matrix.from_columns(field, [
         Vector.sparse(field, 2 * alg.dim, x.terms | {i + alg.dim: c for i, c in y.terms.items()})
         for x, y in zip(*(m.matrix.sub_scalar_diag(one).columns for m in (dd.shift, dd.flip)))], 2 * alg.dim))
@@ -555,9 +549,8 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
             continue
         applicable = True
         for i in (1, 2, 3):
-            for j in (-1, 0, 1):
-                if multiply(alg, x, p(i, j)) != p(i, j).scale(sol[0]):
-                    ok = False
+            if multiply(alg, x, p(i, 0)) != p(i, 0).scale(sol[0]):
+                ok = False
     if applicable:
         report.add("invariant_scalar_action", ok)
     else:

@@ -244,7 +244,7 @@ def _closure_by_rounds(alg, gens):
 
 
 def _orbit_window(alg, dd):
-    (lo, hi), _, _ = axis_orbit(alg, dd)
+    lo, hi = axis_orbit(alg, dd)
     return [dd.axis(i) for i in range(lo, hi + 1)]
 
 

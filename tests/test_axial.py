@@ -43,7 +43,7 @@ from axialcheck.errors import (
     NotSemisimple,
 )
 from axialcheck.fields import FieldElement, parse_scalar, render
-from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel
+from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
 
 
 def _axis_diff(alg, dd, i):
@@ -234,14 +234,52 @@ def test_axes_are_the_shift_orbit_of_the_base_axis(case):
 @pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
 def test_dihedral_generators_span_every_axis(case):
     # D1 generates from the window of the orbit search; a_-(2d+2) .. a_(2d+3)
-    # span no more, and the search's rank is that span's dimension
+    # span no more, and the window's one relation leaves it dimension hi - lo
     alg, dd = _orbit_case(case)
     d = alg.dim
-    (lo, hi), _, rank = axis_orbit(alg, dd)
+    lo, hi = axis_orbit(alg, dd)
     wide = [dd.axis(i) for i in range(-(2 * d + 2), 2 * d + 4)]
     span = Subspace.from_vectors(alg.field, d, [dd.axis(i) for i in range(lo, hi + 1)])
     assert span.rows == Subspace.from_vectors(alg.field, d, wide).rows
-    assert span.dim == rank
+    assert span.dim == hi - lo
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
+def test_orbit_stops_at_its_first_relation(case):
+    # the search makes a_-1 first, then a_0, a_1, a_-1, a_2, a_-2, ... and
+    # asks for no axis past the first one in the span of those before it
+    alg, dd = _orbit_case(case)
+    asked = []
+    window = axis_orbit(alg, SimpleNamespace(axis=lambda i: asked.append(i) or dd.axis(i)))
+    order = [0] + [i for k in range(1, alg.dim + 1) for i in (k, -k)]
+    span = Subspace.from_vectors(alg.field, alg.dim, [])
+    for n, i in enumerate(order):
+        if span.contains(dd.axis(i)):
+            break
+        span = Subspace.from_vectors(alg.field, alg.dim, [*span.basis, dd.axis(i)])
+    assert asked == [-1] + order[: n + 1]
+    assert window == (min(order[: n + 1]), max(order[: n + 1]))
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
+def test_invariant_action_on_p_is_decided_at_shift_zero(case):
+    # for each x that identity_suite tries, a basis vector of the shift- and
+    # flip-fixed space with x*a_0 = s*a_0, x*p_{i,j} = s*p_{i,j} holds for
+    # j = -1 and 1 exactly when it holds for j = 0
+    alg, dd = _orbit_case(case)
+    one = alg.field.one()
+    fixed = kernel(dd.shift.matrix.sub_scalar_diag(one)).intersection(
+        kernel(dd.flip.matrix.sub_scalar_diag(one)))
+    for x in fixed.basis:
+        sol = solve_in_span(multiply(alg, x, dd.axis(0)), [dd.axis(0)])
+        if sol is None:
+            continue
+        for i in (1, 2, 3):
+            verdicts = {
+                j: multiply(alg, x, p_vector(alg, dd, i, j)) == p_vector(alg, dd, i, j).scale(sol[0])
+                for j in (-1, 0, 1)
+            }
+            assert verdicts[-1] == verdicts[0] == verdicts[1], (case, i, verdicts)
 
 
 def _check_dihedral_reference(alg, dd):
@@ -609,7 +647,7 @@ def test_polynomial_kernels_make_no_fraction(name, spec, monkeypatch):
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
     assert check_fusion(alg, dec) == []
     assert miyamoto(alg, dec).matrix == dd.flip.matrix
-    (lo, hi), _, _ = axis_orbit(alg, dd)
+    lo, hi = axis_orbit(alg, dd)
     assert generated_subalgebra(alg, [dd.axis(i) for i in range(lo, hi + 1)]).dim == alg.dim
     assert made == []
 
@@ -703,7 +741,7 @@ def test_axial_dimension_shift_invariance():
         assert (w.adim, w.case, w.parity) == (w_shifted.adim, w_shifted.case, w_shifted.parity)
 
 
-def _two_branch_classification(rel_lo, rel_hi, coeffs, adim):
+def _two_branch_classification(rel_lo, rel_hi, coeffs):
     """The relation classifier written as one branch per window shape, kept
     as the reference for RelationWitness.classify."""
     by_index = {rel_lo + pos: coeffs[pos] for pos in range(len(coeffs))}
@@ -720,7 +758,7 @@ def _two_branch_classification(rel_lo, rel_hi, coeffs, adim):
             case, parity, alphas = 1, "even", seq
         else:
             case, parity, alphas = 2, "odd", seq[1:]
-        expected_adim = 2 * k
+        adim = 2 * k
     elif rel_hi == -rel_lo + 1:
         k = -rel_lo
         flipped = {i: by_index[1 - i] for i in by_index}
@@ -731,14 +769,9 @@ def _two_branch_classification(rel_lo, rel_hi, coeffs, adim):
         lead = by_index[k + 1]
         alphas = tuple(by_index[i + 1] / lead for i in range(0, k + 1))
         case, parity = (3, "even") if symmetric else (4, "odd")
-        expected_adim = 2 * k + 1
+        adim = 2 * k + 1
     else:
         raise DataInconsistency("minimal relation window has unexpected shape")
-
-    if adim != expected_adim:
-        raise DataInconsistency(
-            f"axial dimension {adim} contradicts relation case {case} (expects {expected_adim})"
-        )
     return RelationWitness(parity, case, alphas, adim, (rel_lo, rel_hi))
 
 
@@ -750,8 +783,8 @@ def _outcome(classify, *args):
 
 
 # coordinates of the axes a_-3 .. a_4: {index: coordinates}, the rest
-# taking the `other` coordinates; then the first relation window, the final
-# span dimension and the expected case, or the expected error
+# taking the `other` coordinates; then the first relation window, the span
+# dimension and the expected case, or the expected error
 RELATION_CASES = {
     "case 1": ({-1: (2, -1), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2, 1),
     "case 2": ({-1: (0, 1), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2, 2),
@@ -759,8 +792,6 @@ RELATION_CASES = {
     "case 4": ({}, (1,), (0, 1), 1, 4),
     "mixed symmetry": ({-1: (1, 2), 0: (1, 0), 1: (0, 1)}, (1, 1), (-1, 1), 2,
                        "minimal relation has mixed flip symmetry"),
-    "adim mismatch": ({i: (1, 0) if i >= 0 else (0, 1) for i in range(-3, 5)}, None, (0, 1), 2,
-                      "axial dimension 2 contradicts relation case 4 (expects 1)"),
 }
 
 
@@ -780,7 +811,7 @@ def test_relation_cases_match_the_two_branch_classifier(Q, name):
     columns = [vectors[i] for i in range(lo, hi + 1)]
     coeffs = kernel(Matrix.from_columns(Q, columns, nrows=dim)).basis[0]
     got = _outcome(axial_dimension, alg, dd)
-    assert got == _outcome(_two_branch_classification, lo, hi, coeffs, adim)
+    assert got == _outcome(_two_branch_classification, lo, hi, coeffs)
     if isinstance(expected, int):
         assert (got.case, got.adim, got.window) == (expected, adim, window)
     else:
@@ -790,8 +821,8 @@ def test_relation_cases_match_the_two_branch_classifier(Q, name):
 def test_relation_window_of_unexpected_shape(Q):
     coeffs = tuple(Q.from_int(c) for c in (1, 1, 1, 1))
     message = "minimal relation window has unexpected shape"
-    assert _outcome(RelationWitness.classify, -2, 1, coeffs, 3) == message
-    assert _outcome(_two_branch_classification, -2, 1, coeffs, 3) == message
+    assert _outcome(RelationWitness.classify, -2, 1, coeffs) == message
+    assert _outcome(_two_branch_classification, -2, 1, coeffs) == message
 
 
 def test_theta_composition_law():
