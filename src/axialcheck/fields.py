@@ -10,10 +10,10 @@ Supported field kinds, one FieldDescriptor subclass each:
 
 Every element is kept in a unique canonical form, so equal values have equal
 payloads; equality itself is decided as every zero is, by the field's settle
-on the difference.  Payloads are immutable; all operations are pure.  An int
-or a Fraction is read by its numerator and denominator, and an element equals
-the ints and Fractions of its value, but hashes agree only between elements
-of one field: in GF(7), 3 == 10, and no hash of 3 agrees with both.
+on the difference.  Payloads are immutable; all operations are pure.  An
+element equals only elements of its own field, never an int or a Fraction, so
+equal elements hash alike.  The arithmetic takes an int as its image
+(from_int); from_fraction is the way to bring in a Fraction.
 Fields are interned: equal fields are one object and compare by identity.
 The two polynomial kinds live in ``polynomials``, which is compiled when such
 a field is first made, so a run over Q or GF(p) never loads it.
@@ -359,8 +359,8 @@ class FieldElement:
                     f"cannot mix {self.field!r} and {other.field!r}"
                 )
             return other
-        if hasattr(other, "denominator"):  # an int or a Fraction
-            return self.field.from_fraction(other)
+        if isinstance(other, int):
+            return self.field.from_int(other)
         return NotImplemented
 
     # arithmetic -----------------------------------------------------------
@@ -434,12 +434,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
-            if not hasattr(other, "denominator"):  # neither an int nor a Fraction
-                return NotImplemented
-            try:
-                other = self.field.from_fraction(other)
-            except DenominatorVanishes:
-                return False
+            return NotImplemented
         f = self.field
         return f is other.field and not self._sum(f.neg(f.ONE), other.payload)
 

@@ -232,7 +232,7 @@ def test_nested_powers_are_refused_before_they_are_computed(Q, QETA, NF, sympy_v
         assert time.monotonic() - start < 1.0, text
     # the largest single powers stay allowed
     assert _monic_parts(sympy_value, parse_scalar("(eta+1)^64", QETA))[0][32] == math.comb(64, 32)
-    assert parse_scalar("(2^64)^64", Q) == 2**4096
+    assert parse_scalar("(2^64)^64", Q) == Q.from_int(2**4096)
 
 
 def test_overlong_integer_literal_is_a_syntax_error(Q):
@@ -787,7 +787,7 @@ def test_elements_of_fields_made_apart_mix(kind):
     three = parse_scalar("3", catalog.field_from_spec(spec))
     block = algfile.field_to_dict(make())
     five = parse_scalar("5", algfile.field_from_dict(block))
-    assert two + three == five and three - two == 1 and two * three == 6
+    assert two + three == five and three - two == make().one() and two * three == make().from_int(6)
     assert Vector(make(), [two, three, five]) + Vector(five.field, [two] * 3) == Vector(
         two.field, [2 * two, two + three, two + five]
     )
@@ -804,6 +804,16 @@ def test_rejected_fields_are_not_interned():
     assert fields._FIELDS == interned
 
 
+def test_elements_equal_only_elements_of_their_field(Q, GF7):
+    # in GF(7) one element would equal both 3 and 10, so no hash could agree
+    # with ==; ints and Fractions are other values, and equal elements hash alike
+    assert Q.from_int(2) != 2 and GF7.from_int(3) != 3
+    assert {Q.from_int(2): 1}.get(Q.from_int(4) / 2) == 1
+    assert Q.from_int(1) + 1 == Q.from_int(2)
+    with pytest.raises(TypeError):
+        Q.from_int(1) + Fraction(1, 2)
+
+
 def test_different_fields_do_not_mix(QETA, GF5, GF7):
     qt = FieldDescriptor.rational_functions("t")
     for a, b in ((GF5.one(), GF7.one()), (QETA.generator(), qt.generator())):
@@ -817,9 +827,9 @@ def test_different_fields_do_not_mix(QETA, GF5, GF7):
 
 
 def test_parse_scalar_binds_eta(Q, QETA, NF):
-    assert parse_scalar("eta^2 + 1", Q, eta=Q.from_int(3)) == 10
+    assert parse_scalar("eta^2 + 1", Q, eta=Q.from_int(3)) == Q.from_int(10)
     # eta names the given element, not the field's variable of that name
-    assert parse_scalar("eta", QETA, eta=QETA.from_int(2)) == 2
+    assert parse_scalar("eta", QETA, eta=QETA.from_int(2)) == QETA.from_int(2)
     eta = NF.generator()
     assert parse_scalar("eta*eta", NF, eta=eta + 1) == (eta + 1) * (eta + 1)
     assert parse_scalar("eta", QETA) == QETA.generator()
