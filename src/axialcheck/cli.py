@@ -178,7 +178,9 @@ def _parse_correspondence(text, source_alg, target_alg, eta):
 
 def cmd_isom(args) -> int:
     _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
-    _, alg_b, dd_b = _load_source(args.source_b, args.field_b or args.field, args.eta_b or args.eta)
+    field_b = args.field if args.field_b is None else args.field_b
+    literal_b = args.eta if args.eta_b is None else args.eta_b
+    _, alg_b, dd_b = _load_source(args.source_b, field_b, literal_b)
     if alg_a.field is not alg_b.field:
         raise AxialError(
             f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"

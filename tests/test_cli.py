@@ -215,6 +215,18 @@ def test_isom_prints_its_reason(capsys, mapping, code, line):
     assert run(capsys, "isom", "ThreeEvX", "ThreeEvX", "--map", mapping) == (code, line + "\n", "")
 
 
+@pytest.mark.parametrize("option, error", [
+    ("--field-b", "error: unknown field spec ''\n"),
+    ("--eta-b", "error: empty expression\n"),
+])
+def test_isom_reads_an_empty_second_option_as_given(capsys, option, error):
+    # an empty --field-b or --eta-b is refused, as verify refuses it, and does
+    # not fall back to --field or --eta
+    argv = ["isom", "ThreeEvX", "ThreeEvX", "--map", "a0=a0,a1=a1,am1=am1", "--field", "gf:7"]
+    assert run(capsys, *argv) == (0, "isomorphism found\n", "")
+    assert run(capsys, *argv, option, "") == (2, "", error)
+
+
 def test_isom_self_identity(capsys):
     code, out, _ = run(
         capsys, "isom", "FiveThree", "FiveThree",
