@@ -1,5 +1,5 @@
 """Algebra documents, the one loader of files and catalog entries, and
-vector-literal expressions.
+vector-literal expressions.  The writer of documents is ``derive.dumps``.
 
 A document is a JSON object:
 
@@ -313,79 +313,3 @@ def load_path(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraFileError(f"cannot read {path!r}: {exc}") from None
     return loads(text)
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-
-def _render_vector_literal(v: Vector, labels, literal) -> str:
-    terms = []
-    for k, c in sorted(v.terms.items()):
-        label, lit = labels[k], literal(c)
-        if lit == "1":
-            term = label
-        elif lit == "-1":
-            term = f"-{label}"
-        else:
-            term = f"({lit})*{label}"
-        terms.append(term)
-    if not terms:
-        return "0*" + labels[0]
-    out = terms[0]
-    for term in terms[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
-
-
-def document_for(alg: AlgebraDef, dd: DihedralData | None = None, constraints=None) -> dict:
-    """Serializable file dict for an algebra (products sorted, values rendered).
-
-    ``eta`` in a document's literals is its eta, so where the field's variable
-    is named eta but eta is another element, the variable is written as t.
-    """
-    field = alg.field
-    if dd is not None and field.variable == "eta" and dd.eta != field.generator():
-        field = field_from_dict(dict(field_to_dict(field), variable="t"))
-
-    literal = field.render  # of a payload
-    products = []
-    for i, row in enumerate(alg.rows):
-        for j in sorted(j for j in row if j >= i):
-            value = {alg.labels[k]: literal(c) for k, c in sorted(row[j].items())}
-            products.append(
-                {"left": alg.labels[i], "right": alg.labels[j], "value": value}
-            )
-    doc = {
-        "field": field_to_dict(field),
-        "basis": list(alg.labels),
-        "products": products,
-    }
-    if dd is not None:
-        seed_range = list(range(-1, alg.dim + 1))
-        axes = [_render_vector_literal(dd.axis(i), alg.labels, literal) for i in seed_range]
-        shift_images = {}
-        flip_images = {}
-        for k in range(alg.dim):
-            label = alg.labels[k]
-            shift_images[label] = _render_vector_literal(
-                dd.shift.apply(alg.basis_vector(k)), alg.labels, literal
-            )
-            flip_images[label] = _render_vector_literal(
-                dd.flip.apply(alg.basis_vector(k)), alg.labels, literal
-            )
-        doc["dihedral"] = {
-            "window": [seed_range[0], seed_range[-1]],
-            "axes": axes,
-            "shift_images": shift_images,
-            "flip_images": flip_images,
-            "eta": literal(dd.eta.payload),
-        }
-    if constraints:
-        doc["constraints"] = constraints
-    return doc
-
-
-def dumps(alg, dd=None, constraints=None) -> str:
-    return json.dumps(document_for(alg, dd, constraints), indent=2, sort_keys=False)

@@ -6,6 +6,10 @@ Exit codes: 0 all selected checks pass, 1 at least one check failed,
 The --json output has a deterministic "canonical" section (byte-identical
 across runs for identical inputs) and a separate "meta" section carrying
 wall-clock duration.
+
+Only ``verify`` is handled here; the handlers of ``catalog list``, ``emit``
+and ``claims``, ``isom`` and ``quotient`` live in ``derive``, which is
+compiled when one of them first runs.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ import sys
 import time
 
 from . import algfile, catalog
-from .algebra import extend_from_generators, quotient
-from .errors import AxialError, ConstraintViolation, DataInconsistency, NotAnIdeal, UnknownEntry
-from .linalg import Subspace
+from .errors import AxialError, ConstraintViolation, UnknownEntry
 
 
 def _write(text, code):
@@ -99,15 +101,6 @@ def _load_file(path, field_spec, eta_literal):
     return os.path.basename(path), alg, dd
 
 
-def _load_source(source, field_spec, eta_literal):
-    """Resolve a catalog name or file path to (name, alg, dd)."""
-    entry = _catalog_entry(source)
-    if entry is None:
-        return _load_file(source, field_spec, eta_literal)
-    alg, dd = catalog.instantiate(source, field_spec, eta_literal)
-    return entry.name, alg, dd
-
-
 def cmd_verify(args) -> int:
     start = time.monotonic()
     checks = _resolve_checks(args.check)
@@ -121,106 +114,14 @@ def cmd_verify(args) -> int:
     return _write(_report_text(report.canonical(), time.monotonic() - start, args.json), 0 if report.passed else 1)
 
 
-def cmd_catalog_list(args) -> int:
-    lines = []
-    for entry in catalog.list_entries():
-        constraints = []
-        if entry.fixed_eta:
-            constraints.append(f"eta={entry.fixed_eta}")
-        if entry.required_char:
-            constraints.append(f"char={entry.required_char}")
-        if entry.default_field.startswith("nf:"):
-            constraints.append("minpoly=" + entry.default_field[3:])
-        suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
-        lines.append(
-            f"{entry.name:<12} dim {entry.dim}  adim {entry.expected_adim} "
-            f"case {entry.expected_case}  field {entry.default_field}{suffix}\n"
-        )
-    return _write("".join(lines), 0)
+def _derived(name):
+    """The handler ``name`` of derive, which is compiled when one of them first runs."""
+    def run(args):
+        from . import derive
 
+        return getattr(derive, name)(args)
 
-def cmd_catalog_emit(args) -> int:
-    if not args.name:
-        raise AxialError("emit needs an entry name")
-    entry = catalog.get_entry(args.name)
-    alg, dd = catalog.instantiate(args.name, args.field, args.eta)
-    return _write(algfile.dumps(alg, dd, entry.document.get("constraints")) + "\n", 0)
-
-
-def cmd_catalog_claims(args) -> int:
-    start = time.monotonic()
-    reports = catalog.check_claims()
-    code = 0 if all(r.status == "pass" for r in reports) else 1
-    if args.json:
-        return _write(_report_text({"claims": [r._asdict() for r in reports]}, time.monotonic() - start, True), code)
-    return _write("".join(f"[{r.status.upper():>5}] {r.name}  ({r.detail})\n" for r in reports), code)
-
-
-def _parse_correspondence(text, source_alg, target_alg, eta):
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise AxialError(f"correspondence item {chunk!r} is not label=expression")
-        left, right = chunk.split("=", 1)
-        left = left.strip()
-        if left not in source_alg.labels:
-            raise AxialError(f"unknown source label {left!r}")
-        src = source_alg.basis_vector(source_alg.label_index(left))
-        img = algfile.parse_vector(right.strip(), target_alg, eta)
-        pairs.append((src, img))
-    if not pairs:
-        raise AxialError("empty generator correspondence")
-    return pairs
-
-
-def cmd_isom(args) -> int:
-    _, alg_a, dd_a = _load_source(args.source_a, args.field, args.eta)
-    field_b = args.field if args.field_b is None else args.field_b
-    literal_b = args.eta if args.eta_b is None else args.eta_b
-    _, alg_b, dd_b = _load_source(args.source_b, field_b, literal_b)
-    if alg_a.field is not alg_b.field:
-        raise AxialError(
-            f"sources live over different fields ({alg_a.field!r} vs {alg_b.field!r})"
-        )
-    eta_b = dd_b.eta if dd_b is not None else None
-    pairs = _parse_correspondence(args.map, alg_a, alg_b, eta_b)
-    if alg_a.dim != alg_b.dim:
-        return _write("no isomorphism: dimensions differ\n", 1)
-    try:
-        if extend_from_generators(alg_a, pairs, alg_b).is_bijective():
-            return _write("isomorphism found\n", 0)
-        reason = "the extended map is not bijective"
-    except DataInconsistency as exc:
-        reason = exc
-    return _write(f"no isomorphism: {reason}\n", 1)
-
-
-def cmd_quotient(args) -> int:
-    _, alg, dd = _load_source(args.source, args.field, args.eta)
-    eta = dd.eta if dd is not None else None
-    vectors = [
-        algfile.parse_vector(chunk.strip(), alg, eta)
-        for chunk in args.ideal.split(";")
-        if chunk.strip()
-    ]
-    if not vectors:
-        raise AxialError("empty ideal specification")
-    span = Subspace.from_vectors(alg.field, alg.dim, vectors)
-    try:
-        qalg, proj = quotient(alg, span)
-    except NotAnIdeal:
-        print("not an ideal", file=sys.stderr)
-        return 1
-    qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
-    text = algfile.dumps(qalg, qdd)
-    if not args.output:
-        return _write(text + "\n", 0)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return 0
+    return run
 
 
 def build_parser():
@@ -241,15 +142,15 @@ def build_parser():
 
     p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")
     actions = p_cat.add_subparsers(dest="action", required=True)
-    actions.add_parser("list", help="list the entries").set_defaults(func=cmd_catalog_list)
+    actions.add_parser("list", help="list the entries").set_defaults(func=_derived("cmd_catalog_list"))
     p_emit = actions.add_parser("emit", help="write an entry as an algebra file")
     p_emit.add_argument("name", nargs="?", default=None)
     p_emit.add_argument("--field", default=None)
     p_emit.add_argument("--eta", default=None)
-    p_emit.set_defaults(func=cmd_catalog_emit)
+    p_emit.set_defaults(func=_derived("cmd_catalog_emit"))
     p_claims = actions.add_parser("claims", help="discharge the catalog's claims")
     p_claims.add_argument("--json", action="store_true")
-    p_claims.set_defaults(func=cmd_catalog_claims)
+    p_claims.set_defaults(func=_derived("cmd_catalog_claims"))
 
     p_isom = sub.add_parser("isom", help="test a generator correspondence for isomorphism")
     p_isom.add_argument("source_a")
@@ -260,7 +161,7 @@ def build_parser():
     p_isom.add_argument("--eta", default=None)
     p_isom.add_argument("--field-b", dest="field_b", default=None)
     p_isom.add_argument("--eta-b", dest="eta_b", default=None)
-    p_isom.set_defaults(func=cmd_isom)
+    p_isom.set_defaults(func=_derived("cmd_isom"))
 
     p_quot = sub.add_parser("quotient", help="quotient by an ideal and emit the file")
     p_quot.add_argument("source")
@@ -269,7 +170,7 @@ def build_parser():
     p_quot.add_argument("--field", default=None)
     p_quot.add_argument("--eta", default=None)
     p_quot.add_argument("--output", "-o", default=None)
-    p_quot.set_defaults(func=cmd_quotient)
+    p_quot.set_defaults(func=_derived("cmd_quotient"))
     return parser
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from axialcheck import algfile, catalog
+from axialcheck import algfile, catalog, derive
 from axialcheck.algebra import multiply
 from axialcheck.errors import AlgebraFileError, ScalarSyntaxError, UnknownSymbol
 from axialcheck.fields import render
@@ -10,7 +10,7 @@ from axialcheck.fields import render
 
 def _doc_for(name):
     alg, dd = catalog.instantiate(name)
-    return algfile.document_for(alg, dd), alg, dd
+    return derive.document_for(alg, dd), alg, dd
 
 
 def test_round_trip_three_ev():
@@ -133,7 +133,7 @@ def test_zero_literals_drop_out_of_the_table():
     }
     alg, _, _ = algfile.load_document(doc)
     assert alg.rows == ({0: {1: alg.field.from_int(2).payload}}, {})
-    assert algfile.document_for(alg)["products"] == [{"left": "x", "right": "x", "value": {"y": "2"}}]
+    assert derive.document_for(alg)["products"] == [{"left": "x", "right": "x", "value": {"y": "2"}}]
 
 
 def test_emitted_scalars_are_strings():

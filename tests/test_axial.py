@@ -15,7 +15,7 @@ from axialcheck.algebra import (
     multiply,
     quotient,
 )
-from axialcheck.algfile import document_for, load_document, load_path, parse_vector
+from axialcheck.algfile import load_document, load_path, parse_vector
 from axialcheck.axial import (
     DihedralData,
     DihedralViolation,
@@ -35,6 +35,7 @@ from axialcheck.axial import (
     split_eigenspace,
 )
 from axialcheck.catalog import instantiate
+from axialcheck.derive import document_for
 from axialcheck.errors import (
     DataInconsistency,
     InvolutionMismatch,

@@ -1,8 +1,10 @@
 import json
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
-from axialcheck import algebra, algfile, axial, catalog, cli, polynomials
+from axialcheck import algebra, algfile, axial, catalog, cli, derive, polynomials
 from axialcheck.algebra import multiply
 from axialcheck.axial import split_eigenspace
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
@@ -20,6 +22,20 @@ def test_list_entries():
     three = catalog.get_entry("ThreeEv")
     assert three.document["basis"] == ["p1", "am1", "a0", "a1"] and three.dim == 4
     assert catalog.get_entry("SevenX").required_char == 5
+
+
+def test_every_data_file_of_the_package_is_shipped():
+    # an installed axialcheck needs its catalog.json: setuptools installs a
+    # package's non-Python files only where package-data lists them
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        listed = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["axialcheck"]
+    package = root / "src" / "axialcheck"
+    data = [str(path.relative_to(package)) for path in package.rglob("*")
+            if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts]
+    assert "catalog.json" in data
+    assert [name for name in data if not any(fnmatch(name, pattern) for pattern in listed)] == []
 
 
 def test_lookup_case_insensitive():
@@ -108,7 +124,7 @@ def test_verify_splits_the_base_axis_once(monkeypatch, hostile_file):
             text = hostile_file(6, 3, 1)
         else:
             eta = (None, None) if source == "FiveThree" else ("qeta", "eta")
-            text = algfile.dumps(*catalog.instantiate(source, *eta, enforce=False))
+            text = derive.dumps(*catalog.instantiate(source, *eta, enforce=False))
         alg, dd, _ = algfile.loads(text)
         calls.clear()
         report = catalog.verify(f"{source}.json", alg, dd)
@@ -263,20 +279,20 @@ def test_brown_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, host
 
 def test_a_quotient_row_with_the_wrong_child_fails(monkeypatch):
     row = ("ThreeEv", "q", "-1/3", "p1", "FourEvX", "p1 span is ideal", "matches FourEvX")
-    monkeypatch.setattr(catalog, "_QUOTIENT_ROWS", [row])
-    (claim,) = catalog._quotient_isomorphism_claims()
+    monkeypatch.setattr(derive, "_QUOTIENT_ROWS", [row])
+    (claim,) = derive._quotient_isomorphism_claims()
     assert claim.status == "fail"
     assert claim.detail == "p1 span is ideal: True; matches FourEvX: False"
     row = ("ThreeEv", "qeta", "eta", "p1", "ThreeEvX", "p1 span is ideal", "matches ThreeEvX")
-    monkeypatch.setattr(catalog, "_QUOTIENT_ROWS", [row])
-    (claim,) = catalog._quotient_isomorphism_claims()
+    monkeypatch.setattr(derive, "_QUOTIENT_ROWS", [row])
+    (claim,) = derive._quotient_isomorphism_claims()
     assert (claim.status, claim.detail) == ("fail", "p1 span is ideal: False")
 
 
 def test_an_ideal_row_whose_middle_is_not_special_fails(monkeypatch):
     row = ("ThreeEv", ("generic", "qeta", "eta"), ("at 1/4", "q", "1/4"), ("at -1/3", "q", "-1/3"))
-    monkeypatch.setattr(catalog, "_IDEAL_ROWS", [row])
-    (claim,) = catalog._ideal_claims()
+    monkeypatch.setattr(derive, "_IDEAL_ROWS", [row])
+    (claim,) = derive._ideal_claims()
     assert claim.status == "fail"
     assert claim.detail == "generic False, at 1/4 False, at -1/3 True"
 

@@ -565,7 +565,7 @@ def test_engine_import_leaves_out_the_catalog_and_the_cli():
     # the package resolves list_entries on first use, so loading files and
     # checking axes compiles neither the catalog nor the command line
     loaded = _loaded_by_import(["axialcheck.algfile", "axialcheck.axial"],
-                               ["axialcheck.catalog", "axialcheck.cli", "argparse"])
+                               ["axialcheck.catalog", "axialcheck.cli", "axialcheck.derive", "argparse"])
     assert loaded == "[]\n"
 
 
@@ -590,6 +590,33 @@ def test_only_a_polynomial_field_loads_the_polynomials(then, loaded):
     # runs over Q and GF(p) never compile the Q[t]/(m) and Q(eta) arithmetic
     probe = _loaded_by_import(["axialcheck.cli", "axialcheck.algfile"], ["axialcheck.polynomials"], then)
     assert probe == ("['axialcheck.polynomials']\n" if loaded else "[]\n")
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, None, False),
+    (["verify", "Seven", "--json"], 0, False),
+    (["verify", "{file}", "--json"], 0, False),
+    (["verify", "FourEv", "--field", "q", "--eta=-1"], 2, False),
+    (["catalog", "claims"], 0, True),
+    (["catalog", "list"], 0, True),
+    (["catalog", "emit", "Seven"], 0, True),
+    (["isom", "ThreeEvX", "ThreeEvX", "--map", "a0=a0,a1=a1,am1=am1"], 0, True),
+    (["quotient", "ThreeEv", "--field", "q", "--eta=-1/3", "--ideal", "p1"], 0, True),
+], ids=["list_entries", "verify_entry", "verify_file", "verify_rejected", "claims", "list", "emit", "isom",
+        "quotient"])
+def test_only_commands_other_than_verify_load_derive(tmp_path, argv, code, loaded):
+    # the file writer, the claim suite and the other handlers are compiled on
+    # first use, so no verify, accepted or rejected, loads them
+    from axialcheck import derive
+
+    path = tmp_path / "ThreeEvX.json"
+    path.write_text(derive.dumps(*catalog.instantiate("ThreeEvX")), encoding="utf-8")
+    if argv is None:
+        then = "axialcheck.list_entries()"
+    else:
+        then = f"assert axialcheck.cli.main({[str(path) if a == '{file}' else a for a in argv]!r}) == {code}"
+    probe = _loaded_by_import(["axialcheck.cli"], ["axialcheck.derive"], then)
+    assert probe == ("['axialcheck.derive']\n" if loaded else "[]\n")
 
 
 def test_package_finds_list_entries_on_first_use():
