@@ -11,10 +11,11 @@ from functools import partial
 from types import SimpleNamespace
 
 from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
+from .fields import _fill, _Frozen
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, _full_row, _terms, invert, rref
 
 
-class AlgebraDef:
+class AlgebraDef(_Frozen):
     """Algebra given by basis labels and symmetric structure constants.
 
     ``rows[i]`` maps each j with e_i*e_j nonzero to that product's
@@ -44,13 +45,7 @@ class AlgebraDef:
                 raise DescriptorMismatch("structure constants over the wrong field")
             if vec.terms:  # a zero product is left out
                 rows[i][j] = rows[j][i] = vec.terms
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgebraDef is immutable")
+        _fill(self, field, labels, rows, dim)
 
     def label_index(self, label):
         return self.labels.index(label)
@@ -152,7 +147,7 @@ def is_ideal(alg: AlgebraDef, s: Subspace) -> bool:
     return True
 
 
-class AlgebraMap:
+class AlgebraMap(_Frozen):
     """Linear map between algebras; columns are images of source basis vectors."""
 
     __slots__ = ("source", "target", "matrix")
@@ -160,12 +155,7 @@ class AlgebraMap:
     def __init__(self, source, target, matrix):
         if matrix.ncols != source.dim or matrix.nrows != target.dim:
             raise DimensionMismatch("map matrix has wrong shape")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgebraMap is immutable")
+        _fill(self, source, target, matrix)
 
     @classmethod
     def identity(cls, alg):

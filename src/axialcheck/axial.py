@@ -29,7 +29,7 @@ from .errors import (
     NotIdempotent,
     NotSemisimple,
 )
-from .fields import FieldDescriptor, render
+from .fields import FieldDescriptor, _Frozen, render
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
@@ -60,19 +60,13 @@ def check_eta(eta):
         raise DataInconsistency("eta must avoid 0 and 1")
 
 
-class AxisDecomposition:
+class AxisDecomposition(_Frozen):
     """A verified splitting M = M0 + M1 + M2 + M3 for one axis; parts holds
-    the four Subspaces.  The cached properties write the instance __dict__
-    directly, past the immutability guard."""
+    the four Subspaces.  It keeps an instance __dict__ for its cached
+    properties, which write that __dict__ directly, past _Frozen's guard."""
 
     def __init__(self, algebra: AlgebraDef, axis: Vector, parts):
         vars(self).update(algebra=algebra, axis=axis, parts=parts)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AxisDecomposition is immutable")
-
-    def part(self, i) -> Subspace:
-        return self.parts[i]
 
     def dims(self):
         return tuple(p.dim for p in self.parts)
@@ -195,18 +189,15 @@ def miyamoto(alg: AlgebraDef, dec: AxisDecomposition) -> AlgebraMap:
     return AlgebraMap(alg, alg, signed.matmul(dec.coordinates))
 
 
-class DihedralData:
+class DihedralData(_Frozen):
     """The base axis a_0, the shift automorphism and the base flip of a
     dihedral algebra; every other axis is a_i = shift^i(a_0).  The shift and
-    the flip are multiplicative by construction (see build).  The cached
-    properties write the instance __dict__ past the immutability guard."""
+    the flip are multiplicative by construction (see build).  It keeps an
+    instance __dict__ for its cached properties, which write that __dict__
+    directly, past _Frozen's guard; axis grows the _axes map it holds."""
 
     def __init__(self, algebra, eta, a0, shift, flip):
-        vars(self).update(algebra=algebra, eta=eta, shift=shift, flip=flip)
-        vars(self).update(_axes={0: a0})
-
-    def __setattr__(self, *_):
-        raise AttributeError("DihedralData is immutable")
+        vars(self).update(algebra=algebra, eta=eta, shift=shift, flip=flip, _axes={0: a0})
 
     @classmethod
     def build(cls, alg, seed_axes, shift, flip, eta):
@@ -423,7 +414,7 @@ def lambda_coefficient(alg, dec: AxisDecomposition, target: Vector):
     """Coefficient of the axis in the M1 component of target (M1's basis row
     is the axis divided by its entry at the pivot)."""
     coords = dec.coordinates.apply(target)
-    return coords[dec.part(0).dim] / dec.axis[min(dec.part(1).rows)]
+    return coords[dec.parts[0].dim] / dec.axis[min(dec.parts[1].rows)]
 
 
 # one row of a report; status is "pass" | "fail" | "skipped"
@@ -483,8 +474,8 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         rhs = a0.scale((one - eta) * lambdas[i] - eta)
         report.add(f"p{i}0_scalar", lhs == rhs, "" if lhs == rhs else _residual_detail(lhs - rhs))
         mid = p_i0 - a0.scale(lambdas[i] - eta) + (dd.axis(i) + dd.axis(-i)).scale(eta / 2)
-        ok = dec.part(2).contains(mid)
-        report.add(f"p{i}0_m2_part", ok, "" if ok else _residual_detail(dec.part(2).reduce(mid)))
+        ok = dec.parts[2].contains(mid)
+        report.add(f"p{i}0_m2_part", ok, "" if ok else _residual_detail(dec.parts[2].reduce(mid)))
 
     lam1, lam2 = lambdas[1], lambdas[2]
     p1, p20, p21, p31, p3m1 = p(1, 0), p(2, 0), p(2, 1), p(3, 1), p(3, -1)

@@ -181,9 +181,6 @@ class EntryReport(namedtuple(
         }
 
 
-ALL_CHECKS = ("fusion", "dihedral", "relations", "identities")
-
-
 def _fusion_pass(report, alg, dd, documented):
     dec = dd.base_split
     report.dimensions["parts"] = tuple(dec.dims())
@@ -246,6 +243,7 @@ _PASSES = {
     "relations": ("relation", _relation_pass),
     "identities": ("identities", _identity_pass),
 }
+ALL_CHECKS = tuple(_PASSES)
 
 
 def verify(name, alg, dd, checks=ALL_CHECKS, documented=None):

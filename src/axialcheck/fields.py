@@ -90,10 +90,33 @@ def render(x: FieldElement) -> str:
 # field descriptors: one subclass per kind owns the arithmetic on payloads
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__  # past _Frozen's guard, on objects still being made
+
+
+class _Frozen:
+    """The base of the engine's value classes: fields, elements, vectors,
+    matrices, subspaces, algebras, maps, decompositions and dihedral data,
+    which are shared once made and so never changed.  Its guard is the
+    package's one __setattr__ and refuses every store, so a constructor
+    stores its slots through _set or _fill.  A subclass that keeps an
+    instance __dict__ for cached_property writes that __dict__ directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _fill(obj, *values):
+    """Set the slots of the new obj to values, in order."""
+    for name, value in zip(obj.__slots__, values):
+        _set(obj, name, value)
+
+
 _FIELDS: dict = {}  # (class, p, minpoly, variable) -> the one such field
 
 
-class FieldDescriptor:
+class FieldDescriptor(_Frozen):
     """Identifies one of the four exact fields and does the arithmetic on its
     elements' payloads.  Each kind is a subclass, so a field's arithmetic is
     chosen when the field is made; the polynomial kinds' arithmetic is also
@@ -112,12 +135,9 @@ class FieldDescriptor:
         key = (cls, p, minpoly, variable)
         if key not in _FIELDS:
             field = _FIELDS[key] = object.__new__(cls)
-            for name, value in zip(FieldDescriptor.__slots__, key[1:]):
-                object.__setattr__(field, name, value)
+            for name, value in zip(FieldDescriptor.__slots__, key[1:]):  # a kind's own __slots__ is empty
+                _set(field, name, value)
         return _FIELDS[key]
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldDescriptor is immutable")
 
     # constructors ---------------------------------------------------------
 
@@ -321,18 +341,15 @@ class _PrimeField(FieldDescriptor):
         return f"GF({self.p})"
 
 
-class FieldElement:
+class FieldElement(_Frozen):
     """A scalar in canonical form; supports +, -, *, /, ** and exact equality.
     Its field does the arithmetic on the payloads."""
 
     __slots__ = ("field", "payload")
 
     def __init__(self, field, payload):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
+        _set(self, "field", field)
+        _set(self, "payload", payload)
 
     # predicates -----------------------------------------------------------
 

@@ -3,28 +3,22 @@
 A Vector is its nonzero entries, {index: payload}, and a Matrix is its
 column Vectors: every kernel works on these maps with the field's own
 payload arithmetic, and FieldElements are made only where an entry is read
-(``entries``, indexing, ``rows``).  Everything is immutable.  Reduced row
-echelon form is the canonical normal form throughout: two subspaces are
-equal iff their RREF bases agree entrywise.  Pivoting always takes the first
-nonzero row, never by magnitude -- arithmetic is exact, and determinism
-matters more.
+(``entries``, indexing, ``rows``).  Vector, Matrix and Subspace subclass
+fields._Frozen, whose one guard keeps them unchanged once their constructors
+have stored their slots through _set and _fill; EchelonBasis, a builder, is
+the one mutable class.  Reduced row echelon form is the canonical normal
+form throughout: two subspaces are equal iff their RREF bases agree
+entrywise.  Pivoting always takes the first nonzero row, never by magnitude
+-- arithmetic is exact, and determinism matters more.
 """
 
 from __future__ import annotations
 
 from .errors import AmbientMismatch, DescriptorMismatch, DimensionMismatch
-from .fields import FieldElement, render
-
-_set = object.__setattr__  # past the immutability guards, on new objects
+from .fields import FieldElement, _fill, _Frozen, _set, render
 
 
-def _fill(obj, *values):
-    """Set the slots of the new immutable obj to values, in order."""
-    for name, value in zip(obj.__slots__, values):
-        _set(obj, name, value)
-
-
-class Vector:
+class Vector(_Frozen):
     """A vector of field^dim; ``terms`` maps the index of each nonzero entry
     to its payload and is never changed once the vector holds it."""
 
@@ -37,9 +31,6 @@ class Vector:
             raise DescriptorMismatch("vector entries in mixed fields")
         terms = {j: e.payload for j, e in enumerate(entries) if not field.is_zero(e.payload)}
         return cls.sparse(field, len(entries), terms)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Vector is immutable")
 
     @classmethod
     def sparse(cls, field, dim, terms):
@@ -117,7 +108,7 @@ class Vector:
         return "(" + ", ".join(map(render, self)) + ")"
 
 
-class Matrix:
+class Matrix(_Frozen):
     """A matrix kept as ``columns``, a tuple of ncols Vectors of length nrows."""
 
     __slots__ = ("field", "nrows", "ncols", "columns")
@@ -130,9 +121,6 @@ class Matrix:
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged matrix")
         return cls.from_columns(field, [Vector(field, [r[j] for r in rows]) for j in range(ncols)], len(rows))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_columns(cls, field, columns, nrows=None):
@@ -159,9 +147,6 @@ class Matrix:
     @property
     def rows(self):
         return tuple(zip(*self.columns)) if self.ncols else ((),) * self.nrows
-
-    def column(self, j):
-        return self.columns[j]
 
     def apply(self, v: Vector) -> Vector:
         """self * v: the sum of the columns at the support of v, on payloads."""
@@ -258,7 +243,7 @@ def solve_in_span(target: Vector, spanners):
     return [solution.get(c, target.field.zero()) for c in range(k)]
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A subspace kept as the nonzero rows of an RREF matrix (canonical):
     ``rows`` maps each pivot, in increasing order, to its row's entries after
     the pivot (see EchelonBasis), for reducing, and ``basis`` holds the rows
@@ -269,9 +254,6 @@ class Subspace:
     def __init__(self, field, ambient, rows):
         basis = tuple(Vector.sparse(field, ambient, _full_row(field, pc, row)) for pc, row in rows.items())
         _fill(self, field, ambient, rows, basis)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors) -> "Subspace":

@@ -88,7 +88,7 @@ def test_split_five_three():
     m3 = Subspace.from_vectors(
         alg.field, alg.dim, [_axis_diff(alg, dd, 1), _axis_diff(alg, dd, 2)]
     )
-    assert dec.part(3).rows == m3.rows
+    assert dec.parts[3].rows == m3.rows
     assert not check_fusion(alg, dec)
 
 
@@ -96,7 +96,7 @@ def test_split_three_ev():
     alg, dd = instantiate("ThreeEv")
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
     assert dec.dims() == (1, 1, 1, 1)
-    assert dec.part(3).rows == Subspace.from_vectors(alg.field, alg.dim, [_axis_diff(alg, dd, 1)]).rows
+    assert dec.parts[3].rows == Subspace.from_vectors(alg.field, alg.dim, [_axis_diff(alg, dd, 1)]).rows
     lam = lambda_coefficient(alg, dec, dd.axis(1))
     assert lam == parse_scalar("3*eta/4", alg.field)
 
@@ -150,7 +150,7 @@ def test_identity_involution_gives_trivial_negated_part():
     alg, dd = instantiate("FiveThree")
     ident = AlgebraMap.identity(alg)
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, ident)
-    assert dec.part(3).dim == 0 and dec.part(2).dim == 3
+    assert dec.parts[3].dim == 0 and dec.parts[2].dim == 3
     assert miyamoto(alg, dec) == ident
     # ... but the fusion rule rejects the unsplit middle part
     assert check_fusion(alg, dec)
@@ -515,10 +515,10 @@ def _fusion_by_membership(alg, dec):
         for j in range(i, 4):
             parts = allowed(i, j)
             space = Subspace.from_vectors(
-                alg.field, alg.dim, [v for k in parts for v in dec.part(k).basis]
+                alg.field, alg.dim, [v for k in parts for v in dec.parts[k].basis]
             )
-            for x in dec.part(i).basis:
-                for y in dec.part(j).basis:
+            for x in dec.parts[i].basis:
+                for y in dec.parts[j].basis:
                     prod = multiply(alg, x, y)
                     if not space.contains(prod):
                         violations.append(FusionViolation(i, j, x, y, prod, parts))

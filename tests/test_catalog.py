@@ -1,14 +1,18 @@
+import importlib
 import json
+import pkgutil
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
+import axialcheck
 from axialcheck import algebra, algfile, axial, catalog, cli, derive, polynomials
-from axialcheck.algebra import multiply
-from axialcheck.axial import split_eigenspace
+from axialcheck.algebra import AlgebraDef, AlgebraMap, multiply
+from axialcheck.axial import AxisDecomposition, DihedralData, split_eigenspace
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
-from axialcheck.fields import FieldDescriptor, parse_scalar, render, specialize
+from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render, specialize
+from axialcheck.linalg import Matrix, Subspace, Vector
 
 
 def test_list_entries():
@@ -335,6 +339,35 @@ def test_cached_reports_are_frozen():
     canonical["relation"]["coefficients"].append("1")
     canonical["dimensions"]["parts"].append(1)
     assert json.dumps(catalog.verify_entry("Seven").canonical(), sort_keys=True) == snapshot
+
+
+@pytest.mark.parametrize("entry, field, kind", [
+    ("Seven", "q", "rationals"), ("Seven", "gf:7", "prime"), ("SixThree", None, "number_field"),
+    ("ThreeEv", "qeta", "rational_functions"),
+], ids=["Q", "GF7", "number_field", "Qeta"])
+def test_every_value_class_is_frozen(entry, field, kind):
+    # each value class, over each field kind, refuses a store to an attribute
+    # it has and to a new name, and keeps its value
+    alg, dd = catalog.instantiate(entry, field)
+    assert alg.field.kind == kind
+    dec = dd.base_split
+    values = [  # (class, instance, one of its attributes)
+        (FieldDescriptor, alg.field, "p"), (FieldElement, dd.eta, "payload"), (Vector, dd.axis(0), "terms"),
+        (Matrix, dd.shift.matrix, "columns"), (Subspace, dec.parts[1], "rows"), (AlgebraDef, alg, "rows"),
+        (AlgebraMap, dd.flip, "matrix"), (AxisDecomposition, dec, "parts"), (DihedralData, dd, "eta"),
+    ]
+    for cls, value, name in values:
+        assert isinstance(value, cls)
+        before = getattr(value, name)
+        for attribute in (name, "extra"):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                setattr(value, attribute, None)
+        assert getattr(value, name) is before and not hasattr(value, "extra")
+    # the rule is written once: no other class of the package has its own guard
+    modules = [importlib.import_module(f"axialcheck.{m.name}") for m in pkgutil.iter_modules(axialcheck.__path__)]
+    guarded = [f"{cls.__module__}.{cls.__qualname__}" for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__ and "__setattr__" in vars(cls)]
+    assert guarded == ["axialcheck.fields._Frozen"]
 
 
 # (entry, field, eta): the default fields, plus the other instantiations the

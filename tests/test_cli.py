@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -626,3 +627,104 @@ def test_package_finds_list_entries_on_first_use():
     assert axialcheck.list_entries is list_entries
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         axialcheck.no_such_name
+
+
+# Runs under the reach test: the golden corpus's commands, then these
+# (argv, exit code), where "{hostile}" stands for the text of
+# hostile_file(6, 3, 1) written to a file.
+_REACH_RUNS = [
+    (["verify", "FourEv", "--field", "q", "--eta=-1"], 2),
+    (["verify", "SevenX", "--field", "gf:7"], 2),
+    (["verify", "{hostile}"], 1),
+    (["verify", "ThreeEv", "--field", "qeta"], 0),
+    (["verify", "FiveThree", "--field", "gf:7", "--eta", "3"], 0),
+    (["verify", "Seven", "--check", "fusion,relations"], 0),
+    (["isom", "ThreeEvX", "ThreeEvX", "--map", "a0=a0,a1=a1,am1=am1"], 0),
+    (["verify", "no_such_file.json"], 2),
+    (["quotient", "ThreeEv", "--field", "q", "--eta=-1/3", "--ideal", "(2^1/2)*p1"], 0),
+]
+
+# Every function of src that none of those runs calls, and why it stays.
+_UNREACHED = {
+    "fields._Frozen.__setattr__": "the immutability guard: it runs only when code breaks the rule",
+    "fields.FieldElement.__repr__": "debugging aid",
+    "linalg.Matrix.__repr__": "debugging aid",
+    "linalg.Subspace.__repr__": "debugging aid",
+    "algebra.AlgebraDef.__repr__": "debugging aid",
+    "algebra.is_homomorphism": "perfbench binds it",
+    "linalg.Subspace.intersection": "perfbench binds it",
+    "linalg.Subspace._check": "perfbench binds it (through Subspace.intersection)",
+    "fields.specialize": "perfbench binds it; test_acceptance uses it",
+    "polynomials._peval": "perfbench binds it (through fields.specialize)",
+    "catalog.clear_caches": "perfbench calls it; test_acceptance uses it",
+    "fields.FieldDescriptor.__eq__": "perfbench binds it",
+    "axial.relation_transform": "test_acceptance uses it",
+    "axial.DihedralData.involution_at": "test_acceptance uses it",
+    "algebra.AlgebraMap.identity": "test_acceptance uses it (through involution_at)",
+    "algebra.AlgebraMap.compose": "test_acceptance uses it (through involution_at)",
+    "algebra.AlgebraMap.power": "test_acceptance uses it (through involution_at)",
+    "algebra.AlgebraDef.zero_vector": "test_acceptance uses it",
+    "fields.FieldElement.__rsub__": "tested scalar protocol",
+    "fields.FieldElement.__hash__": "tested scalar protocol",
+    "linalg.Vector.__new__": "test-facing constructor",
+    "linalg.Matrix.__new__": "test-facing constructor",
+    "linalg.Matrix.zero": "test-facing constructor",
+    "linalg.Matrix.rows": "test-facing constructor",
+    "fields.FieldDescriptor.generator": "defensive default: no caller asks a field without a variable",
+    "fields._PrimeField.canonical": "defensive default: no run makes a GF(p) element from a raw payload",
+    "fields._PrimeField.size": "defensive default: no run takes a power over GF(p)",
+    "polynomials._RationalFunctions.canonical": "defensive default: no run makes a Q(t) element from a raw payload",
+}
+
+# Records (file, first line, name) of every Python function called from the
+# first import of axialcheck on; Python 3.10 code objects have no qualname.
+_REACH_PROBE = """
+import json, os, sys
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+sys.path.insert(0, os.path.join("tests", "golden"))
+import make_golden
+from axialcheck import cli
+for kind, name, argv in make_golden.CASES:
+    make_golden.render_case(kind, argv)
+sys.stdout = open(os.devnull, "w")
+for argv, code in {runs!r}:
+    assert cli.main(argv) == code, argv
+sys.setprofile(None)
+src = os.path.abspath(os.path.join("src", "axialcheck"))
+called = [c for c in called if os.path.dirname(os.path.abspath(c.co_filename)) == src]
+print(json.dumps([(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name) for c in called]), file=sys.__stdout__)
+"""
+
+
+def _src_functions():
+    """{(file, first line, name): "module.qualname"} for every def under src,
+    its first line being its first decorator's, as in its code object."""
+    package = Path(__file__).resolve().parents[1] / "src" / "axialcheck"
+    found = {}
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(file, first, child.name)] = prefix + child.name
+                walk(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+            else:
+                walk(child, file, prefix)
+
+    for path in package.glob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.name, f"{path.stem}.")
+    return found
+
+
+def test_every_src_function_is_reached_or_listed(tmp_path, hostile_file):
+    # what no command runs either gains a caller or leaves src; what stays
+    # for tests, perfbench or a protocol is named here, with its reason
+    hostile = tmp_path / "hostile.json"
+    hostile.write_text(hostile_file(6, 3, 1), encoding="utf-8")
+    runs = [([str(hostile) if a == "{hostile}" else a for a in argv], code) for argv, code in _REACH_RUNS]
+    called = {tuple(key) for key in json.loads(_fresh_interpreter(_REACH_PROBE.format(runs=runs)))}
+    functions = _src_functions()
+    assert sorted(name for key, name in functions.items() if key not in called) == sorted(_UNREACHED)

@@ -150,10 +150,10 @@ def test_direct_sum_of_parts(QETA):
 
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
     assert dec.dims() == (1, 1, 1, 2)
-    total = dec.part(0)
+    total = dec.parts[0]
     for i in (1, 2, 3):
-        grown = Subspace.from_vectors(alg.field, alg.dim, list(total.basis) + list(dec.part(i).basis))
-        assert grown.dim == total.dim + dec.part(i).dim
+        grown = Subspace.from_vectors(alg.field, alg.dim, list(total.basis) + list(dec.parts[i].basis))
+        assert grown.dim == total.dim + dec.parts[i].dim
         total = grown
     assert total.dim == alg.dim
 
@@ -246,10 +246,10 @@ def test_apply_and_matmul_match_dense_loops(fixture, request):
         b = _sparse_matrix(field, rng, inner, cols)
         assert a.matmul(b) == _dense_matmul(a, b)
         assert a.matmul(Matrix.zero(field, inner, cols)) == Matrix.zero(field, rows, cols)
-        for v in (Vector.zero(field, inner), *(b.column(j) for j in range(cols))):
+        for v in (Vector.zero(field, inner), *(b.columns[j] for j in range(cols))):
             assert a.apply(v) == _dense_apply(a, v)
         for i in range(inner):
-            assert a.apply(Vector.unit(field, inner, i)) == a.column(i)
+            assert a.apply(Vector.unit(field, inner, i)) == a.columns[i]
 
 
 def test_a_matrix_without_rows_keeps_its_columns(Q):

@@ -81,8 +81,8 @@ def test_fuse_pair_zero_one_is_forced_zero():
 
     alg, dd = catalog.instantiate("SixThree")
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
-    for x in dec.part(0).basis:
-        for y in dec.part(1).basis:
+    for x in dec.parts[0].basis:
+        for y in dec.parts[1].basis:
             assert multiply(alg, x, y).is_zero()
 
 
