@@ -19,33 +19,38 @@ class AlgebraDef(_Frozen):
     """Algebra given by basis labels and symmetric structure constants.
 
     ``rows[i]`` maps each j with e_i*e_j nonzero to that product's
-    ``terms``, {k: nonzero payload}, the map of the product Vector given for
-    the pair; missing pairs multiply to zero.  (i, j) and (j, i) share one
-    map, and nothing else holds the constants.
+    ``terms``, {k: nonzero payload}; missing pairs multiply to zero.  (i, j)
+    and (j, i) share one map, and nothing else holds the constants.
+
+    ``table`` maps each key (i, j) to the product Vector e_i*e_j, and is
+    checked here.  The loader, which has checked its document, passes the
+    rows themselves, a tuple, and they are kept as they are.
     """
 
     __slots__ = ("field", "labels", "rows", "dim")
 
     def __init__(self, field, labels, table):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise DimensionMismatch("basis labels must be distinct")
         dim = len(labels)
-        rows = tuple({} for _ in range(dim))
-        seen = set()  # the unordered keys, zero products included
-        for (i, j), vec in table.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
-            if (key := (min(i, j), max(i, j))) in seen:
-                raise DimensionMismatch(f"duplicate structure-constant key {key}")
-            seen.add(key)
-            if len(vec) != dim:
-                raise DimensionMismatch("structure-constant vector has wrong length")
-            if vec.field is not field:
-                raise DescriptorMismatch("structure constants over the wrong field")
-            if vec.terms:  # a zero product is left out
-                rows[i][j] = rows[j][i] = vec.terms
-        _fill(self, field, labels, rows, dim)
+        if not isinstance(table, tuple):
+            if len(set(labels)) != dim:
+                raise DimensionMismatch("basis labels must be distinct")
+            rows = tuple({} for _ in range(dim))
+            seen = set()  # the unordered keys, zero products included
+            for (i, j), vec in table.items():
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
+                if (key := (min(i, j), max(i, j))) in seen:
+                    raise DimensionMismatch(f"duplicate structure-constant key {key}")
+                seen.add(key)
+                if len(vec) != dim:
+                    raise DimensionMismatch("structure-constant vector has wrong length")
+                if vec.field is not field:
+                    raise DescriptorMismatch("structure constants over the wrong field")
+                if vec.terms:  # a zero product is left out
+                    rows[i][j] = rows[j][i] = vec.terms
+            table = rows
+        _fill(self, field, labels, table, dim)
 
     def label_index(self, label):
         return self.labels.index(label)
@@ -235,16 +240,6 @@ def quotient(alg: AlgebraDef, ideal: Subspace):
     proj_cols = [project(alg.basis_vector(k)) for k in range(alg.dim)]
     projection = AlgebraMap(alg, qalg, Matrix.from_columns(field, proj_cols, nrows=qdim))
     return qalg, projection
-
-
-def induce_on_quotient(m: AlgebraMap, ideal: Subspace, qalg: AlgebraDef, projection: AlgebraMap):
-    """Descend an endomorphism to the quotient; None if it does not preserve the ideal."""
-    for v in ideal.basis:
-        if not ideal.contains(m.apply(v)):
-            return None
-    keep = [k for k in range(m.source.dim) if k not in ideal.rows]
-    cols = [projection.apply(m.apply(m.source.basis_vector(k))) for k in keep]
-    return AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
 
 def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):

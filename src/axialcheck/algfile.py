@@ -12,10 +12,11 @@ A document is a JSON object:
                   "exclude_eta": [...]}                           (optional)
 
 Omitted product pairs default to the zero product; duplicate unordered pairs
-are rejected.  Scalars are always literal strings, never raw numbers.
-Vector literals are linear expressions in basis labels and the field
-variable, e.g. "2*eta*(a0+a1) - am1".  In every literal but the eta literal
-itself, ``eta`` names the document's eta.
+are rejected.  The loader checks each product once, in one pass that also
+resolves its labels to basis indices.  Scalars are always literal strings,
+never raw numbers.  Vector literals are linear expressions in basis labels
+and the field variable, e.g. "2*eta*(a0+a1) - am1".  In every literal but
+the eta literal itself, ``eta`` names the document's eta.
 
 The "eta" key in the dihedral block is an extension of the published layout:
 concrete-field files need the middle eigenvalue recorded somewhere to be
@@ -165,31 +166,39 @@ def _all_str(value, container):
     )
 
 
+_PRODUCT_KEYS = frozenset(("left", "right", "value"))
+
+
 def _check_shape(doc):
-    """Reject a document that is not of the layout above, before any parsing."""
+    """Reject a document that is not of the layout above, before any parsing.
+    Each product is checked once, in order: its keys, its value's literals,
+    its labels, its pair's repetition.  Returns the label index and the
+    products, {(min(i, j), max(i, j)): (i, j, [(k, literal), ...])}."""
     _require(
         isinstance(doc, dict) and {"field", "basis", "products"} <= doc.keys(),
         "an algebra file is a JSON object with field, basis and products blocks",
     )
     basis = doc["basis"]
     _require(_all_str(basis, list) and basis, "basis must be a nonempty array of label strings")
-    labels = set(basis)
-    _require(len(labels) == len(basis), "basis labels must be distinct")
+    index = {label: i for i, label in enumerate(basis)}
+    _require(len(index) == len(basis), "basis labels must be distinct")
     _require(isinstance(doc["products"], list), "products must be an array")
-    pairs = set()
+    products = {}
     for item in doc["products"]:
         _require(
-            isinstance(item, dict) and {"left", "right", "value"} <= item.keys(),
+            isinstance(item, dict) and _PRODUCT_KEYS <= item.keys(),
             "each product needs left, right and value",
         )
-        pair = [item["left"], item["right"]]
-        _require(_all_str(item["value"], dict), "product value must map labels to scalar literal strings")
-        if not (_all_str(pair, list) and {*pair, *item["value"]} <= labels):
-            raise AlgebraFileError(f"undeclared basis label in the product {pair!r:.60}")
-        key = frozenset(pair)
-        if key in pairs:
+        pair, value = [item["left"], item["right"]], item["value"]
+        _require(_all_str(value, dict), "product value must map labels to scalar literal strings")
+        try:
+            i, j = index[pair[0]], index[pair[1]]
+            terms = [(index[label], literal) for label, literal in value.items()]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise AlgebraFileError(f"undeclared basis label in the product {pair!r:.60}") from None
+        if (key := (i, j) if i <= j else (j, i)) in products:
             raise AlgebraFileError(f"duplicate product pair {pair}")
-        pairs.add(key)
+        products[key] = i, j, terms
 
     dihedral = doc.get("dihedral")
     if dihedral is not None:
@@ -211,7 +220,7 @@ def _check_shape(doc):
         for what in ("shift", "flip"):
             images = dihedral[f"{what}_images"]
             _require(
-                _all_str(images, dict) and images and images.keys() <= labels,
+                _all_str(images, dict) and images and images.keys() <= index.keys(),
                 f"{what}_images must map basis labels to vector literals",
             )
         _require(dihedral.get("eta") is None or isinstance(dihedral["eta"], str), "eta must be a literal string")
@@ -223,17 +232,19 @@ def _check_shape(doc):
             _require(_all_str(constraints.get(key, []), list), f"{key} must be an array of literal strings")
         required = constraints.get("characteristic")
         _require(required is None or type(required) is int, "characteristic must be an integer or null")
+    return index, products
 
 
 def load_document(doc, subject="file"):
     """Build (AlgebraDef, DihedralData | None, constraints) from a document.
 
     The one loader of algebra files and catalog entries.  It checks the
-    document's shape, then its whole constraints block, before it parses any
-    table entry or extends any map.  ``subject`` names the source in
-    constraint messages.
+    document's shape, each product once, then its whole constraints block,
+    before it parses any table entry or extends any map.  The AlgebraDef
+    rows are then built straight from the checked products, with no Vector
+    per product.  ``subject`` names the source in constraint messages.
     """
-    _check_shape(doc)
+    index, products = _check_shape(doc)
     field = field_from_dict(doc["field"])
     dihedral = doc.get("dihedral")
     eta = None
@@ -263,18 +274,19 @@ def load_document(doc, subject="file"):
         if parse_scalar(literal, field, eta).is_zero():
             raise ConstraintViolation(f"constraint {literal} != 0 fails for {subject}")
 
-    index = {label: i for i, label in enumerate(doc["basis"])}
-    table = {}
-    scalars = {}  # each distinct literal is parsed once
-    for item in doc["products"]:
+    rows = tuple({} for _ in index)  # as AlgebraDef keeps them, from the checked products
+    scalars = {}  # each distinct literal is parsed once, and a zero one kept as None
+    for i, j, value in products.values():
         terms = {}
-        for label, literal in item["value"].items():
+        for k, literal in value:
             if literal not in scalars:
-                scalars[literal] = parse_scalar(literal, field, eta).payload
-            if not field.is_zero(scalars[literal]):
-                terms[index[label]] = scalars[literal]
-        table[index[item["left"]], index[item["right"]]] = Vector.sparse(field, len(index), terms)
-    alg = AlgebraDef(field, doc["basis"], table)
+                c = parse_scalar(literal, field, eta).payload
+                scalars[literal] = None if field.is_zero(c) else c
+            if (c := scalars[literal]) is not None:
+                terms[k] = c
+        if terms:
+            rows[i][j] = rows[j][i] = terms
+    alg = AlgebraDef(field, doc["basis"], rows)
     dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta)
     return alg, dd, constraints
 

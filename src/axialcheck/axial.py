@@ -16,7 +16,6 @@ from .algebra import (
     AlgebraMap,
     adjoint_matrix,
     generated_subalgebra,
-    induce_on_quotient,
     multiply,
     sparse_product,
 )
@@ -62,7 +61,9 @@ def check_eta(eta):
 
 class AxisDecomposition(_Frozen):
     """A verified splitting M = M0 + M1 + M2 + M3 for one axis; parts holds
-    the four Subspaces.  It keeps an instance __dict__ for its cached
+    the four Subspaces.  Its coordinates (B^-1) and its product_pattern, the
+    one pass over the eigenbasis products that fusion and the Miyamoto map
+    read, are derived once.  It keeps an instance __dict__ for these cached
     properties, which write that __dict__ directly, past _Frozen's guard."""
 
     def __init__(self, algebra: AlgebraDef, axis: Vector, parts):
@@ -89,27 +90,66 @@ class AxisDecomposition(_Frozen):
         leaves the parts the fusion rule allows; graded is whether every
         component has the sign s_p*s_q (part 3 odd, the others even).  Every
         allowed set has that sign, so only an escaping product can break the
-        grading.  It runs on the vectors' terms."""
+        grading.  Over Q and GF(p) a pair is first tested by _escape_test;
+        only a pair that escapes is formed exactly, for its witness and its
+        signs.  Over the polynomial kinds every pair is formed exactly."""
         alg, field = self.algebra, self.algebra.field
         basis = self.eigenbasis()
         parts, words = [i for i, _ in basis], [v.terms for _, v in basis]
-        columns = [c.terms.items() for c in self.coordinates.columns]
-        rules = {(i, j): frozenset(allowed(i, j)) for i in range(4) for j in range(i, 4)}
+        columns = [c.terms for c in self.coordinates.columns]
+        test = _escape_test(alg, parts, words, columns)
         escapes, graded = {}, True
         for q, j in enumerate(parts):
             for p, i in enumerate(parts[: q + 1]):
-                prod = sparse_product(alg, words[p], words[q])
-                if not prod:
+                if test and not test(p, q):
                     continue
+                prod = sparse_product(alg, words[p], words[q])
                 coords = {}  # B^-1 prod, summed over the columns of B^-1 at its support
                 for k, c in prod.items():
-                    field.mac(coords, c, columns[k])
+                    field.mac(coords, c, columns[k].items())
                 support = {parts[r] for r in field.settle(coords)}
-                if not support <= rules[i, j]:
+                if not support <= set(allowed(i, j)):
                     escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
                     odd = (i == 3) != (j == 3)
                     graded = graded and all((k == 3) == odd for k in support)
         return escapes, graded
+
+
+def _escape_test(alg, parts, words, columns):
+    """Over Q and GF(p), escapes(p, q): whether the product of the words p
+    and q has a nonzero coordinate in a part that the rule of parts[p] and
+    parts[q] forbids, reading only the rows of B^-1 (given by its columns)
+    in those parts.  Its sums stay raw, by the field's mac, up to the one
+    settle of those coordinates: over GF(p) they are int multiply-adds, and
+    over Q each product of two payloads is taken unreduced, so a pair that
+    does not escape costs no gcd where the denominators agree.  None over
+    the polynomial kinds, where every pair is formed exactly: Q(eta)'s mac
+    does not take its own raw sums back as a coefficient."""
+    field, rows, mac = alg.field, alg.rows, alg.field.mac
+    if field.kind == field.PRIME:
+        mul = field.mul
+    elif field.kind == field.RATIONALS:
+        def mul(a, b):
+            return a[0] * b[0], a[1] * b[1]
+    else:
+        return None
+
+    @cache
+    def forbidden(i, j):
+        return [[(r, t) for r, t in col.items() if parts[r] not in allowed(i, j)] for col in columns]
+
+    def escapes(p, q):
+        out, coords, read = {}, {}, forbidden(parts[p], parts[q])
+        for i, a in words[p].items():
+            row = rows[i]
+            for j, b in words[q].items():
+                if j in row:
+                    mac(out, mul(a, b), row[j].items())
+        for k, c in out.items():
+            mac(coords, c, read[k])
+        return bool(field.settle(coords))
+
+    return escapes
 
 
 def _squares_to_identity(*factors):
@@ -206,7 +246,7 @@ class DihedralData(_Frozen):
         shift is a failed dihedral check, not a rejected input, so it is not
         inverted here; nor is either map checked for multiplicativity: the
         loader proved both with extend_from_generators, in one closure when
-        they share generators, or induce_on_quotient induced them from such."""
+        they share generators, or derive.induce_on_quotient induced them from such."""
         check_eta(eta)
         axes = dict(seed_axes)
         seed_lo, seed_hi = min(axes), max(axes)
@@ -260,15 +300,6 @@ class DihedralData(_Frozen):
         for both its readers: D1 generates from it, and axial_dimension
         classifies its one relation."""
         return axis_orbit(self.algebra, self)
-
-    def on_quotient(self, ideal, qalg, projection) -> "DihedralData | None":
-        """The shift, flip and axes induced on qalg = algebra / ideal; None
-        if the shift or the flip does not preserve the ideal."""
-        qshift = induce_on_quotient(self.shift, ideal, qalg, projection)
-        qflip = induce_on_quotient(self.flip, ideal, qalg, projection)
-        if qshift is None or qflip is None:
-            return None
-        return DihedralData.build(qalg, {0: projection.apply(self.axis(0))}, qshift, qflip, self.eta)
 
     def involution_at(self, j) -> AlgebraMap:
         """tau_j = shift^j o flip o shift^-j, from the shift and its cached
@@ -557,46 +588,3 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     else:
         report.skip("p2_shift_or_mu_zero", "lambda_1 differs from 3*eta/4")
     return report
-
-
-# Each two-sided mode reads the input a_0..a_k extended by a_-1 = sign *
-# a_source (lemma 2.3: -a_0; lemma 2.4: a_1, zero if absent): its output is
-# zero below index first, then sum(w * a_(i+o)) over the stencil {o: w} for
-# i = first .. k + last, then a_k.
-_STENCILS = {
-    "lemma_2_3_part1": (-1, 0, 1, {1: 1, 0: 2, -1: 2, -2: 1}, 1),
-    "lemma_2_3_part2": (-1, 0, 0, {0: 1, -1: 1}, 0),
-    "lemma_2_4_part1": (1, 1, 1, {-2: 1, -1: 1, 1: -1, 2: -1}, 1),
-    "lemma_2_4_part2": (1, 1, 1, {-1: 1, 1: -1}, 0),
-}
-
-
-def relation_transform(coeffs, mode):
-    """Coefficient-sequence transforms derived from the relation lemmas.
-
-    Input/output conventions:
-
-    * lemma_2_3_*: input (a_0..a_k) multiplies (a_{i+1} - a_{-i}); output is
-      0-indexed over (a_i - a_{-i}) (index-0 slot is always zero).
-    * lemma_2_4_part1/2: input (a_0..a_k) multiplies a_0 and (a_i + a_{-i});
-      output as above.
-    * lemma_2_4_part3: input (a_1..a_k); output is 1-indexed over
-      (a_{i+1} - a_{-i}): the forward differences, then a_k.
-    """
-    coeffs = tuple(coeffs)
-    if not coeffs:
-        raise DimensionMismatch("coefficient sequence must be nonempty")
-    if mode == "lemma_2_4_part3":
-        return tuple(a - b for a, b in zip(coeffs, coeffs[1:])) + coeffs[-1:]
-    if mode not in _STENCILS:
-        raise DimensionMismatch(f"unknown transform mode {mode!r}")
-    sign, source, first, stencil, last = _STENCILS[mode]
-    zero = coeffs[0].field.zero()
-    k = len(coeffs) - 1
-    seq = dict(enumerate(coeffs))
-    seq[-1] = sign * seq.get(source, zero)
-    out = [zero] * first + [
-        sum((w * seq.get(i + o, zero) for o, w in stencil.items()), zero)
-        for i in range(first, k + last + 1)
-    ]
-    return (*out, coeffs[k])

@@ -1,7 +1,7 @@
 """What the program derives from a verified algebra, compiled on first use:
-the algebra-file writer, the catalog's claim suite and the handlers of
-``catalog list``, ``catalog emit``, ``catalog claims``, ``isom`` and
-``quotient``.
+the algebra-file writer, the dihedral data induced on a quotient, the
+catalog's claim suite and the handlers of ``catalog list``, ``catalog
+emit``, ``catalog claims``, ``isom`` and ``quotient``.
 
 No ``verify`` runs any of it, so a verify never compiles this module.  The
 library functions that the benchmark traces are reached through their
@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from . import algebra, algfile, axial, catalog, cli
 from .errors import AxialError, DataInconsistency, NotAnIdeal
-from .linalg import Subspace, Vector
+from .linalg import Matrix, Subspace, Vector
 
 # ---------------------------------------------------------------------------
 # the algebra-file writer
@@ -94,6 +94,32 @@ def document_for(alg: algebra.AlgebraDef, dd: axial.DihedralData | None = None, 
 
 def dumps(alg, dd=None, constraints=None) -> str:
     return json.dumps(document_for(alg, dd, constraints), indent=2, sort_keys=False)
+
+
+# ---------------------------------------------------------------------------
+# the dihedral data of a quotient
+# ---------------------------------------------------------------------------
+
+
+def induce_on_quotient(m: algebra.AlgebraMap, ideal: Subspace, qalg: algebra.AlgebraDef,
+                       projection: algebra.AlgebraMap) -> algebra.AlgebraMap | None:
+    """Descend an endomorphism to the quotient; None if it does not preserve the ideal."""
+    for v in ideal.basis:
+        if not ideal.contains(m.apply(v)):
+            return None
+    keep = [k for k in range(m.source.dim) if k not in ideal.rows]
+    cols = [projection.apply(m.apply(m.source.basis_vector(k))) for k in keep]
+    return algebra.AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
+
+
+def on_quotient(dd: axial.DihedralData, ideal, qalg, projection) -> axial.DihedralData | None:
+    """The shift, flip and axes of dd induced on qalg = dd.algebra / ideal;
+    None if the shift or the flip does not preserve the ideal."""
+    qshift = induce_on_quotient(dd.shift, ideal, qalg, projection)
+    qflip = induce_on_quotient(dd.flip, ideal, qalg, projection)
+    if qshift is None or qflip is None:
+        return None
+    return axial.DihedralData.build(qalg, {0: projection.apply(dd.axis(0))}, qshift, qflip, dd.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +219,7 @@ def _bar_four_two_quotient_claim():
         ok = qalg.dim == 5
         detail += f"; quotient dimension {qalg.dim}"
         if ok:
-            qdd = dd.on_quotient(span, qalg, proj)
+            qdd = on_quotient(dd, span, qalg, proj)
             if qdd is None:
                 ok = False
                 detail += "; maps do not descend"
@@ -347,7 +373,7 @@ def cmd_quotient(args) -> int:
     except NotAnIdeal:
         print("not an ideal", file=sys.stderr)
         return 1
-    qdd = dd.on_quotient(span, qalg, proj) if dd is not None else None
+    qdd = on_quotient(dd, span, qalg, proj) if dd is not None else None
     text = dumps(qalg, qdd)
     if not args.output:
         return cli._write(text + "\n", 0)

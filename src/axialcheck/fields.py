@@ -96,14 +96,18 @@ _set = object.__setattr__  # past _Frozen's guard, on objects still being made
 class _Frozen:
     """The base of the engine's value classes: fields, elements, vectors,
     matrices, subspaces, algebras, maps, decompositions and dihedral data,
-    which are shared once made and so never changed.  Its guard is the
-    package's one __setattr__ and refuses every store, so a constructor
-    stores its slots through _set or _fill.  A subclass that keeps an
-    instance __dict__ for cached_property writes that __dict__ directly."""
+    which are shared once made and so never changed.  Its guards, the
+    package's one __setattr__ and __delattr__, refuse every store and every
+    deletion, so a constructor stores its slots through _set or _fill.  A
+    subclass that keeps an instance __dict__ for cached_property writes
+    that __dict__ directly."""
 
     __slots__ = ()
 
     def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, _):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 

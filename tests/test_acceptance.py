@@ -27,12 +27,12 @@ from axialcheck.axial import (
     axial_dimension,
     identity_suite,
     miyamoto,
-    relation_transform,
     split_eigenspace,
 )
 from axialcheck.errors import AxialError, ConstraintViolation, InvalidDescriptor
 from axialcheck.fields import FieldDescriptor, render, specialize
 from axialcheck.linalg import Matrix, Subspace, Vector, kernel, rref
+from relation_lemmas import relation_transform
 
 SEED = 20260809
 

@@ -87,6 +87,12 @@ def test_validation_errors():
     (1, "x", {}, "undeclared basis label in the product [1, 'x']"),
     (["x"] * 20, "y", {}, "undeclared basis label in the product " + repr([["x"] * 20, "y"])[:60]),
     ("y", "x", {}, "duplicate product pair ['y', 'x']"),
+    # a product with several faults is named by the first of: the value's
+    # literals, then the labels, then the pair's repetition
+    ("x", "z", {"x": 3}, "product value must map labels to scalar literal strings"),
+    (1, "x", ["x"], "product value must map labels to scalar literal strings"),
+    ("y", "x", {"z": "1"}, "undeclared basis label in the product ['y', 'x']"),
+    ("x", "y", {"y": 2}, "product value must map labels to scalar literal strings"),
 ])
 def test_product_shape_messages(left, right, value, message):
     # x*y is declared first, so the last case repeats it
@@ -96,6 +102,25 @@ def test_product_shape_messages(left, right, value, message):
         "products": [{"left": "x", "right": "y", "value": {}},
                      {"left": left, "right": right, "value": value}],
     }
+    with pytest.raises(AlgebraFileError) as exc:
+        algfile.load_document(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("products, extra, message", [
+    # the first faulty product is named, whatever the later ones hold
+    ([{"left": "x", "right": "z", "value": {}}, {"left": "x", "value": {}}], {},
+     "undeclared basis label in the product ['x', 'z']"),
+    ([{"left": "x", "value": {}}, {"left": "x", "right": "z", "value": {"x": 3}}], {},
+     "each product needs left, right and value"),
+    # a faulty product is named before a malformed dihedral block or a violated constraint
+    ([{"left": "x", "right": "x", "value": {"x": 1}}], {"dihedral": {"window": [0, 0]}},
+     "product value must map labels to scalar literal strings"),
+    ([{"left": "x", "right": "y", "value": {}}, {"left": "y", "right": "x", "value": {}}],
+     {"constraints": {"characteristic": 7}}, "duplicate product pair ['y', 'x']"),
+])
+def test_the_first_fault_of_the_products_is_named(products, extra, message):
+    doc = {"field": {"kind": "rationals"}, "basis": ["x", "y"], "products": products, **extra}
     with pytest.raises(AlgebraFileError) as exc:
         algfile.load_document(doc)
     assert str(exc.value) == message

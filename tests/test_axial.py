@@ -1,5 +1,10 @@
+import importlib.util
 import json
+import random
+import sys
+import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +22,7 @@ from axialcheck.algebra import (
 )
 from axialcheck.algfile import load_document, load_path, parse_vector
 from axialcheck.axial import (
+    AxisDecomposition,
     DihedralData,
     DihedralViolation,
     FusionViolation,
@@ -31,11 +37,10 @@ from axialcheck.axial import (
     lambda_coefficient,
     miyamoto,
     p_vector,
-    relation_transform,
     split_eigenspace,
 )
 from axialcheck.catalog import instantiate
-from axialcheck.derive import document_for
+from axialcheck.derive import document_for, on_quotient
 from axialcheck.errors import (
     DataInconsistency,
     InvolutionMismatch,
@@ -43,8 +48,9 @@ from axialcheck.errors import (
     NotIdempotent,
     NotSemisimple,
 )
-from axialcheck.fields import FieldElement, parse_scalar, render
+from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
+from relation_lemmas import relation_transform
 
 
 def _axis_diff(alg, dd, i):
@@ -214,7 +220,7 @@ def _bar_four_two_quotient():
         parse_vector("p21 + p1 + a2 + a0 + 2*(a1+am1)", alg, dd.eta),
     ])
     qalg, proj = quotient(alg, span)
-    return qalg, dd.on_quotient(span, qalg, proj)
+    return qalg, on_quotient(dd, span, qalg, proj)
 
 
 ORBIT_CASES = TRANSPORT_CASES + [("BarFourTwo", "quotient")]
@@ -572,41 +578,158 @@ def _dense_product_pattern(dec):
     return escapes, graded
 
 
+def _perfbench_matsuo():
+    """perfbench/matsuo.py, the generator of the benchmark's Matsuo algebras."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "matsuo.py"
+    spec = importlib.util.spec_from_file_location("perfbench_matsuo", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ETAS = _perfbench_matsuo().ETAS
+
+
+def _matsuo_split(field, eta, n, scale=None, perturb=None):
+    """The decomposition of M_eta(S_n) at the axis (1 2), along the flip that
+    conjugates by (1 2), as in the matsuo_s5 fixture.  With scale, the basis
+    is scale[k] times transposition k (scale[0] = 1 keeps the axis);
+    perturb(table, index) may change the table of Fractions first."""
+    trans = list(combinations(range(1, n + 1), 2))
+    index = {t: k for k, t in enumerate(trans)}
+    scale = scale or [Fraction(1)] * len(trans)
+    half = Fraction(eta) / 2
+    table = {(k, k): {k: scale[k]} for k in range(len(trans))}
+    for s, t in combinations(trans, 2):
+        if len(set(s) | set(t)) == 3:
+            i, j, k = index[s], index[t], index[tuple(sorted(set(s) ^ set(t)))]
+            f = scale[i] * scale[j] * half
+            table[i, j] = {i: f / scale[i], j: f / scale[j], k: -f / scale[k]}
+    if perturb:
+        perturb(table, index)
+
+    def vec(coeffs):
+        return Vector.sparse(field, len(trans), {k: field.from_fraction(c).payload for k, c in coeffs.items() if c})
+
+    alg = AlgebraDef(field, [f"{a}{b}" for a, b in trans], {key: vec(c) for key, c in table.items()})
+    image = [index[tuple(sorted({1: 2, 2: 1}.get(x, x) for x in t))] for t in trans]
+    flip = AlgebraMap(alg, alg, Matrix.from_columns(
+        field, [vec({image[k]: scale[k] / scale[image[k]]}) for k in range(len(trans))]))
+    return split_eigenspace(alg, alg.basis_vector(0), field.from_fraction(Fraction(eta)), flip), flip
+
+
+def _perturbed(table, index):
+    # (3 4)*(3 5) gains 3/7 of the axis: the product of two vectors of M0 leaves M0
+    table[index[3, 4], index[3, 5]][index[1, 2]] = Fraction(3, 7)
+
+
+def _rescaled(n, seed):
+    """One rational with 6-9-digit numerator and denominator for each
+    transposition of S_n but the axis (1 2)."""
+    rng = random.Random(seed)
+    return [Fraction(1)] + [Fraction(rng.randrange(10**5, 10**9), rng.randrange(10**5, 10**9))
+                            for _ in range(n * (n - 1) // 2 - 1)]
+
+
 @pytest.mark.parametrize("case", [
     *((entry.name,) for entry in catalog.list_entries()),
     ("SixThree", "q", "3"),
     ("matsuo", "q"),
     ("matsuo", "gf:7"),
+    *(("matsuo", spec, eta) for spec in ("q", "gf:10007") for eta in ETAS),
+    ("perturbed", "q"),
+    ("perturbed", "gf:10007"),
+    ("rescaled", "q"),
 ], ids="_".join)
 def test_product_pass_matches_the_dense_pass(case, matsuo_split):
-    if case[0] == "matsuo":  # M_1/4(S_5)
+    escaping = case in (("SixThree", "q", "3"), ("perturbed", "q"), ("perturbed", "gf:10007"))
+    if case[0] == "matsuo" and len(case) == 2:  # M_1/4(S_5)
         dec = matsuo_split(catalog.field_from_spec(case[1]), "1/4")
+    elif case[0] == "matsuo":
+        dec, _ = _matsuo_split(catalog.field_from_spec(case[1]), case[2], 5)
+    elif case[0] == "perturbed":  # M_1/4(S_5), one product changed
+        dec, _ = _matsuo_split(catalog.field_from_spec(case[1]), "1/4", 5, perturb=_perturbed)
+    elif case[0] == "rescaled":  # M_2/5(S_6) in a rescaled basis has the verdicts of M_2/5(S_6)
+        for dec, flip in (_matsuo_split(catalog.field_from_spec(case[1]), "2/5", 6, scale)
+                          for scale in (None, _rescaled(6, 1))):
+            assert dec.dims() == (10, 1, 0, 4) and dec.product_pattern == ({}, True)
+            assert check_fusion(dec.algebra, dec) == [] and miyamoto(dec.algebra, dec) == flip
     else:
         dec = instantiate(*case)[1].base_split
     assert dec.product_pattern == _dense_product_pattern(dec)
-    # SixThree at eta = 3 is the case whose fusion fails
-    assert bool(dec.product_pattern[0]) == (case == ("SixThree", "q", "3"))
+    # SixThree at eta = 3 and the perturbed tables are the cases whose fusion fails
+    assert bool(dec.product_pattern[0]) == escaping
+    if case[0] == "perturbed":
+        witnesses = [v for prod in dec.product_pattern[0].values() for v in prod.terms.values()]
+        if dec.algebra.field.p is None:  # over Q, some witness entry is not an integer
+            assert any(den != 1 for _, den in witnesses)
+
+
+def _sparse_pass(dec):
+    # the pass that the raw escape test replaced: every pair formed exactly,
+    # settled, and read in every row of B^-1; the parts of each escape
+    alg, field = dec.algebra, dec.algebra.field
+    basis = dec.eigenbasis()
+    parts, words = [i for i, _ in basis], [v.terms for _, v in basis]
+    columns = [c.terms.items() for c in dec.coordinates.columns]
+    escapes = {}
+    for q, j in enumerate(parts):
+        for p, i in enumerate(parts[: q + 1]):
+            coords = {}
+            for k, c in algebra.sparse_product(alg, words[p], words[q]).items():
+                field.mac(coords, c, columns[k])
+            support = {parts[r] for r in field.settle(coords)}
+            if not support <= set(allowed(i, j)):
+                escapes[p, q] = support
+    return escapes
+
+
+def test_product_pass_on_a_rescaled_basis_is_no_slower_than_the_sparse_pass():
+    # the basis vectors of M_2/5(S_6) but the axis times 6-9-digit rationals:
+    # the raw sums meet large unequal denominators, and the pass still costs
+    # no more than forming every pair exactly (the min of 11 interleaved runs)
+    dec, _ = _matsuo_split(FieldDescriptor.rationals(), "2/5", 6, _rescaled(6, 2))
+    times = {"raw": [], "sparse": []}
+    for _ in range(11):
+        fresh = AxisDecomposition(dec.algebra, dec.axis, dec.parts)
+        vars(fresh)["coordinates"] = dec.coordinates  # B^-1 as cached_property keeps it
+        start = time.perf_counter()
+        pattern = fresh.product_pattern
+        times["raw"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference = _sparse_pass(dec)
+        times["sparse"].append(time.perf_counter() - start)
+    assert pattern == ({}, True) and reference == {}
+    assert min(times["raw"]) <= min(times["sparse"]), times
 
 
 def test_product_pass_forms_each_pair_once_in_the_kernel(Q, monkeypatch, matsuo_split):
-    # M_1/4(S_5) has dimension 10, so one pass forms 10*11/2 products, all
-    # in the kernel: no dense multiply and no Matrix.apply
+    # M_1/4(S_5) has dimension 10, so one pass tests 10*11/2 pairs, each once,
+    # in the raw escape test; none escapes, so no exact product is formed:
+    # no sparse_product, no dense multiply and no Matrix.apply
     dec = matsuo_split(Q, "1/4")
-    products = []
+    tested = []
+    make = axial._escape_test
 
     def counted(*args):
-        products.append(args)
-        return algebra.sparse_product(*args)
+        escapes = make(*args)
+
+        def test(p, q):
+            tested.append((p, q))
+            return escapes(p, q)
+
+        return test
 
     def refused(*args):
-        raise AssertionError("the product pass formed a dense product")
+        raise AssertionError("the product pass formed an exact product")
 
-    monkeypatch.setattr(axial, "sparse_product", counted)
+    monkeypatch.setattr(axial, "_escape_test", counted)
+    monkeypatch.setattr(axial, "sparse_product", refused)
     monkeypatch.setattr(axial, "multiply", refused)
     monkeypatch.setattr(algebra, "multiply", refused)
     monkeypatch.setattr(Matrix, "apply", refused)
     assert dec.product_pattern == ({}, True)
-    assert len(products) == 55
+    assert len(tested) == 55 and set(tested) == {(p, q) for q in range(10) for p in range(q + 1)}
 
 
 def _count_fractions(monkeypatch):

@@ -347,7 +347,7 @@ def test_cached_reports_are_frozen():
 ], ids=["Q", "GF7", "number_field", "Qeta"])
 def test_every_value_class_is_frozen(entry, field, kind):
     # each value class, over each field kind, refuses a store to an attribute
-    # it has and to a new name, and keeps its value
+    # it has and to a new name, and the deletion of either, and keeps its value
     alg, dd = catalog.instantiate(entry, field)
     assert alg.field.kind == kind
     dec = dd.base_split
@@ -362,11 +362,14 @@ def test_every_value_class_is_frozen(entry, field, kind):
         for attribute in (name, "extra"):
             with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
                 setattr(value, attribute, None)
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                delattr(value, attribute)
         assert getattr(value, name) is before and not hasattr(value, "extra")
     # the rule is written once: no other class of the package has its own guard
     modules = [importlib.import_module(f"axialcheck.{m.name}") for m in pkgutil.iter_modules(axialcheck.__path__)]
     guarded = [f"{cls.__module__}.{cls.__qualname__}" for module in modules for cls in vars(module).values()
-               if isinstance(cls, type) and cls.__module__ == module.__name__ and "__setattr__" in vars(cls)]
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and {"__setattr__", "__delattr__"} & vars(cls).keys()]
     assert guarded == ["axialcheck.fields._Frozen"]
 
 

@@ -647,6 +647,7 @@ _REACH_RUNS = [
 # Every function of src that none of those runs calls, and why it stays.
 _UNREACHED = {
     "fields._Frozen.__setattr__": "the immutability guard: it runs only when code breaks the rule",
+    "fields._Frozen.__delattr__": "the immutability guard against deletion: it runs only when code breaks the rule",
     "fields.FieldElement.__repr__": "debugging aid",
     "linalg.Matrix.__repr__": "debugging aid",
     "linalg.Subspace.__repr__": "debugging aid",
@@ -658,7 +659,6 @@ _UNREACHED = {
     "polynomials._peval": "perfbench binds it (through fields.specialize)",
     "catalog.clear_caches": "perfbench calls it; test_acceptance uses it",
     "fields.FieldDescriptor.__eq__": "perfbench binds it",
-    "axial.relation_transform": "test_acceptance uses it",
     "axial.DihedralData.involution_at": "test_acceptance uses it",
     "algebra.AlgebraMap.identity": "test_acceptance uses it (through involution_at)",
     "algebra.AlgebraMap.compose": "test_acceptance uses it (through involution_at)",
