@@ -250,8 +250,10 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
     alg + target^m, keeping a word when its source part raises the rank.  A
     remainder whose source part vanishes means that the f_k holding its pivot
     disagrees on a dependent word; that row reduces only f_k's part and the
-    later ones.  Every pair of spanning words is checked, so each returned map
-    is a homomorphism.  Returns f_1 for m = 1, else (f_1, ..., f_m).
+    later ones.  Once f_k has disagreed, nothing at f_k or later can outrank
+    it, so the closure's products stop carrying those parts: their direct-sum
+    rows are emptied.  Every pair of spanning words is checked, so each
+    returned map is a homomorphism.  Returns f_1 for m = 1, else (f_1, ..., f_m).
     Raises DataInconsistency as extending f_1, ..., f_m in turn would (f_1's
     disagreement, the generators spanning a proper subspace, a later f_k's),
     its ``image`` k - 1 for the f_k at fault.
@@ -278,9 +280,11 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
     for pivot, word in _span_closure(echelon, graph, partial(sparse_product, direct_sum), n):
         if pivot is not None and pivot >= n:  # the source part of the remainder vanished
             what = "generator" if word is None else f"word {word[0]}*{word[1]}"
-            failed.setdefault((pivot - n) // t, f"images disagree on dependent word ({what})")
-            if 0 in failed:  # nothing outranks f_1's disagreement
+            failed.setdefault(b := (pivot - n) // t, f"images disagree on dependent word ({what})")
+            if b == 0:  # nothing outranks f_1's disagreement
                 break
+            for row in rows[offsets[b]:]:
+                row.clear()
     if (rank := sum(pc < n for pc in echelon.rows)) < n:
         failed.setdefault(0, f"the generators span only dimension {rank} of {n}")
     if failed:

@@ -29,7 +29,7 @@ from .errors import (
     NotSemisimple,
 )
 from .fields import FieldDescriptor, _Frozen, render
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, invert, kernel, solve_in_span
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _less_unit, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
 # is the intersection of the two overlapping rules and is empty: those
@@ -146,21 +146,22 @@ def _escape_test(alg, parts, words, columns):
                 if j in row:
                     mac(out, mul(a, b), row[j].items())
         for k, c in out.items():
-            mac(coords, c, read[k])
-        return bool(field.settle(coords))
+            if forbid := read[k]:
+                mac(coords, c, forbid)
+        return bool(coords and field.settle(coords))
 
     return escapes
 
 
 def _squares_to_identity(*factors):
     """Whether the product of the square matrices factors is an involution:
-    each unit vector goes through the factors twice."""
-    field, n = factors[0].field, factors[0].ncols
-    for j in range(n):
-        x = unit = Vector.unit(field, n, j)
-        for m in reversed(factors * 2):
+    each unit vector e_j goes through the factors twice, starting as the last
+    factor's column j, and is back at e_j when the difference settles to zero."""
+    field = factors[0].field
+    for j, x in enumerate(factors[-1].columns):
+        for m in (factors * 2)[-2::-1]:
             x = m.apply(x)
-        if x != unit:
+        if _less_unit(field, x.terms, j, field.ONE):
             return False
     return True
 

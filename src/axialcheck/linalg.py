@@ -9,7 +9,10 @@ have stored their slots through _set and _fill; EchelonBasis, a builder, is
 the one mutable class.  Reduced row echelon form is the canonical normal
 form throughout: two subspaces are equal iff their RREF bases agree
 entrywise.  Pivoting always takes the first nonzero row, never by magnitude
--- arithmetic is exact, and determinism matters more.
+-- arithmetic is exact, and determinism matters more.  rref, kernel and
+invert eliminate a matrix's rows into one EchelonBasis (_echelon); kernel
+and invert read their answers off its {pivot: row} map, and only rref makes
+a Matrix of it.
 """
 
 from __future__ import annotations
@@ -169,17 +172,15 @@ class Matrix(_Frozen):
         return Matrix.from_columns(self.field, map(self.apply, other.columns), self.nrows)
 
     def sub_scalar_diag(self, s) -> "Matrix":
-        """self - s*I, used to form eigenoperator matrices."""
-        if self.nrows != self.ncols:
+        """self - s*I, used to form eigenoperator matrices: one mac of -s per
+        column, at its diagonal entry."""
+        field, n = self.field, self.nrows
+        if n != self.ncols:
             raise DimensionMismatch("square matrix required")
-        n = self.nrows
-        return Matrix.from_columns(
-            self.field, [c - Vector.unit(self.field, n, j).scale(s) for j, c in enumerate(self.columns)], n)
-
-    def augment(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("augment needs equal row counts")
-        return Matrix.from_columns(self.field, self.columns + other.columns, self.nrows)
+        if s.field is not field:
+            raise DescriptorMismatch("scalar over another field")
+        return Matrix.from_columns(field, [
+            Vector.sparse(field, n, _less_unit(field, c.terms, j, s.payload)) for j, c in enumerate(self.columns)], n)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -193,10 +194,7 @@ class Matrix(_Frozen):
 def rref(m: Matrix):
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
     field = m.field
-    echelon = EchelonBasis(field, m.ncols)
-    for row in _transpose((c.terms for c in m.columns), m.nrows):
-        echelon._insert(row)
-    space = echelon.subspace()
+    space = _echelon(m).subspace()
     pivots = tuple(space.rows)
     columns = _transpose((v.terms for v in space.basis), m.ncols)
     reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
@@ -213,17 +211,38 @@ def _transpose(vectors, n):
     return out
 
 
+def _echelon(m, extra=()):
+    """The rows of m, each followed by its entries in the column maps extra,
+    eliminated in order into one EchelonBasis."""
+    columns = [*(c.terms for c in m.columns), *extra]
+    echelon = EchelonBasis(m.field, len(columns))
+    for row in _transpose(columns, m.nrows):
+        echelon._insert(row)
+    return echelon
+
+
+def _less_unit(field, terms, j, c):
+    """terms, {index: payload}, less c times the unit vector e_j, by one mac
+    and one settle."""
+    out = dict(terms)
+    field.mac(out, field.neg(c), ((j, field.ONE),))
+    return field.settle(out)
+
+
 def kernel(m: Matrix) -> "Subspace":
-    """Subspace of all v with m v = 0."""
-    reduced, rank, pivots = rref(m)
-    field, neg = m.field, m.field.neg
-    basis = []
-    for f in range(m.ncols):
-        if f not in pivots:
-            terms = {pivots[i]: neg(a) for i, a in reduced.columns[f].terms.items()}
-            terms[f] = field.ONE
-            basis.append(Vector.sparse(field, m.ncols, terms))
-    return Subspace.from_vectors(field, m.ncols, basis)
+    """Subspace of all v with m v = 0: for each free column f, the vector with
+    a 1 at f and minus column f of the echelon rows at their pivots.  A row is
+    zero at every pivot, its own implied, so its entries are at free columns."""
+    field, neg, rows = m.field, m.field.neg, _echelon(m).rows
+    nulls = {f: {} for f in range(m.ncols) if f not in rows}
+    for pc, row in sorted(rows.items()):
+        for f, a in row.items():
+            nulls[f][pc] = neg(a)
+    null_space = EchelonBasis(field, m.ncols)
+    for f, terms in nulls.items():
+        terms[f] = field.ONE
+        null_space._insert(terms)
+    return null_space.subspace()
 
 
 def solve_in_span(target: Vector, spanners):
@@ -383,8 +402,9 @@ def invert(m: Matrix) -> Matrix:
     when a pivot falls in the identity half ([m | I] always has rank n)."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices invert")
-    n = m.nrows
-    reduced, _, pivots = rref(m.augment(Matrix.identity(m.field, n)))
-    if pivots != tuple(range(n)):
+    field, n = m.field, m.nrows
+    rows = _echelon(m, [{i: field.ONE} for i in range(n)]).rows
+    if any(pc >= n for pc in rows):
         raise DimensionMismatch("matrix is singular")
-    return Matrix.from_columns(m.field, reduced.columns[n:], n)
+    columns = _transpose(map(rows.get, range(n)), 2 * n)[n:]  # the I half, row i at pivot i
+    return Matrix.from_columns(field, [Vector.sparse(field, n, c) for c in columns], n)

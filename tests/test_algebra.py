@@ -599,3 +599,34 @@ def test_sparse_product_walks_the_shorter_side(Q, matsuo_s5, support, walk):
     ys = _WalkSpy(y.terms)
     assert sparse_product(alg, x.terms, ys) == _dense_multiply(alg, x, y).terms
     assert ys.walks == {walk}
+
+
+@pytest.mark.parametrize("wrong, image, word", [(0, 0, "2*0"), (1, 4, "2*1"), (3, 0, "3*0")])
+def test_a_disagreeing_flip_drops_out_of_the_closure(monkeypatch, wrong, image, word):
+    # Seven's shift and flip from a_-3 .. a_3 in one closure, with the flip
+    # sending a_(wrong-3) to a_(image-3): once the flip has disagreed, no
+    # product carries an entry in its part, n*2 .. n*3 - 1, and the error is
+    # the one that the closure carrying that part to the end raises
+    alg, dd = instantiate("Seven")
+    n, gens = alg.dim, [dd.axis(i) for i in range(-3, 4)]
+    pairs = [(g, dd.shift.apply(g), gens[image] if k == wrong else dd.flip.apply(g)) for k, g in enumerate(gens)]
+    events, closure = [], algebra._span_closure
+
+    def product(direct_sum, xs, ys):
+        events.append(("product", out := sparse_product(direct_sum, xs, ys)))
+        return out
+
+    def logged(*args):
+        for pivot, source in closure(*args):
+            events.append(("pivot", pivot))
+            yield pivot, source
+
+    monkeypatch.setattr(algebra, "sparse_product", product)
+    monkeypatch.setattr(algebra, "_span_closure", logged)
+    with pytest.raises(DataInconsistency) as failed:
+        extend_from_generators(alg, pairs, alg)
+    assert (str(failed.value), failed.value.image) == (f"images disagree on dependent word (word {word})", 1)
+    first = next(k for k, (kind, x) in enumerate(events) if kind == "pivot" and x is not None and x >= 2 * n)
+    in_flip = [any(k >= 2 * n for k in out) for kind, out in events if kind == "product"]
+    before = sum(kind == "product" for kind, _ in events[:first])
+    assert all(in_flip[:before]) and len(in_flip) > before and not any(in_flip[before:])

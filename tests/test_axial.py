@@ -1102,3 +1102,58 @@ def test_relation_transform_outputs(Q, mode):
     primes = [Q.from_int(c) for c in (2, 3, 5, 7, 11, 13)]
     for n, expected in enumerate(RELATION_TRANSFORMS[mode], start=1):
         assert relation_transform(primes[:n], mode) == tuple(map(Q.from_int, expected)), (mode, n)
+
+
+def _reference_squares_to_identity(*factors):
+    """The involution test that takes each unit vector through the factors
+    twice and compares the result with the unit vector."""
+    field, n = factors[0].field, factors[0].ncols
+    for j in range(n):
+        x = unit = Vector.unit(field, n, j)
+        for m in reversed(factors * 2):
+            x = m.apply(x)
+        if x != unit:
+            return False
+    return True
+
+
+def _plus_one_at(m, i, j):
+    columns = list(m.columns)
+    columns[j] = columns[j] + Vector.unit(m.field, m.nrows, i)
+    return Matrix.from_columns(m.field, columns, m.nrows)
+
+
+def _still_an_involution(tau, i, j):
+    """Whether tau + E_ij is an involution, for an involution tau over a
+    field of characteristic other than 2 and 3: its square is I + tau E_ij +
+    E_ij tau + [i = j] E_ij, zero past I exactly when i != j, tau e_i = c e_i,
+    e_j^T tau = d e_j^T and c + d = 0."""
+    col, row = tau.columns[i], tau.rows[j]
+    return (i != j and set(col.terms) <= {i} and all(e.is_zero() for k, e in enumerate(row) if k != j)
+            and (col[i] + row[j]).is_zero())
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog.list_entries()])
+def test_the_involution_test_decides_each_one_entry_perturbation(name, matsuo_s5, matsuo_flip):
+    # the flips and the Miyamoto maps of the catalog, and the flip of
+    # M_1/4(S_5), with 1 added to one entry: an involution only where
+    # _still_an_involution says (FourEv's flip fixes e_1 and negates e_3).
+    # With the shift as a second factor, the test agrees with the reference.
+    alg, dd = instantiate(name)
+    involutions = [dd.flip.matrix, miyamoto(alg, dd.base_split).matrix]
+    if name == "Seven":
+        involutions.append(matsuo_flip(matsuo_s5(alg.field, "1/4")).matrix)
+    for tau in involutions:
+        assert axial._squares_to_identity(tau) and _reference_squares_to_identity(tau)
+        for i in range(tau.nrows):
+            for j in range(tau.ncols):
+                bad = _plus_one_at(tau, i, j)
+                expected = _still_an_involution(tau, i, j)
+                assert axial._squares_to_identity(bad) == _reference_squares_to_identity(bad) == expected
+    flip, shift = dd.flip.matrix, dd.shift.matrix
+    expected = _reference_squares_to_identity(flip, shift)
+    assert axial._squares_to_identity(flip, shift) == expected
+    for i in range(shift.nrows):
+        for j in range(shift.ncols):
+            for pair in ((_plus_one_at(flip, i, j), shift), (flip, _plus_one_at(shift, i, j))):
+                assert axial._squares_to_identity(*pair) == _reference_squares_to_identity(*pair)

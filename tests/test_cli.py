@@ -552,6 +552,23 @@ def test_runs_load_only_the_standard_library():
     assert [m for m in added if m != "axialcheck" and m not in sys.stdlib_module_names] == []
 
 
+# The AST nodes of the package modules that `verify Seven --json` loads: a
+# fresh process with PYTHONDONTWRITEBYTECODE set, as perfbench runs them,
+# compiles them all, so they are paid in setup_s on every workload.  ROADMAP
+# aim 2 keeps the trail of this count beside its ceiling.
+_VERIFY_AST_CEILING = 18_511
+
+
+def test_a_verify_compiles_at_most_the_ceiling_of_ast_nodes():
+    nodes = int(_fresh_interpreter(
+        f"import ast, sys, axialcheck.cli; sys.stdout = open({os.devnull!r}, 'w'); "
+        f"axialcheck.cli.main(['verify', 'Seven', '--json']); "
+        f"files = {{m.__file__ for name, m in list(sys.modules.items()) if name.partition('.')[0] == 'axialcheck'}}; "
+        f"print(sum(sum(1 for _ in ast.walk(ast.parse(open(f, encoding='utf-8').read()))) for f in files), "
+        f"file=sys.__stdout__)"))
+    assert nodes <= _VERIFY_AST_CEILING, f"a verify compiles {nodes} AST nodes"
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, so that no earlier import has loaded either module
     assert _loaded_by_import(["axialcheck.cli"], ["dataclasses", "inspect"]) == "[]\n"
@@ -661,6 +678,7 @@ _UNREACHED = {
     "fields.FieldDescriptor.__eq__": "perfbench binds it",
     "axial.DihedralData.involution_at": "test_acceptance uses it",
     "algebra.AlgebraMap.identity": "test_acceptance uses it (through involution_at)",
+    "linalg.Matrix.identity": "test_acceptance uses it (through AlgebraMap.identity)",
     "algebra.AlgebraMap.compose": "test_acceptance uses it (through involution_at)",
     "algebra.AlgebraMap.power": "test_acceptance uses it (through involution_at)",
     "algebra.AlgebraDef.zero_vector": "test_acceptance uses it",

@@ -5,7 +5,7 @@ import pytest
 
 from axialcheck import polynomials
 from axialcheck.catalog import instantiate
-from axialcheck.errors import DescriptorMismatch, DimensionMismatch
+from axialcheck.errors import AxialError, DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar
 from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, _reduce, invert, kernel, rref, solve_in_span
 
@@ -470,3 +470,91 @@ def test_columns_share_one_field_and_one_length(Q, GF7):
         Matrix.from_columns(Q, [Vector.unit(Q, 2, 0)], nrows=3)
     with pytest.raises(DimensionMismatch, match="ragged matrix"):
         Matrix(Q, [[Q.one(), Q.zero()], [Q.one()]])
+
+
+# ---------------------------------------------------------------------------
+# kernel, invert and sub_scalar_diag, read off the echelon rows, against the
+# Matrix round trips they replaced: kernel through the rref Matrix and
+# Subspace.from_vectors, invert through the rref of [m | I], sub_scalar_diag
+# through unit vectors.  Both sides must store the same entries in the same
+# order, and fail with the same exception type.
+# ---------------------------------------------------------------------------
+
+
+def _reference_kernel(m):
+    reduced, _, pivots = rref(m)
+    field, basis = m.field, []
+    for f in range(m.ncols):
+        if f not in pivots:
+            terms = {pivots[i]: field.neg(a) for i, a in reduced.columns[f].terms.items()}
+            terms[f] = field.ONE
+            basis.append(Vector.sparse(field, m.ncols, terms))
+    return Subspace.from_vectors(field, m.ncols, basis)
+
+
+def _reference_invert(m):
+    if m.nrows != m.ncols:
+        raise DimensionMismatch("only square matrices invert")
+    n = m.nrows
+    reduced, _, pivots = rref(Matrix.from_columns(m.field, m.columns + Matrix.identity(m.field, n).columns, n))
+    if pivots != tuple(range(n)):
+        raise DimensionMismatch("matrix is singular")
+    return Matrix.from_columns(m.field, reduced.columns[n:], n)
+
+
+def _reference_sub_scalar_diag(m, s):
+    if m.nrows != m.ncols:
+        raise DimensionMismatch("square matrix required")
+    n = m.nrows
+    return Matrix.from_columns(
+        m.field, [c - Vector.unit(m.field, n, j).scale(s) for j, c in enumerate(m.columns)], n)
+
+
+def _layout(f, *args):
+    """What f(*args) stores, entries in their stored order, or the type of
+    the AxialError it raises."""
+    try:
+        x = f(*args)
+    except AxialError as exc:
+        return type(exc)
+    if isinstance(x, Subspace):
+        return x.ambient, [(pc, list(row.items())) for pc, row in x.rows.items()]
+    return x.nrows, x.ncols, [list(c.terms.items()) for c in x.columns]
+
+
+def _differential_matrices(field, rng):
+    """0 x 0, zero, identity, random sparse (each with a zero row, so
+    singular), a square one with a repeated column, full-rank and
+    rank-deficient products, square and not."""
+    yield Matrix.zero(field, 0, 0)
+    yield Matrix.zero(field, 3, 4)
+    yield Matrix.zero(field, 4, 4)
+    yield Matrix.identity(field, 5)
+    for _ in range(4):
+        n = rng.randint(1, 6)
+        yield _sparse_matrix(field, rng, n, n)
+        yield _sparse_matrix(field, rng, n, rng.randint(1, 7))
+        m = _random_low_rank(field, rng, n, n, n)
+        yield m
+        yield Matrix.from_columns(field, m.columns[:-1] + m.columns[:1], n)
+        yield _random_low_rank(field, rng, n, rng.randint(1, 7), rng.randint(0, n))
+
+
+@pytest.mark.parametrize("fixture", ["Q", "GF10007", "QETA", "NF"])
+def test_echelon_reads_match_the_matrix_round_trips(fixture, request, GF5):
+    field = FieldDescriptor.prime(10007) if fixture == "GF10007" else request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    shapes = set()
+    for m in _differential_matrices(field, rng):
+        shapes.add((m.nrows == m.ncols, _layout(invert, m) is DimensionMismatch))
+        assert _layout(kernel, m) == _layout(_reference_kernel, m)
+        assert _layout(invert, m) == _layout(_reference_invert, m)
+        scalars = (field.zero(), field.one(), field.from_int(-3), *(e for c in m.columns[:1] for e in c))
+        for s in scalars:
+            assert _layout(m.sub_scalar_diag, s) == _layout(_reference_sub_scalar_diag, m, s)
+        if m.ncols:  # the reference reads the scalar only at a diagonal entry
+            assert _layout(m.sub_scalar_diag, GF5.one()) == _layout(_reference_sub_scalar_diag, m, GF5.one())
+    # square and not, invertible and singular: each was met
+    assert shapes == {(True, True), (True, False), (False, True)}
+    with pytest.raises(DescriptorMismatch):
+        Matrix.zero(field, 0, 0).sub_scalar_diag(GF5.one())
