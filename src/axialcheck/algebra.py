@@ -68,13 +68,13 @@ class AlgebraDef(_Frozen):
         return f"AlgebraDef({', '.join(self.labels)})"
 
 
-def sparse_product(alg: AlgebraDef, xs, ys):
-    """x*y for x and y given as {index: nonzero payload}, returned the same way
-    with the sums that cancel dropped: the one sum of the structure constants,
-    over i in xs and j in both ys and rows[i], walking the shorter of the two,
-    by the field's mac and settle on payloads."""
+def product_sums(alg: AlgebraDef, xs, ys):
+    """x*y for x and y given as {index: nonzero payload}, as the field's raw
+    sums, unsettled: the one sum of the structure constants, over i in xs and
+    j in both ys and rows[i], walking the shorter of the two, by the field's
+    raw_mul and mac on payloads."""
     field = alg.field
-    mul, mac = field.mul, field.mac
+    mul, mac = field.raw_mul, field.mac
     out = {}
     for i, a in xs.items():
         row = alg.rows[i]
@@ -88,7 +88,13 @@ def sparse_product(alg: AlgebraDef, xs, ys):
                 b = ys.get(j)
                 if b is not None:
                     mac(out, mul(a, b), terms.items())
-    return field.settle(out)
+    return out
+
+
+def sparse_product(alg: AlgebraDef, xs, ys):
+    """x*y as {index: nonzero payload}, the sums that cancel dropped: the
+    settled product_sums."""
+    return alg.field.settle(product_sums(alg, xs, ys))
 
 
 def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
@@ -275,7 +281,7 @@ def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
             k + off: c for off, img in zip(offsets, imgs) for k, c in _terms(img, field, t).items()})
     rows = [*alg.rows, *({j + off: {k + off: c for k, c in terms.items()} for j, terms in row.items()}
                          for off in offsets for row in target.rows)]
-    direct_sum = SimpleNamespace(field=field, rows=rows)  # all that sparse_product reads
+    direct_sum = SimpleNamespace(field=field, rows=rows)  # all that product_sums reads
     echelon, failed = EchelonBasis(field, n + len(offsets) * t), {}
     for pivot, word in _span_closure(echelon, graph, partial(sparse_product, direct_sum), n):
         if pivot is not None and pivot >= n:  # the source part of the remainder vanished

@@ -17,7 +17,7 @@ from .algebra import (
     adjoint_matrix,
     generated_subalgebra,
     multiply,
-    sparse_product,
+    product_sums,
 )
 from .errors import (
     AxialError,
@@ -90,67 +90,36 @@ class AxisDecomposition(_Frozen):
         leaves the parts the fusion rule allows; graded is whether every
         component has the sign s_p*s_q (part 3 odd, the others even).  Every
         allowed set has that sign, so only an escaping product can break the
-        grading.  Over Q and GF(p) a pair is first tested by _escape_test;
-        only a pair that escapes is formed exactly, for its witness and its
-        signs.  Over the polynomial kinds every pair is formed exactly."""
+        grading.  Each pair's product_sums are read, still raw, in the rows of
+        B^-1 (given by its columns) of the parts that its rule forbids, up to
+        one settle of those coordinates; only a pair that escapes is settled
+        and read in every row, for its witness and its signs."""
         alg, field = self.algebra, self.algebra.field
+        mac, settle = field.mac, field.settle
         basis = self.eigenbasis()
         parts, words = [i for i, _ in basis], [v.terms for _, v in basis]
         columns = [c.terms for c in self.coordinates.columns]
-        test = _escape_test(alg, parts, words, columns)
+
+        @cache
+        def forbidden(i, j):
+            return [[(r, t) for r, t in col.items() if parts[r] not in allowed(i, j)] for col in columns]
+
         escapes, graded = {}, True
         for q, j in enumerate(parts):
             for p, i in enumerate(parts[: q + 1]):
-                if test and not test(p, q):
+                sums, read, coords = product_sums(alg, words[p], words[q]), forbidden(i, j), {}
+                for k, c in sums.items():
+                    if forbid := read[k]:
+                        mac(coords, c, forbid)
+                if not (coords and settle(coords)):
                     continue
-                prod = sparse_product(alg, words[p], words[q])
-                coords = {}  # B^-1 prod, summed over the columns of B^-1 at its support
+                prod, coords = settle(sums), {}
                 for k, c in prod.items():
-                    field.mac(coords, c, columns[k].items())
-                support = {parts[r] for r in field.settle(coords)}
-                if not support <= set(allowed(i, j)):
-                    escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
-                    odd = (i == 3) != (j == 3)
-                    graded = graded and all((k == 3) == odd for k in support)
+                    mac(coords, c, columns[k].items())
+                escapes[(p, q)] = Vector.sparse(field, alg.dim, prod)
+                odd = (i == 3) != (j == 3)
+                graded = graded and all((parts[r] == 3) == odd for r in settle(coords))
         return escapes, graded
-
-
-def _escape_test(alg, parts, words, columns):
-    """Over Q and GF(p), escapes(p, q): whether the product of the words p
-    and q has a nonzero coordinate in a part that the rule of parts[p] and
-    parts[q] forbids, reading only the rows of B^-1 (given by its columns)
-    in those parts.  Its sums stay raw, by the field's mac, up to the one
-    settle of those coordinates: over GF(p) they are int multiply-adds, and
-    over Q each product of two payloads is taken unreduced, so a pair that
-    does not escape costs no gcd where the denominators agree.  None over
-    the polynomial kinds, where every pair is formed exactly: Q(eta)'s mac
-    does not take its own raw sums back as a coefficient."""
-    field, rows, mac = alg.field, alg.rows, alg.field.mac
-    if field.kind == field.PRIME:
-        mul = field.mul
-    elif field.kind == field.RATIONALS:
-        def mul(a, b):
-            return a[0] * b[0], a[1] * b[1]
-    else:
-        return None
-
-    @cache
-    def forbidden(i, j):
-        return [[(r, t) for r, t in col.items() if parts[r] not in allowed(i, j)] for col in columns]
-
-    def escapes(p, q):
-        out, coords, read = {}, {}, forbidden(parts[p], parts[q])
-        for i, a in words[p].items():
-            row = rows[i]
-            for j, b in words[q].items():
-                if j in row:
-                    mac(out, mul(a, b), row[j].items())
-        for k, c in out.items():
-            if forbid := read[k]:
-                mac(coords, c, forbid)
-        return bool(coords and field.settle(coords))
-
-    return escapes
 
 
 def _squares_to_identity(*factors):

@@ -218,7 +218,9 @@ class FieldDescriptor(_Frozen):
     # mac(out, c, terms) does out[k] += c*t for each (k, t) of terms, keeping the sums
     # in a raw form of the kind's own (a canonical payload is one), and settle(out)
     # returns their canonical nonzero entries.  mac is each kind's one addition rule,
-    # and settle its one decision that a sum, or a difference, is zero.
+    # and settle its one decision that a sum, or a difference, is zero.  The
+    # coefficient c may be a payload or a raw sum, and raw_mul(a, b) gives the
+    # product of two payloads in that raw form, so a sum of products is settled once.
     # Every payload but GF(p)'s is a pair whose first part is zero exactly for zero.
     @staticmethod
     def is_zero(a):
@@ -260,6 +262,10 @@ class _Rationals(FieldDescriptor):
         g1 = math.gcd(na, db)  # a zero factor has denominator 1, so the product is (0, 1)
         g2 = math.gcd(nb, da)
         return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+    @staticmethod
+    def raw_mul(a, b):
+        return a[0] * b[0], a[1] * b[1]
 
     @staticmethod
     def inv(a):
@@ -308,7 +314,7 @@ class _PrimeField(FieldDescriptor):
     __slots__ = ()
     kind = FieldDescriptor.PRIME
     ZERO, ONE = 0, 1
-    render = staticmethod(str)
+    render, raw_mul = staticmethod(str), staticmethod(operator.mul)
     is_zero = staticmethod(operator.not_)
 
     def canonical(self, a):
@@ -330,7 +336,7 @@ class _PrimeField(FieldDescriptor):
 
     @staticmethod
     def mac(out, c, terms):
-        """Raw sums are plain ints, reduced mod p by settle."""
+        """Raw sums and raw products are plain ints, reduced mod p by settle."""
         for k, t in terms:
             out[k] = out[k] + c * t if k in out else c * t
 

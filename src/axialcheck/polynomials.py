@@ -252,7 +252,11 @@ class _NumberField(FieldDescriptor):
         return _pscale(a[0], -1), a[1]
 
     def mul(self, a, b):
-        return self._reduce(_pmul(a[0], b[0]), a[1] * b[1])
+        return self._reduce(*self.raw_mul(a, b))
+
+    @staticmethod
+    def raw_mul(a, b):
+        return _pmul(a[0], b[0]), a[1] * b[1]
 
     def inv(self, a):
         # extended Euclid on pseudo-remainders, keeping r = s*c modulo minpoly
@@ -267,7 +271,8 @@ class _NumberField(FieldDescriptor):
         return self._reduce(_pscale(s1, d if e > 0 else -d), abs(e))
 
     def mac(self, out, c, terms):
-        """Raw sums are (c, d) pairs reduced neither by the modulus nor by a gcd."""
+        """Raw sums and raw products are (c, d) pairs reduced neither by the
+        modulus nor by a gcd."""
         cn, cd = c
         for k, (tn, td) in terms:
             _accumulate(out, k, _pmul(cn, tn), cd * td)
@@ -332,6 +337,12 @@ class _RationalFunctions(FieldDescriptor):
             return _primitive_pair(_pscale(a[0], n), _pscale(a[1], d))
         return self._reduce(_pmul(a[0], b[0]), _pmul(a[1], b[1]))
 
+    def raw_mul(self, a, b):
+        """Over an int when both denominators are constants, as mac sums it."""
+        if len(a[1]) == len(b[1]) == 1:
+            return _pmul(a[0], b[0]), a[1][0] * b[1][0]
+        return self.mul(a, b)
+
     def inv(self, a):
         return self._reduce(a[1], a[0])
 
@@ -340,7 +351,10 @@ class _RationalFunctions(FieldDescriptor):
         with a polynomial denominator comes: from then on the sum is a payload,
         summed by the canonical mul and _add, so no polynomial lcm is deferred.
         A payload over a constant, as a caller may seed out with, is such a
-        raw pair already."""
+        raw pair already.  A raw c over an int d is read as over (d,), which
+        mul takes: it clears the content that N and d may share."""
+        if type(c[1]) is int:
+            c = c[0], (c[1],)
         for k, t in terms:
             s = out.get(k)
             if s is not None and type(s[1]) is tuple and len(s[1]) == 1:

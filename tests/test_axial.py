@@ -637,12 +637,13 @@ def _rescaled(n, seed):
     ("matsuo", "q"),
     ("matsuo", "gf:7"),
     *(("matsuo", spec, eta) for spec in ("q", "gf:10007") for eta in ETAS),
-    ("perturbed", "q"),
-    ("perturbed", "gf:10007"),
+    ("matsuo", "qeta"),
+    ("matsuo", "nf:-1,2,1"),
+    *(("perturbed", spec) for spec in ("q", "gf:10007", "qeta", "nf:-1,2,1")),
     ("rescaled", "q"),
 ], ids="_".join)
 def test_product_pass_matches_the_dense_pass(case, matsuo_split):
-    escaping = case in (("SixThree", "q", "3"), ("perturbed", "q"), ("perturbed", "gf:10007"))
+    escaping = case == ("SixThree", "q", "3") or case[0] == "perturbed"
     if case[0] == "matsuo" and len(case) == 2:  # M_1/4(S_5)
         dec = matsuo_split(catalog.field_from_spec(case[1]), "1/4")
     elif case[0] == "matsuo":
@@ -659,14 +660,15 @@ def test_product_pass_matches_the_dense_pass(case, matsuo_split):
     assert dec.product_pattern == _dense_product_pattern(dec)
     # SixThree at eta = 3 and the perturbed tables are the cases whose fusion fails
     assert bool(dec.product_pattern[0]) == escaping
-    if case[0] == "perturbed":
+    if case[0] == "perturbed":  # one pair escapes, and the sign map stays multiplicative
+        assert len(dec.product_pattern[0]) == 1 and dec.product_pattern[1]
         witnesses = [v for prod in dec.product_pattern[0].values() for v in prod.terms.values()]
-        if dec.algebra.field.p is None:  # over Q, some witness entry is not an integer
+        if case[1] == "q":  # some witness entry is not an integer
             assert any(den != 1 for _, den in witnesses)
 
 
 def _sparse_pass(dec):
-    # the pass that the raw escape test replaced: every pair formed exactly,
+    # the pass that the test on raw product sums replaced: every pair formed exactly,
     # settled, and read in every row of B^-1; the parts of each escape
     alg, field = dec.algebra, dec.algebra.field
     basis = dec.eigenbasis()
@@ -703,33 +705,32 @@ def test_product_pass_on_a_rescaled_basis_is_no_slower_than_the_sparse_pass():
     assert min(times["raw"]) <= min(times["sparse"]), times
 
 
-def test_product_pass_forms_each_pair_once_in_the_kernel(Q, monkeypatch, matsuo_split):
-    # M_1/4(S_5) has dimension 10, so one pass tests 10*11/2 pairs, each once,
-    # in the raw escape test; none escapes, so no exact product is formed:
-    # no sparse_product, no dense multiply and no Matrix.apply
-    dec = matsuo_split(Q, "1/4")
-    tested = []
-    make = axial._escape_test
+def test_product_pass_forms_each_pair_once_in_the_kernel(monkeypatch, matsuo_split):
+    # M_1/4(S_5) has dimension 10, so one pass takes the product_sums of
+    # 10*11/2 pairs, each once, over every field kind; none escapes, so no
+    # product is settled whole: no sparse_product, no dense multiply and no
+    # Matrix.apply
+    decs = {spec: matsuo_split(catalog.field_from_spec(spec), "1/4") for spec in ("q", "gf:10007", "nf:-1,2,1", "qeta")}
+    tested, product_sums = [], algebra.product_sums
 
-    def counted(*args):
-        escapes = make(*args)
-
-        def test(p, q):
-            tested.append((p, q))
-            return escapes(p, q)
-
-        return test
+    def counted(alg, xs, ys):
+        tested.append((xs, ys))
+        return product_sums(alg, xs, ys)
 
     def refused(*args):
         raise AssertionError("the product pass formed an exact product")
 
-    monkeypatch.setattr(axial, "_escape_test", counted)
-    monkeypatch.setattr(axial, "sparse_product", refused)
+    monkeypatch.setattr(axial, "product_sums", counted)
+    monkeypatch.setattr(algebra, "sparse_product", refused)
     monkeypatch.setattr(axial, "multiply", refused)
     monkeypatch.setattr(algebra, "multiply", refused)
     monkeypatch.setattr(Matrix, "apply", refused)
-    assert dec.product_pattern == ({}, True)
-    assert len(tested) == 55 and set(tested) == {(p, q) for q in range(10) for p in range(q + 1)}
+    for spec, dec in decs.items():
+        tested.clear()
+        assert dec.product_pattern == ({}, True), spec
+        index = {id(v.terms): k for k, (_, v) in enumerate(dec.eigenbasis())}
+        pairs = [(index[id(xs)], index[id(ys)]) for xs, ys in tested]
+        assert len(pairs) == 55 and set(pairs) == {(p, q) for q in range(10) for p in range(q + 1)}, spec
 
 
 def _count_fractions(monkeypatch):

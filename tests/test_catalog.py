@@ -262,10 +262,11 @@ def _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source):
 
 
 # Every Q(eta) reduction calls polynomials._pgcd, so its calls bound the Q(eta)
-# work of a run, with no timing.  The runs make 937, 2,251 and 132 calls since
-# a product by a constant clears only content; each bound keeps the ratio of
-# the bound before to its count (2,299, 4,985 and 1,665 over 2,159, 4,769 and
-# 565 calls).
+# work of a run, with no timing.  The runs make 926, 2,236 and 91 calls; the
+# claims made 118 until products over int denominators were summed raw, with
+# no reduction each.  Each bound was set from an earlier count (937, 2,251
+# and 132) by the ratio of the bound before it to its count (2,299, 4,985 and
+# 1,665 over 2,159, 4,769 and 565 calls), and stays.
 @pytest.mark.parametrize("source, most", [((6, 3, 1), 998), ((8, 4, 1), 2353), ("claims", 389)])
 def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
     calls = _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source)
@@ -273,7 +274,8 @@ def test_pgcd_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hosti
 
 
 # Most of those calls return at once for a constant operand; the ones with two
-# non-constant operands run Brown's algorithm, and these are their counts.
+# non-constant operands run Brown's algorithm: 142, 235 and 44 runs (55 on
+# the claims before the raw products).
 @pytest.mark.parametrize("source, most", [((6, 3, 1), 153), ((8, 4, 1), 250), ("claims", 67)])
 def test_brown_calls_stay_within_their_bound(monkeypatch, capsys, tmp_path, hostile_file, source, most):
     calls = _pgcd_operands(monkeypatch, capsys, tmp_path, hostile_file, source)

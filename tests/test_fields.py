@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -677,6 +679,15 @@ def test_no_field_kind_has_a_second_addition_rule():
         assert not hasattr(cls, "add"), cls
 
 
+def test_the_kernels_read_no_field_kind():
+    # each field kind chooses its arithmetic: axial, algebra and linalg call
+    # their field's methods and never branch on which kind it is
+    package = Path(fields.__file__).parent
+    for module in ("axial", "algebra", "linalg"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "kind"] == [], module
+
+
 @pytest.mark.parametrize("name", MAC_FIELDS)
 def test_equality_is_a_zero_test(name, monkeypatch):
     field = MAC_FIELDS[name]
@@ -716,6 +727,45 @@ def test_equality_is_a_zero_test(name, monkeypatch):
     assert seen[True] and seen[False]
     decided(field.one().is_one(), True)
     decided((field.one() + field.one() - field.one()).is_one(), True)
+
+
+# ---------------------------------------------------------------------------
+# the contract of raw_mul, mac and settle, against FieldElement arithmetic
+# ---------------------------------------------------------------------------
+
+CONTRACT_FIELDS = {
+    "Q": FieldDescriptor.rationals(),
+    "GF10007": FieldDescriptor.prime(10007),
+    "NF": FieldDescriptor.number_field((-1, 2, 1)),  # Q[t]/(t^2 + 2t - 1)
+    "QETA": FieldDescriptor.rational_functions("eta"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_FIELDS)
+def test_mac_takes_raw_products_and_raw_sums_as_its_coefficient(name):
+    # settle(mac sums of raw_mul products) is the sum of the products, and a
+    # raw sum, cancelled ones included, multiplies terms as its value does;
+    # over Q(eta) about half the elements have a polynomial denominator
+    field = CONTRACT_FIELDS[name]
+    rng = random.Random(name)
+    seen = {"cancelled": 0, "over a polynomial": 0}
+    for _ in range(60):
+        raw, sums = {}, {}
+        for _ in range(5):  # a*b*t into one of three sums
+            a, b, t = (_small_element(field, rng) for _ in range(3))
+            k = rng.randrange(3)
+            field.mac(raw, field.raw_mul(a.payload, b.payload), [(k, t.payload)])
+            sums[k] = sums.get(k, field.zero()) + a * b * t
+            seen["over a polynomial"] += name == "QETA" and any(len(x.payload[1]) > 1 for x in (a, b))
+        assert field.settle(raw) == {k: s.payload for k, s in sums.items() if not s.is_zero()}
+        seen["cancelled"] += any(s.is_zero() for s in sums.values())
+        u, v = _small_element(field, rng), _small_element(field, rng)
+        out, expected = {}, {k: s * u for k, s in sums.items()}
+        for k, s in raw.items():  # each raw sum times u into entry k, and all of them times v into entry 3
+            field.mac(out, s, [(k, u.payload), (3, v.payload)])
+        expected[3] = sum((s * v for s in sums.values()), field.zero())
+        assert field.settle(out) == {k: x.payload for k, x in expected.items() if not x.is_zero()}
+    assert seen["cancelled"] and (seen["over a polynomial"] or name != "QETA"), seen
 
 
 # ---------------------------------------------------------------------------
