@@ -14,11 +14,11 @@ compiled when one of them first runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+import types
 
 from . import algfile, catalog
 from .errors import AxialError, ConstraintViolation, UnknownEntry
@@ -114,71 +114,102 @@ def cmd_verify(args) -> int:
     return _write(_report_text(report.canonical(), time.monotonic() - start, args.json), 0 if report.passed else 1)
 
 
-def _derived(name):
-    """The handler ``name`` of derive, which is compiled when one of them first runs."""
-    def run(args):
-        from . import derive
+_USAGE = """\
+usage: axialcheck verify SOURCE [--field SPEC] [--eta LITERAL] [--check LIST] [--json]
+       axialcheck catalog list
+       axialcheck catalog emit [NAME] [--field SPEC] [--eta LITERAL]
+       axialcheck catalog claims [--json]
+       axialcheck isom SOURCE_A SOURCE_B --map LIST [--field SPEC] [--eta LITERAL]
+                       [--field-b SPEC] [--eta-b LITERAL]
+       axialcheck quotient SOURCE --ideal LIST [--field SPEC] [--eta LITERAL] [--output PATH]
+       axialcheck -h
 
-        return getattr(derive, name)(args)
+Exact verification of dihedral axial decomposition algebras.
 
-    return run
+  SOURCE          a catalog entry name or an algebra file path
+  --field SPEC    q | gf:<p> | qeta | nf:<c0,c1,...>
+  --eta LITERAL   a scalar literal for the parameter eta
+  --check LIST    a comma list of fusion,dihedral,relations,identities (default all)
+  --json          print the report as JSON
+  --map LIST      a comma list of label=expression generator images
+  --ideal LIST    semicolon-separated vector literals spanning the ideal
+  --output PATH   write the quotient's file there (-o PATH)
+An option's value follows it as the next argument or after "=", and may
+start with "-", as in --eta -1/3.
+"""
+
+# Each command line: its handler's name, then its arguments.  A plain word is
+# a positional argument; --name= is an option that takes a value, whose
+# default follows the "=", and --name without "=" is a flag.  Brackets mark
+# what may be left out.  The handlers other than cmd_verify are derive's.
+_COMMANDS = {
+    "verify": "cmd_verify source [--field=] [--eta=] [--check=all] [--json]",
+    "catalog list": "cmd_catalog_list",
+    "catalog emit": "cmd_catalog_emit [name] [--field=] [--eta=]",
+    "catalog claims": "cmd_catalog_claims [--json]",
+    "isom": "cmd_isom source_a source_b --map= [--field=] [--eta=] [--field-b=] [--eta-b=]",
+    "quotient": "cmd_quotient source --ideal= [--field=] [--eta=] [--output=]",
+}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="axialcheck",
-        description="Exact verification of dihedral axial decomposition algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message):
+    """Print the usage lines, which end at the first blank line of _USAGE,
+    and the message to stderr, and exit 2."""
+    usage = _USAGE.split("\n\n")[0]
+    sys.stderr.write(f"{usage}\naxialcheck: error: {message}\n")
+    raise SystemExit(2)
 
-    p_verify = sub.add_parser("verify", help="verify a catalog entry or algebra file")
-    p_verify.add_argument("source", help="catalog entry name or algebra file path")
-    p_verify.add_argument("--field", default=None, help="q | gf:<p> | qeta | nf:<c0,c1,...>")
-    p_verify.add_argument("--eta", default=None, help="scalar literal for the parameter")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--check", default="all",
-                          help="comma list of fusion,dihedral,relations,identities (default all)")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_cat = sub.add_parser("catalog", help="list entries, emit a file, or run claims")
-    actions = p_cat.add_subparsers(dest="action", required=True)
-    actions.add_parser("list", help="list the entries").set_defaults(func=_derived("cmd_catalog_list"))
-    p_emit = actions.add_parser("emit", help="write an entry as an algebra file")
-    p_emit.add_argument("name", nargs="?", default=None)
-    p_emit.add_argument("--field", default=None)
-    p_emit.add_argument("--eta", default=None)
-    p_emit.set_defaults(func=_derived("cmd_catalog_emit"))
-    p_claims = actions.add_parser("claims", help="discharge the catalog's claims")
-    p_claims.add_argument("--json", action="store_true")
-    p_claims.set_defaults(func=_derived("cmd_catalog_claims"))
-
-    p_isom = sub.add_parser("isom", help="test a generator correspondence for isomorphism")
-    p_isom.add_argument("source_a")
-    p_isom.add_argument("source_b")
-    p_isom.add_argument("--map", required=True,
-                        help="comma list of label=expression generator images")
-    p_isom.add_argument("--field", default=None)
-    p_isom.add_argument("--eta", default=None)
-    p_isom.add_argument("--field-b", dest="field_b", default=None)
-    p_isom.add_argument("--eta-b", dest="eta_b", default=None)
-    p_isom.set_defaults(func=_derived("cmd_isom"))
-
-    p_quot = sub.add_parser("quotient", help="quotient by an ideal and emit the file")
-    p_quot.add_argument("source")
-    p_quot.add_argument("--ideal", required=True,
-                        help="semicolon-separated vector literals spanning the ideal")
-    p_quot.add_argument("--field", default=None)
-    p_quot.add_argument("--eta", default=None)
-    p_quot.add_argument("--output", "-o", default=None)
-    p_quot.set_defaults(func=_derived("cmd_quotient"))
-    return parser
+def _parse(words):
+    """The handler name and the arguments of one command line.  -h prints the
+    usage and exits 0; a usage error ends in _usage_error."""
+    if "-h" in words or "--help" in words:
+        raise SystemExit(_write(_USAGE, 0))
+    key = " ".join(words[:2 if words[:1] == ["catalog"] else 1])
+    if key not in _COMMANDS:
+        _usage_error("the following arguments are required: command" if key in ("", "catalog")
+                     else f"unrecognized arguments: {' '.join(words)}")
+    handler, *spec = _COMMANDS[key].split()
+    args, options, positional, required, extra = {}, {}, [], {}, []
+    for word in spec:
+        name, takes, default = word.strip("[]").partition("=")
+        attr = name.lstrip("-").replace("-", "_")
+        args[attr] = default or (False if name[0] == "-" and not takes else None)  # a flag starts False
+        if name[0] == "-":
+            options[name] = attr, takes
+        else:
+            positional.append(attr)
+        if word[0] != "[":
+            required[name] = attr
+    rest = iter(words[len(key.split()):])
+    for word in rest:
+        name, given, value = word.partition("=")
+        attr, takes = options.get("--output" if name == "-o" else name, (None, ""))
+        if attr and not (takes or given):
+            args[attr] = True
+        elif attr and takes and (given or (value := next(rest, None)) is not None):
+            args[attr] = value
+        elif positional and word[:1] != "-":
+            args[positional.pop(0)] = word
+        else:
+            extra.append(word)
+    missing = [name for name, attr in required.items() if args[attr] is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    return handler, types.SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     """Run one command; any rejected input ends here as one error line and exit 2."""
-    args = build_parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        if handler == "cmd_verify":
+            return cmd_verify(args)
+        from . import derive
+
+        return getattr(derive, handler)(args)
     except (AxialError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -249,17 +249,18 @@ def solve_in_span(target: Vector, spanners):
     """Coefficients c with sum(c_i * spanners_i) = target, or None.
 
     Free variables are zero; the answer is the deterministic RREF
-    back-substitution solution.
+    back-substitution solution, read off the echelon rows of [spanners |
+    target]: target is in the span exactly when column k is no pivot, and
+    c_i is then the entry in column k of the row at pivot i.
     """
     spanners = list(spanners)
     for s in spanners:
         target._check(s)
-    k = len(spanners)
-    reduced, rank, pivots = rref(Matrix.from_columns(target.field, spanners + [target], len(target)))
-    if k in pivots:
+    field, k = target.field, len(spanners)
+    rows = _echelon(Matrix.from_columns(field, spanners + [target], len(target))).rows
+    if k in rows:
         return None
-    solution = dict(zip(pivots, reduced.columns[k]))  # column k of the rref, read at the pivots
-    return [solution.get(c, target.field.zero()) for c in range(k)]
+    return [FieldElement(field, rows.get(c, {}).get(k, field.ZERO)) for c in range(k)]
 
 
 class Subspace(_Frozen):

@@ -138,6 +138,61 @@ def test_there_is_no_window_option(capsys):
     assert "unrecognized arguments: --window 4" in err and "Traceback" not in err
 
 
+_HELP = "usage: axialcheck verify SOURCE [--field SPEC] [--eta LITERAL] [--check LIST] [--json]\n"
+
+
+# (argv, exit code, the stream written, a text it holds)
+_COMMAND_LINES = [
+    (["-h"], 0, "out", _HELP),
+    (["verify", "-h"], 0, "out", _HELP),
+    (["--help"], 0, "out", _HELP),
+    (["verify", "ThreeEv", "--field", "q", "--eta=-1", "--check", "fusion", "--json"], 0, "out", '"eta": "-1"'),
+    (["verify", "ThreeEv", "--field", "q", "--eta", "-1", "--check", "fusion", "--json"], 0, "out", '"eta": "-1"'),
+    (["verify", "ThreeEv", "--field", "q", "--eta", "-1/3", "--check", "fusion", "--json"], 0, "out",
+     '"eta": "-1/3"'),
+    (["verify", "--json", "ThreeEv", "--check=fusion"], 0, "out", '"canonical"'),
+    (["quotient", "ThreeEv", "--field", "q", "--eta=-1/3", "--ideal", "p1", "-o", "{path}"], 0, "out", ""),
+    (["quotient", "ThreeEv", "--field", "q", "--eta=-1/3", "--ideal", "p1", "--output={path}"], 0, "out", ""),
+    (["isom", "ThreeEvX", "ThreeEvX"], 2, "err", "axialcheck: error: the following arguments are required: --map\n"),
+    (["quotient", "ThreeEv"], 2, "err", "axialcheck: error: the following arguments are required: --ideal\n"),
+    (["verify"], 2, "err", "axialcheck: error: the following arguments are required: source\n"),
+    (["verify", "Seven", "--eta"], 2, "err", "axialcheck: error: unrecognized arguments: --eta\n"),
+    (["catalog"], 2, "err", "axialcheck: error: the following arguments are required: command\n"),
+    ([], 2, "err", "axialcheck: error: the following arguments are required: command\n"),
+    (["frobnicate", "Seven"], 2, "err", "axialcheck: error: unrecognized arguments: frobnicate Seven\n"),
+    (["catalog", "frobnicate"], 2, "err", "axialcheck: error: unrecognized arguments: catalog frobnicate\n"),
+    (["verify", "Seven", "--fie", "gf:7"], 2, "err", "axialcheck: error: unrecognized arguments: --fie gf:7\n"),
+    (["verify", "Seven", "--json=yes"], 2, "err", "axialcheck: error: unrecognized arguments: --json=yes\n"),
+    (["verify", "Seven", "-o", "x"], 2, "err", "axialcheck: error: unrecognized arguments: -o x\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, text", _COMMAND_LINES,
+                         ids=[" ".join(argv) or "(no arguments)" for argv, *_ in _COMMAND_LINES])
+def test_the_command_line_table(tmp_path, capsys, argv, code, stream, text):
+    # -h prints the usage to stdout; a usage error prints its lines and one
+    # error line to stderr and exits 2; a value may start with "-"; "{path}"
+    # stands for a file that the run writes
+    path = tmp_path / "q.json"
+    writes = any("{path}" in a for a in argv)
+    argv = [a.format(path=path) for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    out, err = captured.out, captured.err
+    assert got == code and text in (out if stream == "out" else err)
+    if text == _HELP:
+        assert out == cli._USAGE
+    assert (err if stream == "out" else out) == ""
+    if code == 2:
+        assert err.startswith(cli._USAGE.split("\n\n")[0] + "\n") and err.count("error:") == 1
+    assert path.exists() == writes
+    if writes:
+        assert json.loads(path.read_text(encoding="utf-8"))["basis"]
+
+
 def test_check_selection_names_a_check(capsys):
     for selection in (",", " , ,", ""):
         code, out, err = run(capsys, "verify", "Seven", "--check", selection)
@@ -579,6 +634,19 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert _loaded_by_import(["axialcheck.cli"], ["fractions", "decimal"]) == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "Seven", "--json"], ["verify", "{file}", "--json"], ["catalog", "claims", "--json"],
+], ids=["verify_entry", "verify_file", "claims"])
+def test_commands_leave_out_argparse_gettext_and_locale(tmp_path, argv):
+    # the command line is read from one table, with no parser library
+    from axialcheck import derive
+
+    path = tmp_path / "ThreeEvX.json"
+    path.write_text(derive.dumps(*catalog.instantiate("ThreeEvX")), encoding="utf-8")
+    then = f"assert axialcheck.cli.main({[str(path) if a == '{file}' else a for a in argv]!r}) == 0"
+    assert _loaded_by_import(["axialcheck.cli"], ["argparse", "gettext", "locale"], then) == "[]\n"
+
+
 def test_engine_import_leaves_out_the_catalog_and_the_cli():
     # the package resolves list_entries on first use, so loading files and
     # checking axes compiles neither the catalog nor the command line
@@ -659,6 +727,7 @@ _REACH_RUNS = [
     (["isom", "ThreeEvX", "ThreeEvX", "--map", "a0=a0,a1=a1,am1=am1"], 0),
     (["verify", "no_such_file.json"], 2),
     (["quotient", "ThreeEv", "--field", "q", "--eta=-1/3", "--ideal", "(2^1/2)*p1"], 0),
+    (["verify", "Seven", "--window", "4"], 2),
 ]
 
 # Every function of src that none of those runs calls, and why it stays.
@@ -707,7 +776,11 @@ for kind, name, argv in make_golden.CASES:
     make_golden.render_case(kind, argv)
 sys.stdout = open(os.devnull, "w")
 for argv, code in {runs!r}:
-    assert cli.main(argv) == code, argv
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # a usage error ends the run this way
+        got = exc.code
+    assert got == code, argv
 sys.setprofile(None)
 src = os.path.abspath(os.path.join("src", "axialcheck"))
 called = [c for c in called if os.path.dirname(os.path.abspath(c.co_filename)) == src]

@@ -31,7 +31,7 @@ def _run(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse rejects its arguments this way
+        except SystemExit as exc:  # a usage error, or -h, ends the run this way
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
