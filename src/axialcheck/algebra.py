@@ -1,5 +1,5 @@
-"""Commutative structure-constant algebras: products, subalgebras, ideals,
-quotients, and linear maps extended from generators.
+"""Commutative structure-constant algebras: products, vector literals,
+subalgebras, ideals, quotients, and linear maps extended from generators.
 
 Commutativity is structural: e_i*e_j and e_j*e_i are one shared map of
 structure constants, so x*y = y*x cannot fail by construction.
@@ -10,9 +10,9 @@ from __future__ import annotations
 from functools import partial
 from types import SimpleNamespace
 
-from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal
-from .fields import _fill, _Frozen
-from .linalg import EchelonBasis, Matrix, Subspace, Vector, _full_row, _terms, invert, rref
+from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal, ScalarSyntaxError
+from .fields import ExpressionEnv, _fill, _Frozen
+from .linalg import EchelonBasis, Matrix, Subspace, Vector, _full_row, _terms, invert
 
 
 class AlgebraDef(_Frozen):
@@ -107,6 +107,52 @@ def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
     return Vector.sparse(field, dim, sparse_product(alg, x.terms, y.terms))
 
 
+class _LiteralEnv(ExpressionEnv):
+    """Expression hooks for vector literals: a name is a basis label before it
+    is a scalar's name, and labels combine only linearly.  Only the identity
+    rows' subclass, axial._RowEnv, multiplies two vectors."""
+
+    def __init__(self, alg: AlgebraDef, eta=None):
+        super().__init__(alg.field, eta)
+        self.labels = alg.labels
+
+    def atom(self, name):
+        if name in self.labels:
+            return Vector.unit(self.field, len(self.labels), self.labels.index(name))
+        return super().atom(name)
+
+    def add(self, a, b):
+        if isinstance(a, Vector) != isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot add a scalar to a vector")
+        return a + b
+
+    def sub(self, a, b):
+        if isinstance(a, Vector) != isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot subtract a scalar from a vector")
+        return a - b
+
+    def mul(self, a, b):
+        if isinstance(a, Vector) and isinstance(b, Vector):
+            raise ScalarSyntaxError("vector literals are linear: no products of labels")
+        if isinstance(a, Vector):
+            return a.scale(b)
+        if isinstance(b, Vector):
+            return b.scale(a)
+        return a * b
+
+    def div(self, a, b):
+        if isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot divide by a vector")
+        if isinstance(a, Vector):
+            return a.scale(b.inverse())
+        return a / b
+
+    def pow(self, a, n):
+        if isinstance(a, Vector):
+            raise ScalarSyntaxError("cannot exponentiate a vector")
+        return a ** n
+
+
 def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
     """Matrix of x -> a*x in the algebra basis."""
     cols = [multiply(alg, a, alg.basis_vector(j)) for j in range(alg.dim)]
@@ -196,11 +242,6 @@ class AlgebraMap(_Frozen):
             base = base.compose(base)
             k >>= 1
         return out
-
-    def is_bijective(self) -> bool:
-        if self.matrix.nrows != self.matrix.ncols:
-            return False
-        return rref(self.matrix)[1] == self.matrix.ncols
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraMap):

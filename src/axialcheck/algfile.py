@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 
 from .axial import DihedralData
-from .algebra import AlgebraDef, extend_from_generators
+from .algebra import AlgebraDef, _LiteralEnv, extend_from_generators
 from .errors import (
     AlgebraFileError,
     AxialError,
@@ -38,60 +38,8 @@ from .errors import (
     DivisionByZero,
     ScalarSyntaxError,
 )
-from .fields import (
-    ExpressionEnv,
-    FieldDescriptor,
-    FieldElement,
-    parse_expression,
-    parse_scalar,
-    render,
-)
+from .fields import FieldDescriptor, FieldElement, parse_expression, parse_scalar, render
 from .linalg import Vector
-
-
-class _LiteralEnv(ExpressionEnv):
-    """Expression hooks for vector literals: a name is a basis label before it
-    is a scalar's name, and labels combine only linearly."""
-
-    def __init__(self, alg: AlgebraDef, eta: FieldElement | None = None):
-        super().__init__(alg.field, eta)
-        self.labels = alg.labels
-
-    def atom(self, name):
-        if name in self.labels:
-            return Vector.unit(self.field, len(self.labels), self.labels.index(name))
-        return super().atom(name)
-
-    def add(self, a, b):
-        if isinstance(a, Vector) != isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot add a scalar to a vector")
-        return a + b
-
-    def sub(self, a, b):
-        if isinstance(a, Vector) != isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot subtract a scalar from a vector")
-        return a - b
-
-    def mul(self, a, b):
-        if isinstance(a, Vector) and isinstance(b, Vector):
-            raise ScalarSyntaxError("vector literals are linear: no products of labels")
-        if isinstance(a, Vector):
-            return a.scale(b)
-        if isinstance(b, Vector):
-            return b.scale(a)
-        return a * b
-
-    def div(self, a, b):
-        if isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot divide by a vector")
-        if isinstance(a, Vector):
-            return a.scale(b.inverse())
-        return a / b
-
-    def pow(self, a, n):
-        if isinstance(a, Vector):
-            raise ScalarSyntaxError("cannot exponentiate a vector")
-        return a ** n
 
 
 def parse_vector(text: str, alg: AlgebraDef, eta: FieldElement | None = None) -> Vector:

@@ -4,6 +4,10 @@ conditions, axial dimension, and the scalar-identity suite.
 The two middle eigenvalues coincide here, so the split of the eta-eigenspace
 into its plus and minus parts is always recovered from a supplied involution,
 never guessed from eigenvalues alone.
+
+The identity suite reads the paper's expansion rows from one table of
+literal strings, _ROWS, through the expression parser of fields; _RowEnv,
+the one environment in which two vectors multiply, gives their names values.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from functools import cache, cached_property
 from .algebra import (
     AlgebraDef,
     AlgebraMap,
+    _LiteralEnv,
     adjoint_matrix,
     generated_subalgebra,
     multiply,
@@ -27,8 +32,9 @@ from .errors import (
     MiyamotoNotAutomorphism,
     NotIdempotent,
     NotSemisimple,
+    UnknownSymbol,
 )
-from .fields import FieldDescriptor, _Frozen, render
+from .fields import ExpressionEnv, FieldDescriptor, _Frozen, parse_expression, render
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, _less_unit, invert, kernel, solve_in_span
 
 # Allowed decomposition parts for the product of two parts.  The (0,1) entry
@@ -434,107 +440,99 @@ class IdentityReport(namedtuple("IdentityReport", "checks scalars")):
         self.checks.append(CheckResult(name, "skipped", detail))
 
 
-def _residual_detail(v: Vector) -> str:
-    return f"residual {v!r}"
+# The expansions of Hall, Rehren and Shpectorov, "Universal axial algebras and
+# a theorem of Sakuma" (J. Algebra 2015), as rows (name, value, test, scalar
+# key) in report order, each value a literal read by _RowEnv.  A row passes
+# when its value is zero (test "0"), lies in M2 ("M2"), or is a multiple of
+# the base literal that test is, the factor then being the scalar key.
+_ROWS = [row for i in (1, 2, 3) for row in (
+    (f"p{i}0_scalar", f"a0*p{i}0 - ((1 - eta)*lambda{i} - eta)*a0", "0", None),
+    (f"p{i}0_m2_part", f"p{i}0 - (lambda{i} - eta)*a0 + eta/2*(a{i} + am{i})", "M2", None),
+)] + [
+    ("mu_expansion", "a0*p21 - (2*eta - 1)*(4*lambda1 - 3*eta)/(2*eta)*(2*p10 + eta*(a1 + am1))", "a0", "mu"),
+    ("nu_expansion", "a0*p31 - eta/2*(p31 - p3m1)"
+     " + (2*eta - 1)*(2*lambda1 - eta)/(2*eta)*(2*p20 + eta*(a2 + am2))"
+     " + (mu - eta*lambda2 + 2*eta^2)/eta*(2*p10 + eta*(a1 + am1))", "a0/2", "nu"),
+    ("rho_expansion", "p20*p21 - mu*p20 - (2*eta - 1)*(4*lambda1 - 3*eta)*((2*p30 + p31 + p3m1)/4"
+     " + ((2*eta - 1)*2*lambda1 - 4*eta^2 + eta)/(2*eta^2)*p20"
+     " + ((2*eta - 1)*4*lambda1 - eta*lambda2 - 5*eta^2 + 3*eta)/eta^2*p10"
+     " + (2*eta - 1)*(3*lambda1 - 2*eta)/(2*eta)*(a2 + am2)"
+     " + (2*mu - eta*lambda2 + 2*eta^2)/(2*eta)*(a1 + am1))", "a0", "rho"),
+    ("p1_square", "p10*p10", "p10", "pi"),
+]
 
 
-def _multiple_row(report, name, v, base, key):
-    """Row name passes when v is a multiple of base; the factor is recorded
-    as scalar key and returned (None on failure)."""
-    sol = solve_in_span(v, [base])
-    report.add(name, sol is not None, "" if sol is not None else _residual_detail(v))
-    if sol is not None:
-        report.scalars[key] = sol[0]
-        return sol[0]
+class _RowEnv(_LiteralEnv):
+    """The names of the rows: a<i> and am<i> are the axes a_i and a_-i, p<i><j>
+    and p<i>m<j> are p_vector(i, j) and p_vector(i, -j), each made once, and
+    every other name is a scalar found so far, and only then eta or the
+    field's variable; a row's key that no earlier row found is unavailable.
+    The product of two vectors is the algebra's."""
+
+    def __init__(self, alg, dd, scalars):
+        super().__init__(alg, dd.eta)
+        self.alg, self.axis, self.scalars = alg, dd.axis, scalars
+        self.p = cache(lambda i, j: p_vector(alg, dd, i, j))
+        self.keys = {key for *_, key in _ROWS}
+
+    def atom(self, name):
+        head, index = name[0], name[1:].replace("m", "-")
+        if head in "ap" and index.replace("-", "").isdigit():
+            return self.axis(int(index)) if head == "a" else self.p(int(index[0]), int(index[1:]))
+        if name in self.scalars:
+            return self.scalars[name]
+        if name in self.keys:
+            raise UnknownSymbol(f"{name} unavailable")
+        return ExpressionEnv.atom(self, name)
+
+    def mul(self, a, b):
+        if isinstance(a, Vector) and isinstance(b, Vector):
+            return multiply(self.alg, a, b)
+        return super().mul(a, b)
 
 
 def identity_suite(alg, dd: DihedralData) -> IdentityReport:
     """Exact check of the two-generated scalar identities on the base axis.
 
-    Extracts lambda_1..3 from the decomposition at a_0, then mu, nu, rho
-    from the three product expansions, pi from p*p, and checks the
-    invariant-scalar action and the shifted-p disjunction where applicable.
+    Extracts lambda_1..3 from the decomposition at a_0, evaluates the rows
+    (mu, nu and rho from the three product expansions, pi from p*p) and
+    checks the two-generated dimension, the invariant-scalar action and the
+    shifted-p disjunction where applicable.
     """
     report = IdentityReport([], {})
-    eta = dd.eta
-    field = alg.field
-    a0 = dd.axis(0)
-    dec = dd.base_split
-
-    lambdas = {}
+    eta, field, a0, dec = dd.eta, alg.field, dd.axis(0), dd.base_split
     for i in (1, 2, 3):
-        lambdas[i] = lambda_coefficient(alg, dec, dd.axis(i))
-        report.scalars[f"lambda{i}"] = lambdas[i]
+        report.scalars[f"lambda{i}"] = lambda_coefficient(alg, dec, dd.axis(i))
 
-    one = field.one()
-    # each p_{i,j} once, on first use: a missing axis is reported where first needed
-    p = cache(lambda i, j: p_vector(alg, dd, i, j))
-    for i in (1, 2, 3):
-        p_i0 = p(i, 0)
-        lhs = multiply(alg, a0, p_i0)
-        rhs = a0.scale((one - eta) * lambdas[i] - eta)
-        report.add(f"p{i}0_scalar", lhs == rhs, "" if lhs == rhs else _residual_detail(lhs - rhs))
-        mid = p_i0 - a0.scale(lambdas[i] - eta) + (dd.axis(i) + dd.axis(-i)).scale(eta / 2)
-        ok = dec.parts[2].contains(mid)
-        report.add(f"p{i}0_m2_part", ok, "" if ok else _residual_detail(dec.parts[2].reduce(mid)))
+    env = _RowEnv(alg, dd, report.scalars)
+    for name, literal, test, key in _ROWS:
+        try:
+            value = parse_expression(literal, env)
+        except UnknownSymbol as exc:
+            report.skip(name, str(exc))
+            continue
+        if test == "M2":  # the remainder modulo M2 must vanish
+            value = dec.parts[2].reduce(value)
+        sol = solve_in_span(value, [parse_expression(test, env)] if key else [])
+        report.add(name, sol is not None, "" if sol is not None else f"residual {value!r}")
+        if key and sol is not None:
+            report.scalars[key] = sol[0]
 
-    lam1, lam2 = lambdas[1], lambdas[2]
-    p1, p20, p21, p31, p3m1 = p(1, 0), p(2, 0), p(2, 1), p(3, 1), p(3, -1)
-    sym1 = p1.scale(field.from_int(2)) + (dd.axis(1) + dd.axis(-1)).scale(eta)
-    sym2 = p20.scale(field.from_int(2)) + (dd.axis(2) + dd.axis(-2)).scale(eta)
-
-    coef1 = (eta * 2 - 1) * (lam1 * 4 - eta * 3) / (eta * 2)
-    residual = multiply(alg, a0, p21) - sym1.scale(coef1)
-    mu = _multiple_row(report, "mu_expansion", residual, a0, "mu")
-
-    if mu is None:
-        report.skip("nu_expansion", "mu unavailable")
-        report.skip("rho_expansion", "mu unavailable")
-    else:
-        coef2 = (eta * 2 - 1) * (lam1 * 2 - eta) / (eta * 2)
-        coef3 = (mu - eta * lam2 + eta * eta * 2) / eta
-        residual = (
-            multiply(alg, a0, p31)
-            - (p31 - p3m1).scale(eta / 2)
-            + sym2.scale(coef2)
-            + sym1.scale(coef3)
-        )
-        _multiple_row(report, "nu_expansion", residual, a0.scale(one / 2), "nu")
-
-        base = (eta * 2 - 1) * (lam1 * 4 - eta * 3)
-        rhs = (
-            (p(3, 0).scale(field.from_int(2)) + p31 + p3m1).scale(base / 4)
-            + p20.scale(mu + base * ((eta * 2 - 1) * lam1 * 2 - eta * eta * 4 + eta) / (eta * eta * 2))
-            + p1.scale(base * ((eta * 2 - 1) * lam1 * 4 - eta * lam2 - eta * eta * 5 + eta * 3) / (eta * eta))
-            + (dd.axis(2) + dd.axis(-2)).scale(base * (eta * 2 - 1) * (lam1 * 3 - eta * 2) / (eta * 2))
-            + (dd.axis(1) + dd.axis(-1)).scale(base * (mu * 2 - eta * lam2 + eta * eta * 2) / (eta * 2))
-        )
-        _multiple_row(report, "rho_expansion", multiply(alg, p20, p21) - rhs, a0, "rho")
-
-    # two-generated subalgebra: p*p = pi*p, and dimension 3 away from the
-    # degenerate case p = 0 (there the two axes span a Jordan-type plane)
+    # two-generated subalgebra: dimension 3 away from the degenerate case
+    # p = 0 (there the two axes span a Jordan-type plane)
+    p, mu = env.p, report.scalars.get("mu")
     sub = generated_subalgebra(alg, [a0, dd.axis(1)])
     report.scalars["two_generated_dim"] = FieldDescriptor.rationals().from_int(sub.dim)
-    pp = multiply(alg, p1, p1)
-    if p1.is_zero():
-        report.add("p1_square", pp.is_zero())
-        report.scalars["pi"] = field.zero()
+    if p(1, 0).is_zero():
         report.skip("two_generated_dim", f"p vanishes; dimension {sub.dim}")
     else:
-        _multiple_row(report, "p1_square", pp, p1, "pi")
-        report.add(
-            "two_generated_dim",
-            alg.dim <= 3 or sub.dim == 3,
-            f"dimension {sub.dim}",
-        )
-
+        report.add("two_generated_dim", alg.dim <= 3 or sub.dim == 3, f"dimension {sub.dim}")
     # invariant elements acting as scalars on a0 act the same on every p_{i,j};
     # j = 0 decides every j: the automorphism shift fixes x, and p_{i,j} = shift^j(p_{i,0})
     fixed = kernel(Matrix.from_columns(field, [
         Vector.sparse(field, 2 * alg.dim, x.terms | {i + alg.dim: c for i, c in y.terms.items()})
-        for x, y in zip(*(m.matrix.sub_scalar_diag(one).columns for m in (dd.shift, dd.flip)))], 2 * alg.dim))
-    applicable = False
-    ok = True
+        for x, y in zip(*(m.matrix.sub_scalar_diag(field.one()).columns for m in (dd.shift, dd.flip)))], 2 * alg.dim))
+    applicable, ok = False, True
     for x in fixed.basis:
         sol = solve_in_span(multiply(alg, x, a0), [a0])
         if sol is None:
@@ -549,12 +547,11 @@ def identity_suite(alg, dd: DihedralData) -> IdentityReport:
         report.skip("invariant_scalar_action", "no invariant element acts as a scalar")
 
     # shifted-p disjunction, applicable when lambda_1 = 3 eta / 4
-    if lam1 == eta * 3 / 4:
+    if report.scalars["lambda1"] == eta * 3 / 4:
         if mu is None:
             report.add("p2_shift_or_mu_zero", False, "mu unavailable")
         else:
-            ok = (p21 == p20) or mu.is_zero()
-            report.add("p2_shift_or_mu_zero", ok)
+            report.add("p2_shift_or_mu_zero", p(2, 1) == p(2, 0) or mu.is_zero())
     else:
         report.skip("p2_shift_or_mu_zero", "lambda_1 differs from 3*eta/4")
     return report

@@ -131,7 +131,7 @@ def test_vector_literals():
     v = algfile.parse_vector("2*eta*(a0+a1) - am1", alg, dd.eta)
     expected = (dd.axis(0) + dd.axis(1)).scale(dd.eta * 2) - dd.axis(-1)
     assert v == expected
-    with pytest.raises(ScalarSyntaxError):
+    with pytest.raises(ScalarSyntaxError, match="^vector literals are linear: no products of labels$"):
         algfile.parse_vector("a0*a1", alg, dd.eta)
     with pytest.raises(ScalarSyntaxError):
         algfile.parse_vector("3", alg, dd.eta)

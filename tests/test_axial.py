@@ -42,6 +42,7 @@ from axialcheck.axial import (
 from axialcheck.catalog import instantiate
 from axialcheck.derive import document_for, on_quotient
 from axialcheck.errors import (
+    ConstraintViolation,
     DataInconsistency,
     InvolutionMismatch,
     MiyamotoNotAutomorphism,
@@ -50,6 +51,7 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
+from identity_reference import identity_suite_reference
 from relation_lemmas import relation_transform
 
 
@@ -292,14 +294,14 @@ def test_invariant_action_on_p_is_decided_at_shift_zero(case):
 def _check_dihedral_reference(alg, dd):
     """check_dihedral as it was before the shift and the flip were taken as
     multiplicative by construction, kept as the reference: it proves both
-    maps multiplicative again, decides invertibility by rref and generates
+    maps multiplicative again, decides invertibility by the kernel and generates
     D1 from a_-d .. a_(d+1)."""
     violations = []
     ident = Matrix.identity(alg.field, alg.dim)
 
     if not is_homomorphism(dd.shift):
         violations.append(DihedralViolation("D2", None, "shift is not multiplicative"))
-    if not dd.shift.is_bijective():
+    if dd.shift.matrix.nrows != dd.shift.matrix.ncols or kernel(dd.shift.matrix).basis:
         violations.append(DihedralViolation("D2", None, "shift is not invertible"))
     if not is_homomorphism(dd.flip):
         violations.append(DihedralViolation("D3", 0, "flip is not multiplicative"))
@@ -1008,6 +1010,50 @@ def test_identity_suite_skips():
     reportx = identity_suite(algx, ddx)
     statusx = {c.name: c.status for c in reportx.checks}
     assert statusx["two_generated_dim"] == "skipped"  # p vanishes in the quotient
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog.list_entries()])
+def test_identity_rows_match_the_hand_coded_suite(name):
+    # the table of literal rows against the suite it replaced, at the
+    # default field, at GF(7) and over Q(eta) wherever instantiate admits them
+    for spec in (None, "gf:7", "qeta"):
+        try:
+            alg, dd = instantiate(name, spec)
+        except ConstraintViolation:
+            assert spec is not None, name
+            continue
+        want, got = identity_suite_reference(alg, dd), identity_suite(alg, dd)
+        assert got.checks == want.checks, (name, spec)
+        assert got.scalars == want.scalars, (name, spec)
+
+
+@pytest.mark.parametrize("variable", ["mu", "a1", "p10", "lambda1"])
+@pytest.mark.parametrize("case", ["Seven", "SixThree_q_3"])
+def test_a_field_variable_named_like_a_row_name_changes_no_row(case, variable):
+    # the rows read their own names before the field's variable; SixThree at
+    # eta = 3 fails mu, so there a variable named mu must not stand in for it
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "emit" / f"{case}.json").read_text())
+
+    def rows(document):
+        report = identity_suite(*load_document(document)[:2])
+        return report.checks, {key: render(value) for key, value in report.scalars.items()}
+
+    want = rows(doc)
+    assert rows(dict(doc, field={"kind": "rational_functions", "variable": variable})) == want
+    assert (("nu_expansion", "skipped", "mu unavailable") in want[0]) == (case == "SixThree_q_3")
+
+
+def test_a_candidate_row_is_one_string(monkeypatch):
+    # a changed sign in one literal fails that row and no other
+    alg, dd = instantiate("FiveThree")
+    before = identity_suite(alg, dd).checks
+    rows = [(name, literal.replace("- mu*p20", "+ mu*p20"), test, key) if name == "rho_expansion"
+            else (name, literal, test, key) for name, literal, test, key in axial._ROWS]
+    assert rows != axial._ROWS
+    monkeypatch.setattr(axial, "_ROWS", rows)
+    after = identity_suite(alg, dd).checks
+    assert [c.name for c in after if c not in before] == ["rho_expansion"]
+    assert {c.name: c.status for c in after}["rho_expansion"] == "fail"
 
 
 def test_relation_transform_spec_examples(Q):

@@ -739,6 +739,7 @@ _UNREACHED = {
     "linalg.Subspace.__repr__": "debugging aid",
     "algebra.AlgebraDef.__repr__": "debugging aid",
     "algebra.is_homomorphism": "perfbench binds it",
+    "linalg.rref": "perfbench binds it",
     "linalg.Subspace.intersection": "perfbench binds it",
     "linalg.Subspace._check": "perfbench binds it (through Subspace.intersection)",
     "fields.specialize": "perfbench binds it; test_acceptance uses it",
@@ -756,10 +757,10 @@ _UNREACHED = {
     "linalg.Vector.__new__": "test-facing constructor",
     "linalg.Matrix.__new__": "test-facing constructor",
     "linalg.Matrix.zero": "test-facing constructor",
+    "fields.FieldDescriptor.zero": "test-facing constructor (fields.specialize uses it)",
     "linalg.Matrix.rows": "test-facing constructor",
     "fields.FieldDescriptor.generator": "defensive default: no caller asks a field without a variable",
     "fields._PrimeField.canonical": "defensive default: no run makes a GF(p) element from a raw payload",
-    "fields._PrimeField.size": "defensive default: no run takes a power over GF(p)",
     "polynomials._RationalFunctions.canonical": "defensive default: no run makes a Q(t) element from a raw payload",
 }
 
