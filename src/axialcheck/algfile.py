@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 
-from .axial import DihedralData
 from .algebra import AlgebraDef, _LiteralEnv, extend_from_generators
 from .errors import (
     AlgebraFileError,
@@ -240,6 +239,8 @@ def load_document(doc, subject="file"):
 
 
 def _load_dihedral(block, alg, eta):
+    from .dihedral import DihedralData  # compiled the first time a run loads dihedral data
+
     lo = block["window"][0]
     seed_axes = {lo + pos: parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
     given = {"shift": block["shift_images"], "flip": block["flip_images"]}

@@ -44,7 +44,7 @@ def _render_vector_literal(v: Vector, labels, literal) -> str:
     return out
 
 
-def document_for(alg: algebra.AlgebraDef, dd: axial.DihedralData | None = None, constraints=None) -> dict:
+def document_for(alg: algebra.AlgebraDef, dd=None, constraints=None) -> dict:
     """Serializable file dict for an algebra (products sorted, values rendered).
 
     ``eta`` in a document's literals is its eta, so where the field's variable
@@ -112,14 +112,17 @@ def induce_on_quotient(m: algebra.AlgebraMap, ideal: Subspace, qalg: algebra.Alg
     return algebra.AlgebraMap(qalg, qalg, Matrix.from_columns(qalg.field, cols, nrows=qalg.dim))
 
 
-def on_quotient(dd: axial.DihedralData, ideal, qalg, projection) -> axial.DihedralData | None:
-    """The shift, flip and axes of dd induced on qalg = dd.algebra / ideal;
-    None if the shift or the flip does not preserve the ideal."""
+def on_quotient(dd, ideal, qalg, projection):
+    """The DihedralData of dd's shift, flip and axes induced on
+    qalg = dd.algebra / ideal; None if the shift or the flip does not
+    preserve the ideal."""
+    from .dihedral import DihedralData
+
     qshift = induce_on_quotient(dd.shift, ideal, qalg, projection)
     qflip = induce_on_quotient(dd.flip, ideal, qalg, projection)
     if qshift is None or qflip is None:
         return None
-    return axial.DihedralData.build(qalg, {0: projection.apply(dd.axis(0))}, qshift, qflip, dd.eta)
+    return DihedralData.build(qalg, {0: projection.apply(dd.axis(0))}, qshift, qflip, dd.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """identity_suite as it was before its expansion rows became the literal
-table axial._ROWS, kept as the reference that the identity tests compare
+table dihedral._ROWS, kept as the reference that the identity tests compare
 the table with.
 
     from identity_reference import identity_suite_reference
@@ -8,7 +8,7 @@ the table with.
 from functools import cache
 
 from axialcheck.algebra import generated_subalgebra, multiply
-from axialcheck.axial import IdentityReport, lambda_coefficient, p_vector
+from axialcheck.dihedral import IdentityReport, lambda_coefficient, p_vector
 from axialcheck.fields import FieldDescriptor
 from axialcheck.linalg import Matrix, Vector, kernel, solve_in_span
 

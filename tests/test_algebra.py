@@ -20,8 +20,8 @@ from axialcheck.algebra import (
     quotient,
     sparse_product,
 )
-from axialcheck.axial import axis_orbit
 from axialcheck.catalog import instantiate
+from axialcheck.dihedral import axis_orbit
 from axialcheck.errors import (
     AxialError,
     DataInconsistency,

@@ -23,24 +23,27 @@ from axialcheck.algebra import (
 from axialcheck.algfile import load_document, load_path, parse_vector
 from axialcheck.axial import (
     AxisDecomposition,
-    DihedralData,
-    DihedralViolation,
     FusionViolation,
-    RelationWitness,
     allowed,
-    axial_dimension,
-    axis_orbit,
-    check_dihedral,
     check_eta,
     check_fusion,
-    identity_suite,
-    lambda_coefficient,
     miyamoto,
-    p_vector,
     split_eigenspace,
 )
 from axialcheck.catalog import instantiate
 from axialcheck.derive import document_for, on_quotient
+from axialcheck.dihedral import (
+    _ROWS,
+    DihedralData,
+    DihedralViolation,
+    RelationWitness,
+    axial_dimension,
+    axis_orbit,
+    check_dihedral,
+    identity_suite,
+    lambda_coefficient,
+    p_vector,
+)
 from axialcheck.errors import (
     ConstraintViolation,
     DataInconsistency,
@@ -1048,9 +1051,9 @@ def test_a_candidate_row_is_one_string(monkeypatch):
     alg, dd = instantiate("FiveThree")
     before = identity_suite(alg, dd).checks
     rows = [(name, literal.replace("- mu*p20", "+ mu*p20"), test, key) if name == "rho_expansion"
-            else (name, literal, test, key) for name, literal, test, key in axial._ROWS]
-    assert rows != axial._ROWS
-    monkeypatch.setattr(axial, "_ROWS", rows)
+            else (name, literal, test, key) for name, literal, test, key in _ROWS]
+    assert rows != _ROWS
+    monkeypatch.setattr("axialcheck.dihedral._ROWS", rows)
     after = identity_suite(alg, dd).checks
     assert [c.name for c in after if c not in before] == ["rho_expansion"]
     assert {c.name: c.status for c in after}["rho_expansion"] == "fail"

@@ -9,7 +9,8 @@ import pytest
 import axialcheck
 from axialcheck import algebra, algfile, axial, catalog, cli, derive, polynomials
 from axialcheck.algebra import AlgebraDef, AlgebraMap, multiply
-from axialcheck.axial import AxisDecomposition, DihedralData, split_eigenspace
+from axialcheck.axial import AxisDecomposition, split_eigenspace
+from axialcheck.dihedral import DihedralData
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render, specialize
 from axialcheck.linalg import Matrix, Subspace, Vector

@@ -26,7 +26,7 @@ import pytest
 
 from axialcheck import catalog
 from axialcheck.algebra import adjoint_matrix, generated_subalgebra
-from axialcheck.axial import lambda_coefficient, p_vector
+from axialcheck.dihedral import lambda_coefficient, p_vector
 from axialcheck.fields import parse_scalar, render
 
 ENTRIES = tuple(entry.name for entry in catalog.list_entries())

@@ -647,14 +647,6 @@ def test_commands_leave_out_argparse_gettext_and_locale(tmp_path, argv):
     assert _loaded_by_import(["axialcheck.cli"], ["argparse", "gettext", "locale"], then) == "[]\n"
 
 
-def test_engine_import_leaves_out_the_catalog_and_the_cli():
-    # the package resolves list_entries on first use, so loading files and
-    # checking axes compiles neither the catalog nor the command line
-    loaded = _loaded_by_import(["axialcheck.algfile", "axialcheck.axial"],
-                               ["axialcheck.catalog", "axialcheck.cli", "axialcheck.derive", "argparse"])
-    assert loaded == "[]\n"
-
-
 def _matsuo_s3_over_q():
     """M_eta(S_3) at eta = 1/4 over Q, in the layout of perfbench/matsuo.py."""
     t = ["t1_2", "t1_3", "t2_3"]
@@ -662,6 +654,75 @@ def _matsuo_s3_over_q():
     products += [{"left": a, "right": b, "value": {a: "1/8", b: "1/8", c: "-1/8"}}
                  for a, b, c in ((t[0], t[1], t[2]), (t[0], t[2], t[1]), (t[1], t[2], t[0]))]
     return json.dumps({"field": {"kind": "rationals"}, "basis": t, "products": products})
+
+
+# the matsuo workload's calls on M_eta(S_3): the axis t1_2, split along the
+# flip t1_3 <-> t2_3, has parts of dimensions (1, 1, 0, 1), obeys the fusion
+# law, has that flip as its Miyamoto map, and t1_2, t1_3 generate everything
+_MATSUO_CALLS = (
+    "from axialcheck.algebra import AlgebraMap, generated_subalgebra; "
+    "from axialcheck.axial import check_fusion, miyamoto, split_eigenspace; "
+    "from axialcheck.fields import parse_scalar; "
+    "from axialcheck.linalg import Matrix, Vector; "
+    f"alg, dd, _ = axialcheck.algfile.loads({_matsuo_s3_over_q()!r}); "
+    "f = alg.field; "
+    "flip = AlgebraMap(alg, alg, Matrix.from_columns(f, [Vector.unit(f, 3, k) for k in (0, 2, 1)], nrows=3)); "
+    "dec = split_eigenspace(alg, alg.basis_vector(0), parse_scalar('1/4', f), flip); "
+    "assert dd is None and dec.dims() == (1, 1, 0, 1); "
+    "assert check_fusion(alg, dec) == [] and miyamoto(alg, dec) == flip; "
+    "assert generated_subalgebra(alg, [alg.basis_vector(0), alg.basis_vector(1)]).dim == 3"
+)
+
+
+def test_engine_import_leaves_out_the_catalog_and_the_cli():
+    # the package resolves list_entries on first use, and only dihedral data
+    # loads the dihedral layer, so loading files and splitting axes, checking
+    # fusion and building Miyamoto maps on them compiles none of the
+    # dihedral layer, the catalog or the command line
+    loaded = _loaded_by_import(["axialcheck.algfile", "axialcheck.axial"],
+                               ["axialcheck.catalog", "axialcheck.cli", "axialcheck.derive",
+                                "axialcheck.dihedral", "argparse"], _MATSUO_CALLS)
+    assert loaded == "[]\n"
+
+
+@pytest.mark.parametrize("then, loaded", [
+    ("axialcheck.list_entries()", False),
+    ("assert axialcheck.cli.main(['verify', 'Seven', '--json']) == 0", True),
+], ids=["list_entries", "Seven"])
+def test_only_dihedral_data_loads_the_dihedral_layer(then, loaded):
+    # importing the command line and building the catalog compile no dihedral
+    # check; the first document with a dihedral block does
+    probe = _loaded_by_import(["axialcheck.cli"], ["axialcheck.dihedral"], then)
+    assert probe == ("['axialcheck.dihedral']\n" if loaded else "[]\n")
+
+
+# Wraps axial.split_eigenspace before the dihedral layer is first imported,
+# verifies ThreeEvX, restores the original and prints the axes the wrapper
+# saw, whether they are a_0, and every binding in the package that still
+# holds the wrapper.
+_WRAPPED_SPLIT_PROBE = """
+import json, sys
+from axialcheck import axial, catalog
+assert "axialcheck.dihedral" not in sys.modules
+original, seen = axial.split_eigenspace, []
+def wrapper(*args):
+    seen.append(args[1])
+    return original(*args)
+axial.split_eigenspace = wrapper
+catalog.verify_entry("ThreeEvX")
+axial.split_eigenspace = original
+alg, dd = catalog.instantiate("ThreeEvX")
+left = [f"{name}.{attr}" for name, module in sorted(sys.modules.items()) if name.startswith("axialcheck")
+        for attr, value in vars(module).items() if value is wrapper]
+print(json.dumps([len(seen), seen == [dd.axis(0)], "axialcheck.dihedral" in sys.modules, left]))
+"""
+
+
+def test_the_dihedral_layer_splits_through_the_axial_module():
+    # a wrapper of axial.split_eigenspace installed before the dihedral layer
+    # is compiled sees its one split of a_0, as the benchmark's tracer needs,
+    # and once removed no binding in the package still holds it
+    assert json.loads(_fresh_interpreter(_WRAPPED_SPLIT_PROBE)) == [1, True, True, []]
 
 
 @pytest.mark.parametrize("then, loaded", [
@@ -746,7 +807,7 @@ _UNREACHED = {
     "polynomials._peval": "perfbench binds it (through fields.specialize)",
     "catalog.clear_caches": "perfbench calls it; test_acceptance uses it",
     "fields.FieldDescriptor.__eq__": "perfbench binds it",
-    "axial.DihedralData.involution_at": "test_acceptance uses it",
+    "dihedral.DihedralData.involution_at": "test_acceptance uses it",
     "algebra.AlgebraMap.identity": "test_acceptance uses it (through involution_at)",
     "linalg.Matrix.identity": "test_acceptance uses it (through AlgebraMap.identity)",
     "algebra.AlgebraMap.compose": "test_acceptance uses it (through involution_at)",

@@ -680,10 +680,10 @@ def test_no_field_kind_has_a_second_addition_rule():
 
 
 def test_the_kernels_read_no_field_kind():
-    # each field kind chooses its arithmetic: axial, algebra and linalg call
-    # their field's methods and never branch on which kind it is
+    # each field kind chooses its arithmetic: axial, dihedral, algebra and
+    # linalg call their field's methods and never branch on which kind it is
     package = Path(fields.__file__).parent
-    for module in ("axial", "algebra", "linalg"):
+    for module in ("axial", "dihedral", "algebra", "linalg"):
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "kind"] == [], module
 

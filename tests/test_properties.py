@@ -6,7 +6,7 @@ import pytest
 
 from axialcheck import catalog, cli
 from axialcheck.algebra import quotient
-from axialcheck.axial import DihedralData
+from axialcheck.dihedral import DihedralData
 from axialcheck.errors import DataInconsistency
 from axialcheck.linalg import Matrix, Subspace, Vector, rref, solve_in_span
 
