@@ -110,7 +110,7 @@ def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
 class _LiteralEnv(ExpressionEnv):
     """Expression hooks for vector literals: a name is a basis label before it
     is a scalar's name, and labels combine only linearly.  Only the identity
-    rows' subclass, axial._RowEnv, multiplies two vectors."""
+    rows' subclass, dihedral._RowEnv, multiplies two vectors."""
 
     def __init__(self, alg: AlgebraDef, eta=None):
         super().__init__(alg.field, eta)

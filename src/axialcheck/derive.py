@@ -137,9 +137,9 @@ def _claim(name, kind, subject, ok, detail=""):
     return ClaimReport(name, kind, subject, "pass" if ok else "fail", detail)
 
 
-def _span(alg, dd, literals):
+def _span(alg, eta, literals):
     """The span of the vector literals, read with the algebra's labels and eta."""
-    vectors = [algfile.parse_vector(lit, alg, dd.eta) for lit in literals]
+    vectors = [algfile.parse_vector(lit, alg, eta) for lit in literals]
     return Subspace.from_vectors(alg.field, alg.dim, vectors)
 
 
@@ -159,7 +159,7 @@ def _ideal_claims():
         found = []
         for label, field, eta in instantiations:
             alg, dd = catalog.instantiate(name, field, eta, enforce=False)
-            found.append((label, algebra.is_ideal(alg, _span(alg, dd, ["p1"]))))
+            found.append((label, algebra.is_ideal(alg, _span(alg, dd.eta, ["p1"]))))
         ok = [spans for _, spans in found] == [False, True, False]
         detail = ", ".join(f"{label} {spans}" for label, spans in found)
         claims.append(_claim(f"ideal_p1_{name}", "ideal", name, ok, detail))
@@ -197,7 +197,7 @@ def _quotient_isomorphism_claims():
     claims = []
     for parent, field, eta, ideal, child, ideal_phrase, child_phrase in _QUOTIENT_ROWS:
         alg, dd = catalog.instantiate(parent, field, eta)
-        quotient_by_ideal = _quotient_or_none(alg, _span(alg, dd, [ideal]))
+        quotient_by_ideal = _quotient_or_none(alg, _span(alg, dd.eta, [ideal]))
         ok = quotient_by_ideal is not None
         detail = f"{ideal_phrase}: {ok}"
         if ok:
@@ -218,7 +218,7 @@ def _quotient_isomorphism_claims():
 
 def _bar_four_two_quotient_claim():
     alg, dd = catalog.instantiate("BarFourTwo")
-    span = _span(alg, dd, ["p20 + p1 + 2*(a2+a0) + a1 + am1", "p21 + p1 + a2 + a0 + 2*(a1+am1)"])
+    span = _span(alg, dd.eta, ["p20 + p1 + 2*(a2+a0) + a1 + am1", "p21 + p1 + a2 + a0 + 2*(a1+am1)"])
     quotient2 = _quotient_or_none(alg, span) if span.dim == 2 else None
     ok = quotient2 is not None
     detail = f"two-dimensional ideal: {ok}"
@@ -367,15 +367,10 @@ def cmd_isom(args) -> int:
 
 def cmd_quotient(args) -> int:
     _, alg, dd = _load_source(args.source, args.field, args.eta)
-    eta = dd.eta if dd is not None else None
-    vectors = [
-        algfile.parse_vector(chunk.strip(), alg, eta)
-        for chunk in args.ideal.split(";")
-        if chunk.strip()
-    ]
-    if not vectors:
+    literals = [chunk.strip() for chunk in args.ideal.split(";") if chunk.strip()]
+    if not literals:
         raise AxialError("empty ideal specification")
-    span = Subspace.from_vectors(alg.field, alg.dim, vectors)
+    span = _span(alg, dd.eta if dd is not None else None, literals)
     try:
         qalg, proj = algebra.quotient(alg, span)
     except NotAnIdeal:

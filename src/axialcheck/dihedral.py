@@ -255,8 +255,6 @@ def lambda_coefficient(alg, dec: AxisDecomposition, target: Vector):
     return coords[dec.parts[0].dim] / dec.axis[min(dec.parts[1].rows)]
 
 
-
-
 class IdentityReport(namedtuple("IdentityReport", "checks scalars")):
     """The identity rows, a list of CheckResults, and the scalars they found."""
 

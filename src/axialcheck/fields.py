@@ -484,39 +484,6 @@ class FieldElement(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.token = None
-        self.advance()
-
-    def advance(self):
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i].isspace():
-            i += 1
-        j = i + 1
-        if i >= n:
-            self.token, j = ("end", None), i
-        elif "0" <= text[i] <= "9":  # ASCII only: str.isdigit also takes other scripts' digits
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            try:
-                self.token = ("int", int(text[i:j]))
-            except ValueError:  # more digits than int() converts
-                raise ScalarSyntaxError(f"integer literal at position {i} is too long") from None
-        elif text[i].isalpha() or text[i] == "_":
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            self.token = ("name", text[i:j])
-        elif text[i] in "+-*/^()":
-            self.token = ("op", text[i])
-        else:
-            raise ScalarSyntaxError(f"unexpected character {text[i]!r} at position {i}")
-        self.pos = j
-
-
 class ExpressionEnv:
     """Value hooks for the expression parser: integers and names denote
     scalars of the field, where ``eta``, if given, names eta before the
@@ -541,66 +508,89 @@ class ExpressionEnv:
     mul, div, pow = staticmethod(operator.mul), staticmethod(operator.truediv), staticmethod(operator.pow)
 
 
+# expr and term: each level's operators, loosest first, and their env hooks
+_BINARY = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+
+
 class _Parser:
+    """Reads one literal: its text, pos just past the current token, and the
+    token: ("from_int", n) or ("atom", name), by the env hook that gives its
+    value, ("op", char) or ("end", None).  Only an operator's value is in +-*/^()."""
+
     def __init__(self, text, env):
-        self.scanner = _Scanner(text)
-        self.env = env
+        self.text, self.pos, self.env = text, 0, env
+        self.advance()
+
+    def advance(self):
+        """Read the token at pos, after any spaces."""
+        text, i, n = self.text, self.pos, len(self.text)
+        while i < n and text[i].isspace():
+            i += 1
+        j = i + 1
+        if i >= n:
+            self.token, j = ("end", None), i
+        elif "0" <= text[i] <= "9":  # ASCII only: str.isdigit also takes other scripts' digits
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            try:
+                self.token = ("from_int", int(text[i:j]))
+            except ValueError:  # more digits than int() converts
+                raise ScalarSyntaxError(f"integer literal at position {i} is too long") from None
+        elif text[i].isalpha() or text[i] == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            self.token = ("atom", text[i:j])
+        elif text[i] in "+-*/^()":
+            self.token = ("op", text[i])
+        else:
+            raise ScalarSyntaxError(f"unexpected character {text[i]!r} at position {i}")
+        self.pos = j
 
     def parse(self):
-        value = self.expr()
-        kind, _ = self.scanner.token
-        if kind != "end":
-            raise ScalarSyntaxError(f"trailing input near position {self.scanner.pos}")
+        value = self.binary()
+        if self.token[0] != "end":
+            raise ScalarSyntaxError(f"trailing input near position {self.pos}")
         return value
 
-    def expr(self):
-        value = self.term()
-        while self.scanner.token in (("op", "+"), ("op", "-")):
-            op = self.env.add if self.scanner.token[1] == "+" else self.env.sub
-            self.scanner.advance()
-            value = op(value, self.term())
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.scanner.token in (("op", "*"), ("op", "/")):
-            op = self.env.mul if self.scanner.token[1] == "*" else self.env.div
-            self.scanner.advance()
-            value = op(value, self.factor())
+    def binary(self, level=0):
+        """expr at level 0, term at level 1: operands of the next level, or
+        factors after the last, joined left to right by this level's operators."""
+        ops, last = _BINARY[level], level == len(_BINARY) - 1
+        value = self.factor() if last else self.binary(level + 1)
+        while hook := ops.get(self.token[1]):
+            self.advance()
+            value = getattr(self.env, hook)(value, self.factor() if last else self.binary(level + 1))
         return value
 
     def factor(self):
-        if self.scanner.token == ("op", "-"):
-            self.scanner.advance()
+        if self.token[1] == "-":
+            self.advance()
             return self.env.neg(self.factor())
         value = self.primary()
-        if self.scanner.token == ("op", "^"):
-            self.scanner.advance()
-            kind, n = self.scanner.token
-            if kind != "int":
+        if self.token[1] == "^":
+            self.advance()
+            kind, n = self.token
+            if kind != "from_int":
                 raise ScalarSyntaxError("exponent must be an unsigned integer")
             if n > MAX_EXPONENT:
                 raise ScalarSyntaxError(f"exponent {n} exceeds limit {MAX_EXPONENT}")
-            self.scanner.advance()
+            self.advance()
             value = self.env.pow(value, n)
         return value
 
     def primary(self):
-        kind, payload = self.scanner.token
-        if kind == "int":
-            self.scanner.advance()
-            return self.env.from_int(payload)
-        if kind == "name":
-            self.scanner.advance()
-            return self.env.atom(payload)
-        if self.scanner.token == ("op", "("):
-            self.scanner.advance()
-            value = self.expr()
-            if self.scanner.token != ("op", ")"):
+        kind, value = self.token
+        if kind == "from_int" or kind == "atom":
+            self.advance()
+            return getattr(self.env, kind)(value)
+        if value == "(":
+            self.advance()
+            value = self.binary()
+            if self.token[1] != ")":
                 raise ScalarSyntaxError("expected ')'")
-            self.scanner.advance()
+            self.advance()
             return value
-        raise ScalarSyntaxError(f"unexpected token {payload!r}")
+        raise ScalarSyntaxError(f"unexpected token {value!r}")
 
 
 def parse_expression(text, env):

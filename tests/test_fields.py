@@ -883,3 +883,40 @@ def test_parse_scalar_binds_eta(Q, QETA, NF):
     eta = NF.generator()
     assert parse_scalar("eta*eta", NF, eta=eta + 1) == (eta + 1) * (eta + 1)
     assert parse_scalar("eta", QETA) == QETA.generator()
+
+
+# every refusal of the literal reader and of the vector-literal hooks: the
+# input, the exception class and its exact message, position included
+_LITERAL_ERRORS = (
+    (" ", "scalar", ScalarSyntaxError, "empty expression"),
+    ("1 2", "scalar", ScalarSyntaxError, "trailing input near position 3"),
+    ("(((1)))) ", "scalar", ScalarSyntaxError, "trailing input near position 8"),
+    ("(1", "scalar", ScalarSyntaxError, "expected ')'"),
+    ("2^x", "scalar", ScalarSyntaxError, "exponent must be an unsigned integer"),
+    ("2^65", "scalar", ScalarSyntaxError, "exponent 65 exceeds limit 64"),
+    ("1 +", "scalar", ScalarSyntaxError, "unexpected token None"),
+    ("*3", "scalar", ScalarSyntaxError, "unexpected token '*'"),
+    ("1 $", "scalar", ScalarSyntaxError, "unexpected character '$' at position 2"),
+    ("9" * 5000, "scalar", ScalarSyntaxError, "integer literal at position 0 is too long"),
+    ("x", "scalar", UnknownSymbol, "unknown symbol 'x' in Q"),
+    ("1/0", "scalar", DivisionByZero, "'1/0' has no value in Q: division by zero"),
+    ("(" * 5000 + "1" + ")" * 5000, "scalar", ScalarSyntaxError, "expression is nested too deeply"),
+    ("a0 + 1", "vector", ScalarSyntaxError, "cannot add a scalar to a vector"),
+    ("a0 - 1", "vector", ScalarSyntaxError, "cannot subtract a scalar from a vector"),
+    ("1/a0", "vector", ScalarSyntaxError, "cannot divide by a vector"),
+    ("a0*a1", "vector", ScalarSyntaxError, "vector literals are linear: no products of labels"),
+    ("a0^2", "vector", ScalarSyntaxError, "cannot exponentiate a vector"),
+    ("2", "vector", ScalarSyntaxError, "expression '2' does not denote a vector"),
+)
+
+
+@pytest.mark.parametrize("text, reader, error, message", _LITERAL_ERRORS,
+                         ids=[f"{row[1]}:{row[0]:.12}" for row in _LITERAL_ERRORS])
+def test_every_literal_error_names_its_cause_and_position(Q, text, reader, error, message):
+    alg, dd = catalog.instantiate("Seven")  # over Q, with the basis label a0
+    with pytest.raises(error) as caught:
+        if reader == "scalar":
+            parse_scalar(text, Q)
+        else:
+            algfile.parse_vector(text, alg, dd.eta)
+    assert type(caught.value) is error and str(caught.value) == message
