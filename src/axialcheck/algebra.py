@@ -1,17 +1,20 @@
-"""Commutative structure-constant algebras: products, vector literals,
-subalgebras, ideals, quotients, and linear maps extended from generators.
+"""Commutative structure-constant algebras: products, generated
+subalgebras and linear maps between algebras.
 
 Commutativity is structural: e_i*e_j and e_j*e_i are one shared map of
 structure constants, so x*y = y*x cannot fail by construction.
+
+extend_from_generators lives in ``dihedral`` and is_ideal, is_homomorphism
+and quotient in ``derive``, both compiled on first use; each keeps a one-line
+entry point here, the name that the benchmark's tracer binds.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from types import SimpleNamespace
 
-from .errors import AxialError, DataInconsistency, DescriptorMismatch, DimensionMismatch, NotAnIdeal, ScalarSyntaxError
-from .fields import ExpressionEnv, _fill, _Frozen
+from .errors import DescriptorMismatch, DimensionMismatch
+from .fields import _fill, _Frozen
 from .linalg import EchelonBasis, Matrix, Subspace, Vector, _full_row, _terms, invert
 
 
@@ -107,52 +110,6 @@ def multiply(alg: AlgebraDef, x: Vector, y: Vector) -> Vector:
     return Vector.sparse(field, dim, sparse_product(alg, x.terms, y.terms))
 
 
-class _LiteralEnv(ExpressionEnv):
-    """Expression hooks for vector literals: a name is a basis label before it
-    is a scalar's name, and labels combine only linearly.  Only the identity
-    rows' subclass, dihedral._RowEnv, multiplies two vectors."""
-
-    def __init__(self, alg: AlgebraDef, eta=None):
-        super().__init__(alg.field, eta)
-        self.labels = alg.labels
-
-    def atom(self, name):
-        if name in self.labels:
-            return Vector.unit(self.field, len(self.labels), self.labels.index(name))
-        return super().atom(name)
-
-    def add(self, a, b):
-        if isinstance(a, Vector) != isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot add a scalar to a vector")
-        return a + b
-
-    def sub(self, a, b):
-        if isinstance(a, Vector) != isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot subtract a scalar from a vector")
-        return a - b
-
-    def mul(self, a, b):
-        if isinstance(a, Vector) and isinstance(b, Vector):
-            raise ScalarSyntaxError("vector literals are linear: no products of labels")
-        if isinstance(a, Vector):
-            return a.scale(b)
-        if isinstance(b, Vector):
-            return b.scale(a)
-        return a * b
-
-    def div(self, a, b):
-        if isinstance(b, Vector):
-            raise ScalarSyntaxError("cannot divide by a vector")
-        if isinstance(a, Vector):
-            return a.scale(b.inverse())
-        return a / b
-
-    def pow(self, a, n):
-        if isinstance(a, Vector):
-            raise ScalarSyntaxError("cannot exponentiate a vector")
-        return a ** n
-
-
 def adjoint_matrix(alg: AlgebraDef, a: Vector) -> Matrix:
     """Matrix of x -> a*x in the algebra basis."""
     cols = [multiply(alg, a, alg.basis_vector(j)) for j in range(alg.dim)]
@@ -195,13 +152,11 @@ def generated_subalgebra(alg: AlgebraDef, gens) -> Subspace:
     return echelon.subspace()
 
 
-def is_ideal(alg: AlgebraDef, s: Subspace) -> bool:
-    for k in range(alg.dim):
-        b = alg.basis_vector(k)
-        for v in s.basis:
-            if not s.contains(multiply(alg, b, v)):
-                return False
-    return True
+def is_ideal(alg, s):
+    """derive.is_ideal, compiled on first use."""
+    from . import derive
+
+    return derive.is_ideal(alg, s)
 
 
 class AlgebraMap(_Frozen):
@@ -249,96 +204,22 @@ class AlgebraMap(_Frozen):
         return self.matrix == other.matrix
 
 
-def is_homomorphism(m: AlgebraMap) -> bool:
-    """Check m(x*y) = m(x)*m(y) on all basis pairs (bilinearity does the rest)."""
-    src, tgt = m.source, m.target
-    images = m.matrix.columns
-    for i in range(src.dim):
-        for j in range(i + 1):
-            lhs = m.apply(src.product_of_basis(i, j))
-            rhs = multiply(tgt, images[i], images[j])
-            if lhs != rhs:
-                return False
-    return True
+def is_homomorphism(m):
+    """derive.is_homomorphism, compiled on first use."""
+    from . import derive
+
+    return derive.is_homomorphism(m)
 
 
-def quotient(alg: AlgebraDef, ideal: Subspace):
-    """Quotient algebra on cosets of non-pivot basis vectors, plus projection.
-    The ideal must be proper: the zero algebra has no basis to hold."""
-    if ideal.dim == alg.dim:
-        raise AxialError("the ideal is the whole algebra, so the quotient is zero")
-    if not is_ideal(alg, ideal):
-        raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
-    keep = [k for k in range(alg.dim) if k not in ideal.rows]
-    qdim = len(keep)
-    field = alg.field
-    index = {k: q for q, k in enumerate(keep)}  # v modulo the ideal is zero at its pivots
+def quotient(alg, ideal):
+    """derive.quotient, compiled on first use."""
+    from . import derive
 
-    def project(v: Vector) -> Vector:
-        return Vector.sparse(field, qdim, {index[k]: c for k, c in ideal.reduce(v).terms.items()})
-
-    qtable = {}
-    for qi, ki in enumerate(keep):
-        for qj, kj in enumerate(keep[: qi + 1]):
-            vec = project(alg.product_of_basis(ki, kj))
-            if not vec.is_zero():
-                qtable[(qj, qi)] = vec
-    qalg = AlgebraDef(field, tuple(alg.labels[k] for k in keep), qtable)
-    proj_cols = [project(alg.basis_vector(k)) for k in range(alg.dim)]
-    projection = AlgebraMap(alg, qalg, Matrix.from_columns(field, proj_cols, nrows=qdim))
-    return qalg, projection
+    return derive.quotient(alg, ideal)
 
 
-def extend_from_generators(alg: AlgebraDef, pairs, target: AlgebraDef):
-    """Extend generator images to linear maps respecting all products.
+def extend_from_generators(alg, pairs, target):
+    """dihedral.extend_from_generators, compiled on first use."""
+    from . import dihedral
 
-    Each pair is (g, f_1(g), ..., f_m(g)).  Closes the graph {(w | f_1(w) |
-    ... | f_m(w))} of the generators under products, taken in each summand of
-    alg + target^m, keeping a word when its source part raises the rank.  A
-    remainder whose source part vanishes means that the f_k holding its pivot
-    disagrees on a dependent word; that row reduces only f_k's part and the
-    later ones.  Once f_k has disagreed, nothing at f_k or later can outrank
-    it, so the closure's products stop carrying those parts: their direct-sum
-    rows are emptied.  Every pair of spanning words is checked, so each
-    returned map is a homomorphism.  Returns f_1 for m = 1, else (f_1, ..., f_m).
-    Raises DataInconsistency as extending f_1, ..., f_m in turn would (f_1's
-    disagreement, the generators spanning a proper subspace, a later f_k's),
-    its ``image`` k - 1 for the f_k at fault.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise DimensionMismatch("at least one generator pair is required")
-    n, t, field = alg.dim, target.dim, target.field
-    if alg.field is not field:
-        raise DescriptorMismatch("source and target algebras over different fields")
-    offsets = [n + b * t for b in range(len(pairs[0]) - 1)]  # where each f_k's part starts
-    graph = []
-    for src, *imgs in pairs:
-        if len(src) != n:
-            raise DimensionMismatch("generator not in the source algebra")
-        if list(map(len, imgs)) != [t] * len(offsets):
-            raise DimensionMismatch("image not in the target algebra")
-        graph.append(_terms(src, field, n) | {
-            k + off: c for off, img in zip(offsets, imgs) for k, c in _terms(img, field, t).items()})
-    rows = [*alg.rows, *({j + off: {k + off: c for k, c in terms.items()} for j, terms in row.items()}
-                         for off in offsets for row in target.rows)]
-    direct_sum = SimpleNamespace(field=field, rows=rows)  # all that product_sums reads
-    echelon, failed = EchelonBasis(field, n + len(offsets) * t), {}
-    for pivot, word in _span_closure(echelon, graph, partial(sparse_product, direct_sum), n):
-        if pivot is not None and pivot >= n:  # the source part of the remainder vanished
-            what = "generator" if word is None else f"word {word[0]}*{word[1]}"
-            failed.setdefault(b := (pivot - n) // t, f"images disagree on dependent word ({what})")
-            if b == 0:  # nothing outranks f_1's disagreement
-                break
-            for row in rows[offsets[b]:]:
-                row.clear()
-    if (rank := sum(pc < n for pc in echelon.rows)) < n:
-        failed.setdefault(0, f"the generators span only dimension {rank} of {n}")
-    if failed:
-        exc = DataInconsistency(failed[min(failed)])
-        exc.image = min(failed)
-        raise exc
-    maps = tuple(AlgebraMap(alg, target, Matrix.from_columns(field, [
-        Vector.sparse(field, t, {j - off: a for j, a in echelon.rows[k].items() if off <= j < off + t}) for k in range(n)], t))
-        for off in offsets)
-    return maps[0] if len(maps) == 1 else maps
+    return dihedral.extend_from_generators(alg, pairs, target)

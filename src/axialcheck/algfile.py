@@ -1,5 +1,7 @@
 """Algebra documents, the one loader of files and catalog entries, and
 vector-literal expressions.  The writer of documents is ``derive.dumps``.
+``dihedral.load`` reads the dihedral block and ``dihedral._LiteralEnv``
+vector literals, so a document without a dihedral block compiles neither.
 
 A document is a JSON object:
 
@@ -28,12 +30,11 @@ from __future__ import annotations
 
 import json
 
-from .algebra import AlgebraDef, _LiteralEnv, extend_from_generators
+from .algebra import AlgebraDef
 from .errors import (
     AlgebraFileError,
     AxialError,
     ConstraintViolation,
-    DataInconsistency,
     DivisionByZero,
     ScalarSyntaxError,
 )
@@ -43,6 +44,8 @@ from .linalg import Vector
 
 def parse_vector(text: str, alg: AlgebraDef, eta: FieldElement | None = None) -> Vector:
     """Evaluate a vector literal in the algebra's ambient space."""
+    from .dihedral import _LiteralEnv  # compiled the first time a run reads a vector literal
+
     value = parse_expression(text, _LiteralEnv(alg, eta))
     if not isinstance(value, Vector):
         raise ScalarSyntaxError(f"expression {text!r} does not denote a vector")
@@ -234,29 +237,11 @@ def load_document(doc, subject="file"):
         if terms:
             rows[i][j] = rows[j][i] = terms
     alg = AlgebraDef(field, doc["basis"], rows)
-    dd = None if dihedral is None else _load_dihedral(dihedral, alg, eta)
-    return alg, dd, constraints
+    if dihedral is None:
+        return alg, None, constraints
+    from .dihedral import load  # compiled the first time a run loads dihedral data
 
-
-def _load_dihedral(block, alg, eta):
-    from .dihedral import DihedralData  # compiled the first time a run loads dihedral data
-
-    lo = block["window"][0]
-    seed_axes = {lo + pos: parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
-    given = {"shift": block["shift_images"], "flip": block["flip_images"]}
-    # maps whose images list the same labels in the same order extend in one closure
-    groups = [["shift", "flip"]] if list(given["shift"]) == list(given["flip"]) else [["shift"], ["flip"]]
-    maps = []
-    for names in groups:
-        labels = list(given[names[0]])
-        images = [[parse_vector(given[what][label], alg, eta) for label in labels] for what in names]
-        gens = [alg.basis_vector(alg.label_index(label)) for label in labels]
-        try:
-            extended = extend_from_generators(alg, zip(gens, *images), alg)
-        except DataInconsistency as exc:
-            raise DataInconsistency(f"{names[exc.image]} images do not extend to an automorphism: {exc}") from None
-        maps += extended if len(names) > 1 else [extended]
-    return DihedralData.build(alg, seed_axes, *maps, eta)
+    return alg, load(dihedral, alg, eta), constraints
 
 
 def loads(text: str):

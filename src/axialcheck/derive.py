@@ -1,12 +1,15 @@
 """What the program derives from a verified algebra, compiled on first use:
-the algebra-file writer, the dihedral data induced on a quotient, the
-catalog's claim suite and the handlers of ``catalog list``, ``catalog
-emit``, ``catalog claims``, ``isom`` and ``quotient``.
+the algebra-file writer, the library functions that no verify runs, the
+dihedral data induced on a quotient, the catalog's claim suite and the
+handlers of ``catalog list``, ``catalog emit``, ``catalog claims``, ``isom``
+and ``quotient``.
 
-No ``verify`` runs any of it, so a verify never compiles this module.  The
-library functions that the benchmark traces are reached through their
-modules (``catalog.instantiate``, ``algebra.quotient``, ...), so a tracer
-installed before this module is first imported still sees every call.
+No ``verify`` runs any of it, so a verify never compiles this module.  Each
+library function here keeps a one-line entry point in its old module
+(``fields.specialize``, ``linalg.rref``, ``algebra.quotient``, ...), and
+every call goes through the names that the benchmark traces, in their
+modules, so a tracer installed before this module is first imported still
+sees every call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import time
 from collections import namedtuple
 
 from . import algebra, algfile, axial, catalog, cli, linalg
-from .errors import AxialError, DataInconsistency, NotAnIdeal
+from .errors import AmbientMismatch, AxialError, DataInconsistency, DenominatorVanishes, DescriptorMismatch, NotAnIdeal
+from .fields import FieldDescriptor, FieldElement, render
 from .linalg import Matrix, Subspace, Vector
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,106 @@ def document_for(alg: algebra.AlgebraDef, dd=None, constraints=None) -> dict:
 
 def dumps(alg, dd=None, constraints=None) -> str:
     return json.dumps(document_for(alg, dd, constraints), indent=2, sort_keys=False)
+
+
+# ---------------------------------------------------------------------------
+# library functions that no verify runs
+# ---------------------------------------------------------------------------
+
+
+def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) -> FieldElement:
+    """Substitute the rational-function variable by ``value`` and evaluate.
+
+    A ring homomorphism wherever the denominator (and every coefficient's
+    image) survives; raises DenominatorVanishes otherwise.
+    """
+    if x.field.kind != FieldDescriptor.RATIONAL_FUNCTIONS:
+        raise DescriptorMismatch("specialize expects a rational-function element")
+    if value.field is not target:
+        raise DescriptorMismatch("value does not lie in the target field")
+    from .polynomials import _peval  # loaded already, as x lies in Q(t)
+    num_val, den_val = (_peval(p, x.payload[1][-1], value, target) for p in x.payload)
+    if num_val is None:
+        return target.zero()
+    if den_val is None or den_val.is_zero():
+        raise DenominatorVanishes(f"denominator of {render(x)} vanishes at {render(value)}")
+    return num_val / den_val
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
+    field = m.field
+    space = linalg._echelon(m).subspace()
+    pivots = tuple(space.rows)
+    columns = linalg._transpose((v.terms for v in space.basis), m.ncols)
+    reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
+    return reduced, len(pivots), pivots
+
+
+def intersection(space: Subspace, other: Subspace) -> Subspace:
+    """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
+    vanish on the first half exactly in (0 | U and W)."""
+    if not isinstance(other, Subspace):
+        raise AmbientMismatch("expected a Subspace")
+    if other.ambient != space.ambient or other.field is not space.field:
+        raise AmbientMismatch("subspaces in different ambient spaces")
+    field, n = space.field, space.ambient
+    sums = linalg.EchelonBasis(field, 2 * n)
+    for pc, row in space.rows.items():
+        u = linalg._full_row(field, pc, row)
+        sums._insert(u | {j + n: a for j, a in u.items()})
+    for pc, row in other.rows.items():
+        sums._insert(linalg._full_row(field, pc, row))
+    return sums.subspace(n)
+
+
+def is_ideal(alg: algebra.AlgebraDef, s: Subspace) -> bool:
+    for k in range(alg.dim):
+        b = alg.basis_vector(k)
+        for v in s.basis:
+            if not s.contains(algebra.multiply(alg, b, v)):
+                return False
+    return True
+
+
+def is_homomorphism(m: algebra.AlgebraMap) -> bool:
+    """Check m(x*y) = m(x)*m(y) on all basis pairs (bilinearity does the rest)."""
+    src, tgt = m.source, m.target
+    images = m.matrix.columns
+    for i in range(src.dim):
+        for j in range(i + 1):
+            lhs = m.apply(src.product_of_basis(i, j))
+            rhs = algebra.multiply(tgt, images[i], images[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def quotient(alg: algebra.AlgebraDef, ideal: Subspace):
+    """Quotient algebra on cosets of non-pivot basis vectors, plus projection.
+    The ideal must be proper: the zero algebra has no basis to hold."""
+    if ideal.dim == alg.dim:
+        raise AxialError("the ideal is the whole algebra, so the quotient is zero")
+    if not algebra.is_ideal(alg, ideal):
+        raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
+    keep = [k for k in range(alg.dim) if k not in ideal.rows]
+    qdim = len(keep)
+    field = alg.field
+    index = {k: q for q, k in enumerate(keep)}  # v modulo the ideal is zero at its pivots
+
+    def project(v: Vector) -> Vector:
+        return Vector.sparse(field, qdim, {index[k]: c for k, c in ideal.reduce(v).terms.items()})
+
+    qtable = {}
+    for qi, ki in enumerate(keep):
+        for qj, kj in enumerate(keep[: qi + 1]):
+            vec = project(alg.product_of_basis(ki, kj))
+            if not vec.is_zero():
+                qtable[(qj, qi)] = vec
+    qalg = algebra.AlgebraDef(field, tuple(alg.labels[k] for k in keep), qtable)
+    proj_cols = [project(alg.basis_vector(k)) for k in range(alg.dim)]
+    projection = algebra.AlgebraMap(alg, qalg, Matrix.from_columns(field, proj_cols, nrows=qdim))
+    return qalg, projection
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""The dihedral layer: the dihedral data of an algebra, the dihedral checks,
-the axis orbit and the classification of its relation, and the
-scalar-identity suite.  Compiled the first time a run loads dihedral data
-(algfile._load_dihedral); a run that only splits axes, checks fusion and
-builds Miyamoto maps never compiles it.
+"""The dihedral layer: the loader of a dihedral block (load), vector
+literals (_LiteralEnv), the closure extending generator images to maps,
+the dihedral data of an algebra, the dihedral checks, the axis orbit and
+the classification of its relation, and the scalar-identity suite.
+Compiled the first time a run loads dihedral data or reads a vector
+literal; a run that only splits axes, checks fusion and builds Miyamoto
+maps never compiles it.
 
 The functions that the benchmark traces are reached through their modules
-(axial.split_eigenspace, algebra.multiply, linalg.kernel, ...), so a tracer
-installed before this module is first imported still sees every call, and
-no binding here keeps its wrapper once it is removed.
+(algfile.parse_vector, algebra.extend_from_generators, axial.split_eigenspace,
+algebra.multiply, linalg.kernel, ...), so a tracer installed before this
+module is first imported still sees every call, and no binding here keeps
+its wrapper once it is removed.
 
 The identity suite reads the paper's expansion rows from one table of
 literal strings, _ROWS, through the expression parser of fields; _RowEnv,
@@ -17,23 +20,149 @@ the one environment in which two vectors multiply, gives their names values.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from types import SimpleNamespace
 
-from . import algebra, axial, linalg
-from .algebra import AlgebraMap, _LiteralEnv
+from . import algebra, algfile, axial, linalg
+from .algebra import AlgebraMap
 from .axial import AxisDecomposition, CheckResult, _squares_to_identity, check_eta
 from .errors import (
     AxialError,
     DataInconsistency,
+    DescriptorMismatch,
     DimensionMismatch,
     InvolutionMismatch,
     MiyamotoNotAutomorphism,
     NotIdempotent,
     NotSemisimple,
+    ScalarSyntaxError,
     UnknownSymbol,
 )
 from .fields import ExpressionEnv, FieldDescriptor, _Frozen, parse_expression, render
-from .linalg import EchelonBasis, Matrix, Vector
+from .linalg import EchelonBasis, Matrix, Vector, _terms
+
+
+class _LiteralEnv(ExpressionEnv):
+    """Expression hooks for vector literals: a name is a basis label before it
+    is a scalar's name, and labels combine only linearly.  Only the identity
+    rows' subclass, _RowEnv, multiplies two vectors."""
+
+    def __init__(self, alg: algebra.AlgebraDef, eta=None):
+        super().__init__(alg.field, eta)
+        self.labels = alg.labels
+
+    def atom(self, name):
+        if name in self.labels:
+            return Vector.unit(self.field, len(self.labels), self.labels.index(name))
+        return super().atom(name)
+
+    def add(self, a, b):
+        if isinstance(a, Vector) != isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot add a scalar to a vector")
+        return a + b
+
+    def sub(self, a, b):
+        if isinstance(a, Vector) != isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot subtract a scalar from a vector")
+        return a - b
+
+    def mul(self, a, b):
+        if isinstance(a, Vector) and isinstance(b, Vector):
+            raise ScalarSyntaxError("vector literals are linear: no products of labels")
+        if isinstance(a, Vector):
+            return a.scale(b)
+        if isinstance(b, Vector):
+            return b.scale(a)
+        return a * b
+
+    def div(self, a, b):
+        if isinstance(b, Vector):
+            raise ScalarSyntaxError("cannot divide by a vector")
+        if isinstance(a, Vector):
+            return a.scale(b.inverse())
+        return a / b
+
+    def pow(self, a, n):
+        if isinstance(a, Vector):
+            raise ScalarSyntaxError("cannot exponentiate a vector")
+        return a ** n
+
+
+def extend_from_generators(alg: algebra.AlgebraDef, pairs, target: algebra.AlgebraDef):
+    """Extend generator images to linear maps respecting all products.
+
+    Each pair is (g, f_1(g), ..., f_m(g)).  Closes the graph {(w | f_1(w) |
+    ... | f_m(w))} of the generators under products, taken in each summand of
+    alg + target^m, keeping a word when its source part raises the rank.  A
+    remainder whose source part vanishes means that the f_k holding its pivot
+    disagrees on a dependent word; that row reduces only f_k's part and the
+    later ones.  Once f_k has disagreed, nothing at f_k or later can outrank
+    it, so the closure's products stop carrying those parts: their direct-sum
+    rows are emptied.  Every pair of spanning words is checked, so each
+    returned map is a homomorphism.  Returns f_1 for m = 1, else (f_1, ..., f_m).
+    Raises DataInconsistency as extending f_1, ..., f_m in turn would (f_1's
+    disagreement, the generators spanning a proper subspace, a later f_k's),
+    its ``image`` k - 1 for the f_k at fault.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise DimensionMismatch("at least one generator pair is required")
+    n, t, field = alg.dim, target.dim, target.field
+    if alg.field is not field:
+        raise DescriptorMismatch("source and target algebras over different fields")
+    offsets = [n + b * t for b in range(len(pairs[0]) - 1)]  # where each f_k's part starts
+    graph = []
+    for src, *imgs in pairs:
+        if len(src) != n:
+            raise DimensionMismatch("generator not in the source algebra")
+        if list(map(len, imgs)) != [t] * len(offsets):
+            raise DimensionMismatch("image not in the target algebra")
+        graph.append(_terms(src, field, n) | {
+            k + off: c for off, img in zip(offsets, imgs) for k, c in _terms(img, field, t).items()})
+    rows = [*alg.rows, *({j + off: {k + off: c for k, c in terms.items()} for j, terms in row.items()}
+                         for off in offsets for row in target.rows)]
+    direct_sum = SimpleNamespace(field=field, rows=rows)  # all that product_sums reads
+    echelon, failed = EchelonBasis(field, n + len(offsets) * t), {}
+    for pivot, word in algebra._span_closure(echelon, graph, partial(algebra.sparse_product, direct_sum), n):
+        if pivot is not None and pivot >= n:  # the source part of the remainder vanished
+            what = "generator" if word is None else f"word {word[0]}*{word[1]}"
+            failed.setdefault(b := (pivot - n) // t, f"images disagree on dependent word ({what})")
+            if b == 0:  # nothing outranks f_1's disagreement
+                break
+            for row in rows[offsets[b]:]:
+                row.clear()
+    if (rank := sum(pc < n for pc in echelon.rows)) < n:
+        failed.setdefault(0, f"the generators span only dimension {rank} of {n}")
+    if failed:
+        exc = DataInconsistency(failed[min(failed)])
+        exc.image = min(failed)
+        raise exc
+    maps = tuple(AlgebraMap(alg, target, Matrix.from_columns(field, [
+        Vector.sparse(field, t, {j - off: a for j, a in echelon.rows[k].items() if off <= j < off + t}) for k in range(n)], t))
+        for off in offsets)
+    return maps[0] if len(maps) == 1 else maps
+
+
+def load(block, alg, eta):
+    """The DihedralData of a document's checked dihedral block over alg, for
+    algfile.load_document: the literals are read by algfile.parse_vector and
+    the maps extended by algebra.extend_from_generators."""
+    lo = block["window"][0]
+    seed_axes = {lo + pos: algfile.parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
+    given = {"shift": block["shift_images"], "flip": block["flip_images"]}
+    # maps whose images list the same labels in the same order extend in one closure
+    groups = [["shift", "flip"]] if list(given["shift"]) == list(given["flip"]) else [["shift"], ["flip"]]
+    maps = []
+    for names in groups:
+        labels = list(given[names[0]])
+        images = [[algfile.parse_vector(given[what][label], alg, eta) for label in labels] for what in names]
+        gens = [alg.basis_vector(alg.label_index(label)) for label in labels]
+        try:
+            extended = algebra.extend_from_generators(alg, zip(gens, *images), alg)
+        except DataInconsistency as exc:
+            raise DataInconsistency(f"{names[exc.image]} images do not extend to an automorphism: {exc}") from None
+        maps += extended if len(names) > 1 else [extended]
+    return DihedralData.build(alg, seed_axes, *maps, eta)
 
 
 class DihedralData(_Frozen):

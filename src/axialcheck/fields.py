@@ -613,25 +613,8 @@ def parse_scalar(text: str, field: FieldDescriptor, eta: FieldElement | None = N
     return parse_expression(text, ExpressionEnv(field, eta))
 
 
-# ---------------------------------------------------------------------------
-# specialization Q(t) -> concrete field
-# ---------------------------------------------------------------------------
+def specialize(x, target, value):
+    """derive.specialize, compiled on first use."""
+    from . import derive
 
-
-def specialize(x: FieldElement, target: FieldDescriptor, value: FieldElement) -> FieldElement:
-    """Substitute the rational-function variable by ``value`` and evaluate.
-
-    A ring homomorphism wherever the denominator (and every coefficient's
-    image) survives; raises DenominatorVanishes otherwise.
-    """
-    if x.field.kind != FieldDescriptor.RATIONAL_FUNCTIONS:
-        raise DescriptorMismatch("specialize expects a rational-function element")
-    if value.field is not target:
-        raise DescriptorMismatch("value does not lie in the target field")
-    from .polynomials import _peval  # loaded already, as x lies in Q(t)
-    num_val, den_val = (_peval(p, x.payload[1][-1], value, target) for p in x.payload)
-    if num_val is None:
-        return target.zero()
-    if den_val is None or den_val.is_zero():
-        raise DenominatorVanishes(f"denominator of {render(x)} vanishes at {render(value)}")
-    return num_val / den_val
+    return derive.specialize(x, target, value)

@@ -9,10 +9,10 @@ have stored their slots through _set and _fill; EchelonBasis, a builder, is
 the one mutable class.  Reduced row echelon form is the canonical normal
 form throughout: two subspaces are equal iff their RREF bases agree
 entrywise.  Pivoting always takes the first nonzero row, never by magnitude
--- arithmetic is exact, and determinism matters more.  rref, kernel and
-invert eliminate a matrix's rows into one EchelonBasis (_echelon); kernel
-and invert read their answers off its {pivot: row} map, and only rref makes
-a Matrix of it.
+-- arithmetic is exact, and determinism matters more.  kernel and invert
+eliminate a matrix's rows into one EchelonBasis (_echelon) and read their
+answers off its {pivot: row} map; rref, which makes a Matrix of them, is in
+``derive`` with Subspace.intersection, as no verify runs either.
 """
 
 from __future__ import annotations
@@ -191,14 +191,11 @@ class Matrix(_Frozen):
         return "Matrix[" + "; ".join(repr(Vector(self.field, r)) for r in self.rows) + "]"
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
-    field = m.field
-    space = _echelon(m).subspace()
-    pivots = tuple(space.rows)
-    columns = _transpose((v.terms for v in space.basis), m.ncols)
-    reduced = Matrix.from_columns(field, [Vector.sparse(field, m.nrows, c) for c in columns], m.nrows)
-    return reduced, len(pivots), pivots
+def rref(m):
+    """derive.rref, compiled on first use."""
+    from . import derive
+
+    return derive.rref(m)
 
 
 def _transpose(vectors, n):
@@ -286,12 +283,6 @@ class Subspace(_Frozen):
     def dim(self):
         return len(self.rows)
 
-    def _check(self, other):
-        if not isinstance(other, Subspace):
-            raise AmbientMismatch("expected a Subspace")
-        if other.ambient != self.ambient or other.field is not self.field:
-            raise AmbientMismatch("subspaces in different ambient spaces")
-
     def reduce(self, v: Vector) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
         entries = _reduce(self.field, _terms(v, self.field, self.ambient), self.rows)
@@ -300,18 +291,11 @@ class Subspace(_Frozen):
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: the span of (u | u) and (w | 0) meets the vectors that
-        vanish on the first half exactly in (0 | U and W)."""
-        self._check(other)
-        field, n = self.field, self.ambient
-        sums = EchelonBasis(field, 2 * n)
-        for pc, row in self.rows.items():
-            u = _full_row(field, pc, row)
-            sums._insert(u | {j + n: a for j, a in u.items()})
-        for pc, row in other.rows.items():
-            sums._insert(_full_row(field, pc, row))
-        return sums.subspace(n)
+    def intersection(self, other):
+        """derive.intersection, compiled on first use."""
+        from . import derive
+
+        return derive.intersection(self, other)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

@@ -1,6 +1,6 @@
 """Integer polynomials and the field kinds on them, Q[t]/(m) and Q(t).  ``fields``
-imports this module when a run first makes such a field or specializes such an
-element, so a run over Q or GF(p) never compiles it."""
+imports this module when a run first makes such a field, so a run over Q or GF(p)
+never compiles it."""
 
 import itertools
 import math

@@ -8,20 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialcheck import algebra
-from axialcheck.algebra import (
-    AlgebraDef,
-    AlgebraMap,
-    adjoint_matrix,
-    extend_from_generators,
-    generated_subalgebra,
-    is_homomorphism,
-    is_ideal,
-    multiply,
-    quotient,
-    sparse_product,
-)
+from axialcheck.algebra import AlgebraDef, AlgebraMap, adjoint_matrix, generated_subalgebra, multiply, sparse_product
 from axialcheck.catalog import instantiate
-from axialcheck.dihedral import axis_orbit
+from axialcheck.derive import is_homomorphism, is_ideal, quotient
+from axialcheck.dihedral import axis_orbit, extend_from_generators
 from axialcheck.errors import (
     AxialError,
     DataInconsistency,

@@ -11,15 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from axialcheck import algebra, axial, catalog, cli
-from axialcheck.algebra import (
-    AlgebraDef,
-    AlgebraMap,
-    adjoint_matrix,
-    generated_subalgebra,
-    is_homomorphism,
-    multiply,
-    quotient,
-)
+from axialcheck.algebra import AlgebraDef, AlgebraMap, adjoint_matrix, generated_subalgebra, multiply
 from axialcheck.algfile import load_document, load_path, parse_vector
 from axialcheck.axial import (
     AxisDecomposition,
@@ -31,7 +23,7 @@ from axialcheck.axial import (
     split_eigenspace,
 )
 from axialcheck.catalog import instantiate
-from axialcheck.derive import document_for, on_quotient
+from axialcheck.derive import document_for, is_homomorphism, on_quotient, quotient
 from axialcheck.dihedral import (
     _ROWS,
     DihedralData,

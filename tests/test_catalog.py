@@ -10,9 +10,10 @@ import axialcheck
 from axialcheck import algebra, algfile, axial, catalog, cli, derive, polynomials
 from axialcheck.algebra import AlgebraDef, AlgebraMap, multiply
 from axialcheck.axial import AxisDecomposition, split_eigenspace
+from axialcheck.derive import specialize
 from axialcheck.dihedral import DihedralData
 from axialcheck.errors import ConstraintViolation, NotSemisimple, UnknownEntry
-from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render, specialize
+from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix, Subspace, Vector
 
 

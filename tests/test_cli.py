@@ -614,13 +614,18 @@ def test_runs_load_only_the_standard_library():
 _VERIFY_AST_CEILING = 18_511
 
 
-def test_a_verify_compiles_at_most_the_ceiling_of_ast_nodes():
-    per_module = json.loads(_fresh_interpreter(
-        f"import ast, json, sys, axialcheck.cli; sys.stdout = open({os.devnull!r}, 'w'); "
-        f"axialcheck.cli.main(['verify', 'Seven', '--json']); "
+def _compiled_ast_nodes(modules, then):
+    """{module: AST nodes} of each package module that a fresh interpreter
+    loads with the given ones and the statement ``then``, whose output is dropped."""
+    return json.loads(_fresh_interpreter(
+        f"import ast, json, sys, {', '.join(modules)}; sys.stdout = open({os.devnull!r}, 'w'); {then}; "
         f"files = {{name: m.__file__ for name, m in list(sys.modules.items()) if name.partition('.')[0] == 'axialcheck'}}; "
         f"print(json.dumps({{name: sum(1 for _ in ast.walk(ast.parse(open(f, encoding='utf-8').read()))) "
         f"for name, f in sorted(files.items())}}), file=sys.__stdout__)"))
+
+
+def test_a_verify_compiles_at_most_the_ceiling_of_ast_nodes():
+    per_module = _compiled_ast_nodes(["axialcheck.cli"], "axialcheck.cli.main(['verify', 'Seven', '--json'])")
     nodes = sum(per_module.values())
     assert nodes <= _VERIFY_AST_CEILING, f"a verify compiles {nodes} AST nodes: {per_module}"
 
@@ -686,13 +691,28 @@ def test_engine_import_leaves_out_the_catalog_and_the_cli():
     assert loaded == "[]\n"
 
 
+# The same count for the engine import with the matsuo workload's calls,
+# which load no dihedral data: pinned where it stood before the dihedral
+# loader, the map closure and what no verify runs left these modules.
+_ENGINE_AST_CEILING = 12_615
+
+
+def test_the_engine_import_compiles_at_most_its_ceiling_of_ast_nodes():
+    per_module = _compiled_ast_nodes(["axialcheck.algfile", "axialcheck.axial"], _MATSUO_CALLS)
+    nodes = sum(per_module.values())
+    assert nodes <= _ENGINE_AST_CEILING, f"the engine import compiles {nodes} AST nodes: {per_module}"
+
+
 @pytest.mark.parametrize("then, loaded", [
     ("axialcheck.list_entries()", False),
     ("assert axialcheck.cli.main(['verify', 'Seven', '--json']) == 0", True),
-], ids=["list_entries", "Seven"])
+    ("assert axialcheck.cli.main(['verify', 'FourEv', '--field', 'q', '--eta=-1']) == 2", False),
+    ("assert axialcheck.cli.main(['verify', 'SevenX', '--field', 'gf:7']) == 2", False),
+], ids=["list_entries", "Seven", "FourEv_rejected", "SevenX_rejected"])
 def test_only_dihedral_data_loads_the_dihedral_layer(then, loaded):
     # importing the command line and building the catalog compile no dihedral
-    # check; the first document with a dihedral block does
+    # check, nor does an entry whose constraints reject it before its
+    # dihedral block is read; the first document with a dihedral block does
     probe = _loaded_by_import(["axialcheck.cli"], ["axialcheck.dihedral"], then)
     assert probe == ("['axialcheck.dihedral']\n" if loaded else "[]\n")
 
@@ -724,6 +744,42 @@ def test_the_dihedral_layer_splits_through_the_axial_module():
     # is compiled sees its one split of a_0, as the benchmark's tracer needs,
     # and once removed no binding in the package still holds it
     assert json.loads(_fresh_interpreter(_WRAPPED_SPLIT_PROBE)) == [1, True, True, []]
+
+
+# Wraps algebra.extend_from_generators and algfile.parse_vector before the
+# dihedral layer is first imported, verifies ThreeEvX, restores the originals
+# and prints each wrapper's calls, whether the dihedral layer was loaded, and
+# every binding in the package that still holds a wrapper.
+_WRAPPED_LOADER_PROBE = """
+import json, sys
+from axialcheck import algebra, algfile, catalog
+assert "axialcheck.dihedral" not in sys.modules
+calls = {(algebra, "extend_from_generators"): 0, (algfile, "parse_vector"): 0}
+originals = {key: getattr(*key) for key in calls}
+def wrap(key):
+    def wrapper(*args):
+        calls[key] += 1
+        return originals[key](*args)
+    return wrapper
+wrappers = {key: wrap(key) for key in calls}
+for (module, name), wrapper in wrappers.items():
+    setattr(module, name, wrapper)
+catalog.verify_entry("ThreeEvX")
+for (module, name), original in originals.items():
+    setattr(module, name, original)
+left = [f"{name}.{attr}" for name, module in sorted(sys.modules.items()) if name.startswith("axialcheck")
+        for attr, value in vars(module).items() if any(value is w for w in wrappers.values())]
+print(json.dumps([list(calls.values()), "axialcheck.dihedral" in sys.modules, left]))
+"""
+
+
+def test_the_dihedral_loader_calls_through_the_traced_names():
+    # wrappers of algebra.extend_from_generators and algfile.parse_vector
+    # installed before the dihedral layer is compiled see the loader's one
+    # closure and its nine literals (three axes, three shift images, three
+    # flip images), the counts that the benchmark's tracer takes, and once
+    # removed no binding in the package still holds either
+    assert json.loads(_fresh_interpreter(_WRAPPED_LOADER_PROBE)) == [[1, 9], True, []]
 
 
 @pytest.mark.parametrize("then, loaded", [
@@ -801,11 +857,14 @@ _UNREACHED = {
     "linalg.Subspace.__repr__": "debugging aid",
     "algebra.AlgebraDef.__repr__": "debugging aid",
     "algebra.is_homomorphism": "perfbench binds it",
+    "derive.is_homomorphism": "perfbench binds its entry point, algebra.is_homomorphism",
     "linalg.rref": "perfbench binds it",
+    "derive.rref": "perfbench binds its entry point, linalg.rref; test_acceptance uses it",
     "linalg.Subspace.intersection": "perfbench binds it",
-    "linalg.Subspace._check": "perfbench binds it (through Subspace.intersection)",
-    "fields.specialize": "perfbench binds it; test_acceptance uses it",
-    "polynomials._peval": "perfbench binds it (through fields.specialize)",
+    "derive.intersection": "perfbench binds its entry point, Subspace.intersection",
+    "fields.specialize": "perfbench binds it",
+    "derive.specialize": "perfbench binds its entry point, fields.specialize; test_acceptance uses it",
+    "polynomials._peval": "perfbench binds it (through derive.specialize)",
     "catalog.clear_caches": "perfbench calls it; test_acceptance uses it",
     "fields.FieldDescriptor.__eq__": "perfbench binds it",
     "dihedral.DihedralData.involution_at": "test_acceptance uses it",
@@ -819,7 +878,7 @@ _UNREACHED = {
     "linalg.Vector.__new__": "test-facing constructor",
     "linalg.Matrix.__new__": "test-facing constructor",
     "linalg.Matrix.zero": "test-facing constructor",
-    "fields.FieldDescriptor.zero": "test-facing constructor (fields.specialize uses it)",
+    "fields.FieldDescriptor.zero": "test-facing constructor (derive.specialize uses it)",
     "linalg.Matrix.rows": "test-facing constructor",
     "fields.FieldDescriptor.generator": "defensive default: no caller asks a field without a variable",
     "fields._PrimeField.canonical": "defensive default: no run makes a GF(p) element from a raw payload",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from axialcheck import algfile, catalog, fields, polynomials
 from axialcheck.algebra import AlgebraDef, AlgebraMap
+from axialcheck.derive import specialize
 from axialcheck.errors import (
     AlgebraFileError,
     ConstraintViolation,
@@ -20,13 +21,7 @@ from axialcheck.errors import (
     ScalarSyntaxError,
     UnknownSymbol,
 )
-from axialcheck.fields import (
-    FieldDescriptor,
-    FieldElement,
-    parse_scalar,
-    render,
-    specialize,
-)
+from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix, Vector
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from axialcheck import polynomials
 from axialcheck.catalog import instantiate
+from axialcheck.derive import intersection, rref
 from axialcheck.errors import AxialError, DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar
-from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, _reduce, invert, kernel, rref, solve_in_span
+from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, _reduce, invert, kernel, solve_in_span
 
 
 def _random_matrix(field, rng, rows, cols, span=5):
@@ -128,7 +129,7 @@ def test_subspace_ops(Q):
     space = Subspace.from_vectors(Q, 4, vs)
     zero = Subspace.from_vectors(Q, 4, [])
     assert Subspace.from_vectors(Q, 4, list(space.basis) + list(zero.basis)).rows == space.rows
-    assert space.intersection(space).rows == space.rows
+    assert intersection(space, space).rows == space.rows
     # canonical equality: different generating sets, same space
     doubled = Subspace.from_vectors(Q, 4, [v + v for v in vs] + vs)
     assert doubled.rows == space.rows
@@ -136,12 +137,12 @@ def test_subspace_ops(Q):
     for _ in range(10):
         u0, u1, w0 = (Vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3))
         plane_u, plane_w = Subspace.from_vectors(Q, 4, [u0, u1]), Subspace.from_vectors(Q, 4, [u0 + u1, w0])
-        meet = plane_u.intersection(plane_w)
+        meet = intersection(plane_u, plane_w)
         both = Subspace.from_vectors(Q, 4, list(plane_u.basis) + list(plane_w.basis))
         assert meet.dim == plane_u.dim + plane_w.dim - both.dim
         assert meet.contains(u0 + u1)
         assert all(plane_u.contains(v) and plane_w.contains(v) for v in meet.basis)
-        assert meet.rows == plane_w.intersection(plane_u).rows
+        assert meet.rows == intersection(plane_w, plane_u).rows
 
 
 def test_direct_sum_of_parts(QETA):

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from axialcheck import catalog, cli
-from axialcheck.algebra import quotient
+from axialcheck.derive import quotient, rref
 from axialcheck.dihedral import DihedralData
 from axialcheck.errors import DataInconsistency
-from axialcheck.linalg import Matrix, Subspace, Vector, rref, solve_in_span
+from axialcheck.linalg import Matrix, Subspace, Vector, solve_in_span
 
 
 def test_solve_matches_containment(Q, GF7):
