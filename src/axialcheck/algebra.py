@@ -6,7 +6,9 @@ structure constants, so x*y = y*x cannot fail by construction.
 
 extend_from_generators lives in ``dihedral`` and is_ideal, is_homomorphism
 and quotient in ``derive``, both compiled on first use; each keeps a one-line
-entry point here, the name that the benchmark's tracer binds.
+entry point here, the name that the benchmark's tracer binds.  A run maps
+vectors, checks maps and inverts the shift; the identity map, composites
+and powers, which only tests build, are test helpers.
 """
 
 from __future__ import annotations
@@ -60,9 +62,6 @@ class AlgebraDef(_Frozen):
 
     def basis_vector(self, i) -> Vector:
         return Vector.unit(self.field, self.dim, i)
-
-    def zero_vector(self) -> Vector:
-        return Vector.zero(self.field, self.dim)
 
     def product_of_basis(self, i, j) -> Vector:
         return Vector.sparse(self.field, self.dim, self.rows[i].get(j, {}))
@@ -169,34 +168,11 @@ class AlgebraMap(_Frozen):
             raise DimensionMismatch("map matrix has wrong shape")
         _fill(self, source, target, matrix)
 
-    @classmethod
-    def identity(cls, alg):
-        return cls(alg, alg, Matrix.identity(alg.field, alg.dim))
-
     def apply(self, v: Vector) -> Vector:
         return self.matrix.apply(v)
 
-    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        if other.target is not self.source and other.target.labels != self.source.labels:
-            raise DimensionMismatch("maps do not compose")
-        return AlgebraMap(other.source, self.target, self.matrix.matmul(other.matrix))
-
     def inverse(self) -> "AlgebraMap":
         return AlgebraMap(self.target, self.source, invert(self.matrix))
-
-    def power(self, k: int) -> "AlgebraMap":
-        if self.source is not self.target:
-            raise DimensionMismatch("powers need an endomorphism")
-        if k < 0:
-            return self.inverse().power(-k)
-        out = AlgebraMap.identity(self.source)
-        base = self
-        while k:
-            if k & 1:
-                out = base.compose(out)
-            base = base.compose(base)
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraMap):

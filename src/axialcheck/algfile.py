@@ -1,7 +1,9 @@
 """Algebra documents, the one loader of files and catalog entries, and
-vector-literal expressions.  The writer of documents is ``derive.dumps``.
-``dihedral.load`` reads the dihedral block and ``dihedral._LiteralEnv``
-vector literals, so a document without a dihedral block compiles neither.
+vector-literal expressions.  This module only reads documents: their
+writer, ``derive.dumps``, and its field-block writer ``derive.field_to_dict``
+are compiled by the commands that write.  ``dihedral.load`` checks and reads
+the dihedral block and ``dihedral._LiteralEnv`` vector literals, so a
+document without a dihedral block compiles neither.
 
 A document is a JSON object:
 
@@ -38,7 +40,7 @@ from .errors import (
     DivisionByZero,
     ScalarSyntaxError,
 )
-from .fields import FieldDescriptor, FieldElement, parse_expression, parse_scalar, render
+from .fields import FieldDescriptor, FieldElement, parse_expression, parse_scalar
 from .linalg import Vector
 
 
@@ -87,18 +89,6 @@ def field_from_dict(block) -> FieldDescriptor:
     raise AlgebraFileError(f"unknown field kind {kind!r:.40}")
 
 
-def field_to_dict(field: FieldDescriptor) -> dict:
-    block = {"kind": field.kind}
-    if field.p is not None:
-        block["p"] = field.p
-    if field.minpoly is not None:
-        lead = field.minpoly[-1]  # the field keeps the monic modulus times this lead
-        block["minpoly"] = [render(FieldDescriptor.rationals().element((c, lead))) for c in field.minpoly]
-    if field.variable is not None:
-        block["variable"] = field.variable
-    return block
-
-
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
@@ -122,7 +112,9 @@ _PRODUCT_KEYS = frozenset(("left", "right", "value"))
 def _check_shape(doc):
     """Reject a document that is not of the layout above, before any parsing.
     Each product is checked once, in order: its keys, its value's literals,
-    its labels, its pair's repetition.  Returns the label index and the
+    its labels, its pair's repetition.  Of a dihedral block, only what the
+    loader reads before the products is checked: that it is an object and
+    its eta a literal string.  Returns the label index and the
     products, {(min(i, j), max(i, j)): (i, j, [(k, literal), ...])}."""
     _require(
         isinstance(doc, dict) and {"field", "basis", "products"} <= doc.keys(),
@@ -153,26 +145,9 @@ def _check_shape(doc):
     dihedral = doc.get("dihedral")
     if dihedral is not None:
         _require(
-            isinstance(dihedral, dict)
-            and {"window", "axes", "shift_images", "flip_images"} <= dihedral.keys(),
+            isinstance(dihedral, dict),
             "a dihedral block is an object with window, axes, shift_images and flip_images",
         )
-        window = dihedral["window"]
-        _require(
-            isinstance(window, list) and len(window) == 2
-            and all(type(i) is int for i in window) and window[0] <= 0 <= window[1],
-            "window must be an array [lo, hi] of integers with lo <= 0 <= hi",
-        )
-        _require(
-            _all_str(dihedral["axes"], list) and len(dihedral["axes"]) == window[1] - window[0] + 1,
-            "axes must be an array of vector literals, one for each window index",
-        )
-        for what in ("shift", "flip"):
-            images = dihedral[f"{what}_images"]
-            _require(
-                _all_str(images, dict) and images and images.keys() <= index.keys(),
-                f"{what}_images must map basis labels to vector literals",
-            )
         _require(dihedral.get("eta") is None or isinstance(dihedral["eta"], str), "eta must be a literal string")
 
     constraints = doc.get("constraints")
@@ -190,7 +165,8 @@ def load_document(doc, subject="file"):
 
     The one loader of algebra files and catalog entries.  It checks the
     document's shape, each product once, then its whole constraints block,
-    before it parses any table entry or extends any map.  The AlgebraDef
+    before it parses any table entry; dihedral.load checks the rest of the
+    dihedral block before it extends any map.  The AlgebraDef
     rows are then built straight from the checked products, with no Vector
     per product.  ``subject`` names the source in constraint messages.
     """

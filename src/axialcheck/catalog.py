@@ -66,20 +66,24 @@ def get_entry(name: str) -> CatalogEntry:
     return entry
 
 
-def field_from_spec(spec: str) -> FieldDescriptor:
-    """The field of a spec string, q | qeta | gf:<p> | nf:<c0,c1,...>, read by
-    algfile.field_from_dict as the file field block it names: a gf: prime is
-    that block's "p" string, and the nf: coefficients its "minpoly" strings."""
+def _field_block(spec: str) -> dict:
+    """The file field block that a spec string, q | qeta | gf:<p> |
+    nf:<c0,c1,...>, names: a gf: prime is that block's "p" string, and the
+    nf: coefficients its "minpoly" strings."""
     if spec.startswith("gf:"):
-        block = {"kind": "prime", "p": spec[3:]}
-    elif spec.startswith("nf:"):
-        block = {"kind": "number_field", "minpoly": spec[3:].split(",")}
-    elif spec in ("q", "qeta"):
-        block = {"kind": "rationals" if spec == "q" else "rational_functions"}
-    else:
-        raise ConstraintViolation(f"unknown field spec {spec!r}")
+        return {"kind": "prime", "p": spec[3:]}
+    if spec.startswith("nf:"):
+        return {"kind": "number_field", "minpoly": spec[3:].split(",")}
+    if spec in ("q", "qeta"):
+        return {"kind": "rationals" if spec == "q" else "rational_functions"}
+    raise ConstraintViolation(f"unknown field spec {spec!r}")
+
+
+def field_from_spec(spec: str) -> FieldDescriptor:
+    """The field of a spec string, read by algfile.field_from_dict from the
+    file field block it names (_field_block)."""
     try:
-        return algfile.field_from_dict(block)
+        return algfile.field_from_dict(_field_block(spec))
     except AlgebraFileError:
         raise ConstraintViolation(f"malformed number in field spec {spec!r}") from None
 
@@ -107,7 +111,8 @@ def instantiate(name, field=None, eta=None, enforce=True):
     call returns, and each instantiation is loaded once.
     """
     entry = get_entry(name)
-    field = field_from_spec(entry.default_field if field is None else field)
+    spec = entry.default_field if field is None else field
+    field = field_from_spec(spec)
     eta = None if eta is None else parse_scalar(eta, field)
     if entry.fixed_eta is not None and (eta is None or enforce):
         fixed = parse_scalar(entry.fixed_eta, field)
@@ -127,9 +132,9 @@ def instantiate(name, field=None, eta=None, enforce=True):
     cached = _instantiate_cache.get(key)
     if cached is not None:
         return cached
-    document = dict(
+    document = dict(  # its field block is the one field_from_spec read, so it loads as field
         entry.document,
-        field=algfile.field_to_dict(field),
+        field=_field_block(spec),
         dihedral=dict(entry.document["dihedral"], eta=render(eta)),
     )
     alg, dd, _ = algfile.load_document(document, entry.name)

@@ -1,8 +1,9 @@
 """What the program derives from a verified algebra, compiled on first use:
-the algebra-file writer, the library functions that no verify runs, the
-dihedral data induced on a quotient, the catalog's claim suite and the
-handlers of ``catalog list``, ``catalog emit``, ``catalog claims``, ``isom``
-and ``quotient``.
+the algebra-file writer (its field block by field_to_dict; ``algfile`` only
+reads documents), the library functions that no verify runs, the dihedral
+data induced on a quotient, the catalog's claim suite and the handlers of
+``catalog list``, ``catalog emit``, ``catalog claims``, ``isom`` and
+``quotient``.
 
 No ``verify`` runs any of it, so a verify never compiles this module.  Each
 library function here keeps a one-line entry point in its old module
@@ -48,6 +49,19 @@ def _render_vector_literal(v: Vector, labels, literal) -> str:
     return out
 
 
+def field_to_dict(field: FieldDescriptor) -> dict:
+    """The field block of a document, which algfile.field_from_dict reads back as field."""
+    block = {"kind": field.kind}
+    if field.p is not None:
+        block["p"] = field.p
+    if field.minpoly is not None:
+        lead = field.minpoly[-1]  # the field keeps the monic modulus times this lead
+        block["minpoly"] = [render(FieldDescriptor.rationals().element((c, lead))) for c in field.minpoly]
+    if field.variable is not None:
+        block["variable"] = field.variable
+    return block
+
+
 def document_for(alg: algebra.AlgebraDef, dd=None, constraints=None) -> dict:
     """Serializable file dict for an algebra (products sorted, values rendered).
 
@@ -56,7 +70,7 @@ def document_for(alg: algebra.AlgebraDef, dd=None, constraints=None) -> dict:
     """
     field = alg.field
     if dd is not None and field.variable == "eta" and dd.eta != field.generator():
-        field = algfile.field_from_dict(dict(algfile.field_to_dict(field), variable="t"))
+        field = algfile.field_from_dict(dict(field_to_dict(field), variable="t"))
 
     literal = field.render  # of a payload
     products = []
@@ -67,7 +81,7 @@ def document_for(alg: algebra.AlgebraDef, dd=None, constraints=None) -> dict:
                 {"left": alg.labels[i], "right": alg.labels[j], "value": value}
             )
     doc = {
-        "field": algfile.field_to_dict(field),
+        "field": field_to_dict(field),
         "basis": list(alg.labels),
         "products": products,
     }

@@ -1,5 +1,5 @@
-"""The dihedral layer: the loader of a dihedral block (load), vector
-literals (_LiteralEnv), the closure extending generator images to maps,
+"""The dihedral layer: the checker and loader of a dihedral block (load),
+vector literals (_LiteralEnv), the closure extending generator images to maps,
 the dihedral data of an algebra, the dihedral checks, the axis orbit and
 the classification of its relation, and the scalar-identity suite.
 Compiled the first time a run loads dihedral data or reads a vector
@@ -144,10 +144,25 @@ def extend_from_generators(alg: algebra.AlgebraDef, pairs, target: algebra.Algeb
 
 
 def load(block, alg, eta):
-    """The DihedralData of a document's checked dihedral block over alg, for
-    algfile.load_document: the literals are read by algfile.parse_vector and
-    the maps extended by algebra.extend_from_generators."""
-    lo = block["window"][0]
+    """The DihedralData of a document's dihedral block over alg, for
+    algfile.load_document, which has checked that the block is an object and
+    its eta a literal string.  Its window, axes and images are checked here,
+    before any is read; the literals are read by algfile.parse_vector and the
+    maps extended by algebra.extend_from_generators."""
+    require = algfile._require
+    require({"window", "axes", "shift_images", "flip_images"} <= block.keys(),
+            "a dihedral block is an object with window, axes, shift_images and flip_images")
+    window = block["window"]
+    require(isinstance(window, list) and len(window) == 2
+            and all(type(i) is int for i in window) and window[0] <= 0 <= window[1],
+            "window must be an array [lo, hi] of integers with lo <= 0 <= hi")
+    require(algfile._all_str(block["axes"], list) and len(block["axes"]) == window[1] - window[0] + 1,
+            "axes must be an array of vector literals, one for each window index")
+    for what in ("shift", "flip"):
+        images = block[f"{what}_images"]
+        require(algfile._all_str(images, dict) and images and images.keys() <= set(alg.labels),
+                f"{what}_images must map basis labels to vector literals")
+    lo = window[0]
     seed_axes = {lo + pos: algfile.parse_vector(spec, alg, eta) for pos, spec in enumerate(block["axes"])}
     given = {"shift": block["shift_images"], "flip": block["flip_images"]}
     # maps whose images list the same labels in the same order extend in one closure
@@ -236,16 +251,6 @@ class DihedralData(_Frozen):
         for both its readers: D1 generates from it, and axial_dimension
         classifies its one relation."""
         return axis_orbit(self.algebra, self)
-
-    def involution_at(self, j) -> AlgebraMap:
-        """tau_j = shift^j o flip o shift^-j, from the shift and its cached
-        inverse; tau_0 is the flip even when the shift is singular."""
-        if j == 0:
-            return self.flip
-        if self._unshift is None:
-            raise DataInconsistency(f"shift is not invertible, so tau_{j} is undefined")
-        forth, back = (self.shift, self._unshift) if j > 0 else (self._unshift, self.shift)
-        return forth.power(abs(j)).compose(self.flip).compose(back.power(abs(j)))
 
 
 # condition is "D1" | "D2" | "D3" | "axis" | "fusion"; index an int or None

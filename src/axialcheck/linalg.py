@@ -3,7 +3,10 @@
 A Vector is its nonzero entries, {index: payload}, and a Matrix is its
 column Vectors: every kernel works on these maps with the field's own
 payload arithmetic, and FieldElements are made only where an entry is read
-(``entries``, indexing, ``rows``).  Vector, Matrix and Subspace subclass
+(``entries``, indexing, ``rows``).  Vectors and matrices are made from
+payload maps and columns (Vector.sparse, Matrix.from_columns); the
+FieldElement-list constructors are test helpers, as no run builds a value
+from a list of elements.  Vector, Matrix and Subspace subclass
 fields._Frozen, whose one guard keeps them unchanged once their constructors
 have stored their slots through _set and _fill; EchelonBasis, a builder, is
 the one mutable class.  Reduced row echelon form is the canonical normal
@@ -26,14 +29,6 @@ class Vector(_Frozen):
     to its payload and is never changed once the vector holds it."""
 
     __slots__ = ("field", "dim", "terms")
-
-    def __new__(cls, field, entries):
-        """The vector of the FieldElements entries."""
-        entries = tuple(entries)
-        if any(e.field is not field for e in entries):
-            raise DescriptorMismatch("vector entries in mixed fields")
-        terms = {j: e.payload for j, e in enumerate(entries) if not field.is_zero(e.payload)}
-        return cls.sparse(field, len(entries), terms)
 
     @classmethod
     def sparse(cls, field, dim, terms):
@@ -116,15 +111,6 @@ class Matrix(_Frozen):
 
     __slots__ = ("field", "nrows", "ncols", "columns")
 
-    def __new__(cls, field, rows, ncols=None):
-        """The matrix of the rows, each a sequence of ncols FieldElements."""
-        rows = [tuple(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged matrix")
-        return cls.from_columns(field, [Vector(field, [r[j] for r in rows]) for j in range(ncols)], len(rows))
-
     @classmethod
     def from_columns(cls, field, columns, nrows=None):
         columns = tuple(columns)
@@ -138,14 +124,6 @@ class Matrix(_Frozen):
         m = object.__new__(cls)
         _fill(m, field, nrows, len(columns), columns)
         return m
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls.from_columns(field, [Vector.unit(field, n, j) for j in range(n)], n)
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls.from_columns(field, [Vector.zero(field, nrows)] * ncols, nrows)
 
     @property
     def rows(self):
@@ -188,7 +166,7 @@ class Matrix(_Frozen):
         return self.field is other.field and self.nrows == other.nrows and self.columns == other.columns
 
     def __repr__(self):
-        return "Matrix[" + "; ".join(repr(Vector(self.field, r)) for r in self.rows) + "]"
+        return "Matrix[" + "; ".join("(" + ", ".join(map(render, r)) + ")" for r in self.rows) + "]"
 
 
 def rref(m):

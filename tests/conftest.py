@@ -8,7 +8,8 @@ import pytest
 from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.axial import split_eigenspace
 from axialcheck.fields import FieldDescriptor, render
-from axialcheck.linalg import Matrix, Vector
+from axialcheck.linalg import Matrix
+from values import vector
 
 
 @pytest.fixture(scope="session")
@@ -111,7 +112,7 @@ def matsuo_s5():
         half = field.from_fraction(Fraction(eta) / 2)
 
         def vec(coeffs):
-            return Vector(field, [coeffs.get(k, field.zero()) for k in range(len(trans))])
+            return vector(field, [coeffs.get(k, field.zero()) for k in range(len(trans))])
 
         table = {(k, k): vec({k: field.one()}) for k in range(len(trans))}
         for s, t in combinations(trans, 2):

@@ -31,8 +31,9 @@ from axialcheck.axial import (
 )
 from axialcheck.errors import AxialError, ConstraintViolation, InvalidDescriptor
 from axialcheck.fields import FieldDescriptor, render, specialize
-from axialcheck.linalg import Matrix, Subspace, Vector, kernel, rref
+from axialcheck.linalg import Subspace, Vector, kernel, rref
 from relation_lemmas import relation_transform
+from values import identity_matrix, involution_at, matrix, vector
 
 SEED = 20260809
 
@@ -272,7 +273,7 @@ def test_criterion_6_linear_algebra(Q, GF7):
         field = Q if k % 2 == 0 else GF7
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
-        m = Matrix(
+        m = matrix(
             field,
             [
                 [field.from_int(rng.randint(-5, 5)) for _ in range(cols)]
@@ -309,8 +310,8 @@ def test_criterion_6_quotient_projections():
         setups.append((alg, qalg, proj))
     for k in range(1000):
         alg, qalg, proj = setups[k % len(setups)]
-        x = Vector(alg.field, [alg.field.from_int(rng.randint(-4, 4)) for _ in range(alg.dim)])
-        y = Vector(alg.field, [alg.field.from_int(rng.randint(-4, 4)) for _ in range(alg.dim)])
+        x = vector(alg.field, [alg.field.from_int(rng.randint(-4, 4)) for _ in range(alg.dim)])
+        y = vector(alg.field, [alg.field.from_int(rng.randint(-4, 4)) for _ in range(alg.dim)])
         assert proj.apply(multiply(alg, x, y)) == multiply(qalg, proj.apply(x), proj.apply(y))
     _line(True, "criterion 6: quotient projection multiplicativity, 1000 pairs")
 
@@ -329,10 +330,10 @@ def test_criterion_6_miyamoto_coherence():
     while checked < 1000:
         alg, dd = pool[rng.randrange(len(pool))]
         j = rng.randint(-2, 3)
-        tau_j = dd.involution_at(j)
+        tau_j = involution_at(dd, j)
         dec = split_eigenspace(alg, dd.axis(j), dd.eta, tau_j)
         g = miyamoto(alg, dec)
-        assert g.matrix.matmul(g.matrix) == Matrix.identity(alg.field, alg.dim)
+        assert g.matrix.matmul(g.matrix) == identity_matrix(alg.field, alg.dim)
         assert g == tau_j  # conjugate of the base flip IS the Miyamoto map
         checked += 1
     _line(True, "criterion 6: miyamoto involution and conjugation coherence, 1000 cases")
@@ -417,7 +418,7 @@ def test_criterion_6_relation_transforms():
                 _formal_add(s, _formal_shift(s, 1)), _formal_shift(s, -1)
             )
             assert _pairs_to_formal(out, 0) == expected, mode
-            acc = alg.zero_vector()
+            acc = Vector.zero(alg.field, alg.dim)
             for i, c in enumerate(out):
                 acc = acc + (dd.axis(i) - dd.axis(-i)).scale(c)
         else:
@@ -427,7 +428,7 @@ def test_criterion_6_relation_transforms():
             if mode.endswith("part3"):
                 out = relation_transform(w.coefficients[1:], mode)
                 assert _pairs_to_formal(out, 1) == f_diff, mode
-                acc = alg.zero_vector()
+                acc = Vector.zero(alg.field, alg.dim)
                 for i, c in enumerate(out, start=1):
                     acc = acc + (dd.axis(i + 1) - dd.axis(-i)).scale(c)
             else:
@@ -437,7 +438,7 @@ def test_criterion_6_relation_transforms():
                     _formal_add(s, _formal_shift(s, 1)), _formal_shift(s, -1)
                 )
                 assert _pairs_to_formal(out, 0) == expected, mode
-                acc = alg.zero_vector()
+                acc = Vector.zero(alg.field, alg.dim)
                 for i, c in enumerate(out):
                     acc = acc + (dd.axis(i) - dd.axis(-i)).scale(c)
         assert acc.is_zero(), mode

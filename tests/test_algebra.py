@@ -21,6 +21,7 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import FieldDescriptor, parse_scalar
 from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector
+from values import identity_map, identity_matrix, matrix, vector, zero_matrix
 
 
 def _span_of(alg, label):
@@ -30,7 +31,7 @@ def _span_of(alg, label):
 
 
 def _rand_vec(alg, rng):
-    return Vector(
+    return vector(
         alg.field, [alg.field.from_int(rng.randint(-4, 4)) for _ in range(alg.dim)]
     )
 
@@ -54,7 +55,7 @@ def test_multiply_bilinear_symmetric(QETA):
         x, y, z = (_rand_vec(alg, rng) for _ in range(3))
         assert multiply(alg, x, y) == multiply(alg, y, x)
         assert multiply(alg, x + y, z) == multiply(alg, x, z) + multiply(alg, y, z)
-        assert multiply(alg, x, alg.zero_vector()).is_zero()
+        assert multiply(alg, x, Vector.zero(alg.field, alg.dim)).is_zero()
 
 
 def test_adjoint_of_central_element_is_scalar():
@@ -62,14 +63,14 @@ def test_adjoint_of_central_element_is_scalar():
     p1 = alg.basis_vector(alg.label_index("p1"))
     ad = adjoint_matrix(alg, p1)
     scalar = parse_scalar("-eta*(3*eta+1)/4", alg.field)
-    expected = Matrix.identity(alg.field, alg.dim)
-    scaled = Matrix(
+    expected = identity_matrix(alg.field, alg.dim)
+    scaled = matrix(
         alg.field,
         [[scalar * e for e in row] for row in expected.rows],
     )
     assert ad == scaled
-    zero_ad = adjoint_matrix(alg, alg.zero_vector())
-    assert zero_ad == Matrix.zero(alg.field, alg.dim, alg.dim)
+    zero_ad = adjoint_matrix(alg, Vector.zero(alg.field, alg.dim))
+    assert zero_ad == zero_matrix(alg.field, alg.dim, alg.dim)
 
 
 def test_generated_subalgebra():
@@ -120,7 +121,7 @@ def test_quotient():
             qalg, proj.apply(x), proj.apply(y)
         )
     zero_q, zero_proj = quotient(alg, Subspace.from_vectors(alg.field, alg.dim, []))
-    assert zero_q.dim == alg.dim and zero_proj == AlgebraMap.identity(alg)
+    assert zero_q.dim == alg.dim and zero_proj == identity_map(alg)
     sym, _ = instantiate("ThreeEv")
     with pytest.raises(NotAnIdeal):
         quotient(sym, _span_of(sym, "p1"))
@@ -136,7 +137,7 @@ def test_quotient_refuses_the_whole_algebra():
 
 def test_quotient_of_five_three():
     alg, dd = instantiate("FiveThree", "q", "-1/3")
-    sigma = alg.zero_vector()
+    sigma = Vector.zero(alg.field, alg.dim)
     for i in range(-2, 3):
         sigma = sigma + dd.axis(i)
     span = Subspace.from_vectors(alg.field, alg.dim, [sigma])
@@ -147,7 +148,7 @@ def test_quotient_of_five_three():
 
 def test_is_homomorphism():
     alg, dd = instantiate("FiveThree")
-    assert is_homomorphism(AlgebraMap.identity(alg))
+    assert is_homomorphism(identity_map(alg))
     assert is_homomorphism(dd.flip)
     # swapping the central element with an axis is not multiplicative
     alg3, _ = instantiate("ThreeEv")
@@ -163,7 +164,7 @@ def test_extend_from_generators():
     alg, dd = instantiate("FiveThree")
     pairs = [(alg.basis_vector(i), alg.basis_vector(i)) for i in range(alg.dim)]
     ident = extend_from_generators(alg, pairs, alg)
-    assert isinstance(ident, AlgebraMap) and ident == AlgebraMap.identity(alg)
+    assert isinstance(ident, AlgebraMap) and ident == identity_map(alg)
     # the cyclic shift extends to an automorphism
     shift_pairs = [(dd.axis(i), dd.axis(i + 1)) for i in range(-2, 3)]
     shift = extend_from_generators(alg, shift_pairs, alg)
@@ -249,7 +250,7 @@ def test_generated_subalgebra_matches_closure_by_rounds(name):
         [dd.axis(0), dd.axis(1)],
         [dd.axis(-1), dd.axis(2)],
         _orbit_window(alg, dd),
-        [alg.zero_vector(), dd.axis(0) + dd.axis(1)],
+        [Vector.zero(alg.field, alg.dim), dd.axis(0) + dd.axis(1)],
         [_rand_vec(alg, rng)],
     ):
         assert generated_subalgebra(alg, gens).rows == _closure_by_rounds(alg, gens).rows
@@ -273,7 +274,7 @@ def _dense_multiply(alg, x, y):
         for k, ck in enumerate(c.entries):
             if not ck.is_zero():
                 out[k] = out[k] + s * ck
-    return Vector(alg.field, out)
+    return vector(alg.field, out)
 
 
 # every entry at its default field (ThreeEv's is Q(eta)), and two other fields
@@ -288,7 +289,7 @@ def test_multiply_matches_dense_loop(name, field, eta):
     vectors = [alg.basis_vector(i) for i in range(alg.dim)]
     vectors += [_rand_vec(alg, rng) for _ in range(4)]
     vectors += [v for _, v in dd.base_split.eigenbasis()]
-    vectors.append(alg.zero_vector())
+    vectors.append(Vector.zero(alg.field, alg.dim))
     for x in vectors:
         for y in vectors:
             assert multiply(alg, x, y) == _dense_multiply(alg, x, y)
@@ -422,7 +423,7 @@ def _random_word(field, dim, rng):
     values = [field.from_fraction(c) for c in (1, -1, 2, Fraction(1, 2))]
     if field.variable:
         values.append(field.generator())
-    return Vector(field, [rng.choice(values) if rng.random() < 0.5 else field.zero() for _ in range(dim)])
+    return vector(field, [rng.choice(values) if rng.random() < 0.5 else field.zero() for _ in range(dim)])
 
 
 def _random_algebra(field, rng):
@@ -529,7 +530,7 @@ def kernel_inputs(draw, field):
     table = {}
     for i in range(dim):
         for j in range(i, dim):
-            table[i, j] = Vector(field, [_scalar(field, *draw(small)) for _ in range(dim)])
+            table[i, j] = vector(field, [_scalar(field, *draw(small)) for _ in range(dim)])
     x, y = ([_scalar(field, *draw(small)) for _ in range(dim)] for _ in "xy")
     return AlgebraDef(field, [f"e{i}" for i in range(dim)], table), x, y
 
@@ -556,7 +557,7 @@ def test_sparse_product_drops_cancelled_sums(name):
     # e0*e0 = e0 + e1 and e1*e1 = -e0: (e0 + e1)^2 sums 1 - 1 at e0
     field = KERNEL_FIELDS[name]
     one = field.one()
-    table = {(0, 0): Vector(field, [one, one]), (1, 1): Vector(field, [-one, field.zero()])}
+    table = {(0, 0): vector(field, [one, one]), (1, 1): vector(field, [-one, field.zero()])}
     alg = AlgebraDef(field, ["e0", "e1"], table)
     both = {0: one.payload, 1: one.payload}
     assert sparse_product(alg, both, both) == {1: one.payload}

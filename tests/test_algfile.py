@@ -126,6 +126,55 @@ def test_the_first_fault_of_the_products_is_named(products, extra, message):
     assert str(exc.value) == message
 
 
+_BLOCK = "a dihedral block is an object with window, axes, shift_images and flip_images"
+_WINDOW = "window must be an array [lo, hi] of integers with lo <= 0 <= hi"
+_AXES = "axes must be an array of vector literals, one for each window index"
+_SHIFT = "shift_images must map basis labels to vector literals"
+_FLIP = "flip_images must map basis labels to vector literals"
+_DROP = object()  # the key is left out of the block
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (None, ["am1", "a0", "a1"], _BLOCK),
+    ("window", _DROP, _BLOCK),
+    ("axes", _DROP, _BLOCK),
+    ("shift_images", _DROP, _BLOCK),
+    ("flip_images", _DROP, _BLOCK),
+    ("window", [-1], _WINDOW),
+    ("window", [-1, "3"], _WINDOW),
+    ("window", [-1, 3.0], _WINDOW),
+    ("window", [1, 5], _WINDOW),
+    ("axes", ["am1", "a0", "a1", "am1"], _AXES),
+    ("axes", ["am1", "a0", 1, "am1", "a0"], _AXES),
+    ("shift_images", {}, _SHIFT),
+    ("shift_images", {"am1": "a0", "a0": 1, "a1": "am1"}, _SHIFT),
+    ("shift_images", {"am1": "a0", "b": "a1", "a1": "am1"}, _SHIFT),
+    ("flip_images", {}, _FLIP),
+    ("flip_images", {"am1": "a1", "a0": ["a0"], "a1": "am1"}, _FLIP),
+    ("flip_images", {"am1": "a1", "a0": "a0", "am2": "am1"}, _FLIP),
+    ("eta", 1, "eta must be a literal string"),
+], ids=["not_an_object", "no_window", "no_axes", "no_shift_images", "no_flip_images", "window_of_one",
+        "window_of_a_string", "window_of_a_float", "window_not_bracketing_0", "axes_too_few",
+        "axis_not_a_string", "shift_images_empty", "shift_image_not_a_string", "shift_images_undeclared",
+        "flip_images_empty", "flip_image_not_a_string", "flip_images_undeclared", "eta_not_a_string"])
+def test_each_fault_of_the_dihedral_block_is_refused_by_name(tmp_path, capsys, key, value, message):
+    # the emitted ThreeEvX file with one fault in its dihedral block
+    from axialcheck import cli
+
+    doc, _, _ = _doc_for("ThreeEvX")
+    if key is None:
+        doc["dihedral"] = value
+    elif value is _DROP:
+        del doc["dihedral"][key]
+    else:
+        doc["dihedral"][key] = value
+    path = tmp_path / "ThreeEvX.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_vector_literals():
     alg, dd = catalog.instantiate("ThreeEv")
     v = algfile.parse_vector("2*eta*(a0+a1) - am1", alg, dd.eta)

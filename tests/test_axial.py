@@ -48,6 +48,7 @@ from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, rende
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
 from identity_reference import identity_suite_reference
 from relation_lemmas import relation_transform
+from values import compose, identity_map, identity_matrix, involution_at, matrix, power, vector
 
 
 def _axis_diff(alg, dd, i):
@@ -56,7 +57,7 @@ def _axis_diff(alg, dd, i):
 
 def _relation_vector(dd, witness):
     """Evaluate the witnessed combination on the axes (must be zero)."""
-    out = dd.algebra.zero_vector()
+    out = Vector.zero(dd.algebra.field, dd.algebra.dim)
     if witness.case == 1:
         out = out + dd.axis(0).scale(witness.coefficients[0])
         for i, c in enumerate(witness.coefficients[1:], start=1):
@@ -129,7 +130,7 @@ def test_split_eliminates_twice(monkeypatch):
 
 def _stacked_kernel(a, b):
     """ker a and ker b meet in the kernel of the n x n matrix a stacked on b."""
-    return kernel(Matrix(a.field, a.rows + b.rows, a.ncols))
+    return kernel(matrix(a.field, a.rows + b.rows, a.ncols))
 
 
 @pytest.mark.parametrize("name", [*(entry.name for entry in catalog.list_entries()), "matsuo"])
@@ -151,7 +152,7 @@ def test_eta_parts_are_the_eta_space_met_with_the_flip_eigenspaces(Q, name, mats
 
 def test_identity_involution_gives_trivial_negated_part():
     alg, dd = instantiate("FiveThree")
-    ident = AlgebraMap.identity(alg)
+    ident = identity_map(alg)
     dec = split_eigenspace(alg, dd.axis(0), dd.eta, ident)
     assert dec.parts[3].dim == 0 and dec.parts[2].dim == 3
     assert miyamoto(alg, dec) == ident
@@ -165,13 +166,13 @@ def test_miyamoto_matches_flip():
         dec = split_eigenspace(alg, dd.axis(0), dd.eta, dd.flip)
         g = miyamoto(alg, dec)
         assert g == dd.flip
-        assert g.matrix.matmul(g.matrix) == AlgebraMap.identity(alg).matrix
+        assert g.matrix.matmul(g.matrix) == identity_map(alg).matrix
 
 
 def test_check_dihedral_pass_and_fail():
     alg, dd = instantiate("FiveThree")
     assert not check_dihedral(alg, dd)
-    broken = DihedralData(alg, dd.eta, dd.axis(0), dd.shift, AlgebraMap.identity(alg))
+    broken = DihedralData(alg, dd.eta, dd.axis(0), dd.shift, identity_map(alg))
     violations = check_dihedral(alg, broken)
     assert any(v.condition == "D3" for v in violations)
     # an identity flip breaks the group relation flip o shift o flip = shift^-1
@@ -197,8 +198,8 @@ def test_axes_follow_the_base_axis_through_the_shift(case):
     base = dd.base_split
     base_violations = len(check_fusion(alg, base))
     for i in range(-1, alg.dim + 2):
-        shift_i = dd.shift.power(i)
-        dec = split_eigenspace(alg, dd.axis(i), dd.eta, dd.involution_at(i))
+        shift_i = power(dd.shift, i)
+        dec = split_eigenspace(alg, dd.axis(i), dd.eta, involution_at(dd, i))
         moved = tuple(
             Subspace.from_vectors(alg.field, alg.dim, [shift_i.apply(v) for v in part.basis])
             for part in base.parts
@@ -206,7 +207,7 @@ def test_axes_follow_the_base_axis_through_the_shift(case):
         assert [p.rows for p in dec.parts] == [p.rows for p in moved], (case, i)
         assert len(check_fusion(alg, dec)) == base_violations, (case, i)
         if not base_violations:
-            assert miyamoto(alg, dec) == dd.involution_at(i), (case, i)
+            assert miyamoto(alg, dec) == involution_at(dd, i), (case, i)
 
 
 def _bar_four_two_quotient():
@@ -232,7 +233,7 @@ def test_axes_are_the_shift_orbit_of_the_base_axis(case):
     alg, dd = _orbit_case(case)
     d = alg.dim
     for i in range(-(d + 2), d + 4):
-        assert dd.axis(i) == dd.shift.power(i).apply(dd.axis(0)), (case, i)
+        assert dd.axis(i) == power(dd.shift, i).apply(dd.axis(0)), (case, i)
 
 
 @pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda c: "_".join(c).replace("/", "_"))
@@ -292,7 +293,7 @@ def _check_dihedral_reference(alg, dd):
     maps multiplicative again, decides invertibility by the kernel and generates
     D1 from a_-d .. a_(d+1)."""
     violations = []
-    ident = Matrix.identity(alg.field, alg.dim)
+    ident = identity_matrix(alg.field, alg.dim)
 
     if not is_homomorphism(dd.shift):
         violations.append(DihedralViolation("D2", None, "shift is not multiplicative"))
@@ -481,10 +482,10 @@ def test_involutions_of_a_singular_shift():
     doc = document_for(*instantiate("ThreeEvX"))
     _singular_shift(doc["dihedral"], doc)
     _, dd, _ = load_document(doc)
-    assert dd.involution_at(0) is dd.flip
+    assert involution_at(dd, 0) is dd.flip
     for j in (1, -1):
         with pytest.raises(DataInconsistency, match=f"tau_{j} is undefined"):
-            dd.involution_at(j)
+            involution_at(dd, j)
 
 
 @pytest.mark.parametrize("name", [entry.name for entry in catalog.list_entries()])
@@ -492,7 +493,7 @@ def test_involutions_reflect_the_axes(name):
     # tau_j = shift^j o flip o shift^-j mirrors a_i to a_(2j-i)
     _, dd = instantiate(name)
     for j in range(-2, 3):
-        tau = dd.involution_at(j)
+        tau = involution_at(dd, j)
         for i in range(-2, 3):
             assert tau.apply(dd.axis(i)) == dd.axis(2 * j - i), (name, i, j)
 
@@ -554,7 +555,7 @@ def test_product_pass_matches_direct_checks(case):
     _assert_product_pass_matches_direct_checks(alg, dd.base_split)
     # the identity involution leaves the eta part unsplit, which fusion
     # rejects on most entries
-    unsplit = split_eigenspace(alg, dd.axis(0), dd.eta, AlgebraMap.identity(alg))
+    unsplit = split_eigenspace(alg, dd.axis(0), dd.eta, identity_map(alg))
     _assert_product_pass_matches_direct_checks(alg, unsplit)
 
 
@@ -852,7 +853,7 @@ def test_axial_dimension_witnesses():
 
 def _shifted(dd):
     """Relabelled data with axis'(i) = axis(i+1); the flip becomes the next involution."""
-    return DihedralData(dd.algebra, dd.eta, dd.axis(1), dd.shift, dd.involution_at(1))
+    return DihedralData(dd.algebra, dd.eta, dd.axis(1), dd.shift, involution_at(dd, 1))
 
 
 def test_axial_dimension_shift_invariance():
@@ -926,7 +927,7 @@ def test_relation_cases_match_the_two_branch_classifier(Q, name):
     coords = {i: axes.get(i, other) for i in range(-3, 5)}
     dim = len(coords[0])
     alg = AlgebraDef(Q, [f"e{k}" for k in range(dim)], {})
-    vectors = {i: Vector(Q, [Q.from_int(c) for c in v]) for i, v in coords.items()}
+    vectors = {i: vector(Q, [Q.from_int(c) for c in v]) for i, v in coords.items()}
     dd = SimpleNamespace(axis=vectors.__getitem__)
     dd.orbit = axis_orbit(alg, dd)
     lo, hi = window
@@ -949,7 +950,7 @@ def test_relation_window_of_unexpected_shape(Q):
 
 def test_theta_composition_law():
     alg, dd = instantiate("FiveThree")
-    theta = dd.shift.compose(dd.flip)
+    theta = compose(dd.shift, dd.flip)
     for i in range(-3, 4):
         assert theta.apply(dd.axis(i)) == dd.axis(1 - i)
 
@@ -1071,7 +1072,7 @@ def test_relation_transform_vanishes_on_catalog():
         assert w.case == 4
         for mode in ("lemma_2_3_part1", "lemma_2_3_part2"):
             out = relation_transform(w.coefficients, mode)
-            acc = alg.zero_vector()
+            acc = Vector.zero(alg.field, alg.dim)
             for i, coeff in enumerate(out):
                 acc = acc + (dd.axis(i) - dd.axis(-i)).scale(coeff)
             assert acc.is_zero(), (name, mode)
@@ -1082,12 +1083,12 @@ def test_relation_transform_vanishes_on_catalog():
         assert w.case == 1
         for mode in ("lemma_2_4_part1", "lemma_2_4_part2"):
             out = relation_transform(w.coefficients, mode)
-            acc = alg.zero_vector()
+            acc = Vector.zero(alg.field, alg.dim)
             for i, coeff in enumerate(out):
                 acc = acc + (dd.axis(i) - dd.axis(-i)).scale(coeff)
             assert acc.is_zero(), (name, mode)
         out = relation_transform(w.coefficients[1:], "lemma_2_4_part3")
-        acc = alg.zero_vector()
+        acc = Vector.zero(alg.field, alg.dim)
         for i, coeff in enumerate(out, start=1):
             acc = acc + (dd.axis(i + 1) - dd.axis(-i)).scale(coeff)
         assert acc.is_zero(), name

@@ -55,7 +55,7 @@ def test_instantiate_five_three_symbolic():
     assert alg.field.kind == FieldDescriptor.RATIONAL_FUNCTIONS
     eta = dd.eta
     prod = multiply(alg, dd.axis(0), dd.axis(1))
-    sigma = alg.zero_vector()
+    sigma = Vector.zero(alg.field, alg.dim)
     for i in range(-2, 3):
         sigma = sigma + dd.axis(i)
     expected = sigma.scale(-eta / 4) + (dd.axis(0) + dd.axis(1)).scale(eta)
@@ -95,6 +95,21 @@ def test_rejections_come_before_any_table_is_built(monkeypatch):
             catalog.instantiate(*args)
     with pytest.raises(AssertionError, match="table was built"):
         catalog.instantiate("ThreeEv", "q", "7/11")
+
+
+@pytest.mark.parametrize("spec, eta, block", [
+    ("q", "2", {"kind": "rationals"}),
+    ("qeta", None, {"kind": "rational_functions", "variable": "eta"}),
+    ("gf:7", "3", {"kind": "prime", "p": 7}),
+    ("gf:07", "3", {"kind": "prime", "p": 7}),
+    ("nf:-1,2,1", None, {"kind": "number_field", "minpoly": ["-1", "2", "1"], "variable": "eta"}),
+])
+def test_an_instantiation_is_over_the_field_of_its_spec(spec, eta, block):
+    # the document loads at the field that field_from_spec reads, and the
+    # writer gives the field block it always gave
+    alg, dd = catalog.instantiate("ThreeEv", spec, eta)
+    assert alg.field is catalog.field_from_spec(spec)
+    assert derive.document_for(alg, dd)["field"] == block
 
 
 def test_seven_x_allows_half_residue():

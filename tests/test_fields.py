@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axialcheck import algfile, catalog, fields, polynomials
+from axialcheck import algfile, catalog, derive, fields, polynomials
 from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.derive import specialize
 from axialcheck.errors import (
@@ -22,7 +22,8 @@ from axialcheck.errors import (
     UnknownSymbol,
 )
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
-from axialcheck.linalg import Matrix, Vector
+from axialcheck.linalg import Matrix
+from values import vector
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +714,7 @@ def test_equality_is_a_zero_test(name, monkeypatch):
             decided(x == y, same)
             decided(x != y, not same)
             decided(x.is_one(), x.payload == field.ONE)
-        u, v = Vector(field, xs), Vector(field, ys)
+        u, v = vector(field, xs), vector(field, ys)
         decided(u == v, u.terms == v.terms)
         decided(u != v, u.terms != v.terms)
         m, n = (Matrix.from_columns(field, [w, u], 3) for w in (u, v))
@@ -782,7 +783,7 @@ def test_equal_fields_are_one_object(kind):
     field = make()
     assert make() is field
     assert catalog.field_from_spec(spec) is field
-    assert algfile.field_from_dict(algfile.field_to_dict(field)) is field
+    assert algfile.field_from_dict(derive.field_to_dict(field)) is field
 
 
 def test_number_field_spec_coefficients_are_scalar_literals():
@@ -830,10 +831,10 @@ def test_elements_of_fields_made_apart_mix(kind):
     make, spec = KINDS[kind]
     two = make().from_int(2)
     three = parse_scalar("3", catalog.field_from_spec(spec))
-    block = algfile.field_to_dict(make())
+    block = derive.field_to_dict(make())
     five = parse_scalar("5", algfile.field_from_dict(block))
     assert two + three == five and three - two == make().one() and two * three == make().from_int(6)
-    assert Vector(make(), [two, three, five]) + Vector(five.field, [two] * 3) == Vector(
+    assert vector(make(), [two, three, five]) + vector(five.field, [two] * 3) == vector(
         two.field, [2 * two, two + three, two + five]
     )
 
@@ -868,7 +869,7 @@ def test_different_fields_do_not_mix(QETA, GF5, GF7):
         with pytest.raises(DescriptorMismatch):
             a * b
         with pytest.raises(DescriptorMismatch):
-            Vector(a.field, [a, b])
+            vector(a.field, [a, b])
 
 
 def test_parse_scalar_binds_eta(Q, QETA, NF):

@@ -9,10 +9,11 @@ from axialcheck.derive import intersection, rref
 from axialcheck.errors import AxialError, DescriptorMismatch, DimensionMismatch
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar
 from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector, _reduce, invert, kernel, solve_in_span
+from values import identity_matrix, matrix, vector, zero_matrix
 
 
 def _random_matrix(field, rng, rows, cols, span=5):
-    return Matrix(
+    return matrix(
         field,
         [
             [field.from_int(rng.randint(-span, span)) for _ in range(cols)]
@@ -40,10 +41,10 @@ def _rank_oracle(rows):
 
 
 def test_rref_trivial(Q):
-    ident = Matrix.identity(Q, 3)
+    ident = identity_matrix(Q, 3)
     reduced, rank, pivots = rref(ident)
     assert reduced == ident and rank == 3 and pivots == (0, 1, 2)
-    zero = Matrix.zero(Q, 2, 4)
+    zero = zero_matrix(Q, 2, 4)
     reduced, rank, pivots = rref(zero)
     assert reduced == zero and rank == 0 and pivots == ()
 
@@ -83,7 +84,7 @@ def test_adjoint_of_five_three_axis(QETA):
         entries = [alg.field.zero()] * alg.dim
         for label, c in pairs.items():
             entries[labels[label]] = parse_scalar(c, alg.field)
-        return Vector(alg.field, entries)
+        return vector(alg.field, entries)
 
     for vec in (
         av({"a1": "1", "am1": "-1"}),
@@ -98,14 +99,14 @@ def test_adjoint_of_five_three_axis(QETA):
 
 
 def test_solve_in_span(Q):
-    v1 = Vector(Q, [Q.from_int(1), Q.from_int(0), Q.from_int(2)])
-    v2 = Vector(Q, [Q.from_int(0), Q.from_int(1), Q.from_int(1)])
+    v1 = vector(Q, [Q.from_int(1), Q.from_int(0), Q.from_int(2)])
+    v2 = vector(Q, [Q.from_int(0), Q.from_int(1), Q.from_int(1)])
     target = v1
     coeffs = solve_in_span(target, [v1, v2])
     assert coeffs == [Q.from_int(1), Q.from_int(0)]
     zero = Vector.zero(Q, 3)
     assert solve_in_span(zero, [v1, v2]) == [Q.zero(), Q.zero()]
-    outside = Vector(Q, [Q.from_int(0), Q.from_int(0), Q.from_int(1)])
+    outside = vector(Q, [Q.from_int(0), Q.from_int(0), Q.from_int(1)])
     assert solve_in_span(outside, [v1, v2]) is None
 
 
@@ -124,7 +125,7 @@ def test_scalar_action_extraction(QETA):
 def test_subspace_ops(Q):
     rng = random.Random(5)
     vs = [
-        Vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3)
+        vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3)
     ]
     space = Subspace.from_vectors(Q, 4, vs)
     zero = Subspace.from_vectors(Q, 4, [])
@@ -135,7 +136,7 @@ def test_subspace_ops(Q):
     assert doubled.rows == space.rows
     # two planes of Q^4 meeting in a line
     for _ in range(10):
-        u0, u1, w0 = (Vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3))
+        u0, u1, w0 = (vector(Q, [Q.from_int(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(3))
         plane_u, plane_w = Subspace.from_vectors(Q, 4, [u0, u1]), Subspace.from_vectors(Q, 4, [u0 + u1, w0])
         meet = intersection(plane_u, plane_w)
         both = Subspace.from_vectors(Q, 4, list(plane_u.basis) + list(plane_w.basis))
@@ -174,9 +175,9 @@ def _random_low_rank(field, rng, rows, cols, rank):
         return field.from_int(rng.randint(-4, 4))
 
     if not rank:
-        return Matrix.zero(field, rows, cols)
-    left = Matrix(field, [[entry() for _ in range(rank)] for _ in range(rows)])
-    return left.matmul(Matrix(field, [[entry() for _ in range(cols)] for _ in range(rank)]))
+        return zero_matrix(field, rows, cols)
+    left = matrix(field, [[entry() for _ in range(rank)] for _ in range(rows)])
+    return left.matmul(matrix(field, [[entry() for _ in range(cols)] for _ in range(rank)]))
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
@@ -204,20 +205,20 @@ def test_elimination_matches_sympy(fixture, request, sympy_matrix):
         _, raising = sympy_matrix(order, ncols, field).transpose().rref()
         for k, row in enumerate(order):
             pivots_before = set(echelon.rows)
-            pivot = echelon.add(Vector(field, row))
+            pivot = echelon.add(vector(field, row))
             raised = k in raising
             assert (pivot is None) != raised
             assert set(echelon.rows) - pivots_before == ({pivot} if raised else set())
         assert len(echelon.rows) == rank
-        assert echelon.subspace().basis == tuple(Vector(field, r) for r in reduced.rows[:rank])
+        assert echelon.subspace().basis == tuple(vector(field, r) for r in reduced.rows[:rank])
 
 
 def _dense_apply(m, v):
-    return Vector(m.field, [sum((a * b for a, b in zip(r, v)), m.field.zero()) for r in m.rows])
+    return vector(m.field, [sum((a * b for a, b in zip(r, v)), m.field.zero()) for r in m.rows])
 
 
 def _dense_matmul(m, n):
-    return Matrix(m.field, [
+    return matrix(m.field, [
         [sum((r[k] * n.rows[k][j] for k in range(m.ncols)), m.field.zero()) for j in range(n.ncols)]
         for r in m.rows
     ], n.ncols)
@@ -226,13 +227,13 @@ def _dense_matmul(m, n):
 def _sparse_matrix(field, rng, rows, cols):
     # about half the entries zero, and one row all zero
     if not rows or not cols:
-        return Matrix.zero(field, rows, cols)
+        return zero_matrix(field, rows, cols)
     m = [[field.from_int(rng.choice((0, 0, 0, 1, -2, 3))) for _ in range(cols)] for _ in range(rows)]
     m[rng.randrange(rows)] = [field.zero()] * cols
     if field.variable is not None:
         eta = field.generator()
         m = [[e * (eta - 2) / (eta + 1) if rng.random() < 0.5 else e for e in r] for r in m]
-    return Matrix(field, m)
+    return matrix(field, m)
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "QETA"])
@@ -246,7 +247,7 @@ def test_apply_and_matmul_match_dense_loops(fixture, request):
         a = _sparse_matrix(field, rng, rows, inner)
         b = _sparse_matrix(field, rng, inner, cols)
         assert a.matmul(b) == _dense_matmul(a, b)
-        assert a.matmul(Matrix.zero(field, inner, cols)) == Matrix.zero(field, rows, cols)
+        assert a.matmul(zero_matrix(field, inner, cols)) == zero_matrix(field, rows, cols)
         for v in (Vector.zero(field, inner), *(b.columns[j] for j in range(cols))):
             assert a.apply(v) == _dense_apply(a, v)
         for i in range(inner):
@@ -254,20 +255,20 @@ def test_apply_and_matmul_match_dense_loops(fixture, request):
 
 
 def test_a_matrix_without_rows_keeps_its_columns(Q):
-    empty = Matrix.zero(Q, 0, 4)
+    empty = zero_matrix(Q, 0, 4)
     assert (empty.nrows, empty.ncols) == (0, 4)
-    assert empty != Matrix.zero(Q, 0, 3)
+    assert empty != zero_matrix(Q, 0, 3)
     stacked = Matrix.from_columns(Q, [Vector.zero(Q, 0)] * 4)
     assert (stacked.nrows, stacked.ncols) == (0, 4) and stacked == empty
     assert empty.apply(Vector.zero(Q, 4)) == Vector.zero(Q, 0)
     with pytest.raises(DimensionMismatch):
-        Matrix(Q, [[Q.one()] * 3], 4)
+        matrix(Q, [[Q.one()] * 3], 4)
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
 def test_scaling_by_zero_gives_the_zero_vector_and_checks_the_field(fixture, request):
     field = request.getfixturevalue(fixture)
-    v = Vector(field, [field.from_int(3), field.zero(), field.from_int(-2)])
+    v = vector(field, [field.from_int(3), field.zero(), field.from_int(-2)])
     assert v.scale(field.zero()) == Vector.zero(field, 3)
     for other in (FieldDescriptor.rationals(), FieldDescriptor.prime(5)):
         if other is not field:
@@ -278,8 +279,8 @@ def test_scaling_by_zero_gives_the_zero_vector_and_checks_the_field(fixture, req
 
 def test_apply_and_matmul_refuse_other_fields(GF5, GF7, QETA):
     for field, other in ((GF5, GF7), (QETA, FieldDescriptor.rational_functions("t"))):
-        m = Matrix.identity(field, 3)
-        foreign = Matrix.identity(other, 3)
+        m = identity_matrix(field, 3)
+        foreign = identity_matrix(other, 3)
         with pytest.raises(DescriptorMismatch):
             m.apply(Vector.unit(other, 3, 0))
         with pytest.raises(DescriptorMismatch):
@@ -289,11 +290,11 @@ def test_apply_and_matmul_refuse_other_fields(GF5, GF7, QETA):
         with pytest.raises(DimensionMismatch):
             m.apply(Vector.unit(field, 4, 0))
         with pytest.raises(DimensionMismatch):
-            m.matmul(Matrix.identity(field, 4))
+            m.matmul(identity_matrix(field, 4))
 
 
 def _int_matrix(field, rows):
-    return Matrix(field, [[field.from_int(c) for c in row] for row in rows])
+    return matrix(field, [[field.from_int(c) for c in row] for row in rows])
 
 
 def test_invert_refuses_a_singular_matrix(Q, GF7):
@@ -302,7 +303,7 @@ def test_invert_refuses_a_singular_matrix(Q, GF7):
         with pytest.raises(DimensionMismatch, match="matrix is singular"):
             invert(_int_matrix(field, rows))
     m = _int_matrix(GF7, [[1, 3, 0], [2, 5, 1], [0, 0, 1]])
-    assert m.matmul(invert(m)) == Matrix.identity(GF7, 3)
+    assert m.matmul(invert(m)) == identity_matrix(GF7, 3)
 
 
 @pytest.mark.parametrize("fixture", ["Q", "GF7", "NF", "QETA"])
@@ -313,18 +314,18 @@ def test_payload_maps_match_entrywise_loops(fixture, request):
     rng = random.Random(fixture)
 
     def same(v, entries):
-        assert v == Vector(field, entries) and v.entries == tuple(entries) and len(v) == len(entries)
-        assert all(v[j] == e for j, e in enumerate(entries)) and repr(v) == repr(Vector(field, entries))
+        assert v == vector(field, entries) and v.entries == tuple(entries) and len(v) == len(entries)
+        assert all(v[j] == e for j, e in enumerate(entries)) and repr(v) == repr(vector(field, entries))
         assert all(0 <= j < len(entries) and not field.is_zero(a) for j, a in v.terms.items())
 
     for n in (0, 1, 2, 4, 6):
         m, other = _sparse_matrix(field, rng, n, n), _sparse_matrix(field, rng, n, 3)
         rows = m.rows
         assert len(rows) == n and all(len(r) == n for r in rows)
-        assert Matrix(field, rows) == m == Matrix.from_columns(field, m.columns, n)
+        assert matrix(field, rows) == m == Matrix.from_columns(field, m.columns, n)
         assert all(m.columns[j].entries == tuple(r[j] for r in rows) for j in range(n))
         for u, w in zip(rows, rows[1:] + rows[:1]):
-            x, y = Vector(field, u), Vector(field, w)
+            x, y = vector(field, u), vector(field, w)
             assert x == Vector.sparse(field, n, {j: e.payload for j, e in enumerate(u) if not e.is_zero()})
             same(x + y, [a + b for a, b in zip(u, w)])
             same(x - y, [a - b for a, b in zip(u, w)])
@@ -341,7 +342,7 @@ def test_payload_maps_match_entrywise_loops(fixture, request):
         except DimensionMismatch:
             assert rref(m)[1] < n
         else:
-            assert _dense_matmul(m, inverse) == Matrix.identity(field, n) == _dense_matmul(inverse, m)
+            assert _dense_matmul(m, inverse) == identity_matrix(field, n) == _dense_matmul(inverse, m)
 
 
 def _payload(field, rng):
@@ -442,35 +443,50 @@ def test_a_raw_sum_that_is_a_multiple_of_the_modulus_is_zero(NF):
     assert _reduce(NF, {**v, 2: one}, {0: {1: eta}}) == {2: one}
 
 
+def _from_literals(field, rows):
+    """The matrix of rows of scalar literals, made from its columns as the engine makes matrices."""
+    n = len(rows)
+    return Matrix.from_columns(field, [
+        sum((Vector.unit(field, n, i).scale(parse_scalar(row[j], field)) for i, row in enumerate(rows)),
+            Vector.zero(field, n))
+        for j in range(len(rows[0]))], n)
+
+
+def test_matrix_repr_renders_its_rows(Q, GF7):
+    assert repr(_from_literals(Q, [["1", "-1/2", "0"], ["0", "3", "0"]])) == "Matrix[(1, -1/2, 0); (0, 3, 0)]"
+    assert repr(_from_literals(GF7, [["0", "-1"], ["5", "1/2"]])) == "Matrix[(0, 6); (5, 4)]"
+    assert repr(Matrix.from_columns(Q, [], 2)) == "Matrix[(); ()]" and repr(Matrix.from_columns(Q, [], 0)) == "Matrix[]"
+
+
 def test_zero_sizes_keep_their_shape(Q):
-    empty = Vector(Q, [])
+    empty = vector(Q, [])
     assert (len(empty), empty.entries, list(empty), repr(empty)) == (0, (), [], "()")
     assert empty == Vector.zero(Q, 0) != Vector.zero(Q, 1)
     for nrows, ncols in ((0, 3), (3, 0), (0, 0)):
-        m = Matrix(Q, [[]] * nrows, ncols)
+        m = matrix(Q, [[]] * nrows, ncols)
         assert (m.nrows, m.ncols, m.rows) == (nrows, ncols, ((),) * nrows)
         assert [len(c) for c in m.columns] == [nrows] * ncols
-        assert m == Matrix.zero(Q, nrows, ncols) == Matrix.from_columns(Q, m.columns, nrows)
+        assert m == zero_matrix(Q, nrows, ncols) == Matrix.from_columns(Q, m.columns, nrows)
         assert m.apply(Vector.zero(Q, ncols)) == Vector.zero(Q, nrows)
-        assert m.matmul(Matrix.zero(Q, ncols, 2)) == Matrix.zero(Q, nrows, 2)
+        assert m.matmul(zero_matrix(Q, ncols, 2)) == zero_matrix(Q, nrows, 2)
         reduced, rank, _ = rref(m)
         assert (reduced.nrows, reduced.ncols, rank) == (nrows, ncols, 0)
         assert kernel(m).dim == ncols
-    assert Matrix.zero(Q, 3, 0) != Matrix.zero(Q, 2, 0)
-    assert invert(Matrix.identity(Q, 0)) == Matrix.zero(Q, 0, 0)
+    assert zero_matrix(Q, 3, 0) != zero_matrix(Q, 2, 0)
+    assert invert(identity_matrix(Q, 0)) == zero_matrix(Q, 0, 0)
 
 
 def test_columns_share_one_field_and_one_length(Q, GF7):
     with pytest.raises(DescriptorMismatch):
         Matrix.from_columns(Q, [Vector.unit(Q, 2, 0), Vector.unit(GF7, 2, 1)])
     with pytest.raises(DescriptorMismatch):
-        Matrix(Q, [[Q.one(), GF7.one()]])
+        matrix(Q, [[Q.one(), GF7.one()]])
     with pytest.raises(DimensionMismatch, match="ragged matrix"):
         Matrix.from_columns(Q, [Vector.unit(Q, 2, 0), Vector.unit(Q, 3, 1)])
     with pytest.raises(DimensionMismatch, match="ragged matrix"):
         Matrix.from_columns(Q, [Vector.unit(Q, 2, 0)], nrows=3)
     with pytest.raises(DimensionMismatch, match="ragged matrix"):
-        Matrix(Q, [[Q.one(), Q.zero()], [Q.one()]])
+        matrix(Q, [[Q.one(), Q.zero()], [Q.one()]])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +513,7 @@ def _reference_invert(m):
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices invert")
     n = m.nrows
-    reduced, _, pivots = rref(Matrix.from_columns(m.field, m.columns + Matrix.identity(m.field, n).columns, n))
+    reduced, _, pivots = rref(Matrix.from_columns(m.field, m.columns + identity_matrix(m.field, n).columns, n))
     if pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
     return Matrix.from_columns(m.field, reduced.columns[n:], n)
@@ -527,10 +543,10 @@ def _differential_matrices(field, rng):
     """0 x 0, zero, identity, random sparse (each with a zero row, so
     singular), a square one with a repeated column, full-rank and
     rank-deficient products, square and not."""
-    yield Matrix.zero(field, 0, 0)
-    yield Matrix.zero(field, 3, 4)
-    yield Matrix.zero(field, 4, 4)
-    yield Matrix.identity(field, 5)
+    yield zero_matrix(field, 0, 0)
+    yield zero_matrix(field, 3, 4)
+    yield zero_matrix(field, 4, 4)
+    yield identity_matrix(field, 5)
     for _ in range(4):
         n = rng.randint(1, 6)
         yield _sparse_matrix(field, rng, n, n)
@@ -558,4 +574,4 @@ def test_echelon_reads_match_the_matrix_round_trips(fixture, request, GF5):
     # square and not, invertible and singular: each was met
     assert shapes == {(True, True), (True, False), (False, True)}
     with pytest.raises(DescriptorMismatch):
-        Matrix.zero(field, 0, 0).sub_scalar_diag(GF5.one())
+        zero_matrix(field, 0, 0).sub_scalar_diag(GF5.one())

@@ -8,7 +8,8 @@ from axialcheck import catalog, cli
 from axialcheck.derive import quotient, rref
 from axialcheck.dihedral import DihedralData
 from axialcheck.errors import DataInconsistency
-from axialcheck.linalg import Matrix, Subspace, Vector, solve_in_span
+from axialcheck.linalg import Subspace, Vector, solve_in_span
+from values import identity_matrix, vector
 
 
 def test_solve_matches_containment(Q, GF7):
@@ -17,10 +18,10 @@ def test_solve_matches_containment(Q, GF7):
         for _ in range(80):
             dim = rng.randint(2, 5)
             spanners = [
-                Vector(field, [field.from_int(rng.randint(-3, 3)) for _ in range(dim)])
+                vector(field, [field.from_int(rng.randint(-3, 3)) for _ in range(dim)])
                 for _ in range(rng.randint(1, 3))
             ]
-            target = Vector(field, [field.from_int(rng.randint(-3, 3)) for _ in range(dim)])
+            target = vector(field, [field.from_int(rng.randint(-3, 3)) for _ in range(dim)])
             span = Subspace.from_vectors(field, dim, spanners)
             coeffs = solve_in_span(target, spanners)
             assert (coeffs is not None) == span.contains(target)
@@ -33,7 +34,7 @@ def test_solve_matches_containment(Q, GF7):
 
 def test_quotient_projection_is_surjective():
     alg, dd = catalog.instantiate("FiveThree", "q", "-1/3")
-    sigma = alg.zero_vector()
+    sigma = Vector.zero(alg.field, alg.dim)
     for i in range(-2, 3):
         sigma = sigma + dd.axis(i)
     span = Subspace.from_vectors(alg.field, alg.dim, [sigma])
@@ -58,7 +59,7 @@ def test_dihedral_data_rejects_broken_seeds():
 
 
 def test_matrix_identity_shortcut(Q):
-    m = Matrix.identity(Q, 4)
+    m = identity_matrix(Q, 4)
     reduced, rank, pivots = rref(m)
     assert rank == 4 and reduced == m
 
