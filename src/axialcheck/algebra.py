@@ -2,7 +2,9 @@
 subalgebras and linear maps between algebras.
 
 Commutativity is structural: e_i*e_j and e_j*e_i are one shared map of
-structure constants, so x*y = y*x cannot fail by construction.
+structure constants, so x*y = y*x cannot fail by construction.  A value
+keeps what its builder checked: outside input enters through
+algfile.load_document, with every check.
 
 extend_from_generators lives in ``dihedral`` and is_ideal, is_homomorphism
 and quotient in ``derive``, both compiled on first use; each keeps a one-line
@@ -27,35 +29,14 @@ class AlgebraDef(_Frozen):
     ``terms``, {k: nonzero payload}; missing pairs multiply to zero.  (i, j)
     and (j, i) share one map, and nothing else holds the constants.
 
-    ``table`` maps each key (i, j) to the product Vector e_i*e_j, and is
-    checked here.  The loader, which has checked its document, passes the
-    rows themselves, a tuple, and they are kept as they are.
+    It checks nothing: it keeps the rows that algfile.load_document built
+    from a checked document, or derive.quotient from an algebra built so.
     """
 
     __slots__ = ("field", "labels", "rows", "dim")
 
-    def __init__(self, field, labels, table):
-        labels = tuple(labels)
-        dim = len(labels)
-        if not isinstance(table, tuple):
-            if len(set(labels)) != dim:
-                raise DimensionMismatch("basis labels must be distinct")
-            rows = tuple({} for _ in range(dim))
-            seen = set()  # the unordered keys, zero products included
-            for (i, j), vec in table.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise DimensionMismatch(f"bad structure-constant key ({i},{j})")
-                if (key := (min(i, j), max(i, j))) in seen:
-                    raise DimensionMismatch(f"duplicate structure-constant key {key}")
-                seen.add(key)
-                if len(vec) != dim:
-                    raise DimensionMismatch("structure-constant vector has wrong length")
-                if vec.field is not field:
-                    raise DescriptorMismatch("structure constants over the wrong field")
-                if vec.terms:  # a zero product is left out
-                    rows[i][j] = rows[j][i] = vec.terms
-            table = rows
-        _fill(self, field, labels, table, dim)
+    def __init__(self, field, labels, rows):
+        _fill(self, field, tuple(labels), rows, len(labels))
 
     def label_index(self, label):
         return self.labels.index(label)

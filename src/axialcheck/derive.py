@@ -202,13 +202,13 @@ def quotient(alg: algebra.AlgebraDef, ideal: Subspace):
     def project(v: Vector) -> Vector:
         return Vector.sparse(field, qdim, {index[k]: c for k, c in ideal.reduce(v).terms.items()})
 
-    qtable = {}
+    rows = tuple({} for _ in keep)  # as the loader builds them: one shared map per nonzero product
     for qi, ki in enumerate(keep):
         for qj, kj in enumerate(keep[: qi + 1]):
-            vec = project(alg.product_of_basis(ki, kj))
-            if not vec.is_zero():
-                qtable[(qj, qi)] = vec
-    qalg = algebra.AlgebraDef(field, tuple(alg.labels[k] for k in keep), qtable)
+            terms = project(alg.product_of_basis(ki, kj)).terms
+            if terms:
+                rows[qi][qj] = rows[qj][qi] = terms
+    qalg = algebra.AlgebraDef(field, tuple(alg.labels[k] for k in keep), rows)
     proj_cols = [project(alg.basis_vector(k)) for k in range(alg.dim)]
     projection = algebra.AlgebraMap(alg, qalg, Matrix.from_columns(field, proj_cols, nrows=qdim))
     return qalg, projection

@@ -193,22 +193,21 @@ class DihedralData(_Frozen):
     @classmethod
     def build(cls, alg, seed_axes, shift, flip, eta):
         """Check that eta avoids 0 and 1 (check_eta), that the seed axes are
-        consecutive shifts of a_0 and that the flip fixes a_0.  A singular
-        shift is a failed dihedral check, not a rejected input, so it is not
-        inverted here; nor is either map checked for multiplicativity: the
-        loader proved both with extend_from_generators, in one closure when
-        they share generators, or derive.induce_on_quotient induced them from such."""
+        consecutive shifts of a_0 and that the flip fixes a_0.  It keeps what
+        its builders checked: seed_axes is {i: a_i} over a range around 0, as
+        load reads a window that brackets 0 and derive.on_quotient passes
+        {0: a_0}.  A singular shift is a failed dihedral check, not a rejected
+        input, so it is not inverted here; nor is either map checked for
+        multiplicativity: the loader proved both with extend_from_generators,
+        in one closure when they share generators, or
+        derive.induce_on_quotient induced them from such."""
         check_eta(eta)
-        axes = dict(seed_axes)
-        seed_lo, seed_hi = min(axes), max(axes)
-        if set(axes) != set(range(seed_lo, seed_hi + 1)) or not seed_lo <= 0 <= seed_hi:
-            raise DimensionMismatch("seed axes must cover a contiguous range around 0")
-        for i in range(seed_lo, seed_hi):
-            if shift.apply(axes[i]) != axes[i + 1]:
+        for i in range(min(seed_axes), max(seed_axes)):
+            if shift.apply(seed_axes[i]) != seed_axes[i + 1]:
                 raise DataInconsistency(f"shift does not carry axis {i} to axis {i + 1}")
-        if flip.apply(axes[0]) != axes[0]:
+        if flip.apply(seed_axes[0]) != seed_axes[0]:
             raise DataInconsistency("flip does not fix the base axis")
-        return cls(alg, eta, axes[0], shift, flip)
+        return cls(alg, eta, seed_axes[0], shift, flip)
 
     @cached_property
     def _unshift(self) -> "AlgebraMap | None":

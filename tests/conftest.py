@@ -5,11 +5,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from axialcheck.algebra import AlgebraDef, AlgebraMap
+from axialcheck.algebra import AlgebraMap
 from axialcheck.axial import split_eigenspace
 from axialcheck.fields import FieldDescriptor, render
 from axialcheck.linalg import Matrix
-from values import vector
+from values import table_algebra, vector
 
 
 @pytest.fixture(scope="session")
@@ -120,7 +120,7 @@ def matsuo_s5():
                 continue
             u = tuple(sorted(set(s) ^ set(t)))  # tst, the third transposition
             table[index[s], index[t]] = vec({index[s]: half, index[t]: half, index[u]: -half})
-        return AlgebraDef(field, [f"{a}{b}" for a, b in trans], table)
+        return table_algebra(field, [f"{a}{b}" for a, b in trans], table)
 
     return build
 

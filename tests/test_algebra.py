@@ -7,8 +7,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axialcheck import algebra
-from axialcheck.algebra import AlgebraDef, AlgebraMap, adjoint_matrix, generated_subalgebra, multiply, sparse_product
+from axialcheck import algebra, algfile, derive
+from axialcheck.algebra import AlgebraMap, adjoint_matrix, generated_subalgebra, multiply, sparse_product
 from axialcheck.catalog import instantiate
 from axialcheck.derive import is_homomorphism, is_ideal, quotient
 from axialcheck.dihedral import axis_orbit, extend_from_generators
@@ -21,7 +21,7 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import FieldDescriptor, parse_scalar
 from axialcheck.linalg import EchelonBasis, Matrix, Subspace, Vector
-from values import identity_map, identity_matrix, matrix, vector, zero_matrix
+from values import identity_map, identity_matrix, matrix, table_algebra, vector, zero_matrix
 
 
 def _span_of(alg, label):
@@ -144,6 +144,24 @@ def test_quotient_of_five_three():
     assert is_ideal(alg, span)
     qalg, _ = quotient(alg, span)
     assert qalg.dim == 4
+
+
+_BAR_FOUR_TWO_IDEAL = ("p20 + p1 + 2*(a2+a0) + a1 + am1", "p21 + p1 + a2 + a0 + 2*(a1+am1)")
+
+
+@pytest.mark.parametrize("parent, field, eta, ideal", [
+    *((parent, field, eta, (ideal,)) for parent, field, eta, ideal, *_ in derive._QUOTIENT_ROWS),
+    ("BarFourTwo", None, None, _BAR_FOUR_TWO_IDEAL),
+], ids=[*(row[0] for row in derive._QUOTIENT_ROWS), "BarFourTwo_two_dim"])
+def test_quotient_rows_are_built_as_the_loader_builds_them(parent, field, eta, ideal):
+    # the quotient's rows read back from its document unchanged, share one
+    # map per pair and hold no zero product
+    alg, dd = instantiate(parent, field, eta)
+    qalg, _ = quotient(alg, derive._span(alg, dd.eta, ideal))
+    assert qalg.rows == algfile.loads(derive.dumps(qalg))[0].rows
+    for i, row in enumerate(qalg.rows):
+        for j, terms in row.items():
+            assert terms and qalg.rows[j][i] is terms
 
 
 def test_is_homomorphism():
@@ -296,34 +314,34 @@ def test_multiply_matches_dense_loop(name, field, eta):
 
 
 def test_sparse_rows_share_the_table():
-    # each nonzero product is held once: rows[i][j] and rows[j][i] are the
-    # terms map of the Vector given for the pair
-    three, _ = instantiate("ThreeEv")
-    pairs = combinations_with_replacement(range(three.dim), 2)
-    table = {(j, i): three.product_of_basis(i, j) for i, j in pairs}  # each key given as (j, i), j >= i
-    alg = AlgebraDef(three.field, three.labels, table)
+    # each nonzero product is held once: the loader keeps one terms map for
+    # rows[i][j] and rows[j][i], here with each pair given as (j, i), j >= i
+    three, dd = instantiate("ThreeEv")
+    doc = derive.document_for(three, dd)
+    for item in doc["products"]:
+        item["left"], item["right"] = item["right"], item["left"]
+    alg, _, _ = algfile.load_document(doc)
+    given = {(three.label_index(item["right"]), three.label_index(item["left"])) for item in doc["products"]}
     listed = {(i, j): terms for i, row in enumerate(alg.rows) for j, terms in row.items()}
-    assert {key for key in listed if key[0] >= key[1]} == {key for key, vec in table.items() if vec.terms}
-    for (i, j), vec in table.items():
-        assert listed.get((i, j)) is listed.get((j, i)) is (vec.terms or None)
-        assert alg.product_of_basis(j, i).terms == vec.terms
+    assert {key for key in listed if key[0] <= key[1]} == given
+    for i, j in combinations_with_replacement(range(alg.dim), 2):
+        assert listed.get((i, j)) is listed.get((j, i))
+        assert alg.product_of_basis(j, i) == three.product_of_basis(i, j)
 
 
 def test_zero_products_are_in_neither_table_nor_rows(Q):
-    # a zero product vector, given or computed, is a missing pair
-    a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
-    alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (1, 0): Vector.zero(Q, 2), (1, 1): b - b})
+    # a zero literal is a missing term, and a product whose literals are all
+    # zero a missing pair
+    doc = {"field": {"kind": "rationals"}, "basis": ["a", "b"], "products": [
+        {"left": "a", "right": "a", "value": {"a": "1", "b": "0"}},
+        {"left": "b", "right": "a", "value": {"a": "0", "b": "1 - 1"}},
+        {"left": "b", "right": "b", "value": {"b": "0"}},
+    ]}
+    alg, _, _ = algfile.load_document(doc)
+    a, b = alg.basis_vector(0), alg.basis_vector(1)
     assert alg.rows == ({0: {0: Q.ONE}}, {})
     assert alg.product_of_basis(0, 1).is_zero() and alg.product_of_basis(0, 0) == a
     assert multiply(alg, a, b).is_zero() and multiply(alg, b, b).is_zero()
-
-
-def test_a_duplicate_key_is_refused_whatever_its_value(Q):
-    # (0, 1) and (1, 0) name one product, even where either vector is zero
-    zero, a = Vector.zero(Q, 2), Vector.unit(Q, 2, 0)
-    for first, second in ((zero, a), (a, zero), (zero, zero)):
-        with pytest.raises(DimensionMismatch, match=r"^duplicate structure-constant key \(0, 1\)$"):
-            AlgebraDef(Q, ("a", "b"), {(0, 1): first, (1, 0): second})
 
 
 def test_multiply_refuses_other_fields_and_lengths(GF7):
@@ -430,7 +448,7 @@ def _random_algebra(field, rng):
     """Dimension 1 to 6, each product zero or a random word."""
     dim = rng.randint(1, 6)
     table = {(i, j): _random_word(field, dim, rng) for i in range(dim) for j in range(i, dim) if rng.random() < 0.7}
-    return AlgebraDef(field, [f"e{i}" for i in range(dim)], table)
+    return table_algebra(field, [f"e{i}" for i in range(dim)], table)
 
 
 def _random_field(trial, rng):
@@ -532,7 +550,7 @@ def kernel_inputs(draw, field):
         for j in range(i, dim):
             table[i, j] = vector(field, [_scalar(field, *draw(small)) for _ in range(dim)])
     x, y = ([_scalar(field, *draw(small)) for _ in range(dim)] for _ in "xy")
-    return AlgebraDef(field, [f"e{i}" for i in range(dim)], table), x, y
+    return table_algebra(field, [f"e{i}" for i in range(dim)], table), x, y
 
 
 @pytest.mark.parametrize("name", KERNEL_FIELDS)
@@ -558,7 +576,7 @@ def test_sparse_product_drops_cancelled_sums(name):
     field = KERNEL_FIELDS[name]
     one = field.one()
     table = {(0, 0): vector(field, [one, one]), (1, 1): vector(field, [-one, field.zero()])}
-    alg = AlgebraDef(field, ["e0", "e1"], table)
+    alg = table_algebra(field, ["e0", "e1"], table)
     both = {0: one.payload, 1: one.payload}
     assert sparse_product(alg, both, both) == {1: one.payload}
 

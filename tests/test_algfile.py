@@ -81,6 +81,23 @@ def test_validation_errors():
         algfile.loads("{not json")
 
 
+@pytest.mark.parametrize("basis, message", [
+    (["x", "x"], "basis labels must be distinct"),
+    ([], "basis must be a nonempty array of label strings"),
+    (["x", 1], "basis must be a nonempty array of label strings"),
+], ids=["repeated", "empty", "not_a_string"])
+def test_each_fault_of_the_basis_is_refused_by_name(tmp_path, capsys, basis, message):
+    # the loader's checks are the only ones: AlgebraDef keeps the labels it is given
+    from axialcheck import cli
+
+    path = tmp_path / "basis.json"
+    doc = {"field": {"kind": "rationals"}, "basis": basis, "products": []}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("left,right,value,message", [
     ("x", "z", {}, "undeclared basis label in the product ['x', 'z']"),
     ("x", "y", {"w": "1"}, "undeclared basis label in the product ['x', 'y']"),

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from axialcheck import algebra, axial, catalog, cli
-from axialcheck.algebra import AlgebraDef, AlgebraMap, adjoint_matrix, generated_subalgebra, multiply
+from axialcheck.algebra import AlgebraMap, adjoint_matrix, generated_subalgebra, multiply
 from axialcheck.algfile import load_document, load_path, parse_vector
 from axialcheck.axial import (
     AxisDecomposition,
@@ -48,7 +48,7 @@ from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, rende
 from axialcheck.linalg import Matrix, Subspace, Vector, invert, kernel, solve_in_span
 from identity_reference import identity_suite_reference
 from relation_lemmas import relation_transform
-from values import compose, identity_map, identity_matrix, involution_at, matrix, power, vector
+from values import compose, identity_map, identity_matrix, involution_at, matrix, power, table_algebra, vector
 
 
 def _axis_diff(alg, dd, i):
@@ -609,7 +609,7 @@ def _matsuo_split(field, eta, n, scale=None, perturb=None):
     def vec(coeffs):
         return Vector.sparse(field, len(trans), {k: field.from_fraction(c).payload for k, c in coeffs.items() if c})
 
-    alg = AlgebraDef(field, [f"{a}{b}" for a, b in trans], {key: vec(c) for key, c in table.items()})
+    alg = table_algebra(field, [f"{a}{b}" for a, b in trans], {key: vec(c) for key, c in table.items()})
     image = [index[tuple(sorted({1: 2, 2: 1}.get(x, x) for x in t))] for t in trans]
     flip = AlgebraMap(alg, alg, Matrix.from_columns(
         field, [vec({image[k]: scale[k] / scale[image[k]]}) for k in range(len(trans))]))
@@ -812,7 +812,7 @@ def test_sign_map_that_is_not_an_automorphism(Q):
     # flip itself) does not respect the product
     eta = Q.from_fraction(Fraction(1, 2))
     a, b = Vector.unit(Q, 2, 0), Vector.unit(Q, 2, 1)
-    alg = AlgebraDef(Q, ("a", "b"), {(0, 0): a, (0, 1): b.scale(eta), (1, 1): b})
+    alg = table_algebra(Q, ("a", "b"), {(0, 0): a, (0, 1): b.scale(eta), (1, 1): b})
     flip = AlgebraMap(alg, alg, Matrix.from_columns(Q, [a, -b], nrows=2))
     dec = split_eigenspace(alg, a, eta, flip)
     assert dec.dims() == (0, 1, 0, 1)
@@ -926,7 +926,7 @@ def test_relation_cases_match_the_two_branch_classifier(Q, name):
     axes, other, window, adim, expected = RELATION_CASES[name]
     coords = {i: axes.get(i, other) for i in range(-3, 5)}
     dim = len(coords[0])
-    alg = AlgebraDef(Q, [f"e{k}" for k in range(dim)], {})
+    alg = table_algebra(Q, [f"e{k}" for k in range(dim)], {})
     vectors = {i: vector(Q, [Q.from_int(c) for c in v]) for i, v in coords.items()}
     dd = SimpleNamespace(axis=vectors.__getitem__)
     dd.orbit = axis_orbit(alg, dd)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialcheck import algfile, catalog, derive, fields, polynomials
-from axialcheck.algebra import AlgebraDef, AlgebraMap
+from axialcheck.algebra import AlgebraMap
 from axialcheck.derive import specialize
 from axialcheck.errors import (
     AlgebraFileError,
@@ -23,7 +23,7 @@ from axialcheck.errors import (
 )
 from axialcheck.fields import FieldDescriptor, FieldElement, parse_scalar, render
 from axialcheck.linalg import Matrix
-from values import vector
+from values import table_algebra, vector
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +701,7 @@ def test_equality_is_a_zero_test(name, monkeypatch):
         settles.clear()
 
     rng = random.Random(name)
-    source, target = AlgebraDef(field, ["e0", "e1"], {}), AlgebraDef(field, ["e0", "e1", "e2"], {})
+    source, target = table_algebra(field, ["e0", "e1"], {}), table_algebra(field, ["e0", "e1", "e2"], {})
     seen = {True: 0, False: 0}
     for _ in range(40):
         xs = [_small_element(field, rng) for _ in range(3)]

@@ -1,10 +1,11 @@
 """Values and maps that only tests build: vectors and matrices from lists
-of FieldElements, the identity and zero matrices, and the identity map,
-composites, powers and the involutions tau_j of dihedral data.  The engine
-makes its values from payload maps and columns (Vector.sparse,
-Matrix.from_columns), so none of these is compiled by a run."""
+of FieldElements, algebras from tables of product Vectors, the identity and
+zero matrices, and the identity map, composites, powers and the involutions
+tau_j of dihedral data.  The engine makes its values from payload maps and
+columns (Vector.sparse, Matrix.from_columns) and its algebras from checked
+documents (algfile.load_document), so none of these is compiled by a run."""
 
-from axialcheck.algebra import AlgebraMap
+from axialcheck.algebra import AlgebraDef, AlgebraMap
 from axialcheck.errors import DataInconsistency, DescriptorMismatch, DimensionMismatch
 from axialcheck.linalg import Matrix, Vector
 
@@ -26,6 +27,19 @@ def matrix(field, rows, ncols=None):
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("ragged matrix")
     return Matrix.from_columns(field, [vector(field, [r[j] for r in rows]) for j in range(ncols)], len(rows))
+
+
+def table_algebra(field, labels, table):
+    """The AlgebraDef whose e_i*e_j is table[i, j], a Vector over field, for
+    each key (i, j) given; a pair given once, in either order.  A pair not
+    given, or given a zero vector, multiplies to zero.  The rows are built
+    as the loader builds them: one terms map shared by (i, j) and (j, i)."""
+    labels = tuple(labels)
+    rows = tuple({} for _ in labels)
+    for (i, j), vec in table.items():
+        if vec.terms:
+            rows[i][j] = rows[j][i] = vec.terms
+    return AlgebraDef(field, labels, rows)
 
 
 def identity_matrix(field, n):
